@@ -1,8 +1,9 @@
 """Experiment runner: load a JSON scenario config, execute solve / verify /
 constants / compare-oracle workflows, write CSV time series and JSON summaries.
 
-Exit codes: 0 success, 1 verification failed, 2 fixed-point non-convergence,
-3 configuration error.
+Exit codes: 0 success, 1 verification failed or rank-deficient regression,
+2 fixed-point non-convergence, 3 configuration error (including a step too
+coarse for the implicit node fixed point).
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import lossop, scenarios
-from .condexp import LATTICE_MAX_STEPS, LatticeBackend, LatticeModel, RegressionBackend
+from .condexp import (LATTICE_MAX_STEPS, LatticeBackend, LatticeModel,
+                      RegressionBackend, RegressionError)
 from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, validate_assumptions
 from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
 from .picard import (ConvergenceError, contraction_estimate, picard_solve,
                      scenario_constants)
-from .reflect import ReflectedSolution, default_tolerances
+from .reflect import ReflectedSolution, StepSizeError, default_tolerances
 from .stitch import plan_intervals, solve_global, stitch_constants
 
 HL_PROBE_PASS = 1.0 + 1e-6
@@ -66,9 +68,22 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"cli: config holds the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    """JSON number to float, refusing literals such as 1e400 that overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
 def load_config(path: str | Path, backend_override: str | None = None) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant,
+                         parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cli: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -102,8 +117,8 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         raise ConfigError("cli: grid.n must be >= 1")
     if "T" in grid_cfg:
         horizon = float(grid_cfg["T"])
-        if horizon <= 0:
-            raise ConfigError("cli: grid.T must be positive")
+        if not math.isfinite(horizon) or horizon <= 0:
+            raise ConfigError("cli: grid.T must be positive and finite")
         spec = scenarios.with_horizon(spec, horizon)
 
     ens_cfg = dict(raw.get("ensemble") or {})
@@ -544,9 +559,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    except StepSizeError as exc:
+        print(f"grid: {exc}", file=sys.stderr)
+        return 3
     except ConvergenceError as exc:
         print(f"picard: {exc}", file=sys.stderr)
         return 2
+    except RegressionError as exc:
+        print(f"regression: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -22,15 +23,22 @@ class RegressionError(RuntimeError):
     """Rank-deficient design matrix in a per-step regression."""
 
 
-def _monomial_exponents(degree: int, dim: int) -> tuple[tuple[int, ...], ...]:
-    exps = []
-    for deg in range(degree + 1):
+def _monomial_table(degree: int, dim: int):
+    """Exponents of every monomial up to total degree, ordered by degree, and
+    for each non-constant monomial its parent (the same monomial with the last
+    factor removed) and that factor's coordinate."""
+    exps = [(0,) * dim]
+    parents = []
+    index = {(): 0}
+    for deg in range(1, degree + 1):
         for combo in combinations_with_replacement(range(dim), deg):
+            parents.append((index[combo[:-1]], combo[-1]))
+            index[combo] = len(exps)
             e = [0] * dim
             for j in combo:
                 e[j] += 1
             exps.append(tuple(e))
-    return tuple(exps)
+    return tuple(exps), tuple(parents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,18 +52,28 @@ class RegressionBasis:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 
+    @cached_property
+    def _table(self):
+        return _monomial_table(self.degree, self.dim)
+
     @property
     def exponents(self) -> tuple[tuple[int, ...], ...]:
-        return _monomial_exponents(self.degree, self.dim)
+        return self._table[0]
 
     @property
     def n_features(self) -> int:
         return len(self.exponents)
 
     def design(self, states) -> np.ndarray:
-        x = np.asarray(states, dtype=float)
-        cols = [np.prod(x ** np.asarray(e), axis=-1) for e in self.exponents]
-        return np.column_stack(cols)
+        """(N, p) features of (N, d) states; each monomial is its parent times
+        one coordinate. Built feature-major so that every product runs over
+        contiguous memory, and returned as its (N, p) transpose."""
+        x = np.asarray(states, dtype=float).T.copy()
+        phi = np.empty((self.n_features, x.shape[1]))
+        phi[0] = 1.0
+        for row, (parent, j) in enumerate(self._table[1], start=1):
+            np.multiply(phi[parent], x[j], out=phi[row])
+        return phi.T
 
 
 def regress_condexp(ensemble: ParticleEnsemble, i: int, samples,
@@ -86,6 +104,7 @@ class RegressionBackend:
         self.grid = ensemble.grid
         self.basis = RegressionBasis(degree=degree, dim=ensemble.d)
         self.cond_warn = cond_warn
+        self._factors: dict[int, np.ndarray] = {}
         if ensemble.N <= self.basis.n_features:
             raise ValueError("need more particles than basis features")
 
@@ -99,20 +118,22 @@ class RegressionBackend:
     def state(self, i: int) -> np.ndarray:
         return self.ensemble.states[:, i, :]
 
-    def _project(self, i: int, targets: np.ndarray) -> np.ndarray:
-        """Fit one or more target columns on the step-i features.
+    def _orthonormalizer(self, i: int, phi: np.ndarray) -> np.ndarray:
+        """The p x p map W with phi @ W orthonormal, factored once per step.
 
         Columns are equilibrated before the decomposition; this leaves the
-        projection unchanged and keeps the conditioning scale-free.
+        projection unchanged and keeps the conditioning scale-free. The rank
+        and condition number come from the singular values of R, which are
+        those of the equilibrated design.
         """
-        if i == 0:
-            means = particle_mean(targets, self.ensemble.antithetic)
-            return np.broadcast_to(means, targets.shape).copy()
-        phi = self.basis.design(self.state(i))
+        w = self._factors.get(i)
+        if w is not None:
+            return w
         scale = np.max(np.abs(phi), axis=0)
         scale[scale == 0.0] = 1.0
-        phi /= scale
-        beta, _, rank, sv = np.linalg.lstsq(phi, targets, rcond=None)
+        r = np.linalg.qr(phi / scale, mode="r")
+        sv = np.linalg.svd(r, compute_uv=False)
+        rank = int(np.sum(sv > np.finfo(float).eps * max(phi.shape) * sv[0]))
         if rank < self.basis.n_features:
             raise RegressionError(
                 f"rank-deficient design matrix at step {i} "
@@ -120,7 +141,23 @@ class RegressionBackend:
         if sv[-1] > 0 and sv[0] / sv[-1] > self.cond_warn:
             warnings.warn(f"ill-conditioned regression at step {i}: "
                           f"cond={sv[0] / sv[-1]:.3g}", RuntimeWarning)
-        return phi @ beta
+        w = np.linalg.inv(r) / scale[:, None]
+        self._factors[i] = w
+        return w
+
+    def _project(self, i: int, targets: np.ndarray) -> np.ndarray:
+        """Fit one or more target columns on the step-i features.
+
+        The ensemble is fixed, so only the p x p factor is kept per step; the
+        design and its orthonormal basis are rebuilt on each call rather than
+        stored, which would cost N x p per step.
+        """
+        if i == 0:
+            means = particle_mean(targets, self.ensemble.antithetic)
+            return np.broadcast_to(means, targets.shape).copy()
+        phi = self.basis.design(self.state(i))
+        q = phi @ self._orthonormalizer(i, phi)
+        return q @ (q.T @ targets)
 
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)

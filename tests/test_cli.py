@@ -245,3 +245,63 @@ def test_stitched_solve_through_cli(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stitch"]["breaks"] == [0, 8, 16]
     assert summary["stitch"]["seam_gaps"] == [0.0]
+
+
+def test_step_size_error_exits_3_with_one_line(tmp_path, capsys):
+    # linear_y with a = 20 at n = 8 puts lam * dt at 2.5: no per-node contraction
+    cfg = write_config(tmp_path, {
+        "scenario": {
+            "name": "stiff", "T": 1.0, "d": 1,
+            "terminal": {"kind": "brownian_shift", "params": {"c": 1.0}},
+            "driver": {"kind": "linear_y", "params": {"a": 20.0}},
+            "resistance": {"kind": "zero"},
+            "loss": {"kind": "linear_shift", "params": {}},
+        },
+        "grid": {"n": 8},
+        "backend": {"kind": "lattice"},
+    })
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lam*dt = 2.5" in err
+    assert not out.exists()
+
+
+def test_rank_deficient_regression_exits_1_with_one_line(tmp_path, capsys):
+    # degree 30 on 40 particles: the equilibrated design is numerically singular
+    cfg = write_config(tmp_path, {
+        "scenario": "B_meanfield_linear",
+        "grid": {"n": 2},
+        "ensemble": {"N": 40, "seed": 1, "antithetic": False},
+        "backend": {"kind": "regression", "degree": 30},
+    })
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rank-deficient design matrix" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"scenario": "A_sine_constraint", "grid": {"n": 4, "T": NaN}}',
+    '{"scenario": "A_sine_constraint", "grid": {"n": 4, "T": Infinity}}',
+    '{"scenario": "A_sine_constraint", "grid": {"n": 4, "T": 1e400}}',
+    '{"scenario": "A_sine_constraint", "grid": {"n": 4},'
+    ' "tolerances": {"flatness": -Infinity}}',
+    '{"scenario": "A_sine_constraint", "grid": {"n": 4},'
+    ' "tolerances": {"flatness": 1e400}}',
+])
+def test_non_finite_config_numbers_exit_3(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "--out",
+                 str(tmp_path / "never")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "never").exists()
+
+
+def test_parse_config_rejects_non_finite_horizon():
+    # NaN <= 0 is false: the horizon needs an explicit finiteness check
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config({"scenario": "A_sine_constraint",
+                      "grid": {"n": 4, "T": float("nan")}})

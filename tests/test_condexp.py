@@ -178,3 +178,72 @@ def test_backends_agree_on_lattice_expressible_mean():
     m_lat = lat.mean(8, xi_lat ** 2)
     m_reg = reg.mean(8, xi_reg ** 2)
     assert abs(m_lat - m_reg) <= 0.05   # both estimate E[B_T^2] = 1
+
+
+def reference_design(basis, states):
+    """Column-by-column powers: the direct form of the monomial features."""
+    return np.column_stack([np.prod(states ** np.asarray(e), axis=-1)
+                            for e in basis.exponents])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_incremental_design_matches_powers(dim, degree):
+    basis = RegressionBasis(degree, dim)
+    assert basis.exponents is basis.exponents          # tabled once per basis
+    states = np.random.default_rng(dim).normal(0.0, 2.0, size=(500, dim))
+    # each product adds at most one rounding, so degree k stays within k ulps
+    np.testing.assert_allclose(basis.design(states),
+                               reference_design(basis, states),
+                               rtol=degree * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_projection_matches_lstsq(dim):
+    grid = make_grid(1.0, 6)
+    ens = antithetic(sample_ensemble(grid, 5000, dim, seed=11))
+    backend = RegressionBackend(ens, degree=3)
+    for i in range(1, grid.n):
+        nxt = ens.states[:, i + 1, :]
+        v = np.sin(nxt[:, 0]) + nxt[:, -1] ** 2
+        targets = np.column_stack([v, v[:, None] * ens.increments[:, i, :]])
+        phi = reference_design(backend.basis, ens.states[:, i, :])
+        phi /= np.max(np.abs(phi), axis=0)
+        ref = phi @ np.linalg.lstsq(phi, targets, rcond=None)[0]
+        y, z = backend.condexp_and_z(i, v)
+        fits = [(backend.condexp(i, v), ref[:, 0]), (y, ref[:, 0]),
+                (z * grid.dt, ref[:, 1:])]
+        for got, want in fits:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_each_step_factored_once(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    grid = make_grid(1.0, 4)
+    ens = sample_ensemble(grid, 2000, 2, seed=12)
+    backend = RegressionBackend(ens, degree=2)
+    assert not calls                                   # factoring is lazy
+    v = ens.states[:, 3, 0]
+    first = backend.condexp(2, v)
+    backend.condexp_and_z(2, v)
+    backend.step_z(2, v)
+    assert np.array_equal(backend.condexp(2, v), first)
+    assert len(calls) == 1
+    backend.condexp(1, ens.states[:, 2, 1])
+    backend.condexp(0, ens.states[:, 1, 1])            # plain average, no factor
+    assert len(calls) == 2
+
+
+def test_regression_ill_conditioning_warns():
+    grid = make_grid(1.0, 4)
+    ens = sample_ensemble(grid, 500, 1, seed=13)
+    backend = RegressionBackend(ens, degree=3, cond_warn=1.0)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned regression at step 2"):
+        backend.condexp(2, np.ones(500))

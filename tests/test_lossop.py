@@ -11,12 +11,18 @@ LINEAR = linear_shift_loss()
 SINE = sine_perturbed_loss(0.5)
 
 
-def brute_force_shift(loss, t, law, step=1e-6, x_max=8.0):
-    """Scan oracle: first shift on a fine grid with nonnegative expected loss."""
+def brute_force_shift(loss, t, law, step=1e-6, x_max=8.0, chunk=2 ** 16):
+    """Scan oracle: first shift on a fine grid with nonnegative expected loss.
+
+    The grid is scanned in chunks, each evaluated over all atoms at once."""
     xs = np.arange(0.0, x_max, step)
-    for x in xs:
-        if expected_loss(loss, t, law, x) >= 0.0:
-            return x
+    for lo in range(0, len(xs), chunk):
+        block = xs[lo:lo + chunk]
+        vals = np.average(loss.evaluate(t, block[:, None] + law.atoms), axis=1,
+                          weights=law.weights)
+        hits = np.flatnonzero(vals >= 0.0)
+        if hits.size:
+            return block[hits[0]]
     raise AssertionError("scan oracle found no root")
 
 
