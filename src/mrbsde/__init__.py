@@ -24,8 +24,8 @@ from .picard import (ConstantsReport, ContractionEstimate, ConvergenceError,
                      quadratic_stability_horizon, scenario_constants,
                      uniform_y_bound)
 from .reflect import (FrozenInputs, ReflectedSolution, build_k, compose_solution,
-                      empirical_norms, flatness_residual, solve_deflated,
-                      solve_interval, x_process)
+                      constraint_diagnostics, empirical_norms, flatness_residual,
+                      solve_deflated, solve_interval, x_process)
 from .scenarios import NamedScenario, get, registry, scenario_from_dict
 from .stitch import (IntervalPlan, plan_intervals, solve_global, stitch_constants,
                      uniform_bound_check)

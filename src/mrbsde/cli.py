@@ -1,9 +1,10 @@
 """Experiment runner: load a JSON scenario config, execute solve / verify /
 constants / compare-oracle workflows, write CSV time series and JSON summaries.
 
-Exit codes: 0 success, 1 verification failed or rank-deficient regression,
-2 fixed-point non-convergence, 3 configuration error (including a step too
-coarse for the implicit node fixed point).
+Exit codes: 0 success, 1 verification failed or a failed check inside the
+solve (`SolverError.exit_code`), 2 no convergence, 3 configuration error
+(including a step too coarse for the implicit node fixed point and a solution
+that overflows the summary).
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 
 from . import lossop, scenarios
 from .condexp import (LATTICE_MAX_STEPS, LatticeBackend, LatticeModel,
-                      RegressionBackend, RegressionError)
-from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, validate_assumptions
+                      RegressionBackend)
+from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError,
+                    validate_assumptions)
 from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
-from .picard import (ConvergenceError, contraction_estimate, picard_solve,
-                     scenario_constants)
-from .reflect import ReflectedSolution, StepSizeError, default_tolerances
+from .picard import contraction_estimate, picard_solve, scenario_constants
+from .reflect import ReflectedSolution, constraint_diagnostics, default_tolerances
 from .stitch import plan_intervals, solve_global, stitch_constants
 
 HL_PROBE_PASS = 1.0 + 1e-6
@@ -244,28 +245,12 @@ def execute(cfg: RunConfig) -> RunResult:
         histories = [history]
     if cfg.inflate_k:
         solution = _inflate(solution, cfg.inflate_k)
-        recompute_diagnostics(cfg.scenario, grid, backend, solution)
+        solution.diagnostics.update(constraint_diagnostics(
+            cfg.scenario.loss, grid, backend, solution.y, solution.k, solution.lo))
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RunResult(cfg=cfg, grid=grid, backend=backend, solution=solution,
                      histories=histories, constants=constants,
                      stitch_report=stitch_report, runtime_ms=runtime_ms)
-
-
-def recompute_diagnostics(scenario, grid, backend, solution: ReflectedSolution):
-    from .reflect import flatness_residual
-
-    m = solution.hi - solution.lo
-    constraint = np.empty(m + 1)
-    constraint_se = np.empty(m + 1)
-    for j in range(m + 1):
-        vals = scenario.loss.evaluate(grid.nodes[solution.lo + j], solution.y[j])
-        constraint[j], constraint_se[j] = backend.mean_se(solution.lo + j, vals)
-    right, left = flatness_residual(scenario.loss, grid, backend,
-                                    solution.y, solution.k, solution.lo)
-    solution.diagnostics.update(
-        constraint=constraint, constraint_se=constraint_se,
-        min_constraint=float(np.min(constraint)),
-        flatness_right=right, flatness_left=left)
 
 
 def shift_at_zero_max(scenario, grid) -> float:
@@ -359,9 +344,14 @@ def summarize(result: RunResult) -> dict:
     return summary
 
 
+def summary_text(summary: dict) -> str:
+    """The summary as JSON text; raises ValueError on a non-finite number."""
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
+
+
 def write_summary(path: Path, summary: dict):
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True,
-                               allow_nan=False, default=_json_default) + "\n")
+    path.write_text(summary_text(summary))
 
 
 def _json_default(obj):
@@ -374,11 +364,17 @@ def _json_default(obj):
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args.backend)
-    out = Path(args.out)
     result = execute(cfg)
+    summary = summarize(result)
+    try:
+        text = summary_text(summary)
+    except ValueError as exc:
+        raise ConfigError(f"cli: the solution overflows ({exc}); "
+                          "no output written") from exc
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / "results.csv", result)
-    write_summary(out / "summary.json", summarize(result))
+    (out / "summary.json").write_text(text)
     return 0
 
 
@@ -559,15 +555,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except StepSizeError as exc:
-        print(f"grid: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"picard: {exc}", file=sys.stderr)
-        return 2
-    except RegressionError as exc:
-        print(f"regression: {exc}", file=sys.stderr)
-        return 1
+    except SolverError as exc:
+        layer = type(exc).__module__.rsplit(".", 1)[-1]
+        print(f"{layer}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

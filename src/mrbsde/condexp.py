@@ -13,14 +13,17 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .lossop import EmpiricalLaw
+from .model import SolverError
 from .paths import ParticleEnsemble, TimeGrid, particle_mean, particle_mean_se
 
 LATTICE_MAX_STEPS = 12
 COND_WARN = 1e10
 
 
-class RegressionError(RuntimeError):
+class RegressionError(SolverError):
     """Rank-deficient design matrix in a per-step regression."""
+
+    exit_code = 1
 
 
 def _monomial_table(degree: int, dim: int):

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LossSpec, hl_constant
+from .model import LossSpec, SolverError, hl_constant
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BRACKET_CAP = 2.0 ** 60
 
 
-class BracketError(RuntimeError):
+class BracketError(SolverError):
     """Bracket expansion exceeded the cap: the loss violates the positive-tail
     assumption numerically."""
 
@@ -56,25 +56,55 @@ def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
 
     Returns exactly 0 when the constraint already holds at x = 0; otherwise
     doubles an upper bracket from 1 (termination guaranteed by the loss's
-    positive tail) and bisects. The returned endpoint satisfies the constraint.
+    positive tail) and shrinks it by the Illinois variant of regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) until `hi - lo <= tol`. Each secant point
+    lies at least tol/2 inside the bracket, and a bisection step follows any two
+    steps that leave the bracket wider than half its width before them. The
+    returned endpoint satisfies the constraint.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if expected_loss(loss, t, law, 0.0) >= 0.0:
+    f_lo = expected_loss(loss, t, law, 0.0)
+    if f_lo >= 0.0:
         return 0.0
-    hi = 1.0
-    while expected_loss(loss, t, law, hi) < 0.0:
+    lo, hi = 0.0, 1.0
+    f_hi = expected_loss(loss, t, law, hi)
+    while f_hi < 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > bracket_cap:
             raise BracketError(
                 f"no nonnegative expected loss below shift {bracket_cap:g} at t={t}")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
+        f_hi = expected_loss(loss, t, law, hi)
+
+    half_tol = 0.5 * tol
+    side = 0              # +1 / -1: the last step moved hi / lo
+    ref = hi - lo         # width at the start of the current two-step window
+    steps = 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if expected_loss(loss, t, law, mid) >= 0.0:
-            hi = mid
+        if steps == 2:    # the bracket failed to halve within two steps
+            x = 0.5 * (lo + hi)
         else:
-            lo = mid
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            x = min(max(x, lo + half_tol), hi - half_tol)
+        if not lo < x < hi:  # tol/2 is below the float spacing near the root
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break     # adjacent floats: no smaller shift is representable
+        f_x = expected_loss(loss, t, law, x)
+        if f_x >= 0.0:
+            hi, f_hi = x, f_x
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = x, f_x
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        steps += 1
+        if hi - lo <= 0.5 * ref or steps > 2:
+            ref, steps = hi - lo, 0
     return hi
 
 

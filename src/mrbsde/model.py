@@ -27,6 +27,14 @@ class ModeError(ValueError):
     """Scenario mode flags contradict the declared coefficient family."""
 
 
+class SolverError(RuntimeError):
+    """Base of the errors a solve can stop with. `exit_code` is the command
+    line's exit status for it: 1 a failed check, 2 no convergence, 3 a bad
+    configuration."""
+
+    exit_code = 2
+
+
 @dataclass(frozen=True, eq=False)
 class LossSpec:
     """Running loss y -> l(t, y): strictly increasing, bi-Lipschitz, linear growth.

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, hl_constant
+from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, hl_constant
 from .paths import TimeGrid
 from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, solve_interval,
                       window_grid, zero_solution)
@@ -20,7 +20,7 @@ LIPSCHITZ_RATIO_BOUND = 1.0 / math.sqrt(2.0)
 QUADRATIC_RATIO_BOUND = 0.5
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(SolverError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history

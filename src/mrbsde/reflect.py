@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lossop import loss_operator, DEFAULT_TOL
-from .model import LossSpec, ScenarioSpec
+from .model import LossSpec, ScenarioSpec, SolverError
 from .paths import TimeGrid
 
 IMPLICIT_MAX_ITER = 50
@@ -18,16 +18,20 @@ IMPLICIT_TOL = 1e-12
 FROZEN_GAP_TOL = 1e-9
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(SolverError):
     """The per-node fixed point cannot contract; the grid is too coarse."""
 
+    exit_code = 3
 
-class FixedPointError(RuntimeError):
+
+class FixedPointError(SolverError):
     """The per-node fixed point failed to reach tolerance."""
 
 
-class ReflectError(RuntimeError):
+class ReflectError(SolverError):
     """Internal consistency check of the reflected solve failed."""
+
+    exit_code = 1
 
 
 def window_grid(grid: TimeGrid, lo: int, hi: int) -> TimeGrid:
@@ -173,19 +177,35 @@ def compose_solution(ybar, zs, k):
     return [yb + tail[j] for j, yb in enumerate(ybar)]
 
 
-def flatness_residual(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
-                      lo: int = 0) -> tuple[float, float]:
-    """Grid quadrature of the constraint value against the reflection increments.
+def flatness_residual(constraint, k) -> tuple[float, float]:
+    """Grid quadrature of the per-node constraint values against the reflection
+    increments.
 
     Returns (right, left) endpoint rules; the right-endpoint value is the one
     verification gates on, the left is reported alongside.
     """
-    m = len(y_values) - 1
-    integrand = np.array([
-        backend.mean(lo + j, loss.evaluate(grid.nodes[lo + j], y_values[j]))
-        for j in range(m + 1)])
     dk = np.diff(k)
-    return float(np.dot(integrand[1:], dk)), float(np.dot(integrand[:-1], dk))
+    return float(np.dot(constraint[1:], dk)), float(np.dot(constraint[:-1], dk))
+
+
+def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
+                           lo: int = 0) -> dict:
+    """One pass of the loss over the nodes: the mean and standard error of
+    l(t_j, y_j) at each node, their minimum, and the flatness residuals."""
+    m = len(y_values) - 1
+    constraint = np.empty(m + 1)
+    constraint_se = np.empty(m + 1)
+    for j in range(m + 1):
+        vals = loss.evaluate(grid.nodes[lo + j], y_values[j])
+        constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
+    flat_right, flat_left = flatness_residual(constraint, k)
+    return {
+        "constraint": constraint,
+        "constraint_se": constraint_se,
+        "min_constraint": float(np.min(constraint)),
+        "flatness_right": flat_right,
+        "flatness_left": flat_left,
+    }
 
 
 def bmo_proxy(zs, grid: TimeGrid, backend, lo: int = 0) -> float:
@@ -266,20 +286,8 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     k, rho = build_k(scenario.loss, grid, backend, x, lo, tol=loss_tol)
     y = compose_solution(sweep.ybar, sweep.z, k)
 
-    m = hi - lo
-    constraint = np.empty(m + 1)
-    constraint_se = np.empty(m + 1)
-    for j in range(m + 1):
-        vals = scenario.loss.evaluate(grid.nodes[lo + j], y[j])
-        constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
-    flat_right, flat_left = flatness_residual(scenario.loss, grid, backend, y, k, lo)
-
     diagnostics = {
-        "constraint": constraint,
-        "constraint_se": constraint_se,
-        "min_constraint": float(np.min(constraint)),
-        "flatness_right": flat_right,
-        "flatness_left": flat_left,
+        **constraint_diagnostics(scenario.loss, grid, backend, y, k, lo),
         "x_gap": x_gap,
         "loss_tol": loss_tol,
     }

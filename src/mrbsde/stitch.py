@@ -162,6 +162,8 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     x = [None] * (n + 1)
     k = np.zeros(n + 1)
     rho = np.zeros(n + 1)
+    constraint = np.empty(n + 1)
+    constraint_se = np.empty(n + 1)
     offset = 0.0
     seam_gaps = []
     for j, piece in enumerate(pieces):
@@ -174,19 +176,16 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
             ybar[i] = piece.y_deflated[idx]
             x[i] = piece.x[idx]
             rho[i] = piece.rho[idx]
+            # the pieces evaluated the loss on these same node values
+            constraint[i] = piece.diagnostics["constraint"][idx]
+            constraint_se[i] = piece.diagnostics["constraint_se"][idx]
         k[lo:hi + 1] = piece.k + offset
         if j < len(pieces) - 1:
             seam_gaps.append(abs((piece.k[-1] + offset)
                                  - (pieces[j + 1].k[0] + offset + piece.k[-1])))
         offset += piece.k[-1]
 
-    loss = scenario.loss
-    constraint = np.empty(n + 1)
-    constraint_se = np.empty(n + 1)
-    for i in range(n + 1):
-        vals = loss.evaluate(grid.nodes[i], y[i])
-        constraint[i], constraint_se[i] = backend.mean_se(i, vals)
-    flat_right, flat_left = flatness_residual(loss, grid, backend, y, k, 0)
+    flat_right, flat_left = flatness_residual(constraint, k)
     solution = ReflectedSolution(
         lo=0, hi=n, y=y, z=z, k=k, y_deflated=ybar, x=x, rho=rho,
         diagnostics={

@@ -1,10 +1,13 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from mrbsde import cli, reflect
 from mrbsde.cli import ConfigError, main, parse_config
+from mrbsde.picard import picard_solve
 
 A_LATTICE = {
     "scenario": "A_sine_constraint",
@@ -305,3 +308,50 @@ def test_parse_config_rejects_non_finite_horizon():
     with pytest.raises(ConfigError, match="finite"):
         parse_config({"scenario": "A_sine_constraint",
                       "grid": {"n": 4, "T": float("nan")}})
+
+
+def _inline(terminal_c=1.0, loss_params=None):
+    return {"name": "inline", "T": 1.0, "d": 1,
+            "terminal": {"kind": "brownian_shift", "params": {"c": terminal_c}},
+            "driver": {"kind": "linear_mean", "params": {"a": 0.5}},
+            "resistance": {"kind": "zero"},
+            "loss": {"kind": "linear_shift", "params": loss_params or {}}}
+
+
+def _solve_fails(tmp_path, capsys, cfg, code, text):
+    out = tmp_path / "never"
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and text in err
+    assert not out.exists()
+
+
+def test_bracket_error_exits_2_with_one_line(tmp_path, capsys):
+    # the shift needed, 1e30, is past the bracket cap of 2**60
+    cfg = {"scenario": _inline(loss_params={"c0": 1e30}), "grid": {"n": 2},
+           "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 2, "no nonnegative expected loss")
+
+
+def test_fixed_point_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reflect, "IMPLICIT_MAX_ITER", 1)
+    cfg = {"scenario": _inline(), "grid": {"n": 4}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 2, "implicit node solve stalled")
+
+
+def test_reflect_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # a negative gap tolerance fails the fully-frozen self-check on any solve
+    monkeypatch.setattr(reflect, "FROZEN_GAP_TOL", -1.0)
+    monkeypatch.setattr(cli, "picard_solve", functools.partial(
+        picard_solve, lipschitz_style="fully_frozen"))
+    cfg = {"scenario": _inline(), "grid": {"n": 4}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 1, "target process deviates")
+
+
+def test_overflowing_summary_exits_3_without_files(tmp_path, capsys):
+    # finite inputs, but the squared norms of Y overflow to inf
+    cfg = {"scenario": _inline(terminal_c=1e160), "grid": {"n": 4},
+           "backend": {"kind": "lattice"}}
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _solve_fails(tmp_path, capsys, cfg, 3, "no output written")

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrbsde import lossop
 from mrbsde.lossop import (BracketError, EmpiricalLaw, expected_loss,
                            hl_lipschitz_probe, loss_operator)
 from mrbsde.model import linear_shift_loss, sine_perturbed_loss
@@ -136,3 +139,82 @@ def test_result_independent_of_atom_order():
     a = loss_operator(SINE, 0.0, law)
     b = loss_operator(SINE, 0.0, shuffled)
     assert abs(a - b) <= 1e-9
+
+
+class CountingLoss:
+    """Counts the calls the shift search makes to `lossop.expected_loss`, and
+    stops a search that runs away."""
+
+    def __init__(self, monkeypatch, limit=1000):
+        self.calls = 0
+        self.limit = limit
+        self.inner = lossop.expected_loss
+        monkeypatch.setattr(lossop, "expected_loss", self)
+
+    def __call__(self, *args):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError("shift search did not terminate")
+        return self.inner(*args)
+
+
+def random_laws(seed, count, size=500):
+    """Normal laws with the constraint active, half of them weighted."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        atoms = rng.normal(rng.uniform(-6.0, -0.1), rng.uniform(0.01, 2.0), size)
+        weights = None
+        if i % 2:
+            weights = rng.uniform(size=size)
+            weights /= weights.sum()
+        yield EmpiricalLaw(atoms, weights)
+
+
+@pytest.mark.parametrize("loss", [LINEAR, SINE, linear_shift_loss(0.3, 0.2, 5.0),
+                                  sine_perturbed_loss(0.99)])
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_shift_contract_on_random_laws(loss, tol):
+    for law in random_laws(11, 40):
+        hi = loss_operator(loss, 0.4, law, tol)
+        assert expected_loss(loss, 0.4, law, hi) >= 0.0
+        if hi > tol:
+            assert expected_loss(loss, 0.4, law, hi - tol) < 0.0
+
+
+@pytest.mark.parametrize("loss", [LINEAR, SINE])
+def test_shift_search_evaluations_on_smooth_laws(loss, monkeypatch):
+    counter = CountingLoss(monkeypatch)
+    for law in random_laws(5, 40):
+        counter.calls = 0
+        loss_operator(loss, 0.0, law)
+        assert counter.calls <= 12
+
+
+@pytest.mark.parametrize("atoms, weights", [
+    # clustered at the flat point y = -pi of y + 0.99 sin y
+    (-np.pi + 1e-9 * np.random.default_rng(2).normal(size=100), None),
+    # three clusters at flat points with uneven weights
+    (np.array([-3.14159311, -15.70796276, -9.42477891]),
+     np.array([0.01015297, 0.51360931, 0.47623772])),
+])
+def test_shift_search_worst_case_evaluations(atoms, weights, monkeypatch):
+    loss, tol = sine_perturbed_loss(0.99), 1e-10
+    law = EmpiricalLaw(atoms, weights)
+    counter = CountingLoss(monkeypatch)
+    hi = loss_operator(loss, 0.0, law, tol)
+    bracket_hi = 2.0 ** math.ceil(math.log2(hi))
+    width = bracket_hi / 2.0 if bracket_hi > 1.0 else 1.0
+    assert counter.calls <= 2 * math.ceil(math.log2(width / tol)) + 4
+    assert expected_loss(loss, 0.0, law, hi) >= 0.0 > expected_loss(
+        loss, 0.0, law, hi - tol)
+
+
+def test_shift_search_stops_at_float_spacing(monkeypatch):
+    # near 1e6 adjacent floats are 1.2e-10 apart, wider than tol = 1e-10
+    loss = linear_shift_loss(c0=1e6 + 0.3)
+    law = EmpiricalLaw(np.array([0.0]), np.array([1.0]))
+    counter = CountingLoss(monkeypatch, limit=200)
+    hi = loss_operator(loss, 0.0, law)
+    assert counter.calls < 200
+    assert expected_loss(loss, 0.0, law, hi) >= 0.0
+    assert expected_loss(loss, 0.0, law, np.nextafter(hi, 0.0)) < 0.0

@@ -8,8 +8,9 @@ from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
                           brownian_terminal, constant_driver, linear_mean_driver,
                           linear_shift_loss, linear_y_driver, zero_driver)
 from mrbsde.paths import make_grid, sample_ensemble
-from mrbsde.reflect import (StepSizeError, build_k,
-                            compose_solution, empirical_norms, flatness_residual,
+from mrbsde.reflect import (StepSizeError, build_k, compose_solution,
+                            constraint_diagnostics, empirical_norms,
+                            flatness_residual,
                             solve_deflated, solve_interval, x_process,
                             zero_frozen, zero_solution)
 from mrbsde.scenarios import get
@@ -164,7 +165,9 @@ def test_compose_and_negative_control():
     k_bad = sol.k.copy()
     k_bad[-1] += 0.1
     y_bad = [v + 0.1 for v in sol.y[:-1]] + [sol.y[-1]]
-    right, _ = flatness_residual(spec.loss, grid, backend, y_bad, k_bad)
+    constraint = constraint_diagnostics(spec.loss, grid, backend, y_bad,
+                                        k_bad)["constraint"]
+    right, _ = flatness_residual(constraint, k_bad)
     assert right > 0.01
 
 
@@ -178,7 +181,9 @@ def test_flatness_zero_when_reflection_flat():
     grid, backend = lattice(1.0, 4)
     loss = linear_shift_loss()
     y = [np.full(i + 1, 2.0) for i in range(5)]
-    right, left = flatness_residual(loss, grid, backend, y, np.zeros(5))
+    constraint = constraint_diagnostics(loss, grid, backend, y,
+                                        np.zeros(5))["constraint"]
+    right, left = flatness_residual(constraint, np.zeros(5))
     assert right == 0.0 and left == 0.0
 
 
