@@ -9,8 +9,7 @@ them backward across the whole horizon.
 """
 
 from .condexp import (LatticeBackend, LatticeModel, RegressionBackend,
-                      RegressionBasis, lattice_condexp, one_step_z,
-                      regress_condexp)
+                      RegressionBasis, lattice_condexp)
 from .lossop import EmpiricalLaw, expected_loss, hl_lipschitz_probe, loss_operator
 from .model import (DriverSpec, LossSpec, ResistanceSpec, ScenarioSpec,
                     TerminalSpec, hl_constant, validate_assumptions)

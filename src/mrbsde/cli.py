@@ -1,10 +1,10 @@
 """Experiment runner: load a JSON scenario config, execute solve / verify /
 constants / compare-oracle workflows, write CSV time series and JSON summaries.
 
-Exit codes: 0 success, 1 verification failed or a failed check inside the
-solve (`SolverError.exit_code`), 2 no convergence, 3 configuration error
-(including a step too coarse for the implicit node fixed point and a solution
-that overflows the summary).
+Exit codes: 0 success, 1 verification failed or a rank-deficient regression
+(`SolverError.exit_code`), 2 no convergence, 3 configuration error (including
+a step too coarse for the implicit node fixed point, an inadmissible stitching
+plan, and a solution that overflows the summary).
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class RunConfig:
     tol_constraint: float | None = None
     tol_flatness: float | None = None
     flat_slack: float = 1.0
+    stitched: bool = False
     stitch_intervals: int | None = None
-    stitch_auto: bool = False
     inflate_k: float = 0.0
     lattice_budget: float = 1e-10
     mc_budget: float = 1e-2
@@ -139,7 +139,7 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
     tol_cfg = dict(raw.get("tolerances") or {})
     _require_keys("tolerances", tol_cfg, {"constraint", "flatness", "flat_slack"})
     stitch_cfg = dict(raw.get("stitch") or {})
-    _require_keys("stitch", stitch_cfg, {"intervals", "auto"})
+    _require_keys("stitch", stitch_cfg, {"intervals"})
     debug_cfg = dict(raw.get("debug") or {})
     _require_keys("debug", debug_cfg, {"inflate_k"})
     compare_cfg = dict(raw.get("compare") or {})
@@ -162,9 +162,9 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         tol_flatness=(None if tol_cfg.get("flatness") is None
                       else float(tol_cfg["flatness"])),
         flat_slack=float(tol_cfg.get("flat_slack", 1.0)),
+        stitched=raw.get("stitch") is not None,
         stitch_intervals=(None if stitch_cfg.get("intervals") is None
                           else int(stitch_cfg["intervals"])),
-        stitch_auto=bool(stitch_cfg.get("auto", False)),
         inflate_k=float(debug_cfg.get("inflate_k", 0.0)),
         lattice_budget=float(compare_cfg.get("lattice_budget", 1e-10)),
         mc_budget=float(compare_cfg.get("mc_budget", 1e-2)),
@@ -205,8 +205,7 @@ def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     k[-1] += amount
     y = [v + amount for v in solution.y[:-1]] + [solution.y[-1]]
     return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, z=solution.z,
-                             k=k, y_deflated=solution.y_deflated, x=solution.x,
-                             rho=solution.rho,
+                             k=k, y_deflated=solution.y_deflated, rho=solution.rho,
                              diagnostics=dict(solution.diagnostics))
 
 
@@ -228,7 +227,7 @@ def execute(cfg: RunConfig) -> RunResult:
     backend = build_backend(cfg, grid)
     mode = cfg.mode or cfg.scenario.mode
     stitch_report = None
-    if cfg.stitch_intervals is not None or cfg.stitch_auto:
+    if cfg.stitched:
         constants = stitch_constants(cfg.scenario)
         plan = plan_intervals(cfg.scenario, grid, constants, mode,
                               intervals=cfg.stitch_intervals)
@@ -339,7 +338,6 @@ def summarize(result: RunResult) -> dict:
         summary["stitch"] = {
             "breaks": result.stitch_report.plan.breaks,
             "seam_constraints": result.stitch_report.seam_constraints,
-            "seam_gaps": result.stitch_report.seam_gaps,
         }
     return summary
 
@@ -348,6 +346,23 @@ def summary_text(summary: dict) -> str:
     """The summary as JSON text; raises ValueError on a non-finite number."""
     return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_default) + "\n"
+
+
+def solve_and_summarize(cfg: RunConfig) -> tuple[RunResult, dict, str]:
+    """Run the solve, then build the summary and its JSON text.
+
+    A solution that overflows carries a non-finite Picard distance or norm
+    into the summary, whose encoding refuses it; that is reported once, as a
+    configuration error, so numpy's overflow warnings on the way are muted.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = execute(cfg)
+        summary = summarize(result)
+    try:
+        return result, summary, summary_text(summary)
+    except ValueError as exc:
+        raise ConfigError(f"cli: the solution overflows ({exc}); "
+                          "no output written") from exc
 
 
 def write_summary(path: Path, summary: dict):
@@ -364,13 +379,7 @@ def _json_default(obj):
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args.backend)
-    result = execute(cfg)
-    summary = summarize(result)
-    try:
-        text = summary_text(summary)
-    except ValueError as exc:
-        raise ConfigError(f"cli: the solution overflows ({exc}); "
-                          "no output written") from exc
+    result, _, text = solve_and_summarize(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / "results.csv", result)
@@ -420,13 +429,13 @@ def verify_checks(result: RunResult) -> list[dict]:
 
 def hl_probe_worst(result: RunResult) -> float:
     """Probe the shift operator's mean-Lipschitz bound on coupled perturbations
-    of the solved target-process laws."""
+    of the solved deflated-process laws, the laws the reflection is read off."""
     sol, backend = result.solution, result.backend
     loss = result.cfg.scenario.loss
     m = sol.hi - sol.lo
     worst = 0.0
     for j in (0, m // 2, m):
-        law = backend.law(sol.lo + j, sol.x[j])
+        law = backend.law(sol.lo + j, sol.y_deflated[j])
         atoms = law.atoms
         pairs = [
             (law, lossop.EmpiricalLaw(atoms + 0.25, law.weights)),
@@ -440,9 +449,8 @@ def hl_probe_worst(result: RunResult) -> float:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.backend)
-    result = execute(cfg)
+    result, summary, _ = solve_and_summarize(cfg)
     checks = verify_checks(result)
-    summary = summarize(result)
     report = {
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

@@ -79,14 +79,6 @@ class RegressionBasis:
         return phi.T
 
 
-def regress_condexp(ensemble: ParticleEnsemble, i: int, samples,
-                    basis: RegressionBasis) -> np.ndarray:
-    """Least-squares projection of step-(i+1) samples onto basis features of the
-    step-i state, evaluated per particle."""
-    backend = RegressionBackend(ensemble, degree=basis.degree)
-    return backend.condexp(i, samples)
-
-
 # ---------------------------------------------------------------------------
 # Regression (Monte Carlo) backend
 # ---------------------------------------------------------------------------
@@ -165,11 +157,6 @@ class RegressionBackend:
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)
         return self._project(i, v[:, None])[:, 0]
-
-    def step_z(self, i: int, next_values) -> np.ndarray:
-        v = np.asarray(next_values, dtype=float)
-        prods = v[:, None] * self.ensemble.increments[:, i, :]
-        return self._project(i, prods) / self.grid.dt
 
     def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
         """One decomposition for E_{t_i}[V] and E_{t_i}[V dB_i]/dt together."""
@@ -266,11 +253,8 @@ class LatticeBackend:
     def condexp(self, i: int, next_values) -> np.ndarray:
         return lattice_condexp(self.model, i, next_values)
 
-    def step_z(self, i: int, next_values) -> np.ndarray:
-        return lattice_step_z(self.model, i, next_values)
-
     def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
-        return self.condexp(i, next_values), self.step_z(i, next_values)
+        return self.condexp(i, next_values), lattice_step_z(self.model, i, next_values)
 
     def mean(self, i: int, values):
         res = np.dot(self.model.probs(i), values)
@@ -293,8 +277,3 @@ class LatticeBackend:
              for j in range(len(values_list))], axis=1)
         sup = np.abs(gathered).max(axis=1)
         return float(np.mean(sup * sup))
-
-
-def one_step_z(backend, i: int, next_values) -> np.ndarray:
-    """Martingale-integrand estimate Z_{t_i} = E_{t_i}[V_{i+1} dB_i] / dt."""
-    return backend.step_z(i, next_values)

@@ -200,7 +200,6 @@ class PicardHistory:
     warnings: list[str] = field(default_factory=list)
     ball_radius: float | None = None
     ball_records: list[dict] = field(default_factory=list)
-    iterate_diagnostics: list[dict] = field(default_factory=list)
 
     @property
     def ratios(self) -> list[float]:
@@ -344,10 +343,6 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                                   lo, hi, terminal_values, loss_tol=loss_tol)
         dist = iterate_distance(prev, solution, grid, backend, mode)
         history.distances.append(dist)
-        history.iterate_diagnostics.append({
-            "min_constraint": solution.diagnostics["min_constraint"],
-            "flatness_right": solution.diagnostics["flatness_right"],
-        })
         if mode == QUADRATIC:
             record = _ball_record(solution, grid, backend, ball_radius)
             history.ball_records.append(record)

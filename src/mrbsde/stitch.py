@@ -10,15 +10,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import QUADRATIC, ScenarioSpec
+from .model import QUADRATIC, ScenarioSpec, SolverError
 from .paths import TimeGrid
 from .picard import (ConstantsReport, PicardHistory, constants_report,
                      picard_solve, scenario_constants)
 from .reflect import ReflectedSolution, flatness_residual
 
 
-class PlanError(ValueError):
+class PlanError(SolverError):
     """The requested partition is not admissible."""
+
+    exit_code = 3
 
 
 @dataclass(eq=False)
@@ -107,7 +109,6 @@ class StitchReport:
     plan: IntervalPlan
     histories: list[PicardHistory]
     seam_constraints: list[float]
-    seam_gaps: list[float]
 
     @property
     def warnings(self) -> list[str]:
@@ -126,8 +127,8 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     """Solve right-to-left and paste.
 
     Each interval's terminal condition is the pasted solution value at its
-    right edge (the same random variable on the shared ensemble, so seams are
-    exact); the reflection offsets accumulate so the global path is continuous,
+    right edge (the same random variable on the shared ensemble); the
+    reflection offsets accumulate so the global path is continuous,
     starts at zero, and stays nondecreasing.
     """
     mode = scenario.mode if mode is None else mode
@@ -159,13 +160,11 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     y = [None] * (n + 1)
     z = [None] * (n + 1)
     ybar = [None] * (n + 1)
-    x = [None] * (n + 1)
     k = np.zeros(n + 1)
     rho = np.zeros(n + 1)
     constraint = np.empty(n + 1)
     constraint_se = np.empty(n + 1)
     offset = 0.0
-    seam_gaps = []
     for j, piece in enumerate(pieces):
         lo, hi = breaks[j], breaks[j + 1]
         own_hi = hi + 1 if j == len(pieces) - 1 else hi
@@ -174,32 +173,27 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
             y[i] = piece.y[idx]
             z[i] = piece.z[idx]
             ybar[i] = piece.y_deflated[idx]
-            x[i] = piece.x[idx]
             rho[i] = piece.rho[idx]
             # the pieces evaluated the loss on these same node values
             constraint[i] = piece.diagnostics["constraint"][idx]
             constraint_se[i] = piece.diagnostics["constraint_se"][idx]
         k[lo:hi + 1] = piece.k + offset
-        if j < len(pieces) - 1:
-            seam_gaps.append(abs((piece.k[-1] + offset)
-                                 - (pieces[j + 1].k[0] + offset + piece.k[-1])))
         offset += piece.k[-1]
 
     flat_right, flat_left = flatness_residual(constraint, k)
     solution = ReflectedSolution(
-        lo=0, hi=n, y=y, z=z, k=k, y_deflated=ybar, x=x, rho=rho,
+        lo=0, hi=n, y=y, z=z, k=k, y_deflated=ybar, rho=rho,
         diagnostics={
             "constraint": constraint,
             "constraint_se": constraint_se,
             "min_constraint": float(np.min(constraint)),
             "flatness_right": flat_right,
             "flatness_left": flat_left,
-            "x_gap": max(p.diagnostics["x_gap"] for p in pieces),
             "loss_tol": pieces[0].diagnostics["loss_tol"],
         })
     seam_constraints = [float(constraint[b]) for b in breaks[1:-1]]
     report = StitchReport(plan=plan, histories=histories,
-                          seam_constraints=seam_constraints, seam_gaps=seam_gaps)
+                          seam_constraints=seam_constraints)
     return solution, report
 
 

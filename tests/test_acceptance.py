@@ -169,17 +169,19 @@ def test_criterion_7_stitching_consistency():
     mean_dev = float(np.max(np.abs(s1.mean_y_path(backend)
                                    - s4.mean_y_path(backend))))
     k_dev = float(np.max(np.abs(s1.k - s4.k)))
-    seams_exact = all(g == 0.0 for g in rep4.seam_gaps)
-    ok = mean_dev <= 1e-3 and k_dev <= 1e-3 and seams_exact
+    eps = default_tolerances(s4, grid)["constraint"]
+    seam_min = min(rep4.seam_constraints)
+    ok = mean_dev <= 1e-3 and k_dev <= 1e-3 and seam_min >= -eps
     report("7", ok, f"1 vs 4 intervals: sup|dEY|={mean_dev:.3g} (tol 1e-3), "
-           f"sup|dK|={k_dev:.3g} (tol 1e-3), seams exact: {seams_exact}")
+           f"sup|dK|={k_dev:.3g} (tol 1e-3), min seam constraint "
+           f"{seam_min:.3g} >= -{eps:.2g}")
 
 
 def _hl_worst(sol, backend, grid, loss):
     worst = 0.0
     m = sol.hi - sol.lo
     for j in (0, m // 2, m):
-        law = backend.law(sol.lo + j, sol.x[j])
+        law = backend.law(sol.lo + j, sol.y_deflated[j])
         pairs = [(law, EmpiricalLaw(law.atoms + 0.3, law.weights)),
                  (law, EmpiricalLaw(law.atoms * 1.1, law.weights)),
                  (law, EmpiricalLaw(law.atoms + 0.1 * np.sin(law.atoms),

@@ -1,13 +1,14 @@
-import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mrbsde import cli, reflect
+from mrbsde import reflect, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
-from mrbsde.picard import picard_solve
+from mrbsde.paths import make_grid
+from mrbsde.stitch import plan_intervals, stitch_constants
 
 A_LATTICE = {
     "scenario": "A_sine_constraint",
@@ -247,7 +248,39 @@ def test_stitched_solve_through_cli(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stitch"]["breaks"] == [0, 8, 16]
-    assert summary["stitch"]["seam_gaps"] == [0.0]
+    seams = summary["stitch"]["seam_constraints"]
+    assert len(seams) == 1
+    assert seams[0] >= -summary["default_tolerances"]["constraint"]
+
+
+def test_empty_stitch_section_plans_from_the_horizon(tmp_path):
+    # the contraction horizon of B is about 0.0021: three steps of 0.000625
+    spec = scenarios.with_horizon(scenarios.get("B_meanfield_linear").spec, 0.005)
+    grid = make_grid(spec.horizon, 8)
+    expected = plan_intervals(spec, grid, stitch_constants(spec)).breaks
+    assert expected == [0, 3, 6, 8]
+    cfg = write_config(tmp_path, {
+        "scenario": "B_meanfield_linear",
+        "grid": {"n": 8, "T": 0.005},
+        "backend": {"kind": "lattice"},
+        "stitch": {},
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stitch"]["breaks"] == expected
+    assert len(summary["picard_history"]) == len(expected) - 1
+
+
+def test_stitch_auto_key_is_unknown(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"scenario": "B_meanfield_linear",
+                                  "grid": {"n": 4}, "backend": {"kind": "lattice"},
+                                  "stitch": {"auto": True}})
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown keys in stitch: ['auto']" in err
+    assert not out.exists()
 
 
 def test_step_size_error_exits_3_with_one_line(tmp_path, capsys):
@@ -340,18 +373,30 @@ def test_fixed_point_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     _solve_fails(tmp_path, capsys, cfg, 2, "implicit node solve stalled")
 
 
-def test_reflect_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
-    # a negative gap tolerance fails the fully-frozen self-check on any solve
-    monkeypatch.setattr(reflect, "FROZEN_GAP_TOL", -1.0)
-    monkeypatch.setattr(cli, "picard_solve", functools.partial(
-        picard_solve, lipschitz_style="fully_frozen"))
-    cfg = {"scenario": _inline(), "grid": {"n": 4}, "backend": {"kind": "lattice"}}
-    _solve_fails(tmp_path, capsys, cfg, 1, "target process deviates")
+def test_plan_error_exits_3_with_one_line(tmp_path, capsys):
+    cfg = {"scenario": "C_resistance_lipschitz", "grid": {"n": 4},
+           "backend": {"kind": "lattice"}, "stitch": {"intervals": 2}}
+    _solve_fails(tmp_path, capsys, cfg, 3, "stitch: global stitching requires")
 
 
-def test_overflowing_summary_exits_3_without_files(tmp_path, capsys):
+def _overflow_fails(tmp_path, capsys, command):
     # finite inputs, but the squared norms of Y overflow to inf
     cfg = {"scenario": _inline(terminal_c=1e160), "grid": {"n": 4},
            "backend": {"kind": "lattice"}}
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        _solve_fails(tmp_path, capsys, cfg, 3, "no output written")
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "no output written" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_overflowing_summary_exits_3_without_files(tmp_path, capsys):
+    _overflow_fails(tmp_path, capsys, "solve")
+
+
+def test_verify_overflowing_summary_exits_3_without_files(tmp_path, capsys):
+    _overflow_fails(tmp_path, capsys, "verify")

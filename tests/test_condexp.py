@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import (LatticeBackend, LatticeModel, RegressionBackend,
-                            RegressionBasis, RegressionError, lattice_condexp,
-                            one_step_z, regress_condexp)
+                            RegressionBasis, RegressionError, lattice_condexp)
 from mrbsde.paths import ParticleEnsemble, antithetic, make_grid, sample_ensemble
 
 
@@ -55,11 +54,11 @@ def test_lattice_probabilities_exact(lattice):
 
 def test_lattice_z_examples(lattice):
     backend = LatticeBackend(lattice)
-    z = one_step_z(backend, 1, lattice.states(2))
+    z = backend.condexp_and_z(1, lattice.states(2))[1]
     assert np.allclose(z, 1.0, atol=1e-14)                 # V = B
-    z0 = one_step_z(backend, 1, np.full(3, 3.3))
+    z0 = backend.condexp_and_z(1, np.full(3, 3.3))[1]
     assert np.allclose(z0, 0.0, atol=1e-15)                # constants
-    zsq = one_step_z(backend, 1, lattice.states(2) ** 2)
+    zsq = backend.condexp_and_z(1, lattice.states(2) ** 2)[1]
     assert np.allclose(zsq[:, 0], 2.0 * lattice.states(1), atol=1e-14)
 
 
@@ -99,9 +98,9 @@ def test_regression_cubic_closed_form():
     # E[B_{i+1}^3 | B_i] = B_i^3 + 3 dt B_i; degree-3 basis nails it up to noise
     grid = make_grid(1.0, 16)
     ens = sample_ensemble(grid, 100_000, 1, seed=5)
-    basis = RegressionBasis(3, 1)
+    backend = RegressionBackend(ens, degree=3)
     i = 8
-    fit = regress_condexp(ens, i, ens.states[:, i + 1, 0] ** 3, basis)
+    fit = backend.condexp(i, ens.states[:, i + 1, 0] ** 3)
     b = ens.states[:, i, 0]
     ref = b ** 3 + 3.0 * grid.dt * b
     rel = np.linalg.norm(fit - ref) / np.linalg.norm(ref)
@@ -152,7 +151,7 @@ def test_regression_z_martingale_representation():
     grid = make_grid(1.0, 8)
     ens = antithetic(sample_ensemble(grid, 20_000, 1, seed=6))
     backend = RegressionBackend(ens, degree=3)
-    z = backend.step_z(4, ens.states[:, 5, 0])
+    z = backend.condexp_and_z(4, ens.states[:, 5, 0])[1]
     assert abs(z.mean() - 1.0) <= 2e-2
 
 
@@ -233,7 +232,6 @@ def test_each_step_factored_once(monkeypatch):
     v = ens.states[:, 3, 0]
     first = backend.condexp(2, v)
     backend.condexp_and_z(2, v)
-    backend.step_z(2, v)
     assert np.array_equal(backend.condexp(2, v), first)
     assert len(calls) == 1
     backend.condexp(1, ens.states[:, 2, 1])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, LatticeModel, RegressionBackend
-from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
-                          brownian_terminal, constant_driver, linear_mean_driver,
-                          linear_shift_loss, linear_y_driver, zero_driver)
-from mrbsde.paths import make_grid, sample_ensemble
+from mrbsde.model import (LIPSCHITZ, QUADRATIC, ResistanceSpec, ScenarioSpec,
+                          brownian_shift_terminal, brownian_terminal,
+                          constant_driver, linear_mean_driver, linear_shift_loss,
+                          linear_y_driver, zero_driver)
+from mrbsde.paths import antithetic, make_grid, sample_ensemble
+from mrbsde.picard import _frozen_from, picard_solve
 from mrbsde.reflect import (StepSizeError, build_k, compose_solution,
                             constraint_diagnostics, empirical_norms,
                             flatness_residual,
@@ -79,17 +81,38 @@ def test_x_process_zero_driver():
         assert np.allclose(x[i], backend.state(i)[:, 0], atol=1e-14)
 
 
+def _x_and_ybar_after_one_sweep(backend_kind, style):
+    """The target process and the deflated process of one sweep from the
+    frozen inputs of a first iterate, in the given sweep style."""
+    if style == "quadratic":
+        spec = get("D_quadratic").spec
+    else:
+        spec = scenario(linear_y_driver(0.8), loss=get("A_sine_constraint").spec.loss,
+                        terminal=brownian_shift_terminal(0.2), T=0.5)
+    n = 6
+    grid = make_grid(spec.horizon, n)
+    if backend_kind == "lattice":
+        backend = LatticeBackend(LatticeModel(grid))
+    else:
+        backend = RegressionBackend(antithetic(sample_ensemble(grid, 1000, 1, 3)))
+    mode = QUADRATIC if style == "quadratic" else LIPSCHITZ
+    prev, _ = picard_solve(spec, grid, backend, mode=mode, max_iter=1, tol=np.inf)
+    frozen, implicit = _frozen_from(spec, grid, backend, prev, mode, style)
+    sweep = solve_deflated(spec, grid, backend, frozen, implicit)
+    xi = spec.terminal.evaluate(backend.state(n))
+    return x_process(grid, backend, xi, sweep.realized_f), sweep.ybar
+
+
 def test_x_equals_deflated_under_full_freeze():
-    grid, backend = lattice(0.5, 6)
-    spec = scenario(linear_mean_driver(0.4), terminal=brownian_shift_terminal(1.0),
-                    T=0.5)
-    frozen = zero_frozen(backend, 0, 6, with_ensembles=True)
-    frozen.mean_y[:] = 0.8
-    sweep = solve_deflated(spec, grid, backend, frozen)
-    xi = spec.terminal.evaluate(backend.state(6))
-    x = x_process(grid, backend, xi, sweep.realized_f)
-    for xv, yv in zip(x, sweep.ybar):
-        assert np.max(np.abs(xv - yv)) <= 1e-12
+    # the solve reads the reflection off the deflated process: the target
+    # process recomputed on the sweep's realized generator values matches it
+    # in every sweep style, bit for bit on the lattice
+    for style in ("quadratic", "fully_frozen", "implicit_y"):
+        x, ybar = _x_and_ybar_after_one_sweep("lattice", style)
+        assert all(np.array_equal(xv, yv) for xv, yv in zip(x, ybar)), style
+        x, ybar = _x_and_ybar_after_one_sweep("regression", style)
+        gap = max(float(np.max(np.abs(xv - yv))) for xv, yv in zip(x, ybar))
+        assert gap <= 1e-12, style
 
 
 def test_x_process_mean_small_monte_carlo():

@@ -82,7 +82,7 @@ def test_single_interval_plan_equals_local_solve():
     assert np.array_equal(stitched.k, local.k)
     for a, b in zip(stitched.y, local.y):
         assert np.array_equal(a, b)
-    assert report.seam_gaps == []
+    assert report.seam_constraints == []
 
 
 def test_lattice_two_interval_reflection_unique():
@@ -93,8 +93,10 @@ def test_lattice_two_interval_reflection_unique():
     s1, _ = solve_global(spec, grid, backend, plan1, tol=1e-12)
     s2, r2 = solve_global(spec, grid, backend, plan2, tol=1e-12)
     assert np.max(np.abs(s1.k - s2.k)) <= 1e-10
-    assert all(g == 0.0 for g in r2.seam_gaps)
     assert all(c >= -1e-10 for c in r2.seam_constraints)
+    # the seam constraint is the one-interval solve's constraint at that node
+    assert len(r2.seam_constraints) == 1
+    assert abs(r2.seam_constraints[0] - s1.diagnostics["constraint"][4]) <= 1e-10
 
 
 def test_global_reflection_contract():
