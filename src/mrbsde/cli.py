@@ -23,8 +23,7 @@ import numpy as np
 from . import lossop, scenarios
 from .condexp import (LATTICE_MAX_STEPS, LatticeBackend, LatticeModel,
                       RegressionBackend)
-from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError,
-                    validate_assumptions)
+from .model import ScenarioSpec, SolverError, validate_assumptions
 from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
 from .picard import contraction_estimate, picard_solve, scenario_constants
@@ -45,6 +44,15 @@ def _require_keys(section: str, cfg: dict, allowed: set[str]):
         raise ConfigError(f"cli: unknown keys in {section}: {sorted(unknown)}")
 
 
+def _section(raw: dict, name: str, allowed: set[str]) -> dict:
+    """The config section `name` as a dict: absent or null reads as empty."""
+    cfg = {} if raw.get(name) is None else raw[name]
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"cli: config section {name} must be an object")
+    _require_keys(name, cfg, allowed)
+    return cfg
+
+
 @dataclass(eq=False)
 class RunConfig:
     scenario: ScenarioSpec
@@ -55,12 +63,10 @@ class RunConfig:
     antithetic: bool = True
     backend_kind: str = "regression"
     degree: int = 3
-    mode: str | None = None
     picard_tol: float | None = None
     picard_max_iter: int = 50
     tol_constraint: float | None = None
     tol_flatness: float | None = None
-    flat_slack: float = 1.0
     stitched: bool = False
     stitch_intervals: int | None = None
     inflate_k: float = 0.0
@@ -96,8 +102,8 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("cli: config must be a JSON object")
     _require_keys("config", raw, {"scenario", "grid", "ensemble", "backend",
-                                  "mode", "picard", "tolerances", "stitch",
-                                  "debug", "compare"})
+                                  "picard", "tolerances", "stitch", "debug",
+                                  "compare"})
     sc = raw.get("scenario")
     try:
         if isinstance(sc, str):
@@ -109,8 +115,7 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"cli: bad scenario: {exc}") from exc
 
-    grid_cfg = dict(raw.get("grid") or {})
-    _require_keys("grid", grid_cfg, {"n", "T"})
+    grid_cfg = _section(raw, "grid", {"n", "T"})
     if "n" not in grid_cfg:
         raise ConfigError("cli: grid.n is required")
     n = int(grid_cfg["n"])
@@ -122,28 +127,17 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
             raise ConfigError("cli: grid.T must be positive and finite")
         spec = scenarios.with_horizon(spec, horizon)
 
-    ens_cfg = dict(raw.get("ensemble") or {})
-    _require_keys("ensemble", ens_cfg, {"N", "seed", "antithetic", "d"})
-    backend_cfg = dict(raw.get("backend") or {})
-    _require_keys("backend", backend_cfg, {"kind", "degree"})
+    ens_cfg = _section(raw, "ensemble", {"N", "seed", "antithetic"})
+    backend_cfg = _section(raw, "backend", {"kind", "degree"})
     backend_kind = backend_override or backend_cfg.get("kind", "regression")
     if backend_kind not in ("regression", "lattice"):
         raise ConfigError(f"cli: unknown backend kind {backend_kind!r}")
 
-    mode = raw.get("mode")
-    if mode is not None and mode not in (LIPSCHITZ, QUADRATIC):
-        raise ConfigError(f"cli: invalid mode {mode!r}")
-
-    pic_cfg = dict(raw.get("picard") or {})
-    _require_keys("picard", pic_cfg, {"tol", "max_iter"})
-    tol_cfg = dict(raw.get("tolerances") or {})
-    _require_keys("tolerances", tol_cfg, {"constraint", "flatness", "flat_slack"})
-    stitch_cfg = dict(raw.get("stitch") or {})
-    _require_keys("stitch", stitch_cfg, {"intervals"})
-    debug_cfg = dict(raw.get("debug") or {})
-    _require_keys("debug", debug_cfg, {"inflate_k"})
-    compare_cfg = dict(raw.get("compare") or {})
-    _require_keys("compare", compare_cfg, {"lattice_budget", "mc_budget"})
+    pic_cfg = _section(raw, "picard", {"tol", "max_iter"})
+    tol_cfg = _section(raw, "tolerances", {"constraint", "flatness"})
+    stitch_cfg = _section(raw, "stitch", {"intervals"})
+    debug_cfg = _section(raw, "debug", {"inflate_k"})
+    compare_cfg = _section(raw, "compare", {"lattice_budget", "mc_budget"})
 
     cfg = RunConfig(
         scenario=spec,
@@ -154,14 +148,12 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         antithetic=bool(ens_cfg.get("antithetic", True)),
         backend_kind=backend_kind,
         degree=int(backend_cfg.get("degree", 3)),
-        mode=mode,
         picard_tol=(None if pic_cfg.get("tol") is None else float(pic_cfg["tol"])),
         picard_max_iter=int(pic_cfg.get("max_iter", 50)),
         tol_constraint=(None if tol_cfg.get("constraint") is None
                         else float(tol_cfg["constraint"])),
         tol_flatness=(None if tol_cfg.get("flatness") is None
                       else float(tol_cfg["flatness"])),
-        flat_slack=float(tol_cfg.get("flat_slack", 1.0)),
         stitched=raw.get("stitch") is not None,
         stitch_intervals=(None if stitch_cfg.get("intervals") is None
                           else int(stitch_cfg["intervals"])),
@@ -225,20 +217,19 @@ def execute(cfg: RunConfig) -> RunResult:
     start = time.perf_counter()
     grid = make_grid(cfg.scenario.horizon, cfg.n)
     backend = build_backend(cfg, grid)
-    mode = cfg.mode or cfg.scenario.mode
     stitch_report = None
     if cfg.stitched:
         constants = stitch_constants(cfg.scenario)
-        plan = plan_intervals(cfg.scenario, grid, constants, mode,
+        plan = plan_intervals(cfg.scenario, grid, constants,
                               intervals=cfg.stitch_intervals)
         solution, report = solve_global(cfg.scenario, grid, backend, plan,
-                                        mode=mode, tol=cfg.picard_tol,
+                                        tol=cfg.picard_tol,
                                         max_iter=cfg.picard_max_iter)
         histories = report.histories
         stitch_report = report
     else:
         constants = scenario_constants(cfg.scenario)
-        solution, history = picard_solve(cfg.scenario, grid, backend, mode=mode,
+        solution, history = picard_solve(cfg.scenario, grid, backend,
                                          tol=cfg.picard_tol,
                                          max_iter=cfg.picard_max_iter)
         histories = [history]
@@ -297,7 +288,7 @@ def summarize(result: RunResult) -> dict:
     warnings = []
     for h in result.histories:
         warnings.extend(h.warnings)
-    defaults = default_tolerances(sol, result.grid, result.cfg.flat_slack)
+    defaults = default_tolerances(sol, result.grid)
     if len(result.histories) == 1:
         distances = result.histories[0].distances
     else:
@@ -308,7 +299,7 @@ def summarize(result: RunResult) -> dict:
         "ensemble": {"N": result.cfg.N, "seed": result.cfg.seed,
                      "antithetic": result.cfg.antithetic},
         "backend": {"kind": result.cfg.backend_kind, "degree": result.cfg.degree},
-        "mode": result.cfg.mode or result.cfg.scenario.mode,
+        "mode": result.cfg.scenario.mode,
         "picard": {"tol": result.cfg.picard_tol,
                    "max_iter": result.cfg.picard_max_iter},
     }
@@ -387,9 +378,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def verify_checks(result: RunResult) -> list[dict]:
+def verify_checks(result: RunResult, summary: dict) -> list[dict]:
+    """The verify gates on a solve and the summary built from it."""
     sol, cfg = result.solution, result.cfg
-    defaults = default_tolerances(sol, result.grid, cfg.flat_slack)
+    defaults = summary["default_tolerances"]
     eps_c = cfg.tol_constraint if cfg.tol_constraint is not None else defaults["constraint"]
     eps_f = cfg.tol_flatness if cfg.tol_flatness is not None else defaults["flatness"]
 
@@ -405,13 +397,13 @@ def verify_checks(result: RunResult) -> list[dict]:
          "passed": bool(sol.k[0] == 0.0 and np.all(np.diff(sol.k) >= 0.0))},
     ]
 
-    history = result.histories[-1]
-    try:
-        est = contraction_estimate(history)
-        checks.append({"name": "contraction_ratio", "value": est.max_ratio,
-                       "threshold": est.bound + CONTRACTION_SLACK,
-                       "passed": bool(est.max_ratio <= est.bound + CONTRACTION_SLACK)})
-    except ValueError:
+    contraction = summary["contraction_ratio"]
+    if contraction is not None:
+        max_ratio, bound = contraction["max_ratio"], contraction["bound"]
+        checks.append({"name": "contraction_ratio", "value": max_ratio,
+                       "threshold": bound + CONTRACTION_SLACK,
+                       "passed": bool(max_ratio <= bound + CONTRACTION_SLACK)})
+    else:
         checks.append({"name": "contraction_ratio", "value": None,
                        "threshold": None, "passed": True,
                        "detail": "not enough sweeps to estimate"})
@@ -450,7 +442,7 @@ def hl_probe_worst(result: RunResult) -> float:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.backend)
     result, summary, _ = solve_and_summarize(cfg)
-    checks = verify_checks(result)
+    checks = verify_checks(result, summary)
     report = {
         "checks": checks,
         "passed": all(c["passed"] for c in checks),

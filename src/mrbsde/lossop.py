@@ -50,8 +50,7 @@ def expected_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> floa
 
 
 def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
-                  tol: float = DEFAULT_TOL,
-                  bracket_cap: float = DEFAULT_BRACKET_CAP) -> float:
+                  tol: float = DEFAULT_TOL) -> float:
     """Smallest x >= 0 with E[l(t, x + X)] >= 0, to within `tol`.
 
     Returns exactly 0 when the constraint already holds at x = 0; otherwise
@@ -72,9 +71,9 @@ def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
     while f_hi < 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
-        if hi > bracket_cap:
-            raise BracketError(
-                f"no nonnegative expected loss below shift {bracket_cap:g} at t={t}")
+        if hi > DEFAULT_BRACKET_CAP:
+            raise BracketError(f"no nonnegative expected loss below shift "
+                               f"{DEFAULT_BRACKET_CAP:g} at t={t}")
         f_hi = expected_loss(loss, t, law, hi)
 
     half_tol = 0.5 * tol

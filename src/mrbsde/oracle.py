@@ -63,22 +63,20 @@ def _wmean(probs, values) -> float:
     return math.fsum(p * v for p, v in zip(probs, values))
 
 
-def exact_solve(scenario: ScenarioSpec, n: int, mode: str | None = None,
-                tol: float = ORACLE_TOL, max_iter: int = 400,
-                loss_tol: float = ORACLE_LOSS_TOL,
-                lipschitz_style: str = "implicit_y") -> LatticeSolution:
+def exact_solve(scenario: ScenarioSpec, n: int, tol: float = ORACLE_TOL,
+                max_iter: int = 400,
+                loss_tol: float = ORACLE_LOSS_TOL) -> LatticeSolution:
     """Fixed point of the reflected solve, computed exactly on the lattice."""
     if scenario.brownian_dim != 1:
         raise OracleError("the exact lattice solver is one-dimensional")
     if n > ORACLE_MAX_STEPS:
         raise OracleError(f"exact solve capped at n <= {ORACLE_MAX_STEPS}")
-    mode = scenario.mode if mode is None else mode
     grid = make_grid(scenario.horizon, n)
     dt = grid.dt
     root = math.sqrt(dt)
     times = grid.nodes
     drv, loss = scenario.driver, scenario.loss
-    implicit = mode == LIPSCHITZ and lipschitz_style == "implicit_y"
+    implicit = scenario.mode == LIPSCHITZ
     if implicit and drv.lam * dt >= 1.0:
         raise OracleError("lam*dt >= 1: refine the grid")
 
@@ -133,9 +131,7 @@ def exact_solve(scenario: ScenarioSpec, n: int, mode: str | None = None,
                     row_y.append(v)
                     row_f.append(f_v)
                 else:
-                    y_slot = y_prev[i][j]
-                    z_slot = z_prev[i][j] if (mode == LIPSCHITZ) else z_ij
-                    f_j = f_eval(t_i, y_slot, mean_y[i], z_slot, mean_z[i],
+                    f_j = f_eval(t_i, y_prev[i][j], mean_y[i], z_ij, mean_z[i],
                                  float(g_path[i]))
                     row_y.append(base + f_j * dt)
                     row_f.append(f_j)
@@ -223,8 +219,7 @@ def oracle_compare(scenario: ScenarioSpec, n: int, mc: dict | None = None,
         }
 
     lat_backend = LatticeBackend(LatticeModel(grid))
-    lat_sol, _ = picard_solve(scenario, grid, lat_backend, tol=1e-12,
-                              loss_tol=ORACLE_LOSS_TOL)
+    lat_sol, _ = picard_solve(scenario, grid, lat_backend, tol=1e-12)
     lat_dev = deviations(lat_sol, lat_backend)
 
     mc = dict(mc or {})

@@ -247,8 +247,8 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
     return s_inf + bmo_proxy(dz, grid, backend, lo) + dk
 
 
-def _frozen_from(scenario, grid, backend, prev: ReflectedSolution, mode: str,
-                 lipschitz_style: str) -> tuple[FrozenInputs, bool]:
+def _frozen_from(scenario, grid, backend,
+                 prev: ReflectedSolution) -> tuple[FrozenInputs, bool]:
     lo, hi = prev.lo, prev.hi
     m = hi - lo
     mean_y = np.array([float(backend.mean(lo + j, prev.y[j])) for j in range(m + 1)])
@@ -256,17 +256,10 @@ def _frozen_from(scenario, grid, backend, prev: ReflectedSolution, mode: str,
                         for j in range(m + 1)])
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
     k_tail = prev.k[-1] - prev.k
-    if mode == QUADRATIC:
-        frozen = FrozenInputs(mean_y, mean_z, resistance, k_tail,
-                              y_ensemble=prev.y, z_ensemble=None)
-        return frozen, False
-    if lipschitz_style == "implicit_y":
-        return FrozenInputs(mean_y, mean_z, resistance, k_tail), True
-    if lipschitz_style == "fully_frozen":
-        frozen = FrozenInputs(mean_y, mean_z, resistance, k_tail,
-                              y_ensemble=prev.y, z_ensemble=prev.z)
-        return frozen, False
-    raise ValueError(f"unknown lipschitz solve style {lipschitz_style!r}")
+    if scenario.mode == QUADRATIC:
+        return FrozenInputs(mean_y, mean_z, resistance, k_tail,
+                            y_ensemble=prev.y), False
+    return FrozenInputs(mean_y, mean_z, resistance, k_tail), True
 
 
 def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:
@@ -286,23 +279,20 @@ def default_loss_tol(backend) -> float:
 
 
 def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                 mode: str | None = None, tol: float | None = None,
-                 max_iter: int = DEFAULT_MAX_ITER, lo: int = 0,
-                 hi: int | None = None, terminal_values=None,
-                 ball_radius: float | None = None,
-                 loss_tol: float | None = None,
-                 lipschitz_style: str = "implicit_y"
+                 tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
+                 lo: int = 0, hi: int | None = None, terminal_values=None,
+                 ball_radius: float | None = None
                  ) -> tuple[ReflectedSolution, PicardHistory]:
     """Iterate the reflected solve from the zero triple until the inter-iterate
     distance falls below `tol` (or stalls at its floor).
 
-    Horizon constants are advisory: exceeding the contraction horizon records a
-    warning but does not refuse the solve.
+    The scenario's driver fixes the mode. Horizon constants are advisory:
+    exceeding the contraction horizon records a warning but does not refuse
+    the solve.
     """
-    mode = scenario.mode if mode is None else mode
+    mode = scenario.mode
     hi = grid.n if hi is None else hi
     tol = default_tol(backend) if tol is None else tol
-    loss_tol = default_loss_tol(backend) if loss_tol is None else loss_tol
     metric = "rss(S2,H2,supK)" if mode == LIPSCHITZ else "sum(Sinf,BMO,supK)"
     history = PicardHistory(mode=mode, metric=metric, tolerance=tol)
 
@@ -337,10 +327,10 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     prev = zero_solution(backend, lo, hi)
     solution = None
     for sweep in range(1, max_iter + 1):
-        frozen, implicit = _frozen_from(scenario, grid, backend, prev, mode,
-                                        lipschitz_style)
+        frozen, implicit = _frozen_from(scenario, grid, backend, prev)
         solution = solve_interval(scenario, grid, backend, frozen, implicit,
-                                  lo, hi, terminal_values, loss_tol=loss_tol)
+                                  lo, hi, terminal_values,
+                                  loss_tol=default_loss_tol(backend))
         dist = iterate_distance(prev, solution, grid, backend, mode)
         history.distances.append(dist)
         if mode == QUADRATIC:

@@ -38,8 +38,9 @@ class FrozenInputs:
     """Generator inputs frozen from the previous fixed-point iterate.
 
     All paths are window-local: index j corresponds to grid node lo + j.
-    `y_ensemble` / `z_ensemble` carry the pathwise frozen slots; `k_tail` is
-    the frozen reflection tail entering the y slot of the implicit solve.
+    `y_ensemble` carries the pathwise frozen y slot of the explicit solve;
+    `k_tail` is the frozen reflection tail entering the y slot of the implicit
+    solve.
     """
 
     mean_y: np.ndarray
@@ -47,19 +48,13 @@ class FrozenInputs:
     resistance: np.ndarray
     k_tail: np.ndarray
     y_ensemble: list | None = None
-    z_ensemble: list | None = None
 
 
-def zero_frozen(backend, lo: int, hi: int, with_ensembles: bool = True) -> FrozenInputs:
+def zero_frozen(backend, lo: int, hi: int) -> FrozenInputs:
     m = hi - lo
-    d = backend.d
-    y_ens = z_ens = None
-    if with_ensembles:
-        y_ens = [np.zeros(backend.count(lo + j)) for j in range(m + 1)]
-        z_ens = [np.zeros((backend.count(lo + j), d)) for j in range(m + 1)]
-    return FrozenInputs(mean_y=np.zeros(m + 1), mean_z=np.zeros((m + 1, d)),
+    return FrozenInputs(mean_y=np.zeros(m + 1), mean_z=np.zeros((m + 1, backend.d)),
                         resistance=np.zeros(m + 1), k_tail=np.zeros(m + 1),
-                        y_ensemble=y_ens, z_ensemble=z_ens)
+                        y_ensemble=[np.zeros(backend.count(i)) for i in range(lo, hi + 1)])
 
 
 @dataclass(eq=False)
@@ -75,11 +70,10 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
                    terminal_values=None) -> DeflatedSweep:
     """Backward Euler for the deflated (unconstrained) equation.
 
-    Explicit modes take the generator's y and z slots from the frozen
-    ensembles (z falls back to the current integrand estimate when no frozen z
-    is supplied). With `implicit_y` the y slot is the current unknown plus the
-    frozen reflection tail, resolved by a per-node fixed point; this needs
-    lam * dt < 1.
+    The explicit solve takes the generator's y slot from the frozen ensemble
+    and its z slot from the current integrand estimate. With `implicit_y` the
+    y slot is the current unknown plus the frozen reflection tail, resolved by
+    a per-node fixed point; this needs lam * dt < 1.
     """
     hi = grid.n if hi is None else hi
     m = hi - lo
@@ -124,8 +118,7 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
         else:
             if frozen.y_ensemble is None:
                 raise ValueError("explicit solve needs a frozen y ensemble")
-            z_slot = z_i if frozen.z_ensemble is None else frozen.z_ensemble[j]
-            f_j = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_slot, mz, g_i)
+            f_j = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_i, mz, g_i)
             ybar[j] = base + f_j * dt
             fvals[j] = f_j
         zs[j] = z_i
@@ -167,7 +160,7 @@ def build_k(loss: LossSpec, grid: TimeGrid, backend, x_values,
     return k, rho
 
 
-def compose_solution(ybar, zs, k):
+def compose_solution(ybar, k):
     """Recover the constrained component: y_j = ybar_j + (k_end - k_j)."""
     tail = k[-1] - k
     return [yb + tail[j] for j, yb in enumerate(ybar)]
@@ -269,7 +262,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     sweep = solve_deflated(scenario, grid, backend, frozen, implicit_y,
                            lo, hi, terminal_values)
     k, rho = build_k(scenario.loss, grid, backend, sweep.ybar, lo, tol=loss_tol)
-    y = compose_solution(sweep.ybar, sweep.z, k)
+    y = compose_solution(sweep.ybar, k)
 
     diagnostics = {
         **constraint_diagnostics(scenario.loss, grid, backend, y, k, lo),
@@ -280,14 +273,13 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                              diagnostics=diagnostics)
 
 
-def default_tolerances(solution: ReflectedSolution, grid: TimeGrid,
-                       flat_slack: float = 1.0) -> dict:
+def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:
     """Suggested acceptance tolerances: statistical error plus quadrature slack."""
     se_max = float(np.max(solution.diagnostics["constraint_se"]))
     loss_tol = solution.diagnostics["loss_tol"]
     k_total = float(solution.k[-1])
     return {
         "constraint": 3.0 * se_max + loss_tol + 1e-12,
-        "flatness": 3.0 * se_max * k_total + flat_slack * k_total * grid.dt
+        "flatness": 3.0 * se_max * k_total + k_total * grid.dt
         + loss_tol * (len(solution.y)) + 1e-12,
     }

@@ -28,7 +28,6 @@ class IntervalPlan:
     """Breakpoints as grid-node indices, ascending from 0 to n."""
 
     breaks: list[int]
-    mode: str
     delta_star: float
     constants: ConstantsReport
     warnings: list[str] = field(default_factory=list)
@@ -59,7 +58,7 @@ def stitch_constants(scenario: ScenarioSpec, radius: float | None = None) -> Con
 
 
 def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
-                   constants: ConstantsReport, mode: str | None = None,
+                   constants: ConstantsReport,
                    intervals: int | None = None) -> IntervalPlan:
     """Partition [0, T] into sub-intervals snapped to grid nodes.
 
@@ -67,11 +66,10 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
     length at most the contraction horizon; an explicit count overrides the
     horizon with a recorded warning (the horizon is sufficient, not necessary).
     """
-    mode = scenario.mode if mode is None else mode
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator "
                         "(the local solver remains available)")
-    delta = (constants.delta_contraction if mode == QUADRATIC
+    delta = (constants.delta_contraction if scenario.mode == QUADRATIC
              else constants.delta_lipschitz)
     if delta is None:
         raise PlanError("constants report lacks the applicable horizon")
@@ -100,7 +98,7 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
         warnings.append(
             f"interval length {max(lengths):g} exceeds the contraction "
             f"horizon {delta:g} (advisory)")
-    return IntervalPlan(breaks=breaks, mode=mode, delta_star=delta,
+    return IntervalPlan(breaks=breaks, delta_star=delta,
                         constants=constants, warnings=warnings)
 
 
@@ -119,11 +117,8 @@ class StitchReport:
 
 
 def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                 plan: IntervalPlan, mode: str | None = None,
-                 tol: float | None = None, max_iter: int = 50,
-                 loss_tol: float | None = None,
-                 lipschitz_style: str = "implicit_y"
-                 ) -> tuple[ReflectedSolution, StitchReport]:
+                 plan: IntervalPlan, tol: float | None = None,
+                 max_iter: int = 50) -> tuple[ReflectedSolution, StitchReport]:
     """Solve right-to-left and paste.
 
     Each interval's terminal condition is the pasted solution value at its
@@ -131,7 +126,6 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     reflection offsets accumulate so the global path is continuous,
     starts at zero, and stays nondecreasing.
     """
-    mode = scenario.mode if mode is None else mode
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator")
     breaks = plan.breaks
@@ -139,17 +133,15 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
             b >= c for b, c in zip(breaks, breaks[1:])):
         raise PlanError("plan breakpoints must ascend from 0 to n")
 
-    ball = plan.constants.radius if mode == QUADRATIC else None
+    ball = plan.constants.radius if scenario.mode == QUADRATIC else None
     pieces: list[ReflectedSolution] = []
     histories: list[PicardHistory] = []
     terminal = None
     for j in range(plan.n_intervals - 1, -1, -1):
         lo, hi = breaks[j], breaks[j + 1]
-        sol, hist = picard_solve(scenario, grid, backend, mode=mode, tol=tol,
+        sol, hist = picard_solve(scenario, grid, backend, tol=tol,
                                  max_iter=max_iter, lo=lo, hi=hi,
-                                 terminal_values=terminal, ball_radius=ball,
-                                 loss_tol=loss_tol,
-                                 lipschitz_style=lipschitz_style)
+                                 terminal_values=terminal, ball_radius=ball)
         pieces.append(sol)
         histories.append(hist)
         terminal = sol.y[0]

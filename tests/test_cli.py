@@ -60,11 +60,25 @@ def test_solve_regression_reflection_close(tmp_path):
     assert float(rows[-1]["K"]) == pytest.approx(0.3, abs=1e-2)
 
 
-def test_invalid_mode_exits_3_without_files(tmp_path):
-    cfg = write_config(tmp_path, {**A_LATTICE, "mode": "banana"})
-    out = tmp_path / "nope"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
-    assert not out.exists()
+def test_invalid_mode_exits_3_without_files(tmp_path, capsys):
+    # the scenario's driver fixes the mode: no config value may override it
+    for mode in ("banana", "quadratic", "lipschitz"):
+        _solve_fails(tmp_path, capsys, {**A_LATTICE, "mode": mode}, 3,
+                     "unknown keys in config: ['mode']")
+
+
+def test_removed_solver_keys_are_unknown(tmp_path, capsys):
+    _solve_fails(tmp_path, capsys, {**A_LATTICE, "ensemble": {"d": 3}}, 3,
+                 "unknown keys in ensemble: ['d']")
+    _solve_fails(tmp_path, capsys, {**A_LATTICE, "tolerances": {"flat_slack": 2.0}},
+                 3, "unknown keys in tolerances: ['flat_slack']")
+
+
+@pytest.mark.parametrize("name,value", [("grid", 4), ("stitch", True),
+                                        ("stitch", False)])
+def test_non_object_section_exits_3(tmp_path, capsys, name, value):
+    _solve_fails(tmp_path, capsys, {**A_LATTICE, name: value}, 3,
+                 f"cli: config section {name} must be an object")
 
 
 def test_unknown_config_key_rejected(tmp_path):

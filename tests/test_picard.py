@@ -153,7 +153,8 @@ def test_binding_resistance_fixed_point_vs_recursion():
     assert sol.diagnostics["min_constraint"] >= -1e-10
 
 
-def test_implicit_y_matches_fully_frozen_fixed_point():
+def test_implicit_y_fixed_point_matches_closed_form():
+    # the implicit node solve of f = 0.3 y gives E[Y_0] = E[xi] (1 - 0.3 dt)^-n
     spec = ScenarioSpec(name="ylin", horizon=0.25, brownian_dim=1,
                         terminal=brownian_shift_terminal(1.0),
                         driver=linear_y_driver(0.3),
@@ -161,18 +162,8 @@ def test_implicit_y_matches_fully_frozen_fixed_point():
                         loss=linear_shift_loss())
     grid, backend = lattice(0.25, 8)
     imp, _ = picard_solve(spec, grid, backend, tol=1e-12)
-    frz, _ = picard_solve(spec, grid, backend, tol=1e-12,
-                          lipschitz_style="fully_frozen")
     ref = (1.0 - 0.3 * grid.dt) ** -8
     assert imp.mean_y_path(backend)[0] == pytest.approx(ref, abs=1e-10)
-    assert frz.mean_y_path(backend)[0] == pytest.approx(ref, abs=1e-9)
-
-
-def test_unknown_style_rejected():
-    grid, backend = lattice(1.0, 4)
-    with pytest.raises(ValueError):
-        picard_solve(get("A_sine_constraint").spec, grid, backend,
-                     lipschitz_style="bogus")
 
 
 def test_divergent_iteration_raises_with_history():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, LatticeModel, RegressionBackend
-from mrbsde.model import (LIPSCHITZ, QUADRATIC, ResistanceSpec, ScenarioSpec,
+from mrbsde.model import (ResistanceSpec, ScenarioSpec,
                           brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, zero_driver)
@@ -95,9 +95,8 @@ def _x_and_ybar_after_one_sweep(backend_kind, style):
         backend = LatticeBackend(LatticeModel(grid))
     else:
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 1000, 1, 3)))
-    mode = QUADRATIC if style == "quadratic" else LIPSCHITZ
-    prev, _ = picard_solve(spec, grid, backend, mode=mode, max_iter=1, tol=np.inf)
-    frozen, implicit = _frozen_from(spec, grid, backend, prev, mode, style)
+    prev, _ = picard_solve(spec, grid, backend, max_iter=1, tol=np.inf)
+    frozen, implicit = _frozen_from(spec, grid, backend, prev)
     sweep = solve_deflated(spec, grid, backend, frozen, implicit)
     xi = spec.terminal.evaluate(backend.state(n))
     return x_process(grid, backend, xi, sweep.realized_f), sweep.ybar
@@ -107,7 +106,7 @@ def test_x_equals_deflated_under_full_freeze():
     # the solve reads the reflection off the deflated process: the target
     # process recomputed on the sweep's realized generator values matches it
     # in every sweep style, bit for bit on the lattice
-    for style in ("quadratic", "fully_frozen", "implicit_y"):
+    for style in ("quadratic", "implicit_y"):
         x, ybar = _x_and_ybar_after_one_sweep("lattice", style)
         assert all(np.array_equal(xv, yv) for xv, yv in zip(x, ybar)), style
         x, ybar = _x_and_ybar_after_one_sweep("regression", style)
@@ -196,7 +195,7 @@ def test_compose_and_negative_control():
 
 def test_compose_zero_reflection_identity():
     ybar = [np.array([1.0]), np.array([2.0, 3.0])]
-    y = compose_solution(ybar, None, np.zeros(2))
+    y = compose_solution(ybar, np.zeros(2))
     assert all(np.array_equal(a, b) for a, b in zip(y, ybar))
 
 

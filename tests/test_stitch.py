@@ -44,7 +44,7 @@ def test_plan_from_derived_horizon():
     spec = get("B_meanfield_linear").spec
     grid = make_grid(0.5, 64)
     constants = constants_report(3.0, None, 0.05)
-    plan = plan_intervals(spec, grid, constants, mode="lipschitz")
+    plan = plan_intervals(spec, grid, constants)
     assert plan.n_intervals == 7
     assert max(plan.lengths(grid)) <= 0.078125 + 1e-15
     assert not plan.warnings
@@ -97,6 +97,8 @@ def test_lattice_two_interval_reflection_unique():
     # the seam constraint is the one-interval solve's constraint at that node
     assert len(r2.seam_constraints) == 1
     assert abs(r2.seam_constraints[0] - s1.diagnostics["constraint"][4]) <= 1e-10
+    # so is Y at the seam node, the terminal value of the left interval
+    assert np.max(np.abs(s2.y[4] - s1.y[4])) <= 1e-10
 
 
 def test_global_reflection_contract():
