@@ -8,8 +8,7 @@ recompose. Short intervals contract; a resistance-free global solve stitches
 them backward across the whole horizon.
 """
 
-from .condexp import (LatticeBackend, LatticeModel, RegressionBackend,
-                      RegressionBasis, lattice_condexp)
+from .condexp import LatticeBackend, RegressionBackend, RegressionBasis
 from .lossop import EmpiricalLaw, expected_loss, hl_lipschitz_probe, loss_operator
 from .model import (DriverSpec, LossSpec, ResistanceSpec, ScenarioSpec,
                     TerminalSpec, hl_constant, validate_assumptions)
@@ -18,10 +17,10 @@ from .paths import (ParticleEnsemble, TimeGrid, antithetic, make_grid,
                     particle_mean, sample_ensemble)
 from .picard import (ConstantsReport, ContractionEstimate, ConvergenceError,
                      PicardHistory, constants_report, contraction_estimate,
-                     lipschitz_horizon, picard_solve, quadratic_ball_floor,
-                     quadratic_contraction_coeff, quadratic_contraction_horizon,
-                     quadratic_stability_horizon, scenario_constants,
-                     uniform_y_bound)
+                     contraction_horizon, lipschitz_horizon, picard_solve,
+                     quadratic_ball_floor, quadratic_contraction_coeff,
+                     quadratic_contraction_horizon, quadratic_stability_horizon,
+                     scenario_constants, uniform_y_bound)
 from .reflect import (FrozenInputs, ReflectedSolution, build_k, compose_solution,
                       constraint_diagnostics, empirical_norms, flatness_residual,
                       solve_deflated, solve_interval, x_process)

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lossop, scenarios
-from .condexp import (LATTICE_MAX_STEPS, LatticeBackend, LatticeModel,
-                      RegressionBackend)
+from .condexp import LATTICE_MAX_STEPS, LatticeBackend, RegressionBackend
 from .model import ScenarioSpec, SolverError, validate_assumptions
 from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
@@ -177,7 +176,7 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
 
 def build_backend(cfg: RunConfig, grid):
     if cfg.backend_kind == "lattice":
-        return LatticeBackend(LatticeModel(grid))
+        return LatticeBackend(grid)
     half = cfg.N // 2 if cfg.antithetic else cfg.N
     ens = sample_ensemble(grid, half, cfg.scenario.brownian_dim, cfg.seed)
     if cfg.antithetic:
@@ -231,7 +230,8 @@ def execute(cfg: RunConfig) -> RunResult:
         constants = scenario_constants(cfg.scenario)
         solution, history = picard_solve(cfg.scenario, grid, backend,
                                          tol=cfg.picard_tol,
-                                         max_iter=cfg.picard_max_iter)
+                                         max_iter=cfg.picard_max_iter,
+                                         constants=constants)
         histories = [history]
     if cfg.inflate_k:
         solution = _inflate(solution, cfg.inflate_k)
@@ -285,9 +285,8 @@ def summarize(result: RunResult) -> dict:
     except ValueError:
         contraction = None
     norms = empirical_norms(sol.y, sol.z, sol.k, result.grid, result.backend, sol.lo)
-    warnings = []
-    for h in result.histories:
-        warnings.extend(h.warnings)
+    # a stitched run reports its plan's warnings before the intervals'
+    warnings = (result.stitch_report or history).warnings
     defaults = default_tolerances(sol, result.grid)
     if len(result.histories) == 1:
         distances = result.histories[0].distances
@@ -480,10 +479,17 @@ def cmd_compare_oracle(args) -> int:
     from .oracle import OracleError, oracle_compare
 
     cfg = load_config(args.config)
+    # both backends run unstitched to convergence and gate on the budgets only
+    unused = [f"{name}.{key}" for name, key in (("backend", "kind"), ("picard", "max_iter"))
+              if key in (cfg.raw.get(name) or {})]
+    unused += [name for name in ("tolerances", "stitch", "debug")
+               if cfg.raw.get(name) is not None]
+    if unused:
+        raise ConfigError(f"cli: compare-oracle does not use {', '.join(unused)}")
     mc = {"N": cfg.N, "seed": cfg.seed, "degree": cfg.degree,
           "antithetic": cfg.antithetic, "tol": cfg.picard_tol}
     try:
-        report = oracle_compare(cfg.scenario, args.steps, mc,
+        report = oracle_compare(cfg.scenario, cfg.n, mc,
                                 lattice_budget=cfg.lattice_budget,
                                 mc_budget=cfg.mc_budget)
     except OracleError as exc:
@@ -541,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-oracle",
                            help="compare both backends against the exact solver")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--steps", type=int, required=True)
     p_cmp.add_argument("--out")
     p_cmp.set_defaults(func=cmd_compare_oracle)
     return parser

@@ -91,14 +91,13 @@ class RegressionBackend:
     the plain ensemble average.
     """
 
-    kind = "regression"
+    picard_tol = 1e-4   # default Picard stopping distance
+    loss_tol = 1e-10    # minimal-shift search tolerance
 
-    def __init__(self, ensemble: ParticleEnsemble, degree: int = 3,
-                 cond_warn: float = COND_WARN):
+    def __init__(self, ensemble: ParticleEnsemble, degree: int = 3):
         self.ensemble = ensemble
         self.grid = ensemble.grid
         self.basis = RegressionBasis(degree=degree, dim=ensemble.d)
-        self.cond_warn = cond_warn
         self._factors: dict[int, np.ndarray] = {}
         if ensemble.N <= self.basis.n_features:
             raise ValueError("need more particles than basis features")
@@ -133,7 +132,7 @@ class RegressionBackend:
             raise RegressionError(
                 f"rank-deficient design matrix at step {i} "
                 f"(degree {self.basis.degree}, rank {rank}/{self.basis.n_features})")
-        if sv[-1] > 0 and sv[0] / sv[-1] > self.cond_warn:
+        if sv[-1] > 0 and sv[0] / sv[-1] > COND_WARN:
             warnings.warn(f"ill-conditioned regression at step {i}: "
                           f"cond={sv[0] / sv[-1]:.3g}", RuntimeWarning)
         w = np.linalg.inv(r) / scale[:, None]
@@ -187,25 +186,32 @@ class RegressionBackend:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeModel:
-    """Recombining +/-sqrt(dt) walk: step i holds i+1 nodes with exact dyadic
-    probabilities; node j carries the state (2j - i) * sqrt(dt)."""
+class LatticeBackend:
+    """Exact conditional expectations on the recombining +/-sqrt(dt) walk:
+    step i holds i+1 nodes with exact dyadic probabilities; node j carries
+    the state (2j - i) * sqrt(dt)."""
 
-    grid: TimeGrid
+    d = 1
+    picard_tol = 1e-8   # default Picard stopping distance
+    loss_tol = 1e-13    # minimal-shift search tolerance
 
-    def __post_init__(self):
-        if self.grid.n > LATTICE_MAX_STEPS:
+    def __init__(self, grid: TimeGrid):
+        if grid.n > LATTICE_MAX_STEPS:
             raise ValueError(f"lattice supports n <= {LATTICE_MAX_STEPS}")
+        self.grid = grid
 
-    def states(self, i: int) -> np.ndarray:
+    def count(self, i: int) -> int:
+        return i + 1
+
+    def state(self, i: int) -> np.ndarray:
         j = np.arange(i + 1, dtype=float)
-        return (2.0 * j - i) * math.sqrt(self.grid.dt)
+        return ((2.0 * j - i) * math.sqrt(self.grid.dt))[:, None]
 
     def probs(self, i: int) -> np.ndarray:
         return np.array([math.comb(i, j) for j in range(i + 1)], dtype=float) / 2.0 ** i
 
-    def path_nodes(self) -> np.ndarray:
+    @cached_property
+    def _paths(self) -> np.ndarray:
         """(2^n, n+1) matrix of node indices along every up/down path."""
         n = self.grid.n
         paths = np.zeros((2 ** n, n + 1), dtype=np.int64)
@@ -214,50 +220,20 @@ class LatticeModel:
             paths[:, i + 1] = paths[:, i] + bit
         return paths
 
-
-def lattice_condexp(model: LatticeModel, i: int, next_values) -> np.ndarray:
-    """Exact one-step average with probabilities 1/2, 1/2."""
-    v = np.asarray(next_values, dtype=float)
-    if v.shape[0] != i + 2:
-        raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[0]}")
-    return 0.5 * (v[:-1] + v[1:])
-
-
-def lattice_step_z(model: LatticeModel, i: int, next_values) -> np.ndarray:
-    v = np.asarray(next_values, dtype=float)
-    if v.shape[0] != i + 2:
-        raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[0]}")
-    return ((v[1:] - v[:-1]) / (2.0 * math.sqrt(model.grid.dt)))[:, None]
-
-
-class LatticeBackend:
-    """Exact conditional expectations on the binomial lattice."""
-
-    kind = "lattice"
-
-    def __init__(self, model: LatticeModel):
-        self.model = model
-        self.grid = model.grid
-        self._paths = None
-
-    @property
-    def d(self) -> int:
-        return 1
-
-    def count(self, i: int) -> int:
-        return i + 1
-
-    def state(self, i: int) -> np.ndarray:
-        return self.model.states(i)[:, None]
-
     def condexp(self, i: int, next_values) -> np.ndarray:
-        return lattice_condexp(self.model, i, next_values)
+        return self.condexp_and_z(i, next_values)[0]
 
     def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
-        return self.condexp(i, next_values), lattice_step_z(self.model, i, next_values)
+        """Exact one-step E_{t_i}[V] and E_{t_i}[V dB_i]/dt: the average of the
+        two successor nodes (probabilities 1/2, 1/2) and their slope."""
+        v = np.asarray(next_values, dtype=float)
+        if v.shape[0] != i + 2:
+            raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[0]}")
+        down, up = v[:-1], v[1:]
+        return 0.5 * (down + up), ((up - down) / (2.0 * math.sqrt(self.grid.dt)))[:, None]
 
     def mean(self, i: int, values):
-        res = np.dot(self.model.probs(i), values)
+        res = np.dot(self.probs(i), values)
         return float(res) if np.ndim(res) == 0 else res
 
     def mean_se(self, i: int, values) -> tuple[float, float]:
@@ -265,13 +241,11 @@ class LatticeBackend:
 
     def law(self, i: int, values) -> EmpiricalLaw:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float),
-                            weights=self.model.probs(i))
+                            weights=self.probs(i))
 
     def sup_sq_mean(self, values_list: list[np.ndarray], lo: int = 0) -> float:
         """Exact E[ sup |V|^2 ] by enumerating all 2^n equally likely paths;
         values_list[j] holds the node values at grid node lo + j."""
-        if self._paths is None:
-            self._paths = self.model.path_nodes()
         gathered = np.stack(
             [np.asarray(values_list[j], dtype=float)[self._paths[:, lo + j]]
              for j in range(len(values_list))], axis=1)

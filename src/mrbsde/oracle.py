@@ -21,6 +21,7 @@ from .paths import make_grid
 
 ORACLE_MAX_STEPS = 12
 ORACLE_TOL = 1e-12
+ORACLE_MAX_ITER = 400
 ORACLE_LOSS_TOL = 1e-13
 _IMPLICIT_TOL = 1e-12
 _IMPLICIT_MAX_ITER = 50
@@ -63,9 +64,7 @@ def _wmean(probs, values) -> float:
     return math.fsum(p * v for p, v in zip(probs, values))
 
 
-def exact_solve(scenario: ScenarioSpec, n: int, tol: float = ORACLE_TOL,
-                max_iter: int = 400,
-                loss_tol: float = ORACLE_LOSS_TOL) -> LatticeSolution:
+def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
     """Fixed point of the reflected solve, computed exactly on the lattice."""
     if scenario.brownian_dim != 1:
         raise OracleError("the exact lattice solver is one-dimensional")
@@ -94,9 +93,8 @@ def exact_solve(scenario: ScenarioSpec, n: int, tol: float = ORACLE_TOL,
     k_prev = [0.0] * (n + 1)
 
     distances: list[float] = []
-    converged = False
     ybar = zs = fval = x = k = rho = None
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         mean_y = [_wmean(probs[i], y_prev[i]) for i in range(n + 1)]
         mean_z = [_wmean(probs[i], z_prev[i]) for i in range(n + 1)]
         g_path = scenario.resistance.apply(grid, np.array(k_prev))
@@ -148,7 +146,7 @@ def exact_solve(scenario: ScenarioSpec, n: int, tol: float = ORACLE_TOL,
 
         rho = [loss_operator(loss, float(times[i]),
                              EmpiricalLaw(np.array(x[i]), np.array(probs[i])),
-                             tol=loss_tol)
+                             tol=ORACLE_LOSS_TOL)
                for i in range(n + 1)]
         s = [0.0] * (n + 1)
         s[n] = rho[n]
@@ -167,11 +165,11 @@ def exact_solve(scenario: ScenarioSpec, n: int, tol: float = ORACLE_TOL,
         )
         distances.append(dist)
         y_prev, z_prev, k_prev = y, zs, k
-        if dist <= tol:
-            converged = True
+        if dist <= ORACLE_TOL:
             break
-    if not converged:
-        raise OracleError(f"exact solve did not reach {tol:g} in {max_iter} sweeps")
+    else:
+        raise OracleError(f"exact solve did not reach {ORACLE_TOL:g} "
+                          f"in {ORACLE_MAX_ITER} sweeps")
 
     constraint = [_wmean(probs[i],
                          loss.evaluate(float(times[i]), np.array(y_prev[i])))
@@ -201,7 +199,7 @@ def oracle_compare(scenario: ScenarioSpec, n: int, mc: dict | None = None,
     Reports the worst deviations of the mean path, the reflection path, and the
     flatness residual, with pass flags against the given budgets.
     """
-    from .condexp import LatticeBackend, LatticeModel, RegressionBackend
+    from .condexp import LatticeBackend, RegressionBackend
     from .picard import picard_solve
     from .paths import antithetic as make_antithetic
     from .paths import sample_ensemble
@@ -218,7 +216,7 @@ def oracle_compare(scenario: ScenarioSpec, n: int, mc: dict | None = None,
                             - exact.flatness_right),
         }
 
-    lat_backend = LatticeBackend(LatticeModel(grid))
+    lat_backend = LatticeBackend(grid)
     lat_sol, _ = picard_solve(scenario, grid, lat_backend, tol=1e-12)
     lat_dev = deviations(lat_sol, lat_backend)
 

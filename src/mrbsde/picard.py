@@ -184,6 +184,11 @@ def scenario_constants(scenario: ScenarioSpec, radius: float | None = None,
                             reading=reading)
 
 
+def contraction_horizon(constants: ConstantsReport, mode: str) -> float | None:
+    """Interval length below which the mode's solution map contracts."""
+    return constants.delta_contraction if mode == QUADRATIC else constants.delta_lipschitz
+
+
 # ---------------------------------------------------------------------------
 # The fixed-point iteration
 # ---------------------------------------------------------------------------
@@ -270,56 +275,33 @@ def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:
             "inside": bool(s_inf <= radius and bmo <= radius and k_sup <= radius)}
 
 
-def default_tol(backend) -> float:
-    return 1e-8 if backend.kind == "lattice" else 1e-4
-
-
-def default_loss_tol(backend) -> float:
-    return 1e-13 if backend.kind == "lattice" else 1e-10
-
-
 def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                  tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  lo: int = 0, hi: int | None = None, terminal_values=None,
-                 ball_radius: float | None = None
+                 constants: ConstantsReport | None = None
                  ) -> tuple[ReflectedSolution, PicardHistory]:
     """Iterate the reflected solve from the zero triple until the inter-iterate
-    distance falls below `tol` (or stalls at its floor).
+    distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
-    The scenario's driver fixes the mode. Horizon constants are advisory:
-    exceeding the contraction horizon records a warning but does not refuse
-    the solve.
+    The scenario's driver fixes the mode. `constants` (default: the scenario's)
+    gives the quadratic ball radius and the contraction horizon, which is
+    advisory: exceeding it records a warning but does not refuse the solve.
     """
     mode = scenario.mode
     hi = grid.n if hi is None else hi
-    tol = default_tol(backend) if tol is None else tol
+    tol = backend.picard_tol if tol is None else tol
+    constants = scenario_constants(scenario) if constants is None else constants
     metric = "rss(S2,H2,supK)" if mode == LIPSCHITZ else "sum(Sinf,BMO,supK)"
     history = PicardHistory(mode=mode, metric=metric, tolerance=tol)
+    if mode == QUADRATIC:
+        history.ball_radius = constants.radius
 
     window_T = (hi - lo) * grid.dt
-    lam = scenario.driver.lam
-    if mode == QUADRATIC:
-        bound = scenario.effective_bound()
-        floor = quadratic_ball_floor(hl_constant(scenario.loss), bound, lam)
-        if ball_radius is None:
-            ball_radius = floor
-        elif ball_radius < floor:
-            history.warnings.append(
-                f"ball radius {ball_radius:g} below the admissible floor {floor:g}")
-        history.ball_radius = ball_radius
-        delta, _, _ = quadratic_contraction_horizon(
-            ball_radius, hl_constant(scenario.loss), bound, lam,
-            scenario.driver.alpha)
-        if window_T > delta:
-            history.warnings.append(
-                f"horizon {window_T:g} exceeds the contraction horizon {delta:g} "
-                "(advisory)")
-    elif lam > 0.0:
-        delta = lipschitz_horizon(hl_constant(scenario.loss), lam)
-        if window_T > delta:
-            history.warnings.append(
-                f"horizon {window_T:g} exceeds the contraction horizon {delta:g} "
-                "(advisory)")
+    delta = contraction_horizon(constants, mode)
+    if window_T > delta:
+        history.warnings.append(
+            f"horizon {window_T:g} exceeds the contraction horizon {delta:g} "
+            "(advisory)")
 
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
@@ -329,16 +311,15 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     for sweep in range(1, max_iter + 1):
         frozen, implicit = _frozen_from(scenario, grid, backend, prev)
         solution = solve_interval(scenario, grid, backend, frozen, implicit,
-                                  lo, hi, terminal_values,
-                                  loss_tol=default_loss_tol(backend))
+                                  lo, hi, terminal_values)
         dist = iterate_distance(prev, solution, grid, backend, mode)
         history.distances.append(dist)
         if mode == QUADRATIC:
-            record = _ball_record(solution, grid, backend, ball_radius)
+            record = _ball_record(solution, grid, backend, constants.radius)
             history.ball_records.append(record)
             if not record["inside"]:
                 history.warnings.append(
-                    f"iterate {sweep} left the radius-{ball_radius:g} ball: {record}")
+                    f"iterate {sweep} left the radius-{constants.radius:g} ball: {record}")
         if dist <= tol:
             history.converged = True
             history.stop_reason = "tolerance"

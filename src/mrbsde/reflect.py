@@ -252,8 +252,8 @@ def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                    frozen: FrozenInputs, implicit_y: bool = False,
-                   lo: int = 0, hi: int | None = None, terminal_values=None,
-                   loss_tol: float = DEFAULT_TOL) -> ReflectedSolution:
+                   lo: int = 0, hi: int | None = None,
+                   terminal_values=None) -> ReflectedSolution:
     """One full reflected solve for fixed frozen inputs: deflate, extract the
     reflection from the deflated process, recompose, and attach diagnostics."""
     hi = grid.n if hi is None else hi
@@ -261,12 +261,12 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     sweep = solve_deflated(scenario, grid, backend, frozen, implicit_y,
                            lo, hi, terminal_values)
-    k, rho = build_k(scenario.loss, grid, backend, sweep.ybar, lo, tol=loss_tol)
+    k, rho = build_k(scenario.loss, grid, backend, sweep.ybar, lo, backend.loss_tol)
     y = compose_solution(sweep.ybar, k)
 
     diagnostics = {
         **constraint_diagnostics(scenario.loss, grid, backend, y, k, lo),
-        "loss_tol": loss_tol,
+        "loss_tol": backend.loss_tol,
     }
     return ReflectedSolution(lo=lo, hi=hi, y=y, z=sweep.z, k=k,
                              y_deflated=sweep.ybar, rho=rho,

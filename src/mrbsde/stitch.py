@@ -13,7 +13,7 @@ import numpy as np
 from .model import QUADRATIC, ScenarioSpec, SolverError
 from .paths import TimeGrid
 from .picard import (ConstantsReport, PicardHistory, constants_report,
-                     picard_solve, scenario_constants)
+                     contraction_horizon, picard_solve, scenario_constants)
 from .reflect import ReflectedSolution, flatness_residual
 
 
@@ -69,8 +69,7 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator "
                         "(the local solver remains available)")
-    delta = (constants.delta_contraction if scenario.mode == QUADRATIC
-             else constants.delta_lipschitz)
+    delta = contraction_horizon(constants, scenario.mode)
     if delta is None:
         raise PlanError("constants report lacks the applicable horizon")
     warnings = []
@@ -133,7 +132,6 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
             b >= c for b, c in zip(breaks, breaks[1:])):
         raise PlanError("plan breakpoints must ascend from 0 to n")
 
-    ball = plan.constants.radius if scenario.mode == QUADRATIC else None
     pieces: list[ReflectedSolution] = []
     histories: list[PicardHistory] = []
     terminal = None
@@ -141,7 +139,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         lo, hi = breaks[j], breaks[j + 1]
         sol, hist = picard_solve(scenario, grid, backend, tol=tol,
                                  max_iter=max_iter, lo=lo, hi=hi,
-                                 terminal_values=terminal, ball_radius=ball)
+                                 terminal_values=terminal, constants=plan.constants)
         pieces.append(sol)
         histories.append(hist)
         terminal = sol.y[0]
@@ -181,7 +179,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
             "min_constraint": float(np.min(constraint)),
             "flatness_right": flat_right,
             "flatness_left": flat_left,
-            "loss_tol": pieces[0].diagnostics["loss_tol"],
+            "loss_tol": backend.loss_tol,
         })
     seam_constraints = [float(constraint[b]) for b in breaks[1:-1]]
     report = StitchReport(plan=plan, histories=histories,

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mrbsde.condexp import LatticeBackend, LatticeModel, RegressionBackend
+from mrbsde.condexp import LatticeBackend, RegressionBackend
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 
 
 @pytest.fixture
 def lattice_backend():
     def build(T, n):
-        return make_grid(T, n), LatticeBackend(LatticeModel(make_grid(T, n)))
+        return make_grid(T, n), LatticeBackend(make_grid(T, n))
     return build
 
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from mrbsde.condexp import LatticeBackend, LatticeModel, RegressionBackend
+from mrbsde.condexp import LatticeBackend, RegressionBackend
 from mrbsde.lossop import EmpiricalLaw, hl_lipschitz_probe
 from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
                           linear_mean_driver, mean_resist_driver,
@@ -41,7 +41,7 @@ def mc_backend(spec, n, N, seed=SEED, degree=3, use_antithetic=True):
 
 def lat_backend(spec, n):
     grid = make_grid(spec.horizon, n)
-    return grid, LatticeBackend(LatticeModel(grid))
+    return grid, LatticeBackend(grid)
 
 
 def test_criterion_1_closed_form_reproduction():

@@ -162,10 +162,10 @@ def test_compare_oracle_command(tmp_path, capsys):
         "ensemble": {"N": 8000, "seed": 3, "antithetic": True},
     })
     out = tmp_path / "cmp"
-    assert main(["compare-oracle", "--config", cfg, "--steps", "8",
-                 "--out", str(out)]) == 0
+    assert main(["compare-oracle", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["lattice"]["within"] and report["regression"]["within"]
+    assert report["n"] == 8                    # the steps come from grid.n
     assert (out / "comparison.csv").exists()
 
 
@@ -212,10 +212,30 @@ def test_compare_oracle_budget_violation_exits_1(tmp_path, capsys):
         "ensemble": {"N": 2000, "seed": 3, "antithetic": False},
         "compare": {"mc_budget": 1e-18},
     })
-    assert main(["compare-oracle", "--config", cfg, "--steps", "8"]) == 1
+    assert main(["compare-oracle", "--config", cfg]) == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["regression"]["within"]
     assert report["lattice"]["within"]
+
+
+@pytest.mark.parametrize("extra,key", [
+    ({"backend": {"kind": "lattice"}}, "backend.kind"),
+    ({"backend": {"kind": "regression"}}, "backend.kind"),
+    ({"picard": {"max_iter": 1}}, "picard.max_iter"),
+    ({"tolerances": {"flatness": 1e-9}}, "tolerances"),
+    ({"stitch": {"intervals": 2}}, "stitch"),
+    ({"stitch": {}}, "stitch"),
+    ({"debug": {"inflate_k": 0.1}}, "debug"),
+])
+def test_compare_oracle_refuses_keys_it_does_not_use(tmp_path, capsys, extra, key):
+    cfg = write_config(tmp_path, {"scenario": "A_sine_constraint", "grid": {"n": 3},
+                                  "ensemble": {"N": 2000, "seed": 3}, **extra})
+    out = tmp_path / "never"
+    assert main(["compare-oracle", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"cli: compare-oracle does not use {key}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_grid_horizon_override(tmp_path):
@@ -265,6 +285,27 @@ def test_stitched_solve_through_cli(tmp_path):
     seams = summary["stitch"]["seam_constraints"]
     assert len(seams) == 1
     assert seams[0] >= -summary["default_tolerances"]["constraint"]
+
+
+def test_stitch_plan_warning_reaches_the_outputs(tmp_path, capsys):
+    # three intervals of 1/6 on B (T = 0.5) are far above its contraction horizon
+    cfg = write_config(tmp_path, {
+        "scenario": "B_meanfield_linear",
+        "grid": {"n": 9},
+        "backend": {"kind": "lattice"},
+        "stitch": {"intervals": 3},
+    })
+    plan_warning = ("interval length 0.166667 exceeds the contraction horizon "
+                    "0.00208333 (advisory)")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["warnings"][0] == plan_warning
+    assert len(summary["warnings"]) == 4        # the plan's and one per interval
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["warnings"] == summary["warnings"]
 
 
 def test_empty_stitch_section_plans_from_the_horizon(tmp_path):

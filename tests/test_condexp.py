@@ -3,37 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from mrbsde.condexp import (LatticeBackend, LatticeModel, RegressionBackend,
-                            RegressionBasis, RegressionError, lattice_condexp)
+from mrbsde import condexp
+from mrbsde.condexp import (LatticeBackend, RegressionBackend, RegressionBasis,
+                            RegressionError)
 from mrbsde.paths import ParticleEnsemble, antithetic, make_grid, sample_ensemble
 
 
 @pytest.fixture
 def lattice():
-    return LatticeModel(make_grid(1.0, 4))
+    return LatticeBackend(make_grid(1.0, 4))
 
 
 def test_lattice_condexp_constants(lattice):
-    out = lattice_condexp(lattice, 1, np.full(3, 2.5))
+    out = lattice.condexp(1, np.full(3, 2.5))
     assert np.array_equal(out, np.full(2, 2.5))
 
 
 def test_lattice_condexp_martingale(lattice):
     for i in range(3):
-        out = lattice_condexp(lattice, i, lattice.states(i + 1))
-        assert np.allclose(out, lattice.states(i), atol=1e-15)
+        out = lattice.condexp(i, lattice.state(i + 1)[:, 0])
+        assert np.allclose(out, lattice.state(i)[:, 0], atol=1e-15)
 
 
 def test_lattice_condexp_square(lattice):
     dt = lattice.grid.dt
     for i in range(3):
-        out = lattice_condexp(lattice, i, lattice.states(i + 1) ** 2)
-        assert np.allclose(out, lattice.states(i) ** 2 + dt, atol=1e-15)
+        out = lattice.condexp(i, lattice.state(i + 1)[:, 0] ** 2)
+        assert np.allclose(out, lattice.state(i)[:, 0] ** 2 + dt, atol=1e-15)
 
 
 def test_lattice_condexp_shape_guard(lattice):
     with pytest.raises(ValueError):
-        lattice_condexp(lattice, 1, np.zeros(5))
+        lattice.condexp(1, np.zeros(5))
 
 
 def test_lattice_tower_property(lattice):
@@ -41,7 +42,7 @@ def test_lattice_tower_property(lattice):
     values = rng.normal(size=5)
     v = values
     for i in range(3, -1, -1):
-        v = lattice_condexp(lattice, i, v)
+        v = lattice.condexp(i, v)
     direct = float(np.dot(lattice.probs(4), values))
     assert v[0] == pytest.approx(direct, abs=1e-15)
 
@@ -49,22 +50,21 @@ def test_lattice_tower_property(lattice):
 def test_lattice_probabilities_exact(lattice):
     for i in range(5):
         assert math.fsum(lattice.probs(i)) == 1.0
-        assert len(lattice.states(i)) == i + 1
+        assert len(lattice.state(i)[:, 0]) == i + 1
 
 
 def test_lattice_z_examples(lattice):
-    backend = LatticeBackend(lattice)
-    z = backend.condexp_and_z(1, lattice.states(2))[1]
+    z = lattice.condexp_and_z(1, lattice.state(2)[:, 0])[1]
     assert np.allclose(z, 1.0, atol=1e-14)                 # V = B
-    z0 = backend.condexp_and_z(1, np.full(3, 3.3))[1]
+    z0 = lattice.condexp_and_z(1, np.full(3, 3.3))[1]
     assert np.allclose(z0, 0.0, atol=1e-15)                # constants
-    zsq = backend.condexp_and_z(1, lattice.states(2) ** 2)[1]
-    assert np.allclose(zsq[:, 0], 2.0 * lattice.states(1), atol=1e-14)
+    zsq = lattice.condexp_and_z(1, lattice.state(2)[:, 0] ** 2)[1]
+    assert np.allclose(zsq[:, 0], 2.0 * lattice.state(1)[:, 0], atol=1e-14)
 
 
 def test_lattice_cap():
     with pytest.raises(ValueError):
-        LatticeModel(make_grid(1.0, 13))
+        LatticeBackend(make_grid(1.0, 13))
 
 
 def test_basis_feature_count():
@@ -169,7 +169,7 @@ def test_regression_two_dimensional_state():
 def test_backends_agree_on_lattice_expressible_mean():
     # swapping engines moves the unconditional mean path only within noise
     grid = make_grid(1.0, 8)
-    lat = LatticeBackend(LatticeModel(grid))
+    lat = LatticeBackend(grid)
     ens = antithetic(sample_ensemble(grid, 20_000, 1, seed=10))
     reg = RegressionBackend(ens, degree=3)
     xi_lat = lat.state(8)[:, 0]
@@ -239,9 +239,10 @@ def test_each_step_factored_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_regression_ill_conditioning_warns():
+def test_regression_ill_conditioning_warns(monkeypatch):
+    monkeypatch.setattr(condexp, "COND_WARN", 1.0)
     grid = make_grid(1.0, 4)
     ens = sample_ensemble(grid, 500, 1, seed=13)
-    backend = RegressionBackend(ens, degree=3, cond_warn=1.0)
+    backend = RegressionBackend(ens, degree=3)
     with pytest.warns(RuntimeWarning, match="ill-conditioned regression at step 2"):
         backend.condexp(2, np.ones(500))

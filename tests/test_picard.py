@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrbsde.condexp import LatticeBackend, LatticeModel
+from mrbsde.condexp import LatticeBackend
 from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
                           brownian_terminal, linear_mean_driver,
                           linear_shift_loss, linear_y_driver, mean_resist_driver,
@@ -19,7 +19,7 @@ from mrbsde.scenarios import get
 
 def lattice(T, n):
     grid = make_grid(T, n)
-    return grid, LatticeBackend(LatticeModel(grid))
+    return grid, LatticeBackend(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrbsde.condexp import LatticeBackend, LatticeModel, RegressionBackend
+from mrbsde.condexp import LatticeBackend, RegressionBackend
 from mrbsde.model import (ResistanceSpec, ScenarioSpec,
                           brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
@@ -20,7 +20,7 @@ from mrbsde.scenarios import get
 
 def lattice(T, n):
     grid = make_grid(T, n)
-    return grid, LatticeBackend(LatticeModel(grid))
+    return grid, LatticeBackend(grid)
 
 
 def scenario(driver, loss=None, terminal=None, T=1.0):
@@ -92,7 +92,7 @@ def _x_and_ybar_after_one_sweep(backend_kind, style):
     n = 6
     grid = make_grid(spec.horizon, n)
     if backend_kind == "lattice":
-        backend = LatticeBackend(LatticeModel(grid))
+        backend = LatticeBackend(grid)
     else:
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 1000, 1, 3)))
     prev, _ = picard_solve(spec, grid, backend, max_iter=1, tol=np.inf)
@@ -178,7 +178,7 @@ def test_compose_and_negative_control():
     spec = get("A_sine_constraint").spec
     frozen = zero_frozen(backend, 0, 8)
     sol = solve_interval(spec, grid, backend, frozen)
-    # the minimal-shift search carries its default 1e-10 bisection tolerance
+    # the minimal-shift search runs at the lattice's 1e-13 tolerance
     assert sol.y[0][0] == pytest.approx(0.3, abs=1e-9)
     assert abs(sol.diagnostics["flatness_right"]) <= 1e-9
 

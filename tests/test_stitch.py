@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mrbsde.condexp import LatticeBackend, LatticeModel, RegressionBackend
+from mrbsde.condexp import LatticeBackend, RegressionBackend
 from mrbsde.model import (QUADRATIC, DriverSpec, ResistanceSpec, ScenarioSpec,
                           linear_shift_loss, scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
@@ -15,7 +15,7 @@ from mrbsde.stitch import (PlanError, plan_intervals, solve_global,
 
 def lattice(T, n):
     grid = make_grid(T, n)
-    return grid, LatticeBackend(LatticeModel(grid))
+    return grid, LatticeBackend(grid)
 
 
 def fake_constants(delta: float) -> ConstantsReport:
