@@ -192,12 +192,12 @@ def scenario_hash(spec: ScenarioSpec) -> str:
 def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     """Negative control: add a spurious terminal jump to the reflection, which
     shifts every non-terminal value up and must break flatness."""
-    k = solution.k.copy()
+    k, tail = solution.k.copy(), solution.tail.copy()
     k[-1] += amount
-    y = [v + amount for v in solution.y[:-1]] + [solution.y[-1]]
-    return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, z=solution.z,
-                             k=k, y_deflated=solution.y_deflated, rho=solution.rho,
-                             diagnostics=dict(solution.diagnostics))
+    tail[:-1] += amount
+    return ReflectedSolution(lo=solution.lo, hi=solution.hi, z=solution.z, k=k,
+                             y_deflated=solution.y_deflated, tail=tail,
+                             rho=solution.rho, diagnostics=dict(solution.diagnostics))
 
 
 @dataclass(eq=False)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -42,6 +42,11 @@ def _monomial_table(degree: int, dim: int):
                 e[j] += 1
             exps.append(tuple(e))
     return tuple(exps), tuple(parents)
+
+
+def _sup_abs(columns) -> np.ndarray:
+    """Running per-particle max of |column| over aligned columns, one at a time."""
+    return reduce(lambda sup, a: np.maximum(sup, a, out=sup), map(np.abs, columns))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +179,9 @@ class RegressionBackend:
     def law(self, i: int, values) -> EmpiricalLaw:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float))
 
-    def sup_sq_mean(self, values_list: list[np.ndarray], lo: int = 0) -> float:
-        """E[ sup_i |V_i|^2 ] over aligned per-node particle values."""
-        stacked = np.abs(np.stack(values_list, axis=1))
-        sup = stacked.max(axis=1)
+    def sup_sq_mean(self, values, lo: int = 0) -> float:
+        """E[ sup_i |V_i|^2 ] over an iterable of per-node particle values."""
+        sup = _sup_abs(values)
         return float(particle_mean(sup * sup, self.ensemble.antithetic))
 
 
@@ -243,11 +247,9 @@ class LatticeBackend:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float),
                             weights=self.probs(i))
 
-    def sup_sq_mean(self, values_list: list[np.ndarray], lo: int = 0) -> float:
+    def sup_sq_mean(self, values, lo: int = 0) -> float:
         """Exact E[ sup |V|^2 ] by enumerating all 2^n equally likely paths;
-        values_list[j] holds the node values at grid node lo + j."""
-        gathered = np.stack(
-            [np.asarray(values_list[j], dtype=float)[self._paths[:, lo + j]]
-             for j in range(len(values_list))], axis=1)
-        sup = np.abs(gathered).max(axis=1)
+        the j-th of the iterable's node values sits at grid node lo + j."""
+        sup = _sup_abs(np.asarray(v, dtype=float)[self._paths[:, lo + j]]
+                       for j, v in enumerate(values))
         return float(np.mean(sup * sup))

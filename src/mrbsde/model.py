@@ -190,6 +190,8 @@ def quadratic_z_driver(a: float, gamma: float, z_cap: float, b: float,
                        zero_bound: float, zero_z_bound: float | None = None,
                        alpha: float = 0.0) -> DriverSpec:
     lam = max(abs(a), abs(gamma) / 2.0, abs(b))
+    if not lam > 0.0:
+        raise ValueError("quadratic_z needs lam = max(|a|, |gamma|/2, |b|) > 0")
     return DriverSpec(kind="quadratic_z", mode=QUADRATIC, lam=lam, alpha=alpha,
                       zero_bound=zero_bound, zero_z_bound=zero_z_bound,
                       params=(float(a), float(gamma), float(z_cap), float(b)))

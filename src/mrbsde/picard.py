@@ -237,18 +237,19 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
     """Distance between consecutive iterates on the shared ensemble.
 
     Lipschitz mode uses the root-sum-square of (sample S2, sample H2, sup-k);
-    quadratic mode sums (sample S-inf, BMO proxy, sup-k).
+    quadratic mode sums (sample S-inf, BMO proxy, sup-k). Both y terms reduce
+    the differences node by node.
     """
-    lo = new.lo
-    dy = [a - b for a, b in zip(new.y, prev.y)]
-    dz = [a - b for a, b in zip(new.z, prev.z)]
+    lo, m = new.lo, len(new.z) - 1
+    dy = (new.y[j] - prev.y[j] for j in range(m + 1))
     dk = float(np.max(np.abs(new.k - prev.k)))
     if mode == LIPSCHITZ:
         s2_sq = backend.sup_sq_mean(dy, lo)
-        h2_sq = sum(backend.mean(lo + j, np.sum(dz[j] ** 2, axis=-1))
-                    for j in range(len(dz) - 1)) * grid.dt
+        h2_sq = sum(backend.mean(lo + j, np.sum((new.z[j] - prev.z[j]) ** 2, axis=-1))
+                    for j in range(m)) * grid.dt
         return math.sqrt(s2_sq + h2_sq + dk * dk)
     s_inf = max(float(np.max(np.abs(v))) for v in dy)
+    dz = [a - b for a, b in zip(new.z, prev.z)]
     return s_inf + bmo_proxy(dz, grid, backend, lo) + dk
 
 

@@ -5,6 +5,7 @@ flatness / constraint diagnostics."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ class FrozenInputs:
     mean_z: np.ndarray
     resistance: np.ndarray
     k_tail: np.ndarray
-    y_ensemble: list | None = None
+    y_ensemble: Sequence | None = None
 
 
 def zero_frozen(backend, lo: int, hi: int) -> FrozenInputs:
@@ -160,12 +161,6 @@ def build_k(loss: LossSpec, grid: TimeGrid, backend, x_values,
     return k, rho
 
 
-def compose_solution(ybar, k):
-    """Recover the constrained component: y_j = ybar_j + (k_end - k_j)."""
-    tail = k[-1] - k
-    return [yb + tail[j] for j, yb in enumerate(ybar)]
-
-
 def flatness_residual(constraint, k) -> tuple[float, float]:
     """Grid quadrature of the per-node constraint values against the reflection
     increments.
@@ -224,18 +219,37 @@ def empirical_norms(y_values, zs, k, grid: TimeGrid, backend, lo: int = 0) -> di
     }
 
 
+class NodeSum(Sequence):
+    """Read-only per-node values base[j] + offset[j], formed when read."""
+
+    def __init__(self, base, offset):
+        self.base, self.offset = base, offset
+
+    def __len__(self) -> int:
+        return len(self.base)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return NodeSum(self.base[j], self.offset[j])
+        return self.base[j] + self.offset[j]
+
+
 @dataclass(eq=False)
 class ReflectedSolution:
-    """Constrained triple on a node window plus the deflated process."""
+    """Constrained triple on a node window; y_j = y_deflated_j + tail_j on read."""
 
     lo: int
     hi: int
-    y: list
     z: list
     k: np.ndarray
     y_deflated: list
+    tail: np.ndarray
     rho: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def y(self) -> NodeSum:
+        return NodeSum(self.y_deflated, self.tail)
 
     def mean_y_path(self, backend) -> np.ndarray:
         return np.array([backend.mean(self.lo + j, v) for j, v in enumerate(self.y)])
@@ -244,10 +258,10 @@ class ReflectedSolution:
 def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
     """The (0, 0, 0) starting triple of the fixed-point iteration."""
     m = hi - lo
-    y = [np.zeros(backend.count(lo + j)) for j in range(m + 1)]
+    ybar = [np.zeros(backend.count(lo + j)) for j in range(m + 1)]
     z = [np.zeros((backend.count(lo + j), backend.d)) for j in range(m + 1)]
-    return ReflectedSolution(lo=lo, hi=hi, y=y, z=z, k=np.zeros(m + 1),
-                             y_deflated=y, rho=np.zeros(m + 1))
+    return ReflectedSolution(lo=lo, hi=hi, z=z, k=np.zeros(m + 1), y_deflated=ybar,
+                             tail=np.zeros(m + 1), rho=np.zeros(m + 1))
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
@@ -262,15 +276,13 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     sweep = solve_deflated(scenario, grid, backend, frozen, implicit_y,
                            lo, hi, terminal_values)
     k, rho = build_k(scenario.loss, grid, backend, sweep.ybar, lo, backend.loss_tol)
-    y = compose_solution(sweep.ybar, k)
-
-    diagnostics = {
-        **constraint_diagnostics(scenario.loss, grid, backend, y, k, lo),
+    sol = ReflectedSolution(lo=lo, hi=hi, z=sweep.z, k=k, y_deflated=sweep.ybar,
+                            tail=k[-1] - k, rho=rho)
+    sol.diagnostics = {
+        **constraint_diagnostics(scenario.loss, grid, backend, sol.y, k, lo),
         "loss_tol": backend.loss_tol,
     }
-    return ReflectedSolution(lo=lo, hi=hi, y=y, z=sweep.z, k=k,
-                             y_deflated=sweep.ybar, rho=rho,
-                             diagnostics=diagnostics)
+    return sol
 
 
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:

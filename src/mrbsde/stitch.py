@@ -147,9 +147,9 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     histories.reverse()
 
     n = grid.n
-    y = [None] * (n + 1)
     z = [None] * (n + 1)
     ybar = [None] * (n + 1)
+    tail = np.zeros(n + 1)
     k = np.zeros(n + 1)
     rho = np.zeros(n + 1)
     constraint = np.empty(n + 1)
@@ -160,9 +160,10 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         own_hi = hi + 1 if j == len(pieces) - 1 else hi
         for i in range(lo, own_hi):
             idx = i - lo
-            y[i] = piece.y[idx]
             z[i] = piece.z[idx]
             ybar[i] = piece.y_deflated[idx]
+            # the piece's own tail: its ybar already holds the later reflection
+            tail[i] = piece.tail[idx]
             rho[i] = piece.rho[idx]
             # the pieces evaluated the loss on these same node values
             constraint[i] = piece.diagnostics["constraint"][idx]
@@ -172,7 +173,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     flat_right, flat_left = flatness_residual(constraint, k)
     solution = ReflectedSolution(
-        lo=0, hi=n, y=y, z=z, k=k, y_deflated=ybar, rho=rho,
+        lo=0, hi=n, z=z, k=k, y_deflated=ybar, tail=tail, rho=rho,
         diagnostics={
             "constraint": constraint,
             "constraint_se": constraint_se,

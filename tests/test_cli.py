@@ -434,6 +434,18 @@ def test_plan_error_exits_3_with_one_line(tmp_path, capsys):
     _solve_fails(tmp_path, capsys, cfg, 3, "stitch: global stitching requires")
 
 
+def test_quadratic_driver_with_zero_lam_exits_3(tmp_path, capsys):
+    # a = gamma = b = 0 leaves the quadratic constants undefined
+    scenario = {"name": "q0", "T": 0.5, "d": 1,
+                "terminal": {"kind": "scaled_tanh", "params": {"scale": 1.0}},
+                "driver": {"kind": "quadratic_z", "params": {
+                    "a": 0.0, "gamma": 0.0, "z_cap": 10.0, "b": 0.0, "zero_bound": 0.0}},
+                "resistance": {"kind": "zero"},
+                "loss": {"kind": "linear_shift", "params": {}}}
+    cfg = {"scenario": scenario, "grid": {"n": 4}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 3, "cli: bad scenario: quadratic_z needs lam")
+
+
 def _overflow_fails(tmp_path, capsys, command):
     # finite inputs, but the squared norms of Y overflow to inf
     cfg = {"scenario": _inline(terminal_c=1e160), "grid": {"n": 4},

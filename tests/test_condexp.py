@@ -6,7 +6,8 @@ import pytest
 from mrbsde import condexp
 from mrbsde.condexp import (LatticeBackend, RegressionBackend, RegressionBasis,
                             RegressionError)
-from mrbsde.paths import ParticleEnsemble, antithetic, make_grid, sample_ensemble
+from mrbsde.paths import (ParticleEnsemble, antithetic, make_grid, particle_mean,
+                          sample_ensemble)
 
 
 @pytest.fixture
@@ -246,3 +247,34 @@ def test_regression_ill_conditioning_warns(monkeypatch):
     backend = RegressionBackend(ens, degree=3)
     with pytest.warns(RuntimeWarning, match="ill-conditioned regression at step 2"):
         backend.condexp(2, np.ones(500))
+
+
+def _stacked_sup_sq(columns):
+    # the stacked reduction that sup_sq_mean streams
+    sup = np.abs(np.stack(columns, axis=1)).max(axis=1)
+    return sup * sup
+
+
+def test_regression_sup_sq_mean_streams_bit_for_bit():
+    grid = make_grid(1.0, 6)
+    ens = antithetic(sample_ensemble(grid, 500, 1, seed=3))
+    backend = RegressionBackend(ens)
+    rng = np.random.default_rng(1)
+    cols = [rng.normal(size=ens.N) for _ in range(7)]
+    copies = [c.copy() for c in cols]
+    ref = float(particle_mean(_stacked_sup_sq(cols), antithetic=True))
+    assert backend.sup_sq_mean(cols) == ref
+    assert backend.sup_sq_mean(c for c in cols) == ref
+    # the running max never writes into the caller's values
+    assert all(np.array_equal(a, b) for a, b in zip(cols, copies))
+
+
+def test_lattice_sup_sq_mean_streams_bit_for_bit():
+    backend = LatticeBackend(make_grid(1.0, 6))
+    lo = 2
+    rng = np.random.default_rng(2)
+    cols = [rng.normal(size=lo + j + 1) for j in range(5)]
+    gathered = [c[backend._paths[:, lo + j]] for j, c in enumerate(cols)]
+    ref = float(np.mean(_stacked_sup_sq(gathered)))
+    assert backend.sup_sq_mean(cols, lo) == ref
+    assert backend.sup_sq_mean((c for c in cols), lo) == ref

@@ -1,19 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mrbsde.condexp import LatticeBackend
-from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
-                          brownian_terminal, linear_mean_driver,
-                          linear_shift_loss, linear_y_driver, mean_resist_driver,
-                          zero_driver)
-from mrbsde.paths import make_grid
-from mrbsde.picard import (ConvergenceError, PicardHistory, constants_report,
-                           contraction_estimate, lipschitz_horizon, picard_solve,
+from mrbsde.condexp import LatticeBackend, RegressionBackend
+from mrbsde.model import (LIPSCHITZ, ResistanceSpec, ScenarioSpec,
+                          brownian_shift_terminal, brownian_terminal,
+                          linear_mean_driver, linear_shift_loss, linear_y_driver,
+                          mean_resist_driver, zero_driver)
+from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
+from mrbsde.picard import (ConvergenceError, PicardHistory, _frozen_from,
+                           constants_report, contraction_estimate,
+                           iterate_distance, lipschitz_horizon, picard_solve,
                            quadratic_ball_floor, quadratic_contraction_coeff,
                            quadratic_contraction_horizon,
                            quadratic_stability_horizon, uniform_y_bound)
+from mrbsde.reflect import solve_interval, zero_solution
 from mrbsde.scenarios import get
 
 
@@ -211,3 +214,30 @@ def test_contraction_estimate_guards():
     est = contraction_estimate(hist)
     assert est.max_ratio == pytest.approx(0.25)
     assert est.bound == pytest.approx(1.0 / math.sqrt(2.0))
+
+
+def test_iterate_distance_streams_within_eight_node_vectors():
+    n, N = 32, 20000
+    grid = make_grid(1.0, n)
+    backend = RegressionBackend(antithetic(sample_ensemble(grid, N // 2, 1, seed=11)))
+    spec = get("A_sine_constraint").spec
+    prev = zero_solution(backend, 0, n)
+    frozen, implicit = _frozen_from(spec, grid, backend, prev)
+    new = solve_interval(spec, grid, backend, frozen, implicit)
+
+    tracemalloc.start()
+    try:
+        dist = iterate_distance(prev, new, grid, backend, LIPSCHITZ)
+        extra = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extra <= 8 * N * 8, f"{extra / (N * 8):.1f} node vectors"
+
+    # the list-based formula the streamed distance replaces
+    dy = [a - b for a, b in zip(new.y, prev.y)]
+    dz = [a - b for a, b in zip(new.z, prev.z)]
+    sup = np.abs(np.stack(dy, axis=1)).max(axis=1)
+    s2_sq = float(particle_mean(sup * sup, antithetic=True))
+    h2_sq = sum(backend.mean(j, np.sum(dz[j] ** 2, axis=-1)) for j in range(n)) * grid.dt
+    dk = float(np.max(np.abs(new.k - prev.k)))
+    assert dist > 0.0 and dist == math.sqrt(s2_sq + h2_sq + dk * dk)

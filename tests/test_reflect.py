@@ -10,7 +10,7 @@ from mrbsde.model import (ResistanceSpec, ScenarioSpec,
                           linear_y_driver, zero_driver)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import _frozen_from, picard_solve
-from mrbsde.reflect import (StepSizeError, build_k, compose_solution,
+from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k,
                             constraint_diagnostics, empirical_norms,
                             flatness_residual,
                             solve_deflated, solve_interval, x_process,
@@ -195,8 +195,44 @@ def test_compose_and_negative_control():
 
 def test_compose_zero_reflection_identity():
     ybar = [np.array([1.0]), np.array([2.0, 3.0])]
-    y = compose_solution(ybar, np.zeros(2))
-    assert all(np.array_equal(a, b) for a, b in zip(y, ybar))
+    sol = ReflectedSolution(lo=0, hi=1, z=[None, None], k=np.zeros(2),
+                            y_deflated=ybar, tail=np.zeros(2), rho=np.zeros(2))
+    assert all(np.array_equal(a, b) for a, b in zip(sol.y, ybar))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+def test_y_view_recomposes_deflated_plus_tail(kind):
+    if kind == "lattice":
+        grid, backend = lattice(1.0, 8)
+    else:
+        grid = make_grid(1.0, 8)
+        backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 1, seed=4)))
+    spec = get("A_sine_constraint").spec
+    sol = solve_interval(spec, grid, backend, zero_frozen(backend, 0, 8))
+    assert sol.k[-1] > 0.0
+    for j in range(9):
+        assert np.array_equal(sol.y[j], sol.y_deflated[j] + (sol.k[-1] - sol.k[j]))
+
+
+def test_y_view_sequence_access():
+    grid, backend = lattice(1.0, 8)
+    sol = solve_interval(get("A_sine_constraint").spec, grid, backend,
+                         zero_frozen(backend, 0, 8))
+    y = sol.y
+    nodes = [sol.y_deflated[j] + sol.tail[j] for j in range(9)]
+
+    def same(a, b):
+        return len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
+
+    assert len(y) == 9
+    assert same(list(y), nodes)
+    assert np.array_equal(y[-1], nodes[-1]) and np.array_equal(y[-9], nodes[0])
+    assert same(y[:-1], nodes[:-1]) and same(y[2:7:2], nodes[2:7:2])
+    assert same(y[::-1], nodes[::-1])
+    with pytest.raises(IndexError):
+        y[9]
+    with pytest.raises(TypeError):
+        y[0] = nodes[0]
 
 
 def test_flatness_zero_when_reflection_flat():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mrbsde import stitch
 from mrbsde.condexp import LatticeBackend, RegressionBackend
 from mrbsde.model import (QUADRATIC, DriverSpec, ResistanceSpec, ScenarioSpec,
                           linear_shift_loss, scaled_tanh_terminal)
@@ -157,3 +158,27 @@ def test_uniform_bound_check_not_applicable_for_lipschitz():
     report = uniform_bound_check(sol, constants, spec)
     assert not report["applies"]
     assert report["ok"] is None
+
+
+def test_stitched_y_is_each_pieces_y(monkeypatch):
+    pieces = []
+
+    def keep(*args, **kwargs):
+        sol, history = picard_solve(*args, **kwargs)
+        pieces.append(sol)
+        return sol, history
+
+    monkeypatch.setattr(stitch, "picard_solve", keep)
+    grid, backend = lattice(1.0, 9)
+    spec = get("A_sine_constraint").spec
+    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=3)
+    sol, _ = solve_global(spec, grid, backend, plan)
+    assert [(p.lo, p.hi) for p in pieces] == [(6, 9), (3, 6), (0, 3)]
+    # every node of every piece, both sides of each seam included
+    for piece in pieces:
+        for idx in range(piece.hi - piece.lo + 1):
+            assert np.array_equal(sol.y[piece.lo + idx], piece.y[idx])
+    # the later intervals' reflection is already inside each piece's ybar, so a
+    # tail recomputed from the global k would count it twice
+    assert not all(np.array_equal(sol.y[i], sol.y_deflated[i] + (sol.k[-1] - sol.k[i]))
+                   for i in range(10))
