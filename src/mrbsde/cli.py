@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lossop, scenarios
-from .condexp import LATTICE_MAX_STEPS, LatticeBackend, RegressionBackend
+from .condexp import (LATTICE_MAX_STEPS, LatticeBackend, RegressionBackend,
+                      RegressionBasis)
 from .model import ScenarioSpec, SolverError, validate_assumptions
 from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
@@ -74,6 +75,21 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _number(section: str, cfg: dict, key: str, default=None, integer: bool = False):
+    """The number `section.key`, or `default` when it is absent or null;
+    refuses strings, booleans and, where an integer is wanted, fractions."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"cli: {section}.{key} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"cli: {section}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _reject_constant(name: str):
     raise ConfigError(f"cli: config holds the non-finite number {name}")
 
@@ -115,13 +131,13 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         raise ConfigError(f"cli: bad scenario: {exc}") from exc
 
     grid_cfg = _section(raw, "grid", {"n", "T"})
-    if "n" not in grid_cfg:
+    n = _number("grid", grid_cfg, "n", integer=True)
+    if n is None:
         raise ConfigError("cli: grid.n is required")
-    n = int(grid_cfg["n"])
     if n < 1:
         raise ConfigError("cli: grid.n must be >= 1")
-    if "T" in grid_cfg:
-        horizon = float(grid_cfg["T"])
+    horizon = _number("grid", grid_cfg, "T")
+    if horizon is not None:
         if not math.isfinite(horizon) or horizon <= 0:
             raise ConfigError("cli: grid.T must be positive and finite")
         spec = scenarios.with_horizon(spec, horizon)
@@ -142,25 +158,31 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         scenario=spec,
         scenario_cfg=scenarios.scenario_to_dict(spec),
         n=n,
-        N=int(ens_cfg.get("N", 20000)),
-        seed=int(ens_cfg.get("seed", 0)),
-        antithetic=bool(ens_cfg.get("antithetic", True)),
+        N=_number("ensemble", ens_cfg, "N", 20000, integer=True),
+        seed=_number("ensemble", ens_cfg, "seed", 0, integer=True),
+        antithetic=ens_cfg.get("antithetic", True),
         backend_kind=backend_kind,
-        degree=int(backend_cfg.get("degree", 3)),
-        picard_tol=(None if pic_cfg.get("tol") is None else float(pic_cfg["tol"])),
-        picard_max_iter=int(pic_cfg.get("max_iter", 50)),
-        tol_constraint=(None if tol_cfg.get("constraint") is None
-                        else float(tol_cfg["constraint"])),
-        tol_flatness=(None if tol_cfg.get("flatness") is None
-                      else float(tol_cfg["flatness"])),
+        degree=_number("backend", backend_cfg, "degree", 3, integer=True),
+        picard_tol=_number("picard", pic_cfg, "tol"),
+        picard_max_iter=_number("picard", pic_cfg, "max_iter", 50, integer=True),
+        tol_constraint=_number("tolerances", tol_cfg, "constraint"),
+        tol_flatness=_number("tolerances", tol_cfg, "flatness"),
         stitched=raw.get("stitch") is not None,
-        stitch_intervals=(None if stitch_cfg.get("intervals") is None
-                          else int(stitch_cfg["intervals"])),
-        inflate_k=float(debug_cfg.get("inflate_k", 0.0)),
-        lattice_budget=float(compare_cfg.get("lattice_budget", 1e-10)),
-        mc_budget=float(compare_cfg.get("mc_budget", 1e-2)),
+        stitch_intervals=_number("stitch", stitch_cfg, "intervals", integer=True),
+        inflate_k=_number("debug", debug_cfg, "inflate_k", 0.0),
+        lattice_budget=_number("compare", compare_cfg, "lattice_budget", 1e-10),
+        mc_budget=_number("compare", compare_cfg, "mc_budget", 1e-2),
         raw=raw,
     )
+    if not isinstance(cfg.antithetic, bool):
+        raise ConfigError("cli: ensemble.antithetic must be true or false, "
+                          f"got {cfg.antithetic!r}")
+    if cfg.degree < 0:
+        raise ConfigError("cli: backend.degree must be >= 0")
+    if cfg.picard_max_iter < 1:
+        raise ConfigError("cli: picard.max_iter must be >= 1")
+    if cfg.picard_tol is not None and cfg.picard_tol < 0:
+        raise ConfigError("cli: picard.tol must be >= 0")
     if cfg.backend_kind == "lattice":
         if spec.brownian_dim != 1:
             raise ConfigError("cli: the lattice backend is one-dimensional")
@@ -171,6 +193,10 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
             raise ConfigError("cli: ensemble.N must be >= 2")
         if cfg.antithetic and cfg.N % 2:
             raise ConfigError("cli: antithetic ensembles need an even N")
+        features = RegressionBasis(cfg.degree, spec.brownian_dim).n_features
+        if cfg.N <= features:
+            raise ConfigError(f"cli: ensemble.N must exceed the {features} regression "
+                              f"features of degree {cfg.degree}")
     return cfg
 
 

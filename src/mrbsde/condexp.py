@@ -74,9 +74,10 @@ class RegressionBasis:
 
     def design(self, states) -> np.ndarray:
         """(N, p) features of (N, d) states; each monomial is its parent times
-        one coordinate. Built feature-major so that every product runs over
-        contiguous memory, and returned as its (N, p) transpose."""
-        x = np.asarray(states, dtype=float).T.copy()
+        one coordinate. Built feature-major from the coordinate rows of
+        `states.T`, which on a step-major ensemble are contiguous and read
+        without a copy, and returned as its (N, p) transpose."""
+        x = np.asarray(states, dtype=float).T
         phi = np.empty((self.n_features, x.shape[1]))
         phi[0] = 1.0
         for row, (parent, j) in enumerate(self._table[1], start=1):
@@ -145,29 +146,36 @@ class RegressionBackend:
         return w
 
     def _project(self, i: int, targets: np.ndarray) -> np.ndarray:
-        """Fit one or more target columns on the step-i features.
+        """Fit the rows of the (k, N) targets on the step-i features.
 
-        The ensemble is fixed, so only the p x p factor is kept per step; the
-        design and its orthonormal basis are rebuilt on each call rather than
-        stored, which would cost N x p per step.
+        The fit is computed in coefficient form, `c = W Wᵀ (phi_fm targetsᵀ)`
+        and `fit = cᵀ phi_fm`, with `phi_fm` the (p, N) feature-major design:
+        two passes over the design, which is rebuilt on each call (storing it
+        would cost N x p per step), and no N x p orthonormal basis. Only the
+        p x p factor W is kept per step.
         """
         if i == 0:
-            means = particle_mean(targets, self.ensemble.antithetic)
-            return np.broadcast_to(means, targets.shape).copy()
+            means = particle_mean(targets.T, self.ensemble.antithetic)
+            return np.broadcast_to(means[:, None], targets.shape).copy()
         phi = self.basis.design(self.state(i))
-        q = phi @ self._orthonormalizer(i, phi)
-        return q @ (q.T @ targets)
+        w = self._orthonormalizer(i, phi)
+        phi_fm = phi.T
+        return (w @ (w.T @ (phi_fm @ targets.T))).T @ phi_fm
 
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)
-        return self._project(i, v[:, None])[:, 0]
+        return self._project(i, v[None, :])[0]
 
     def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
-        """One decomposition for E_{t_i}[V] and E_{t_i}[V dB_i]/dt together."""
+        """One decomposition for E_{t_i}[V] and E_{t_i}[V dB_i]/dt together;
+        the targets are the rows [V; V dB_i], with dB_i read step-major."""
         v = np.asarray(next_values, dtype=float)
-        targets = np.column_stack([v, v[:, None] * self.ensemble.increments[:, i, :]])
+        targets = np.empty((1 + self.d, v.shape[0]))
+        targets[0] = v
+        np.multiply(v, self.ensemble.increments[:, i, :].T, out=targets[1:])
         fit = self._project(i, targets)
-        return fit[:, 0], fit[:, 1:] / self.grid.dt
+        fit[1:] /= self.grid.dt
+        return fit[0], fit[1:].T
 
     def mean(self, i: int, values):
         res = particle_mean(values, self.ensemble.antithetic)

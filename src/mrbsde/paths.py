@@ -4,6 +4,10 @@ Randomness is counter-based: particles are grouped into fixed-size blocks and
 each block draws from its own Philox stream keyed by (seed, block index), so
 the increments of particle p at step i are a pure function of (seed, p, i) --
 independent of the total particle count and of any parallel generation order.
+
+The draws are stored step-major, `(n, d, N)` and `(n+1, d, N)`, so the rows
+that one regression step reads are contiguous; the `increments` and `states`
+fields are `(N, ., d)` transposed views of those arrays.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ class ParticleEnsemble:
     N: int
     d: int
     seed: int
-    increments: np.ndarray  # (N, n, d), Normal(0, dt)
-    states: np.ndarray      # (N, n+1, d), cumulative sums starting at 0
+    increments: np.ndarray  # (N, n, d) view of an (n, d, N) array, Normal(0, dt)
+    states: np.ndarray      # (N, n+1, d) view of an (n+1, d, N) array, starting at 0
     antithetic: bool = False
 
 
@@ -61,29 +65,36 @@ def sample_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> ParticleEnsemb
     if d < 1:
         raise ValueError("d must be >= 1")
     scale = math.sqrt(grid.dt)
-    inc = np.empty((N, grid.n, d))
+    inc = np.empty((grid.n, d, N))
     for block in range(0, N, _BLOCK):
         size = min(_BLOCK, N - block)
         gen = np.random.Generator(np.random.Philox(key=_block_key(seed, block // _BLOCK)))
-        inc[block:block + size] = gen.standard_normal((size, grid.n, d)) * scale
-    states = np.zeros((N, grid.n + 1, d))
-    np.cumsum(inc, axis=1, out=states[:, 1:, :])
+        draw = gen.standard_normal((size, grid.n, d)).transpose(1, 2, 0)
+        np.multiply(draw, scale, out=inc[:, :, block:block + size])
+    return _step_major(grid, seed, inc)
+
+
+def _step_major(grid: TimeGrid, seed: int, inc: np.ndarray,
+                anti: bool = False) -> ParticleEnsemble:
+    """The ensemble of (n, d, N) increments, with their running sums as states
+    (the sequential cumulative sum, one contiguous row at a time)."""
+    n, d, N = inc.shape
+    states = np.empty((n + 1, d, N))
+    states[0] = 0.0
+    for i in range(n):
+        np.add(states[i], inc[i], out=states[i + 1])
     return ParticleEnsemble(grid=grid, N=N, d=d, seed=int(seed),
-                            increments=inc, states=states)
+                            increments=inc.transpose(2, 0, 1),
+                            states=states.transpose(2, 0, 1), antithetic=anti)
 
 
 def antithetic(ensemble: ParticleEnsemble) -> ParticleEnsemble:
     """Double the ensemble, pairing every path with its negation (interleaved)."""
-    n, d = ensemble.grid.n, ensemble.d
-    inc = np.empty((2 * ensemble.N, n, d))
-    inc[0::2] = ensemble.increments
-    inc[1::2] = -ensemble.increments
-    states = np.zeros((2 * ensemble.N, n + 1, d))
-    states[0::2, 1:, :] = ensemble.states[:, 1:, :]
-    states[1::2, 1:, :] = -ensemble.states[:, 1:, :]
-    return ParticleEnsemble(grid=ensemble.grid, N=2 * ensemble.N, d=ensemble.d,
-                            seed=ensemble.seed, increments=inc, states=states,
-                            antithetic=True)
+    src = ensemble.increments.transpose(1, 2, 0)
+    inc = np.empty(src.shape[:2] + (2 * ensemble.N,))
+    inc[..., 0::2] = src
+    np.negative(src, out=inc[..., 1::2])
+    return _step_major(ensemble.grid, ensemble.seed, inc, anti=True)
 
 
 def particle_mean(values, antithetic: bool = False):

@@ -288,6 +288,8 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     gives the quadratic ball radius and the contraction horizon, which is
     advisory: exceeding it records a warning but does not refuse the solve.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     mode = scenario.mode
     hi = grid.n if hi is None else hi
     tol = backend.picard_tol if tol is None else tol
@@ -335,7 +337,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
         prev = solution
     if not history.converged:
         raise ConvergenceError(
-            f"picard: no convergence after {max_iter} sweeps "
+            f"no convergence after {max_iter} sweeps "
             f"(last distance {history.distances[-1]:.3g})", history=history)
     return solution, history
 

@@ -60,6 +60,8 @@ def zero_frozen(backend, lo: int, hi: int) -> FrozenInputs:
 
 @dataclass(eq=False)
 class DeflatedSweep:
+    """One backward sweep; each field's node rows are views of one block."""
+
     ybar: list
     z: list
     realized_f: list
@@ -87,12 +89,14 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
-    ybar = [None] * (m + 1)
-    zs = [None] * (m + 1)
-    fvals = [None] * (m + 1)
-    ybar[m] = np.asarray(terminal_values, dtype=float)
-    zs[m] = np.zeros((backend.count(hi), backend.d))
-    fvals[m] = np.zeros(backend.count(hi))
+    # one block per field, node j its first count(lo + j) entries; z and f
+    # keep their zeros at the terminal node
+    width = backend.count(hi)
+    counts = [backend.count(lo + j) for j in range(m + 1)]
+    ybar = [row[:c] for row, c in zip(np.empty((m + 1, width)), counts)]
+    zs = [row[:, :c].T for row, c in zip(np.zeros((m + 1, backend.d, width)), counts)]
+    fvals = [row[:c] for row, c in zip(np.zeros((m + 1, width)), counts)]
+    ybar[m][...] = terminal_values
 
     for j in range(m - 1, -1, -1):
         i = lo + j
@@ -114,15 +118,14 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     break
             else:
                 raise FixedPointError(f"implicit node solve stalled at step {i}")
-            ybar[j] = v
-            fvals[j] = f_v
+            ybar[j][...] = v
+            fvals[j][...] = f_v
         else:
             if frozen.y_ensemble is None:
                 raise ValueError("explicit solve needs a frozen y ensemble")
-            f_j = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_i, mz, g_i)
-            ybar[j] = base + f_j * dt
-            fvals[j] = f_j
-        zs[j] = z_i
+            fvals[j][...] = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_i, mz, g_i)
+            np.add(base, fvals[j] * dt, out=ybar[j])
+        zs[j][...] = z_i
     return DeflatedSweep(ybar=ybar, z=zs, realized_f=fvals)
 
 

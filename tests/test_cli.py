@@ -467,3 +467,37 @@ def test_overflowing_summary_exits_3_without_files(tmp_path, capsys):
 
 def test_verify_overflowing_summary_exits_3_without_files(tmp_path, capsys):
     _overflow_fails(tmp_path, capsys, "verify")
+
+
+A_REGRESSION = {**A_LATTICE,
+                "ensemble": {"N": 200, "seed": 1},
+                "backend": {"kind": "regression", "degree": 3}}
+
+
+@pytest.mark.parametrize("section,key,value,text", [
+    ("ensemble", "N", "abc", "ensemble.N must be a number, got 'abc'"),
+    ("backend", "degree", -1, "backend.degree must be >= 0"),
+    ("ensemble", "N", 4, "ensemble.N must exceed the 4 regression features of degree 3"),
+    ("picard", "max_iter", 0, "picard.max_iter must be >= 1"),
+    ("picard", "tol", -1, "picard.tol must be >= 0"),
+    ("grid", "n", 2.5, "grid.n must be an integer, got 2.5"),
+    ("ensemble", "seed", 1.5, "ensemble.seed must be an integer, got 1.5"),
+    ("ensemble", "antithetic", "no", "ensemble.antithetic must be true or false, got 'no'"),
+])
+def test_bad_config_values_exit_3_without_files(tmp_path, capsys, section, key,
+                                                value, text):
+    cfg = {**A_REGRESSION, section: {**A_REGRESSION.get(section, {}), key: value}}
+    _solve_fails(tmp_path, capsys, cfg, 3, f"cli: {text}")
+
+
+def test_nonconvergence_prints_one_line_with_one_prefix(tmp_path, capsys):
+    scenario = {**_inline(), "driver": {"kind": "linear_mean", "params": {"a": 6.0}}}
+    cfg = {"scenario": scenario, "grid": {"n": 12}, "backend": {"kind": "lattice"},
+           "picard": {"max_iter": 4}}
+    out = tmp_path / "never"
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("picard: no convergence after 4 sweeps (last distance ")
+    assert not out.exists()

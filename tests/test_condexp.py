@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,3 +279,34 @@ def test_lattice_sup_sq_mean_streams_bit_for_bit():
     ref = float(np.mean(_stacked_sup_sq(gathered)))
     assert backend.sup_sq_mean(cols, lo) == ref
     assert backend.sup_sq_mean((c for c in cols), lo) == ref
+
+
+def test_step_rows_are_contiguous_views():
+    grid = make_grid(1.0, 5)
+    ens = antithetic(sample_ensemble(grid, 300, 3, seed=5))
+    backend = RegressionBackend(ens, degree=2)
+    for i in range(grid.n + 1):
+        rows = backend.state(i).T
+        assert rows.flags.c_contiguous and np.shares_memory(rows, ens.states)
+    for i in range(grid.n):
+        rows = ens.increments[:, i, :].T
+        assert rows.flags.c_contiguous and np.shares_memory(rows, ens.increments)
+
+
+def test_projection_holds_only_design_targets_and_fit():
+    # the coefficient form never builds an N x p orthonormal basis
+    N, d = 20000, 3
+    grid = make_grid(1.0, 8)
+    ens = antithetic(sample_ensemble(grid, N // 2, d, seed=21))
+    backend = RegressionBackend(ens, degree=2)
+    p = backend.basis.n_features
+    assert p == 10
+    v = np.sin(ens.states[:, 5, 0]) * ens.states[:, 5, 2]
+    backend.condexp_and_z(4, v)                        # factor step 4 first
+    tracemalloc.start()
+    try:
+        backend.condexp_and_z(4, v)
+        extra = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert extra <= (p + 2 * (1 + d) + 2) * N * 8, f"{extra / (N * 8):.1f} node vectors"

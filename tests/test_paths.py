@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mrbsde import paths
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
 
 
@@ -90,3 +91,35 @@ def test_antithetic_reduces_flatness_noise():
             sol, _ = picard_solve(spec, g, backend)
             residuals[use_anti].append(sol.diagnostics["flatness_right"])
     assert np.var(residuals[True]) < 0.1 * np.var(residuals[False])
+
+
+def particle_major_reference(grid, N, d, seed):
+    """The (N, n, d) draws of the same Philox blocks and their running sums."""
+    inc = np.empty((N, grid.n, d))
+    for block in range(0, N, paths._BLOCK):
+        size = min(paths._BLOCK, N - block)
+        key = np.array([seed, block // paths._BLOCK], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        inc[block:block + size] = gen.standard_normal((size, grid.n, d)) * math.sqrt(grid.dt)
+    states = np.zeros((N, grid.n + 1, d))
+    np.cumsum(inc, axis=1, out=states[:, 1:, :])
+    return inc, states
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def test_step_major_ensemble_matches_particle_major_reference():
+    g = make_grid(1.0, 5)
+    N = paths._BLOCK + 904                              # two Philox blocks
+    inc, states = particle_major_reference(g, N, 2, seed=31)
+    ens = sample_ensemble(g, N, 2, seed=31)
+    assert same_bits(ens.increments, inc) and same_bits(ens.states, states)
+    # the interleaved pairing, with the negated paths' start node left at +0.0
+    anti_inc = np.empty((2 * N,) + inc.shape[1:])
+    anti_inc[0::2], anti_inc[1::2] = inc, -inc
+    anti_states = np.zeros((2 * N,) + states.shape[1:])
+    anti_states[0::2, 1:], anti_states[1::2, 1:] = states[:, 1:], -states[:, 1:]
+    anti = antithetic(ens)
+    assert same_bits(anti.increments, anti_inc) and same_bits(anti.states, anti_states)

@@ -241,3 +241,9 @@ def test_iterate_distance_streams_within_eight_node_vectors():
     h2_sq = sum(backend.mean(j, np.sum(dz[j] ** 2, axis=-1)) for j in range(n)) * grid.dt
     dk = float(np.max(np.abs(new.k - prev.k)))
     assert dist > 0.0 and dist == math.sqrt(s2_sq + h2_sq + dk * dk)
+
+
+def test_picard_solve_needs_one_sweep():
+    grid, backend = lattice(1.0, 4)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        picard_solve(get("A_sine_constraint").spec, grid, backend, max_iter=0)

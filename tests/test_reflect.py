@@ -283,3 +283,30 @@ def test_solve_interval_window_offsets():
     assert sol.k[0] == 0.0
     # on [T/2, T] the shift profile decreases: k_j = rho_0 - rho_j
     assert np.allclose(sol.k, sol.rho[0] - sol.rho, atol=1e-12)
+
+
+def _sweep_fields(sweep):
+    return {"ybar": sweep.ybar, "z": sweep.z, "realized_f": sweep.realized_f}
+
+
+def test_regression_sweep_rows_share_one_block_per_field():
+    grid = make_grid(1.0, 8)
+    backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 2, seed=4)), degree=2)
+    spec = get("A_sine_constraint").spec
+    sweep = solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 8))
+    for name, rows in _sweep_fields(sweep).items():
+        base = rows[0].base
+        assert base is not None and base.shape[0] == 9, name
+        assert all(row.base is base and len(row) == 1000 for row in rows), name
+
+
+def test_lattice_sweep_row_j_holds_the_window_nodes():
+    grid, backend = lattice(1.0, 8)
+    spec = get("B_meanfield_linear").spec
+    lo, hi = 2, 6
+    frozen = zero_frozen(backend, lo, hi)
+    sweep = solve_deflated(spec, grid, backend, frozen, lo=lo, hi=hi)
+    for name, rows in _sweep_fields(sweep).items():
+        assert [len(row) for row in rows] == [lo + j + 1 for j in range(hi - lo + 1)], name
+        assert all(row.base is rows[0].base for row in rows), name
+    assert all(z.shape == (lo + j + 1, 1) for j, z in enumerate(sweep.z))
