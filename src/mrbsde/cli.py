@@ -181,8 +181,14 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         raise ConfigError("cli: backend.degree must be >= 0")
     if cfg.picard_max_iter < 1:
         raise ConfigError("cli: picard.max_iter must be >= 1")
-    if cfg.picard_tol is not None and cfg.picard_tol < 0:
-        raise ConfigError("cli: picard.tol must be >= 0")
+    # no solution passes a negative gate, and a negative tolerance never stops
+    for name, value in (("picard.tol", cfg.picard_tol),
+                        ("tolerances.constraint", cfg.tol_constraint),
+                        ("tolerances.flatness", cfg.tol_flatness),
+                        ("compare.lattice_budget", cfg.lattice_budget),
+                        ("compare.mc_budget", cfg.mc_budget)):
+        if value is not None and value < 0:
+            raise ConfigError(f"cli: {name} must be >= 0")
     if cfg.backend_kind == "lattice":
         if spec.brownian_dim != 1:
             raise ConfigError("cli: the lattice backend is one-dimensional")

@@ -68,12 +68,30 @@ class LossSpec:
             return c0 + amp * math.sin(omega * t)
         return 0.0
 
-    def evaluate(self, t: float, y):
+    def evaluate(self, t: float, y, sin_y=None):
+        """l(t, y) elementwise; the sine family uses `sin_y` for np.sin(y) when
+        the caller already holds it."""
         y = np.asarray(y, dtype=float)
         if self.kind == "linear_shift":
             return y - self.shift(t)
         beta = self.params[0]
-        return y + beta * np.sin(y)
+        return y + beta * (np.sin(y) if sin_y is None else sin_y)
+
+    def shifted_mean(self, t: float, x: float, law) -> float:
+        """E[l(t, x + X)] from the moments of the law of X, exactly for both
+        families:
+
+          linear_shift:   x + E[X] - c(t)
+          sine_perturbed: x + E[X] + beta*(cos x E[sin X] + sin x E[cos X])
+
+        `law` supplies E[X], E[sin X] and E[cos X] as `mean_atom`, `mean_sin`
+        and `mean_cos`; only the moments a family needs are read.
+        """
+        if self.kind == "linear_shift":
+            return x + law.mean_atom - self.shift(t)
+        beta = self.params[0]
+        return x + law.mean_atom + beta * (math.cos(x) * law.mean_sin
+                                           + math.sin(x) * law.mean_cos)
 
 
 def linear_shift_loss(c0: float = 0.0, amp: float = 0.0, omega: float = 0.0) -> LossSpec:

@@ -490,6 +490,25 @@ def test_bad_config_values_exit_3_without_files(tmp_path, capsys, section, key,
     _solve_fails(tmp_path, capsys, cfg, 3, f"cli: {text}")
 
 
+@pytest.mark.parametrize("command,section,key", [
+    ("verify", "tolerances", "constraint"),
+    ("verify", "tolerances", "flatness"),
+    ("compare-oracle", "compare", "lattice_budget"),
+    ("compare-oracle", "compare", "mc_budget"),
+])
+def test_negative_gate_exits_3_without_files(tmp_path, capsys, command, section, key):
+    # no solution passes a negative gate: the config is at fault, not the solve
+    cfg = {"scenario": "A_sine_constraint", "grid": {"n": 2},
+           "ensemble": {"N": 200, "seed": 1}, section: {key: -1e-3}}
+    out = tmp_path / "never"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"cli: {section}.{key} must be >= 0\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_nonconvergence_prints_one_line_with_one_prefix(tmp_path, capsys):
     scenario = {**_inline(), "driver": {"kind": "linear_mean", "params": {"a": 6.0}}}
     cfg = {"scenario": scenario, "grid": {"n": 12}, "backend": {"kind": "lattice"},

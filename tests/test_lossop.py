@@ -218,3 +218,75 @@ def test_shift_search_stops_at_float_spacing(monkeypatch):
     assert counter.calls < 200
     assert expected_loss(loss, 0.0, law, hi) >= 0.0
     assert expected_loss(loss, 0.0, law, np.nextafter(hi, 0.0)) < 0.0
+
+
+@st.composite
+def losses(draw):
+    if draw(st.booleans()):
+        return sine_perturbed_loss(draw(st.floats(0.01, 0.99)))
+    return linear_shift_loss(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)),
+                             draw(st.floats(0.0, 10.0)))
+
+
+@st.composite
+def laws(draw):
+    """Finite-support laws of up to 32 atoms, half of them weighted."""
+    atoms = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32)))
+    if not draw(st.booleans()):
+        return EmpiricalLaw(atoms)
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=atoms.size,
+                               max_size=atoms.size)))
+    return EmpiricalLaw(atoms, w / w.sum())
+
+
+@given(losses(), laws(), st.floats(0.0, 2.0), st.floats(0.0, 2.0 ** 20))
+@settings(max_examples=300, deadline=None)
+def test_expected_loss_moment_form_matches_direct_mean(loss, law, t, x):
+    direct = law.mean(loss.evaluate(t, x + law.atoms))
+    got = expected_loss(loss, t, law, x)
+    if x == 0.0:
+        assert got == direct        # the zero shift is decided on the direct mean
+        return
+    # Both sides round each sum differently, by up to half an ulp of the scale
+    # per atom, and the trigonometric terms by a few more.
+    scale = abs(x) + float(np.max(np.abs(law.atoms))) + 1.0
+    assert abs(got - direct) <= (law.atoms.size + 4) * np.spacing(scale)
+
+
+class TrigPasses:
+    """Counts np.sin and np.cos calls on arrays of `size` elements: the
+    trigonometric passes over a law's atoms."""
+
+    def __init__(self, monkeypatch, size):
+        self.count = 0
+        for name in ("sin", "cos"):
+            monkeypatch.setattr(np, name, self._spy(getattr(np, name), size))
+
+    def _spy(self, inner, size):
+        def spy(values, *args, **kwargs):
+            if np.size(values) == size:
+                self.count += 1
+            return inner(values, *args, **kwargs)
+        return spy
+
+
+def test_trig_passes_per_shift(monkeypatch):
+    rng = np.random.default_rng(4)
+    above, below = rng.normal(2.0, 1.0, 1000), rng.normal(-2.0, 1.0, 1000)
+    pairs_atoms = [below + 0.25, below * 1.1, below + 0.1 * np.sin(below)]
+    passes = TrigPasses(monkeypatch, 1000)
+
+    assert loss_operator(SINE, 0.3, EmpiricalLaw(above)) == 0.0
+    assert passes.count == 1                # the direct pass at x = 0 only
+    passes.count = 0
+    assert loss_operator(SINE, 0.3, EmpiricalLaw(below)) > 0.0
+    assert passes.count == 2                # sin at x = 0, then cos once
+    passes.count = 0
+    assert loss_operator(LINEAR, 0.3, EmpiricalLaw(below)) > 0.0
+    assert passes.count == 0
+
+    passes.count = 0
+    law = EmpiricalLaw(below)
+    hl_lipschitz_probe(SINE, 0.3, [(law, EmpiricalLaw(a)) for a in pairs_atoms])
+    assert passes.count == 2 * 4            # one set of moments for each of 4 laws
+    assert {"mean_atom", "mean_sin", "mean_cos"} <= set(vars(law))
