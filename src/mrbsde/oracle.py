@@ -191,21 +191,21 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
         distances=distances, converged=True)
 
 
-def oracle_compare(scenario: ScenarioSpec, n: int, mc: dict | None = None,
+def oracle_compare(scenario: ScenarioSpec, backend, tol: float | None = None,
                    lattice_budget: float = 1e-10,
                    mc_budget: float = 1e-2) -> dict:
-    """Run the solver with both backends on a matched grid against the oracle.
+    """Run the solver on the lattice and on the given regression backend, on
+    that backend's grid, against the oracle.
 
     Reports the worst deviations of the mean path, the reflection path, and the
-    flatness residual, with pass flags against the given budgets.
+    flatness residual, with pass flags against the given budgets. `tol` is the
+    regression solve's Picard tolerance (default: the backend's).
     """
-    from .condexp import LatticeBackend, RegressionBackend
+    from .condexp import LatticeBackend
     from .picard import picard_solve
-    from .paths import antithetic as make_antithetic
-    from .paths import sample_ensemble
 
-    exact = exact_solve(scenario, n)
-    grid = make_grid(scenario.horizon, n)
+    grid = backend.grid
+    exact = exact_solve(scenario, grid.n)
 
     def deviations(solution, backend) -> dict:
         mean = solution.mean_y_path(backend)
@@ -220,23 +220,14 @@ def oracle_compare(scenario: ScenarioSpec, n: int, mc: dict | None = None,
     lat_sol, _ = picard_solve(scenario, grid, lat_backend, tol=1e-12)
     lat_dev = deviations(lat_sol, lat_backend)
 
-    mc = dict(mc or {})
-    settings = {"N": mc.pop("N", 20000), "seed": mc.pop("seed", 2024),
-                "degree": mc.pop("degree", 3),
-                "antithetic": mc.pop("antithetic", True),
-                "tol": mc.pop("tol", None)}
-    if mc:
-        raise ValueError(f"unknown monte carlo settings {sorted(mc)}")
-    half = settings["N"] // 2 if settings["antithetic"] else settings["N"]
-    ens = sample_ensemble(grid, half, scenario.brownian_dim, settings["seed"])
-    if settings["antithetic"]:
-        ens = make_antithetic(ens)
-    reg_backend = RegressionBackend(ens, degree=settings["degree"])
-    reg_sol, _ = picard_solve(scenario, grid, reg_backend, tol=settings["tol"])
-    reg_dev = deviations(reg_sol, reg_backend)
+    ens = backend.ensemble
+    settings = {"N": ens.N, "seed": ens.seed, "degree": backend.basis.degree,
+                "antithetic": ens.antithetic, "tol": tol}
+    reg_sol, _ = picard_solve(scenario, grid, backend, tol=tol)
+    reg_dev = deviations(reg_sol, backend)
 
     return {
-        "n": n,
+        "n": grid.n,
         "exact": {"mean_y": exact.mean_y.tolist(), "k": exact.k.tolist(),
                   "flatness": exact.flatness_right},
         "lattice": {**lat_dev, "budget": lattice_budget,

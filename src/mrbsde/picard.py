@@ -10,8 +10,8 @@ import numpy as np
 
 from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, hl_constant
 from .paths import TimeGrid
-from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, solve_interval,
-                      window_grid, zero_solution)
+from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, h2_sq, solve_interval,
+                      sup_norm, window_grid, zero_solution)
 
 DEFAULT_MAX_ITER = 50
 STALL_WINDOW = 3
@@ -68,17 +68,14 @@ def quadratic_contraction_coeff(hl_const: float, lam: float, radius: float) -> f
 
 
 def quadratic_contraction_horizon(radius: float, hl_const: float, bound: float,
-                                  lam: float, alpha: float,
-                                  reading: str = "reciprocal"):
+                                  lam: float, alpha: float):
     """Interval length below which the quadratic-case map halves distances.
 
     The printed source of the third argument admits two readings; both are
-    computed and the selected one enters the min (the literal reading grows
-    with the coefficient and cannot bound a small horizon, so the reciprocal
-    is the default).  Returns (selected, literal, reciprocal).
+    computed and the reciprocal one is selected (the literal reading grows
+    with the coefficient and cannot bound a small horizon).  Returns
+    (selected, literal, reciprocal).
     """
-    if reading not in ("literal", "reciprocal"):
-        raise ValueError("reading must be 'literal' or 'reciprocal'")
     _require_alpha(alpha)
     coeff = quadratic_contraction_coeff(hl_const, lam, radius)
     stability = quadratic_stability_horizon(radius, bound, lam, alpha)
@@ -88,8 +85,7 @@ def quadratic_contraction_horizon(radius: float, hl_const: float, bound: float,
     head = min(1.0 / (4.0 * coeff * lam), 1.0 / (12.0 * coeff ** 2 * lam ** 2))
     literal = min(head, third_literal, stability)
     reciprocal = min(head, third_reciprocal, stability)
-    selected = reciprocal if reading == "reciprocal" else literal
-    return selected, literal, reciprocal
+    return reciprocal, literal, reciprocal
 
 
 def uniform_y_bound(hl_const: float, bound: float, lam: float,
@@ -147,20 +143,19 @@ class ConstantsReport:
 
 def constants_report(hl_const: float, bound: float | None, lam: float,
                      alpha: float = 0.0, horizon: float | None = None,
-                     radius: float | None = None,
-                     reading: str = "reciprocal") -> ConstantsReport:
+                     radius: float | None = None) -> ConstantsReport:
     """Evaluate every constant that the inputs allow; radius defaults to the
     ball floor."""
     delta_lip = lipschitz_horizon(hl_const, lam) if lam > 0.0 else math.inf
     fields = dict(hl_const=hl_const, lam=lam, alpha=alpha, bound=bound,
-                  horizon=horizon, reading=reading, delta_lipschitz=delta_lip)
+                  horizon=horizon, delta_lipschitz=delta_lip)
     if bound is not None and lam > 0.0:
         floor = quadratic_ball_floor(hl_const, bound, lam)
         radius = floor if radius is None else radius
         if radius < floor:
             raise ValueError(f"radius {radius:g} below the admissible floor {floor:g}")
         selected, literal, reciprocal = quadratic_contraction_horizon(
-            radius, hl_const, bound, lam, alpha, reading)
+            radius, hl_const, bound, lam, alpha)
         fields.update(
             radius=radius,
             ball_floor=floor,
@@ -176,12 +171,10 @@ def constants_report(hl_const: float, bound: float | None, lam: float,
     return ConstantsReport(**fields)
 
 
-def scenario_constants(scenario: ScenarioSpec, radius: float | None = None,
-                       reading: str = "reciprocal") -> ConstantsReport:
+def scenario_constants(scenario: ScenarioSpec) -> ConstantsReport:
     return constants_report(hl_constant(scenario.loss), scenario.effective_bound(),
                             scenario.driver.lam, scenario.driver.alpha,
-                            horizon=scenario.horizon, radius=radius,
-                            reading=reading)
+                            horizon=scenario.horizon)
 
 
 def contraction_horizon(constants: ConstantsReport, mode: str) -> float | None:
@@ -245,16 +238,13 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
     dk = float(np.max(np.abs(new.k - prev.k)))
     if mode == LIPSCHITZ:
         s2_sq = backend.sup_sq_mean(dy, lo)
-        h2_sq = sum(backend.mean(lo + j, np.sum((new.z[j] - prev.z[j]) ** 2, axis=-1))
-                    for j in range(m)) * grid.dt
-        return math.sqrt(s2_sq + h2_sq + dk * dk)
-    s_inf = max(float(np.max(np.abs(v))) for v in dy)
+        dz_sq = h2_sq((new.z[j] - prev.z[j] for j in range(m)), grid, backend, lo)
+        return math.sqrt(s2_sq + dz_sq + dk * dk)
     dz = [a - b for a, b in zip(new.z, prev.z)]
-    return s_inf + bmo_proxy(dz, grid, backend, lo) + dk
+    return sup_norm(dy) + bmo_proxy(dz, grid, backend, lo) + dk
 
 
-def _frozen_from(scenario, grid, backend,
-                 prev: ReflectedSolution) -> tuple[FrozenInputs, bool]:
+def _frozen_from(scenario, grid, backend, prev: ReflectedSolution) -> FrozenInputs:
     lo, hi = prev.lo, prev.hi
     m = hi - lo
     mean_y = np.array([float(backend.mean(lo + j, prev.y[j])) for j in range(m + 1)])
@@ -262,14 +252,12 @@ def _frozen_from(scenario, grid, backend,
                         for j in range(m + 1)])
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
     k_tail = prev.k[-1] - prev.k
-    if scenario.mode == QUADRATIC:
-        return FrozenInputs(mean_y, mean_z, resistance, k_tail,
-                            y_ensemble=prev.y), False
-    return FrozenInputs(mean_y, mean_z, resistance, k_tail), True
+    y_ensemble = prev.y if scenario.mode == QUADRATIC else None
+    return FrozenInputs(mean_y, mean_z, resistance, k_tail, y_ensemble)
 
 
 def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:
-    s_inf = max(float(np.max(np.abs(v))) for v in sol.y)
+    s_inf = sup_norm(sol.y)
     bmo = bmo_proxy(sol.z, grid, backend, sol.lo)
     k_sup = float(np.max(np.abs(sol.k)))
     return {"s_inf": s_inf, "bmo": bmo, "k_sup": k_sup,
@@ -283,6 +271,10 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                  ) -> tuple[ReflectedSolution, PicardHistory]:
     """Iterate the reflected solve from the zero triple until the inter-iterate
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
+
+    A stall returns the last iterate with `converged=False` and
+    `stop_reason="stalled"`; running out of `max_iter` raises
+    `ConvergenceError`.
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
     gives the quadratic ball radius and the contraction horizon, which is
@@ -312,9 +304,9 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     prev = zero_solution(backend, lo, hi)
     solution = None
     for sweep in range(1, max_iter + 1):
-        frozen, implicit = _frozen_from(scenario, grid, backend, prev)
-        solution = solve_interval(scenario, grid, backend, frozen, implicit,
-                                  lo, hi, terminal_values)
+        frozen = _frozen_from(scenario, grid, backend, prev)
+        solution = solve_interval(scenario, grid, backend, frozen, lo, hi,
+                                  terminal_values)
         dist = iterate_distance(prev, solution, grid, backend, mode)
         history.distances.append(dist)
         if mode == QUADRATIC:
@@ -331,11 +323,10 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
         if (len(d) > STALL_WINDOW and d[-1 - STALL_WINDOW] > 0.0
                 and d[-1] <= d[-1 - STALL_WINDOW]
                 and (d[-1 - STALL_WINDOW] - d[-1]) < STALL_REL * d[-1 - STALL_WINDOW]):
-            history.converged = True
             history.stop_reason = "stalled"
             break
         prev = solution
-    if not history.converged:
+    if not history.stop_reason:
         raise ConvergenceError(
             f"no convergence after {max_iter} sweeps "
             f"(last distance {history.distances[-1]:.3g})", history=history)

@@ -1,7 +1,7 @@
 """Single-interval reflected solve with frozen (or per-step implicit) generator
 inputs: deflated backward induction, the reflection path built as a backward
-running supremum of minimal shifts of the deflated process's laws, and the
-flatness / constraint diagnostics."""
+running supremum of minimal shifts of the deflated process's laws, the
+flatness / constraint diagnostics, and the sample norms."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lossop import loss_operator, DEFAULT_TOL
-from .model import LossSpec, ScenarioSpec, SolverError
+from .model import LIPSCHITZ, LossSpec, ScenarioSpec, SolverError
 from .paths import TimeGrid
 
 IMPLICIT_MAX_ITER = 50
@@ -39,9 +39,9 @@ class FrozenInputs:
     """Generator inputs frozen from the previous fixed-point iterate.
 
     All paths are window-local: index j corresponds to grid node lo + j.
-    `y_ensemble` carries the pathwise frozen y slot of the explicit solve;
-    `k_tail` is the frozen reflection tail entering the y slot of the implicit
-    solve.
+    `y_ensemble` carries the pathwise frozen y slot of the explicit (quadratic
+    mode) solve; `k_tail` is the frozen reflection tail entering the y slot of
+    the implicit (Lipschitz mode) solve.
     """
 
     mean_y: np.ndarray
@@ -51,51 +51,37 @@ class FrozenInputs:
     y_ensemble: Sequence | None = None
 
 
-def zero_frozen(backend, lo: int, hi: int) -> FrozenInputs:
-    m = hi - lo
-    return FrozenInputs(mean_y=np.zeros(m + 1), mean_z=np.zeros((m + 1, backend.d)),
-                        resistance=np.zeros(m + 1), k_tail=np.zeros(m + 1),
-                        y_ensemble=[np.zeros(backend.count(i)) for i in range(lo, hi + 1)])
-
-
-@dataclass(eq=False)
-class DeflatedSweep:
-    """One backward sweep; each field's node rows are views of one block."""
-
-    ybar: list
-    z: list
-    realized_f: list
-
-
 def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                   frozen: FrozenInputs, implicit_y: bool = False,
-                   lo: int = 0, hi: int | None = None,
-                   terminal_values=None) -> DeflatedSweep:
-    """Backward Euler for the deflated (unconstrained) equation.
+                   frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
+                   terminal_values=None) -> tuple[list, list]:
+    """Backward Euler for the deflated (unconstrained) equation; returns the
+    per-node `ybar` and `z`, each node's row a view of one block per field.
 
-    The explicit solve takes the generator's y slot from the frozen ensemble
-    and its z slot from the current integrand estimate. With `implicit_y` the
-    y slot is the current unknown plus the frozen reflection tail, resolved by
-    a per-node fixed point; this needs lam * dt < 1.
+    The scenario's mode picks the generator's y slot. In Lipschitz mode it is
+    the current unknown plus the frozen reflection tail, resolved by a
+    per-node fixed point, which needs lam * dt < 1. In quadratic mode it is
+    the frozen ensemble, and the z slot is the current integrand estimate.
     """
     hi = grid.n if hi is None else hi
     m = hi - lo
     drv = scenario.driver
     dt = grid.dt
-    if implicit_y and drv.lam * dt >= 1.0:
+    implicit = scenario.mode == LIPSCHITZ
+    if implicit and drv.lam * dt >= 1.0:
         raise StepSizeError(
             f"lam*dt = {drv.lam * dt:.3g} >= 1: per-node fixed point cannot "
             "contract; use a finer grid")
+    if not implicit and frozen.y_ensemble is None:
+        raise ValueError("explicit solve needs a frozen y ensemble")
 
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
-    # one block per field, node j its first count(lo + j) entries; z and f
-    # keep their zeros at the terminal node
+    # one block per field, node j its first count(lo + j) entries; z keeps its
+    # zeros at the terminal node
     width = backend.count(hi)
     counts = [backend.count(lo + j) for j in range(m + 1)]
     ybar = [row[:c] for row, c in zip(np.empty((m + 1, width)), counts)]
     zs = [row[:, :c].T for row, c in zip(np.zeros((m + 1, backend.d, width)), counts)]
-    fvals = [row[:c] for row, c in zip(np.zeros((m + 1, width)), counts)]
     ybar[m][...] = terminal_values
 
     for j in range(m - 1, -1, -1):
@@ -105,13 +91,11 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
         g_i = float(frozen.resistance[j])
         my = float(frozen.mean_y[j])
         mz = frozen.mean_z[j]
-        if implicit_y:
+        if implicit:
             tail = float(frozen.k_tail[j])
             v = base
-            f_v = None
             for _ in range(IMPLICIT_MAX_ITER):
-                f_v = drv.evaluate(t_i, v + tail, my, z_i, mz, g_i)
-                v_new = base + f_v * dt
+                v_new = base + drv.evaluate(t_i, v + tail, my, z_i, mz, g_i) * dt
                 done = float(np.max(np.abs(v_new - v))) <= IMPLICIT_TOL
                 v = v_new
                 if done:
@@ -119,30 +103,29 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
             else:
                 raise FixedPointError(f"implicit node solve stalled at step {i}")
             ybar[j][...] = v
-            fvals[j][...] = f_v
         else:
-            if frozen.y_ensemble is None:
-                raise ValueError("explicit solve needs a frozen y ensemble")
-            fvals[j][...] = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_i, mz, g_i)
-            np.add(base, fvals[j] * dt, out=ybar[j])
+            f_i = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_i, mz, g_i)
+            np.add(base, f_i * dt, out=ybar[j])
         zs[j][...] = z_i
-    return DeflatedSweep(ybar=ybar, z=zs, realized_f=fvals)
+    return ybar, zs
 
 
-def x_process(grid: TimeGrid, backend, terminal_values, realized_f,
+def x_process(grid: TimeGrid, backend, terminal_values, f_values,
               lo: int = 0) -> list:
     """Conditional expectation of terminal value plus remaining generator cost.
 
-    This is the target process of the reflection. On the realized generator
-    values of a sweep it runs the deflated recursion again, so it equals
-    `DeflatedSweep.ybar`; the solve reads the reflection off that process and
-    this function remains as the reference the identity tests compare with.
+    This is the target process of the reflection. With `f_values[j]` the
+    generator values a sweep realized at node j (the last entry, at the
+    terminal node, is not read) it runs the deflated recursion again, so it
+    equals that sweep's `ybar`; the solve reads the reflection off the deflated
+    process and this function remains as the reference the identity tests
+    compare with.
     """
-    m = len(realized_f) - 1
+    m = len(f_values) - 1
     x = [None] * (m + 1)
     x[m] = np.asarray(terminal_values, dtype=float)
     for j in range(m - 1, -1, -1):
-        x[j] = backend.condexp(lo + j, x[j + 1]) + realized_f[j] * grid.dt
+        x[j] = backend.condexp(lo + j, x[j + 1]) + f_values[j] * grid.dt
     return x
 
 
@@ -208,15 +191,25 @@ def bmo_proxy(zs, grid: TimeGrid, backend, lo: int = 0) -> float:
     return float(np.sqrt(max(worst, 0.0)))
 
 
+def sup_norm(values) -> float:
+    """Largest |entry| over an iterable of per-node values, one node at a time."""
+    return max(float(np.max(np.abs(v))) for v in values)
+
+
+def h2_sq(zs, grid: TimeGrid, backend, lo: int = 0) -> float:
+    """Sample H2 square dt * sum_j E|z_j|^2 over an iterable of per-node z
+    values, the j-th at grid node lo + j, one node at a time. The sum runs
+    over steps, so callers pass every node but the terminal one."""
+    return sum(backend.mean(lo + j, np.sum(np.asarray(z) ** 2, axis=-1))
+               for j, z in enumerate(zs)) * grid.dt
+
+
 def empirical_norms(y_values, zs, k, grid: TimeGrid, backend, lo: int = 0) -> dict:
     """Sample versions of the solution norms used by the fixed-point analysis."""
-    m = len(y_values) - 1
-    h2_sq = sum(backend.mean(lo + j, np.sum(np.asarray(zs[j]) ** 2, axis=-1))
-                for j in range(m)) * grid.dt
     return {
         "s2": float(np.sqrt(backend.sup_sq_mean(y_values, lo))),
-        "h2": float(np.sqrt(h2_sq)),
-        "s_inf": max(float(np.max(np.abs(v))) for v in y_values),
+        "h2": float(np.sqrt(h2_sq(zs[:-1], grid, backend, lo))),
+        "s_inf": sup_norm(y_values),
         "k_sup": float(np.max(np.abs(k))),
         "bmo": bmo_proxy(zs, grid, backend, lo),
     }
@@ -268,18 +261,16 @@ def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                   frozen: FrozenInputs, implicit_y: bool = False,
-                   lo: int = 0, hi: int | None = None,
+                   frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
                    terminal_values=None) -> ReflectedSolution:
     """One full reflected solve for fixed frozen inputs: deflate, extract the
     reflection from the deflated process, recompose, and attach diagnostics."""
     hi = grid.n if hi is None else hi
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
-    sweep = solve_deflated(scenario, grid, backend, frozen, implicit_y,
-                           lo, hi, terminal_values)
-    k, rho = build_k(scenario.loss, grid, backend, sweep.ybar, lo, backend.loss_tol)
-    sol = ReflectedSolution(lo=lo, hi=hi, z=sweep.z, k=k, y_deflated=sweep.ybar,
+    ybar, z = solve_deflated(scenario, grid, backend, frozen, lo, hi, terminal_values)
+    k, rho = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
+    sol = ReflectedSolution(lo=lo, hi=hi, z=z, k=k, y_deflated=ybar,
                             tail=k[-1] - k, rho=rho)
     sol.diagnostics = {
         **constraint_diagnostics(scenario.loss, grid, backend, sol.y, k, lo),

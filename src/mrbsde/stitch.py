@@ -14,7 +14,7 @@ from .model import QUADRATIC, ScenarioSpec, SolverError
 from .paths import TimeGrid
 from .picard import (ConstantsReport, PicardHistory, constants_report,
                      contraction_horizon, picard_solve, scenario_constants)
-from .reflect import ReflectedSolution, flatness_residual
+from .reflect import ReflectedSolution, flatness_residual, sup_norm
 
 
 class PlanError(SolverError):
@@ -40,7 +40,7 @@ class IntervalPlan:
         return [(b - a) * grid.dt for a, b in zip(self.breaks, self.breaks[1:])]
 
 
-def stitch_constants(scenario: ScenarioSpec, radius: float | None = None) -> ConstantsReport:
+def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
     """Constants governing the interval length.
 
     In quadratic mode the per-interval ball radius is rebuilt from the
@@ -48,13 +48,13 @@ def stitch_constants(scenario: ScenarioSpec, radius: float | None = None) -> Con
     the backward induction stays admissible.
     """
     if scenario.mode != QUADRATIC:
-        return scenario_constants(scenario, radius=radius)
+        return scenario_constants(scenario)
     base = scenario_constants(scenario)
     if base.y_bound is None:
         raise PlanError("quadratic stitching needs the uniform bound, which "
                         "requires a declared zero-z bound and horizon")
     return constants_report(base.hl_const, base.y_bound, base.lam, base.alpha,
-                            horizon=scenario.horizon, radius=radius)
+                            horizon=scenario.horizon)
 
 
 def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
@@ -198,7 +198,7 @@ def uniform_bound_check(solution: ReflectedSolution, constants: ConstantsReport,
     applies = (scenario.mode == QUADRATIC
                and scenario.driver.zero_z_bound is not None
                and constants.y_bound is not None)
-    s_inf = max(float(np.max(np.abs(v))) for v in solution.y)
+    s_inf = sup_norm(solution.y)
     report = {"applies": applies, "s_inf": s_inf, "bound": constants.y_bound}
     if not applies:
         report["ok"] = None
@@ -207,8 +207,7 @@ def uniform_bound_check(solution: ReflectedSolution, constants: ConstantsReport,
     if plan is not None:
         per_interval = []
         for a, b in zip(plan.breaks, plan.breaks[1:]):
-            local = max(float(np.max(np.abs(solution.y[i])))
-                        for i in range(a, b + 1))
+            local = sup_norm(solution.y[a:b + 1])
             per_interval.append({"nodes": [a, b], "s_inf": local,
                                  "ok": bool(local <= constants.y_bound)})
         report["per_interval"] = per_interval

@@ -63,35 +63,35 @@ def test_exact_solve_deterministic():
 
 
 @pytest.mark.parametrize("name", ["A_sine_constraint", "C_resistance_lipschitz"])
-def test_lattice_backend_matches_oracle(name):
-    report = oracle_compare(get(name).spec, 8, {"N": 4000, "seed": 3})
+def test_lattice_backend_matches_oracle(name, regression_backend):
+    spec = get(name).spec
+    _, backend = regression_backend(spec.horizon, 8, 4000, 3)
+    report = oracle_compare(spec, backend)
     assert report["lattice"]["within"]
     assert report["lattice"]["mean_y"] <= 1e-10
     assert report["lattice"]["k"] <= 1e-10
     assert report["lattice"]["flatness"] <= 1e-10
 
 
-def test_regression_backend_within_monte_carlo_budget():
-    report = oracle_compare(get("A_sine_constraint").spec, 8,
-                            {"N": 20000, "seed": 3})
+def test_regression_backend_within_monte_carlo_budget(regression_backend):
+    spec = get("A_sine_constraint").spec
+    _, backend = regression_backend(spec.horizon, 8, 20000, 3)
+    report = oracle_compare(spec, backend)
+    assert report["regression"]["settings"] == {
+        "N": 20000, "seed": 3, "degree": 3, "antithetic": True, "tol": None}
     assert report["regression"]["within"]
     assert report["regression"]["k"] <= 1e-2
 
 
-def test_regression_deviation_shrinks_with_ensemble_size():
+def test_regression_deviation_shrinks_with_ensemble_size(regression_backend):
     # without antithetic pairing the mean-path deviation is statistical,
     # ~ N^{-1/2}; sixteenfold particles should cut it at least in half
     # (the reflection path is not used here: a uniform mean shift cancels
     # in its running maximum, so its error is not monotone in N)
     spec = get("A_sine_constraint").spec
-    small = oracle_compare(spec, 8, {"N": 2000, "seed": 17, "antithetic": False})
-    large = oracle_compare(spec, 8, {"N": 32000, "seed": 17, "antithetic": False})
+    small = oracle_compare(spec, regression_backend(spec.horizon, 8, 2000, 17, False)[1])
+    large = oracle_compare(spec, regression_backend(spec.horizon, 8, 32000, 17, False)[1])
     assert large["regression"]["mean_y"] <= 0.5 * small["regression"]["mean_y"]
-
-
-def test_oracle_compare_rejects_unknown_settings():
-    with pytest.raises(ValueError):
-        oracle_compare(get("A_sine_constraint").spec, 4, {"bogus": 1})
 
 
 def test_reflection_refines_with_grid():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -10,7 +11,9 @@ from mrbsde.model import (LIPSCHITZ, ResistanceSpec, ScenarioSpec,
                           linear_mean_driver, linear_shift_loss, linear_y_driver,
                           mean_resist_driver, zero_driver)
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
-from mrbsde.picard import (ConvergenceError, PicardHistory, _frozen_from,
+from mrbsde import picard
+from mrbsde.cli import main
+from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _frozen_from,
                            constants_report, contraction_estimate,
                            iterate_distance, lipschitz_horizon, picard_solve,
                            quadratic_ball_floor, quadratic_contraction_coeff,
@@ -70,8 +73,7 @@ def test_contraction_coeff_values():
 
 
 def test_contraction_horizon_readings():
-    sel, literal, reciprocal = quadratic_contraction_horizon(
-        10.0, 1.0, 1.0, 1.0, 0.0, reading="reciprocal")
+    sel, literal, reciprocal = quadratic_contraction_horizon(10.0, 1.0, 1.0, 1.0, 0.0)
     coeff = quadratic_contraction_coeff(1.0, 1.0, 10.0)
     stability = quadratic_stability_horizon(10.0, 1.0, 1.0, 0.0)
     expected = min(1.0 / (4.0 * coeff), 1.0 / (12.0 * coeff ** 2),
@@ -80,8 +82,6 @@ def test_contraction_horizon_readings():
     assert sel == reciprocal
     assert literal >= reciprocal
     assert sel <= stability                      # min always includes it
-    with pytest.raises(ValueError):
-        quadratic_contraction_horizon(10.0, 1.0, 1.0, 1.0, 0.0, reading="other")
 
 
 def test_uniform_bound_values():
@@ -169,6 +169,28 @@ def test_implicit_y_fixed_point_matches_closed_form():
     assert imp.mean_y_path(backend)[0] == pytest.approx(ref, abs=1e-10)
 
 
+def test_stall_returns_unconverged(monkeypatch, tmp_path):
+    # distances that stop falling end the iteration as a stall, not as
+    # convergence; running out of sweeps still raises
+    monkeypatch.setattr(picard, "iterate_distance", lambda *args: 0.5)
+    b = get("B_meanfield_linear").spec
+    grid, backend = lattice(b.horizon, 4)
+    sol, hist = picard_solve(b, grid, backend, tol=1e-12)
+    assert not hist.converged
+    assert hist.stop_reason == "stalled"
+    assert hist.distances == [0.5] * (STALL_WINDOW + 1)
+    with pytest.raises(ConvergenceError):
+        picard_solve(b, grid, backend, tol=1e-12, max_iter=STALL_WINDOW)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "B_meanfield_linear", "grid": {"n": 4},
+                               "backend": {"kind": "lattice"}}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["picard_history"][0]["stop_reason"] == "stalled"
+
+
 def test_divergent_iteration_raises_with_history():
     spec = ScenarioSpec(name="wild", horizon=1.0, brownian_dim=1,
                         terminal=brownian_shift_terminal(1.0),
@@ -222,8 +244,7 @@ def test_iterate_distance_streams_within_eight_node_vectors():
     backend = RegressionBackend(antithetic(sample_ensemble(grid, N // 2, 1, seed=11)))
     spec = get("A_sine_constraint").spec
     prev = zero_solution(backend, 0, n)
-    frozen, implicit = _frozen_from(spec, grid, backend, prev)
-    new = solve_interval(spec, grid, backend, frozen, implicit)
+    new = solve_interval(spec, grid, backend, _frozen_from(spec, grid, backend, prev))
 
     tracemalloc.start()
     try:

@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (ResistanceSpec, ScenarioSpec,
+from mrbsde.model import (DriverSpec, ResistanceSpec, ScenarioSpec,
                           brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, zero_driver)
@@ -12,9 +13,8 @@ from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import _frozen_from, picard_solve
 from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k,
                             constraint_diagnostics, empirical_norms,
-                            flatness_residual,
-                            solve_deflated, solve_interval, x_process,
-                            zero_frozen, zero_solution)
+                            flatness_residual, solve_deflated, solve_interval,
+                            x_process, zero_solution)
 from mrbsde.scenarios import get
 
 
@@ -30,23 +30,47 @@ def scenario(driver, loss=None, terminal=None, T=1.0):
                         loss=loss or linear_shift_loss())
 
 
+def first_frozen(spec, grid, backend, lo=0, hi=None):
+    """The frozen inputs of the first sweep: those of the zero triple."""
+    hi = grid.n if hi is None else hi
+    return _frozen_from(spec, grid, backend, zero_solution(backend, lo, hi))
+
+
+def deflate_with_generator(spec, grid, backend, frozen):
+    """The deflated process of one sweep and the generator values it
+    realized: at each step, the last driver evaluation at that step's time
+    (the implicit node solve evaluates until its fixed point)."""
+    last = {}
+    evaluate = DriverSpec.evaluate
+
+    def spy(self, t, *args):
+        last[t] = evaluate(self, t, *args)
+        return last[t]
+
+    with mock.patch.object(DriverSpec, "evaluate", spy):
+        ybar, _ = solve_deflated(spec, grid, backend, frozen)
+    n = grid.n
+    realized_f = [last[grid.nodes[i]] for i in range(n)] + [np.zeros(backend.count(n))]
+    return ybar, realized_f
+
+
 def test_deflated_zero_driver_is_martingale():
     grid, backend = lattice(1.0, 4)
     spec = scenario(zero_driver())
-    sweep = solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 4))
+    ybar, z = solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
     for i in range(5):
-        assert np.allclose(sweep.ybar[i], backend.state(i)[:, 0], atol=1e-14)
+        assert np.allclose(ybar[i], backend.state(i)[:, 0], atol=1e-14)
     for i in range(4):
-        assert np.allclose(sweep.z[i], 1.0, atol=1e-14)
+        assert np.allclose(z[i], 1.0, atol=1e-14)
 
 
 def test_deflated_constant_driver_exact():
     grid, backend = lattice(1.0, 4)
     spec = scenario(constant_driver(0.7))
-    sweep = solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 4))
+    ybar, _ = solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
     for i in range(5):
         expected = backend.state(i)[:, 0] + 0.7 * (1.0 - grid.nodes[i])
-        assert np.allclose(sweep.ybar[i], expected, atol=1e-13)
+        assert np.allclose(ybar[i], expected, atol=1e-13)
 
 
 def test_deflated_frozen_mean_tracks_ode():
@@ -55,28 +79,28 @@ def test_deflated_frozen_mean_tracks_ode():
     grid, backend = lattice(T, n)
     spec = scenario(linear_mean_driver(a), terminal=brownian_shift_terminal(1.0),
                     T=T)
-    frozen = zero_frozen(backend, 0, n)
+    frozen = first_frozen(spec, grid, backend)
     frozen.mean_y[:] = np.exp(a * (T - grid.nodes))
-    sweep = solve_deflated(spec, grid, backend, frozen)
+    ybar, _ = solve_deflated(spec, grid, backend, frozen)
     for i in range(n + 1):
         expected = backend.state(i)[:, 0] + math.exp(a * (T - grid.nodes[i]))
-        assert np.max(np.abs(sweep.ybar[i] - expected)) <= 0.02
+        assert np.max(np.abs(ybar[i] - expected)) <= 0.02
 
 
 def test_implicit_rejects_coarse_grid():
     grid, backend = lattice(1.0, 2)
     spec = scenario(linear_y_driver(2.5))   # lam*dt = 1.25
     with pytest.raises(StepSizeError, match="finer grid"):
-        solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 2),
-                       implicit_y=True)
+        solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
 
 
 def test_x_process_zero_driver():
     grid, backend = lattice(1.0, 4)
     spec = scenario(zero_driver())
-    sweep = solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 4))
+    _, realized_f = deflate_with_generator(spec, grid, backend,
+                                           first_frozen(spec, grid, backend))
     xi = spec.terminal.evaluate(backend.state(4))
-    x = x_process(grid, backend, xi, sweep.realized_f)
+    x = x_process(grid, backend, xi, realized_f)
     for i in range(5):
         assert np.allclose(x[i], backend.state(i)[:, 0], atol=1e-14)
 
@@ -96,17 +120,17 @@ def _x_and_ybar_after_one_sweep(backend_kind, style):
     else:
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 1000, 1, 3)))
     prev, _ = picard_solve(spec, grid, backend, max_iter=1, tol=np.inf)
-    frozen, implicit = _frozen_from(spec, grid, backend, prev)
-    sweep = solve_deflated(spec, grid, backend, frozen, implicit)
+    frozen = _frozen_from(spec, grid, backend, prev)
+    ybar, realized_f = deflate_with_generator(spec, grid, backend, frozen)
     xi = spec.terminal.evaluate(backend.state(n))
-    return x_process(grid, backend, xi, sweep.realized_f), sweep.ybar
+    return x_process(grid, backend, xi, realized_f), ybar
 
 
 def test_x_equals_deflated_under_full_freeze():
     # the solve reads the reflection off the deflated process: the target
     # process recomputed on the sweep's realized generator values matches it
     # in every sweep style, bit for bit on the lattice
-    for style in ("quadratic", "implicit_y"):
+    for style in ("quadratic", "implicit"):
         x, ybar = _x_and_ybar_after_one_sweep("lattice", style)
         assert all(np.array_equal(xv, yv) for xv, yv in zip(x, ybar)), style
         x, ybar = _x_and_ybar_after_one_sweep("regression", style)
@@ -119,9 +143,10 @@ def test_x_process_mean_small_monte_carlo():
     ens = sample_ensemble(grid, 2000, 1, seed=12)
     backend = RegressionBackend(ens, degree=3)
     spec = get("A_sine_constraint").spec
-    sweep = solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 8))
+    _, realized_f = deflate_with_generator(spec, grid, backend,
+                                           first_frozen(spec, grid, backend))
     xi = spec.terminal.evaluate(backend.state(8))
-    x = x_process(grid, backend, xi, sweep.realized_f)
+    x = x_process(grid, backend, xi, realized_f)
     for i in range(9):
         assert abs(backend.mean(i, x[i])) <= 5.0 / math.sqrt(2000)
 
@@ -176,8 +201,7 @@ def test_build_k_structural_guarantees_random_targets():
 def test_compose_and_negative_control():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    frozen = zero_frozen(backend, 0, 8)
-    sol = solve_interval(spec, grid, backend, frozen)
+    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
     # the minimal-shift search runs at the lattice's 1e-13 tolerance
     assert sol.y[0][0] == pytest.approx(0.3, abs=1e-9)
     assert abs(sol.diagnostics["flatness_right"]) <= 1e-9
@@ -208,7 +232,7 @@ def test_y_view_recomposes_deflated_plus_tail(kind):
         grid = make_grid(1.0, 8)
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 1, seed=4)))
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, zero_frozen(backend, 0, 8))
+    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
     assert sol.k[-1] > 0.0
     for j in range(9):
         assert np.array_equal(sol.y[j], sol.y_deflated[j] + (sol.k[-1] - sol.k[j]))
@@ -216,8 +240,8 @@ def test_y_view_recomposes_deflated_plus_tail(kind):
 
 def test_y_view_sequence_access():
     grid, backend = lattice(1.0, 8)
-    sol = solve_interval(get("A_sine_constraint").spec, grid, backend,
-                         zero_frozen(backend, 0, 8))
+    spec = get("A_sine_constraint").spec
+    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
     y = sol.y
     nodes = [sol.y_deflated[j] + sol.tail[j] for j in range(9)]
 
@@ -259,7 +283,7 @@ def test_empirical_norms_examples():
 def test_norms_scenario_a_reflection_sup():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, zero_frozen(backend, 0, 8))
+    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
     norms = empirical_norms(sol.y, sol.z, sol.k, grid, backend)
     assert norms["k_sup"] == pytest.approx(0.3, abs=1e-10)
 
@@ -267,7 +291,7 @@ def test_norms_scenario_a_reflection_sup():
 def test_solution_constraint_profile_nonnegative():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, zero_frozen(backend, 0, 8))
+    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
     assert sol.diagnostics["min_constraint"] >= -1e-10
     assert sol.k[0] == 0.0
     assert np.all(np.diff(sol.k) >= 0.0)
@@ -277,7 +301,7 @@ def test_solve_interval_window_offsets():
     # a window solve indexes state, time, and laws by global node
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, zero_frozen(backend, 4, 8),
+    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend, 4, 8),
                          lo=4, hi=8)
     assert len(sol.y) == 5
     assert sol.k[0] == 0.0
@@ -285,16 +309,12 @@ def test_solve_interval_window_offsets():
     assert np.allclose(sol.k, sol.rho[0] - sol.rho, atol=1e-12)
 
 
-def _sweep_fields(sweep):
-    return {"ybar": sweep.ybar, "z": sweep.z, "realized_f": sweep.realized_f}
-
-
 def test_regression_sweep_rows_share_one_block_per_field():
     grid = make_grid(1.0, 8)
     backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 2, seed=4)), degree=2)
     spec = get("A_sine_constraint").spec
-    sweep = solve_deflated(spec, grid, backend, zero_frozen(backend, 0, 8))
-    for name, rows in _sweep_fields(sweep).items():
+    sweep = solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
+    for name, rows in zip(("ybar", "z"), sweep):
         base = rows[0].base
         assert base is not None and base.shape[0] == 9, name
         assert all(row.base is base and len(row) == 1000 for row in rows), name
@@ -304,9 +324,9 @@ def test_lattice_sweep_row_j_holds_the_window_nodes():
     grid, backend = lattice(1.0, 8)
     spec = get("B_meanfield_linear").spec
     lo, hi = 2, 6
-    frozen = zero_frozen(backend, lo, hi)
+    frozen = first_frozen(spec, grid, backend, lo, hi)
     sweep = solve_deflated(spec, grid, backend, frozen, lo=lo, hi=hi)
-    for name, rows in _sweep_fields(sweep).items():
+    for name, rows in zip(("ybar", "z"), sweep):
         assert [len(row) for row in rows] == [lo + j + 1 for j in range(hi - lo + 1)], name
         assert all(row.base is rows[0].base for row in rows), name
-    assert all(z.shape == (lo + j + 1, 1) for j, z in enumerate(sweep.z))
+    assert all(z.shape == (lo + j + 1, 1) for j, z in enumerate(sweep[1]))
