@@ -229,8 +229,7 @@ def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     k[-1] += amount
     tail[:-1] += amount
     return ReflectedSolution(lo=solution.lo, hi=solution.hi, z=solution.z, k=k,
-                             y_deflated=solution.y_deflated, tail=tail,
-                             rho=solution.rho, diagnostics=dict(solution.diagnostics))
+                             y_deflated=solution.y_deflated, tail=tail)
 
 
 @dataclass(eq=False)
@@ -268,8 +267,8 @@ def execute(cfg: RunConfig) -> RunResult:
         histories = [history]
     if cfg.inflate_k:
         solution = _inflate(solution, cfg.inflate_k)
-        solution.diagnostics.update(constraint_diagnostics(
-            cfg.scenario.loss, grid, backend, solution.y, solution.k, solution.lo))
+        solution.diagnostics = constraint_diagnostics(
+            cfg.scenario.loss, grid, backend, solution.y, solution.k, solution.lo)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RunResult(cfg=cfg, grid=grid, backend=backend, solution=solution,
                      histories=histories, constants=constants,
@@ -509,7 +508,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_compare_oracle(args) -> int:
-    from .oracle import OracleError, oracle_compare
+    from .oracle import OracleError, oracle_compare, require_exact
 
     cfg = load_config(args.config)
     # both backends run unstitched to convergence and gate on the budgets only
@@ -519,8 +518,10 @@ def cmd_compare_oracle(args) -> int:
                if cfg.raw.get(name) is not None]
     if unused:
         raise ConfigError(f"cli: compare-oracle does not use {', '.join(unused)}")
-    backend = build_backend(cfg, make_grid(cfg.scenario.horizon, cfg.n))
     try:
+        # refuse before sampling the ensemble the comparison would need
+        require_exact(cfg.scenario, cfg.n)
+        backend = build_backend(cfg, make_grid(cfg.scenario.horizon, cfg.n))
         report = oracle_compare(cfg.scenario, backend, cfg.picard_tol,
                                 cfg.lattice_budget, cfg.mc_budget)
     except OracleError as exc:

@@ -27,6 +27,12 @@ class ModeError(ValueError):
     """Scenario mode flags contradict the declared coefficient family."""
 
 
+def _require_finite(owner: str, *values):
+    """Refuse NaN and infinite numbers (None marks an undeclared one)."""
+    if not all(math.isfinite(v) for v in values if v is not None):
+        raise ValueError(f"{owner} needs finite numbers, got {values}")
+
+
 class SolverError(RuntimeError):
     """Base of the errors a solve can stop with. `exit_code` is the command
     line's exit status for it: 1 a failed check, 2 no convergence, 3 a bad
@@ -56,6 +62,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        _require_finite("loss", *self.params, self.growth_const, self.lip_lower,
+                        self.lip_upper, self.positive_above)
         if not (0.0 < self.lip_lower <= self.lip_upper):
             raise ValueError("loss needs 0 < lip_lower <= lip_upper")
         if self.growth_const <= 0.0:
@@ -148,6 +156,8 @@ class DriverSpec:
     def __post_init__(self):
         if self.kind not in DRIVER_KINDS:
             raise ValueError(f"unknown driver kind {self.kind!r}")
+        _require_finite("driver", *self.params, self.lam, self.alpha,
+                        self.zero_bound, self.zero_z_bound)
         if self.mode not in (LIPSCHITZ, QUADRATIC):
             raise ValueError(f"unknown driver mode {self.mode!r}")
         if self.lam < 0.0:
@@ -257,6 +267,7 @@ class TerminalSpec:
     def __post_init__(self):
         if self.kind not in TERMINAL_KINDS:
             raise ValueError(f"unknown terminal kind {self.kind!r}")
+        _require_finite("terminal", *self.params, self.bound)
 
     def evaluate(self, terminal_state) -> np.ndarray:
         x = np.asarray(terminal_state, dtype=float)[..., 0]
@@ -293,8 +304,8 @@ class ScenarioSpec:
     loss: LossSpec
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError("horizon must be positive and finite")
         if self.brownian_dim < 1:
             raise ValueError("brownian_dim must be >= 1")
         if self.driver.mode == QUADRATIC and self.terminal.bound is None:

@@ -64,20 +64,27 @@ def _wmean(probs, values) -> float:
     return math.fsum(p * v for p, v in zip(probs, values))
 
 
-def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
-    """Fixed point of the reflected solve, computed exactly on the lattice."""
+def require_exact(scenario: ScenarioSpec, n: int):
+    """Raise OracleError unless the exact lattice solver can take the scenario
+    on n steps."""
     if scenario.brownian_dim != 1:
         raise OracleError("the exact lattice solver is one-dimensional")
     if n > ORACLE_MAX_STEPS:
         raise OracleError(f"exact solve capped at n <= {ORACLE_MAX_STEPS}")
+    dt = make_grid(scenario.horizon, n).dt
+    if scenario.mode == LIPSCHITZ and scenario.driver.lam * dt >= 1.0:
+        raise OracleError("lam*dt >= 1: refine the grid")
+
+
+def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
+    """Fixed point of the reflected solve, computed exactly on the lattice."""
+    require_exact(scenario, n)
     grid = make_grid(scenario.horizon, n)
     dt = grid.dt
     root = math.sqrt(dt)
     times = grid.nodes
     drv, loss = scenario.driver, scenario.loss
     implicit = scenario.mode == LIPSCHITZ
-    if implicit and drv.lam * dt >= 1.0:
-        raise OracleError("lam*dt >= 1: refine the grid")
 
     states = [_states(i, dt) for i in range(n + 1)]
     probs = [_probs(i) for i in range(n + 1)]

@@ -34,8 +34,8 @@ class TimeGrid:
 
 def make_grid(T: float, n: int) -> TimeGrid:
     """Uniform grid t_i = i*T/n, i = 0..n."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError("T must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     nodes = np.arange(n + 1) * (T / n)

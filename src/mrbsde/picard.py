@@ -10,8 +10,8 @@ import numpy as np
 
 from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, hl_constant
 from .paths import TimeGrid
-from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, h2_sq, solve_interval,
-                      sup_norm, window_grid, zero_solution)
+from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, constraint_diagnostics,
+                      h2_sq, solve_interval, sup_norm, window_grid, zero_solution)
 
 DEFAULT_MAX_ITER = 50
 STALL_WINDOW = 3
@@ -274,7 +274,8 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     A stall returns the last iterate with `converged=False` and
     `stop_reason="stalled"`; running out of `max_iter` raises
-    `ConvergenceError`.
+    `ConvergenceError`. The returned iterate, and only it, carries the
+    constraint diagnostics.
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
     gives the quadratic ball radius and the contraction horizon, which is
@@ -330,6 +331,8 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
         raise ConvergenceError(
             f"no convergence after {max_iter} sweeps "
             f"(last distance {history.distances[-1]:.3g})", history=history)
+    solution.diagnostics = constraint_diagnostics(scenario.loss, grid, backend,
+                                                  solution.y, solution.k, lo)
     return solution, history
 
 

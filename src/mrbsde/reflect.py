@@ -161,7 +161,8 @@ def flatness_residual(constraint, k) -> tuple[float, float]:
 def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
                            lo: int = 0) -> dict:
     """One pass of the loss over the nodes: the mean and standard error of
-    l(t_j, y_j) at each node, their minimum, and the flatness residuals."""
+    l(t_j, y_j) at each node, their minimum, the flatness residuals, and the
+    shift tolerance the reflection was built with."""
     m = len(y_values) - 1
     constraint = np.empty(m + 1)
     constraint_se = np.empty(m + 1)
@@ -175,6 +176,7 @@ def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
         "min_constraint": float(np.min(constraint)),
         "flatness_right": flat_right,
         "flatness_left": flat_left,
+        "loss_tol": backend.loss_tol,
     }
 
 
@@ -240,7 +242,6 @@ class ReflectedSolution:
     k: np.ndarray
     y_deflated: list
     tail: np.ndarray
-    rho: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -257,26 +258,21 @@ def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
     ybar = [np.zeros(backend.count(lo + j)) for j in range(m + 1)]
     z = [np.zeros((backend.count(lo + j), backend.d)) for j in range(m + 1)]
     return ReflectedSolution(lo=lo, hi=hi, z=z, k=np.zeros(m + 1), y_deflated=ybar,
-                             tail=np.zeros(m + 1), rho=np.zeros(m + 1))
+                             tail=np.zeros(m + 1))
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                    frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
                    terminal_values=None) -> ReflectedSolution:
     """One full reflected solve for fixed frozen inputs: deflate, extract the
-    reflection from the deflated process, recompose, and attach diagnostics."""
+    reflection from the deflated process, and recompose. The iterate carries
+    no diagnostics; the solver attaches them to the answer it returns."""
     hi = grid.n if hi is None else hi
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     ybar, z = solve_deflated(scenario, grid, backend, frozen, lo, hi, terminal_values)
-    k, rho = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
-    sol = ReflectedSolution(lo=lo, hi=hi, z=z, k=k, y_deflated=ybar,
-                            tail=k[-1] - k, rho=rho)
-    sol.diagnostics = {
-        **constraint_diagnostics(scenario.loss, grid, backend, sol.y, k, lo),
-        "loss_tol": backend.loss_tol,
-    }
-    return sol
+    k, _ = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
+    return ReflectedSolution(lo=lo, hi=hi, z=z, k=k, y_deflated=ybar, tail=k[-1] - k)
 
 
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:

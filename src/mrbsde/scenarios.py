@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import (DriverSpec, ResistanceSpec, ScenarioSpec,
-                    brownian_shift_terminal, brownian_terminal, hl_constant,
+from .model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
+                    brownian_terminal, constant_driver, hl_constant,
                     linear_mean_driver, linear_shift_loss, linear_y_driver,
                     mean_resist_driver, quadratic_z_driver,
                     scaled_tanh_terminal, sine_perturbed_loss, zero_driver)
@@ -141,9 +141,8 @@ _LOSS_BUILDERS = {
 }
 
 _DRIVER_BUILDERS = {
-    "zero": lambda p: zero_driver(),
-    "constant": lambda p: DriverSpec(kind="constant", lam=0.0,
-                                     params=(float(p["value"]),)),
+    "zero": lambda p: zero_driver(**p),
+    "constant": lambda p: constant_driver(**p),
     "linear_y": lambda p: linear_y_driver(**p),
     "linear_mean": lambda p: linear_mean_driver(**p),
     "mean_resist": lambda p: mean_resist_driver(**p),
@@ -151,7 +150,7 @@ _DRIVER_BUILDERS = {
 }
 
 _TERMINAL_BUILDERS = {
-    "brownian": lambda p: brownian_terminal(),
+    "brownian": lambda p: brownian_terminal(**p),
     "brownian_shift": lambda p: brownian_shift_terminal(**p),
     "scaled_tanh": lambda p: scaled_tanh_terminal(**p),
 }

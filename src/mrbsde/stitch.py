@@ -151,7 +151,6 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     ybar = [None] * (n + 1)
     tail = np.zeros(n + 1)
     k = np.zeros(n + 1)
-    rho = np.zeros(n + 1)
     constraint = np.empty(n + 1)
     constraint_se = np.empty(n + 1)
     offset = 0.0
@@ -164,7 +163,6 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
             ybar[i] = piece.y_deflated[idx]
             # the piece's own tail: its ybar already holds the later reflection
             tail[i] = piece.tail[idx]
-            rho[i] = piece.rho[idx]
             # the pieces evaluated the loss on these same node values
             constraint[i] = piece.diagnostics["constraint"][idx]
             constraint_se[i] = piece.diagnostics["constraint_se"][idx]
@@ -173,7 +171,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     flat_right, flat_left = flatness_residual(constraint, k)
     solution = ReflectedSolution(
-        lo=0, hi=n, z=z, k=k, y_deflated=ybar, tail=tail, rho=rho,
+        lo=0, hi=n, z=z, k=k, y_deflated=ybar, tail=tail,
         diagnostics={
             "constraint": constraint,
             "constraint_se": constraint_se,

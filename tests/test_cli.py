@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mrbsde import reflect, scenarios
+from mrbsde import cli, reflect, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
 from mrbsde.stitch import plan_intervals, stitch_constants
@@ -238,6 +238,21 @@ def test_compare_oracle_refuses_keys_it_does_not_use(tmp_path, capsys, extra, ke
     assert not out.exists()
 
 
+def test_compare_oracle_refuses_before_sampling(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled an ensemble the oracle cannot use")
+
+    monkeypatch.setattr(cli, "sample_ensemble", refuse)
+    cfg = write_config(tmp_path, {"scenario": "A_sine_constraint", "grid": {"n": 13},
+                                  "ensemble": {"N": 2000, "seed": 3}})
+    out = tmp_path / "never"
+    assert main(["compare-oracle", "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "oracle: exact solve capped at n <= 12\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_grid_horizon_override(tmp_path):
     cfg = write_config(tmp_path, {
         "scenario": "B_meanfield_linear",
@@ -432,6 +447,13 @@ def test_plan_error_exits_3_with_one_line(tmp_path, capsys):
     cfg = {"scenario": "C_resistance_lipschitz", "grid": {"n": 4},
            "backend": {"kind": "lattice"}, "stitch": {"intervals": 2}}
     _solve_fails(tmp_path, capsys, cfg, 3, "stitch: global stitching requires")
+
+
+def test_unknown_builder_param_exits_3_with_one_line(tmp_path, capsys):
+    scenario = {**_inline(), "driver": {"kind": "constant",
+                                        "params": {"value": 1, "bogus": 3}}}
+    cfg = {"scenario": scenario, "grid": {"n": 4}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 3, "cli: bad scenario:")
 
 
 def test_quadratic_driver_with_zero_lam_exits_3(tmp_path, capsys):

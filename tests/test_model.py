@@ -6,8 +6,8 @@ import pytest
 from mrbsde.model import (LIPSCHITZ, QUADRATIC, DriverSpec, LossSpec, ModeError,
                           ResistanceSpec, ScenarioSpec, brownian_terminal,
                           hl_constant, linear_shift_loss, linear_y_driver,
-                          quadratic_z_driver, sine_perturbed_loss,
-                          validate_assumptions, zero_driver)
+                          quadratic_z_driver, scaled_tanh_terminal,
+                          sine_perturbed_loss, validate_assumptions, zero_driver)
 from mrbsde.paths import make_grid
 from mrbsde.scenarios import get, registry
 
@@ -73,6 +73,12 @@ def test_loss_constructor_rejects_bad_constants():
                  lip_lower=0.0, lip_upper=1.0)
     with pytest.raises(ValueError):
         sine_perturbed_loss(1.2)
+    # the linear family's constants have no range check that a NaN would fail
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            linear_shift_loss(c0=bad)
+        with pytest.raises(ValueError, match="finite"):
+            linear_shift_loss(amp=1.0, omega=bad)
 
 
 def test_mode_contradiction_rejected():
@@ -98,6 +104,17 @@ def test_scenario_spec_guards():
         ScenarioSpec(name="bad", horizon=1.0, brownian_dim=0,
                      terminal=brownian_terminal(), driver=zero_driver(),
                      resistance=ResistanceSpec("zero"), loss=linear_shift_loss())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioSpec(name="bad", horizon=bad, brownian_dim=1,
+                         terminal=brownian_terminal(), driver=zero_driver(),
+                         resistance=ResistanceSpec("zero"), loss=linear_shift_loss())
+        with pytest.raises(ValueError, match="finite"):
+            linear_y_driver(bad)
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_z_driver(a=0.1, gamma=0.2, z_cap=bad, b=0.0, zero_bound=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            scaled_tanh_terminal(bad)
 
 
 def test_probes_must_be_positive():

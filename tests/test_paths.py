@@ -30,6 +30,9 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(0.0, 4)
     with pytest.raises(ValueError):
         make_grid(1.0, 0)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(T, 4)
 
 
 def test_ensemble_deterministic():

@@ -133,9 +133,11 @@ def test_scenario_b_matches_scalar_recursion():
     assert any("exceeds the contraction horizon" in w for w in hist.warnings)
 
 
-def test_binding_resistance_fixed_point_vs_recursion():
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+def test_binding_resistance_fixed_point_vs_recursion(kind, regression_backend):
     # f = -G(k) with a decreasing shift profile: the reflection satisfies
-    # K_i = (c(0) - c(t_i)) + dt * sum_{j<i} K_j, solvable forward exactly
+    # K_i = (c(0) - c(t_i)) + dt * sum_{j<i} K_j, solvable forward exactly; the
+    # generator is deterministic, so a degree-1 regression reproduces it
     T, n = 0.05, 8
     omega = math.pi / (2 * T)
     spec = ScenarioSpec(name="bind", horizon=T, brownian_dim=1,
@@ -143,8 +145,13 @@ def test_binding_resistance_fixed_point_vs_recursion():
                         driver=mean_resist_driver(0.0, -1.0),
                         resistance=ResistanceSpec("evaluation"),
                         loss=linear_shift_loss(c0=0.2, amp=-0.2, omega=omega))
-    grid, backend = lattice(T, n)
-    sol, _ = picard_solve(spec, grid, backend, tol=1e-12)
+    if kind == "lattice":
+        grid, backend = lattice(T, n)
+        sol, _ = picard_solve(spec, grid, backend, tol=1e-12)
+    else:
+        grid, backend = regression_backend(T, n, N=1000, seed=7, degree=1)
+        sol, _ = picard_solve(spec, grid, backend, tol=1e-10)
+    assert sol.k[-1] > 0.0
 
     def c(t):
         return 0.2 - 0.2 * math.sin(omega * t)

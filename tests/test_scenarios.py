@@ -99,3 +99,12 @@ def test_scenario_from_dict_rejects_unknown_keys():
             "driver": {"kind": "zero"},
             "loss": {"kind": "linear_shift", "params": {}},
         })
+    # every builder takes its parameters by keyword, so an extra one is refused
+    for section, entry in (("driver", {"kind": "zero"}),
+                           ("driver", {"kind": "constant", "params": {"value": 1}}),
+                           ("terminal", {"kind": "brownian"})):
+        cfg = {"T": 1.0, "terminal": {"kind": "brownian"}, "driver": {"kind": "zero"},
+               "loss": {"kind": "linear_shift", "params": {}}}
+        cfg[section] = {**entry, "params": {**entry.get("params", {}), "bogus": 3}}
+        with pytest.raises(TypeError, match="bogus"):
+            scenario_from_dict(cfg)

@@ -182,3 +182,33 @@ def test_stitched_y_is_each_pieces_y(monkeypatch):
     # tail recomputed from the global k would count it twice
     assert not all(np.array_equal(sol.y[i], sol.y_deflated[i] + (sol.k[-1] - sol.k[i]))
                    for i in range(10))
+
+
+def test_one_constraint_pass_per_solve(monkeypatch):
+    # the diagnostics describe the answer, so a solve makes one loss pass over
+    # the nodes however many sweeps it takes, and a stitched solve one per interval
+    from mrbsde import cli, picard, reflect
+
+    original = reflect.constraint_diagnostics
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (reflect, picard, stitch, cli):
+        if getattr(module, "constraint_diagnostics", None) is original:
+            monkeypatch.setattr(module, "constraint_diagnostics", count)
+    spec = get("A_sine_constraint").spec
+    grid, backend = lattice(1.0, 9)
+
+    sol, history = picard_solve(spec, grid, backend)
+    assert len(history.distances) > 1 and len(calls) == 1
+    assert calls[0][4] is sol.k        # the pass ran on the returned iterate
+    assert sol.diagnostics["loss_tol"] == backend.loss_tol
+
+    calls.clear()
+    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=3)
+    sol, report = solve_global(spec, grid, backend, plan)
+    assert sum(len(h.distances) for h in report.histories) > 3 and len(calls) == 3
+    assert sol.diagnostics["loss_tol"] == backend.loss_tol
