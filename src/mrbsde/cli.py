@@ -76,18 +76,15 @@ class RunConfig:
 
 
 def _number(section: str, cfg: dict, key: str, default=None, integer: bool = False):
-    """The number `section.key`, or `default` when it is absent or null;
-    refuses strings, booleans and, where an integer is wanted, fractions."""
+    """The number `section.key` under `scenarios.config_number`'s rule, or
+    `default` when it is absent or null."""
     value = cfg.get(key)
     if value is None:
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"cli: {section}.{key} must be a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"cli: {section}.{key} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        return scenarios.config_number(f"{section}.{key}", value, integer)
+    except ValueError as exc:
+        raise ConfigError(f"cli: {exc}") from exc
 
 
 def _reject_constant(name: str):

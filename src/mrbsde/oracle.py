@@ -11,7 +11,7 @@ independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +37,10 @@ class LatticeSolution:
     dt: float
     times: np.ndarray
     y: list
-    z: list
-    y_deflated: list
-    x: list
     k: np.ndarray
-    rho: np.ndarray
     mean_y: np.ndarray
     flatness_right: float
-    flatness_left: float
     min_constraint: float
-    distances: list = field(default_factory=list)
-    converged: bool = False
-
-
-def _states(i: int, dt: float) -> list[float]:
-    root = math.sqrt(dt)
-    return [(2 * j - i) * root for j in range(i + 1)]
 
 
 def _probs(i: int) -> list[float]:
@@ -77,7 +65,12 @@ def require_exact(scenario: ScenarioSpec, n: int):
 
 
 def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
-    """Fixed point of the reflected solve, computed exactly on the lattice."""
+    """Fixed point of the reflected solve, computed exactly on the lattice.
+
+    Each sweep makes one backward pass for the deflated values. On the
+    lattice they equal the target process X_t = E_t[xi + int_t^T f], so K is
+    read off their minimal shifts through the backward running supremum.
+    """
     require_exact(scenario, n)
     grid = make_grid(scenario.horizon, n)
     dt = grid.dt
@@ -86,9 +79,9 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
     drv, loss = scenario.driver, scenario.loss
     implicit = scenario.mode == LIPSCHITZ
 
-    states = [_states(i, dt) for i in range(n + 1)]
     probs = [_probs(i) for i in range(n + 1)]
-    xi = [float(scenario.terminal.evaluate(np.array([[s]]))[0]) for s in states[n]]
+    xi = [float(scenario.terminal.evaluate(np.array([[(2 * j - n) * root]]))[0])
+          for j in range(n + 1)]
 
     def f_eval(t, y_val, my, z_val, mz, g) -> float:
         out = drv.evaluate(t, np.array([y_val]), my,
@@ -99,8 +92,6 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
     z_prev = [[0.0] * (i + 1) for i in range(n + 1)]
     k_prev = [0.0] * (n + 1)
 
-    distances: list[float] = []
-    ybar = zs = fval = x = k = rho = None
     for _ in range(ORACLE_MAX_ITER):
         mean_y = [_wmean(probs[i], y_prev[i]) for i in range(n + 1)]
         mean_z = [_wmean(probs[i], z_prev[i]) for i in range(n + 1)]
@@ -109,20 +100,17 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
 
         ybar = [None] * (n + 1)
         zs = [None] * (n + 1)
-        fval = [None] * (n + 1)
         ybar[n] = list(xi)
         zs[n] = [0.0] * (n + 1)
-        fval[n] = [0.0] * (n + 1)
         for i in range(n - 1, -1, -1):
             t_i = float(times[i])
-            row_y, row_z, row_f = [], [], []
+            row_y, row_z = [], []
             for j in range(i + 1):
                 down, up = ybar[i + 1][j], ybar[i + 1][j + 1]
                 base = 0.5 * (down + up)
                 z_ij = (up - down) / (2.0 * root)
                 if implicit:
                     v = base
-                    f_v = None
                     for _ in range(_IMPLICIT_MAX_ITER):
                         f_v = f_eval(t_i, v + tail_prev[i], mean_y[i], z_ij,
                                      mean_z[i], float(g_path[i]))
@@ -134,25 +122,16 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
                     else:
                         raise OracleError(f"node fixed point stalled at step {i}")
                     row_y.append(v)
-                    row_f.append(f_v)
                 else:
                     f_j = f_eval(t_i, y_prev[i][j], mean_y[i], z_ij, mean_z[i],
                                  float(g_path[i]))
                     row_y.append(base + f_j * dt)
-                    row_f.append(f_j)
                 row_z.append(z_ij)
             ybar[i] = row_y
             zs[i] = row_z
-            fval[i] = row_f
-
-        x = [None] * (n + 1)
-        x[n] = list(xi)
-        for i in range(n - 1, -1, -1):
-            x[i] = [0.5 * (x[i + 1][j] + x[i + 1][j + 1]) + fval[i][j] * dt
-                    for j in range(i + 1)]
 
         rho = [loss_operator(loss, float(times[i]),
-                             EmpiricalLaw(np.array(x[i]), np.array(probs[i])),
+                             EmpiricalLaw(np.array(ybar[i]), np.array(probs[i])),
                              tol=ORACLE_LOSS_TOL)
                for i in range(n + 1)]
         s = [0.0] * (n + 1)
@@ -170,7 +149,6 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
                 for j in range(i + 1)),
             max(abs(k[i] - k_prev[i]) for i in range(n + 1)),
         )
-        distances.append(dist)
         y_prev, z_prev, k_prev = y, zs, k
         if dist <= ORACLE_TOL:
             break
@@ -183,19 +161,12 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
                   for i in range(n + 1)]
     dk = [k_prev[i] - k_prev[i - 1] for i in range(1, n + 1)]
     flat_right = math.fsum(constraint[i] * dk[i - 1] for i in range(1, n + 1))
-    flat_left = math.fsum(constraint[i - 1] * dk[i - 1] for i in range(1, n + 1))
 
     return LatticeSolution(
         n=n, dt=dt, times=times,
-        y=[np.array(r) for r in y_prev],
-        z=[np.array(r) for r in z_prev],
-        y_deflated=[np.array(r) for r in ybar],
-        x=[np.array(r) for r in x],
-        k=np.array(k_prev), rho=np.array(rho),
+        y=[np.array(r) for r in y_prev], k=np.array(k_prev),
         mean_y=np.array([_wmean(probs[i], y_prev[i]) for i in range(n + 1)]),
-        flatness_right=flat_right, flatness_left=flat_left,
-        min_constraint=min(constraint),
-        distances=distances, converged=True)
+        flatness_right=flat_right, min_constraint=min(constraint))
 
 
 def oracle_compare(scenario: ScenarioSpec, backend, tol: float | None = None,

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, hl_constant
+from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, _require_finite,
+                    hl_constant)
 from .paths import TimeGrid
 from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, constraint_diagnostics,
                       h2_sq, solve_interval, sup_norm, window_grid, zero_solution)
@@ -145,7 +146,8 @@ def constants_report(hl_const: float, bound: float | None, lam: float,
                      alpha: float = 0.0, horizon: float | None = None,
                      radius: float | None = None) -> ConstantsReport:
     """Evaluate every constant that the inputs allow; radius defaults to the
-    ball floor."""
+    ball floor. Raises ValueError on a non-finite input."""
+    _require_finite("constants_report", hl_const, bound, lam, alpha, horizon, radius)
     delta_lip = lipschitz_horizon(hl_const, lam) if lam > 0.0 else math.inf
     fields = dict(hl_const=hl_const, lam=lam, alpha=alpha, bound=bound,
                   horizon=horizon, delta_lipschitz=delta_lip)

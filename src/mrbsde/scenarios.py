@@ -156,6 +156,18 @@ _TERMINAL_BUILDERS = {
 }
 
 
+def config_number(label: str, value, integer: bool = False):
+    """`value` as a float, or an int where `integer`; refuses strings,
+    booleans and, where an integer is wanted, fractions."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{label} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build(table, section: str, cfg: dict):
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
@@ -165,6 +177,11 @@ def _build(table, section: str, cfg: dict):
     params = cfg.pop("params", {})
     if cfg:
         raise ValueError(f"{section}: unknown keys {sorted(cfg)}")
+    if not isinstance(params, dict):
+        raise ValueError(f"{section}.params must be an object")
+    for key, value in params.items():
+        if value is not None:       # null leaves an optional bound undeclared
+            config_number(f"{section}.params.{key}", value)
     return table[kind](params)
 
 
@@ -173,8 +190,8 @@ def scenario_from_dict(cfg: dict) -> ScenarioSpec:
     cfg = dict(cfg)
     try:
         name = cfg.pop("name", "inline")
-        horizon = float(cfg.pop("T"))
-        dim = int(cfg.pop("d", 1))
+        horizon = config_number("scenario.T", cfg.pop("T"))
+        dim = config_number("scenario.d", cfg.pop("d", 1), integer=True)
         terminal = _build(_TERMINAL_BUILDERS, "terminal", cfg.pop("terminal"))
         driver = _build(_DRIVER_BUILDERS, "driver", cfg.pop("driver"))
         res_cfg = dict(cfg.pop("resistance", {"kind": "zero"}))

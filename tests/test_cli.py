@@ -152,7 +152,13 @@ def test_constants_command(capsys):
 
 
 def test_constants_rejects_bad_input(capsys):
-    assert main(["constants", "--C", "1", "--L", "1", "--lambda", "-2"]) == 3
+    valid = {"--C": "1", "--L": "1", "--lambda": "1"}
+    for flag, value in (("--lambda", "-2"), ("--C", "nan"), ("--L", "inf"),
+                        ("--lambda", "nan"), ("--T", "inf"), ("--A-tilde", "nan")):
+        flags = {**valid, flag: value}
+        assert main(["constants", *(x for kv in flags.items() for x in kv)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("picard: ")
 
 
 def test_compare_oracle_command(tmp_path, capsys):
@@ -454,6 +460,13 @@ def test_unknown_builder_param_exits_3_with_one_line(tmp_path, capsys):
                                         "params": {"value": 1, "bogus": 3}}}
     cfg = {"scenario": scenario, "grid": {"n": 4}, "backend": {"kind": "lattice"}}
     _solve_fails(tmp_path, capsys, cfg, 3, "cli: bad scenario:")
+
+
+def test_non_number_scenario_value_exits_3_with_one_line(tmp_path, capsys):
+    scenario = {**_inline(), "d": 1.5}
+    cfg = {"scenario": scenario, "grid": {"n": 4}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 3,
+                 "cli: bad scenario: scenario.d must be an integer, got 1.5")
 
 
 def test_quadratic_driver_with_zero_lam_exits_3(tmp_path, capsys):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from mrbsde.condexp import LatticeBackend
 from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_terminal,
-                          linear_shift_loss, zero_driver)
+                          linear_shift_loss, mean_resist_driver, zero_driver)
 from mrbsde.oracle import OracleError, exact_solve, oracle_compare
+from mrbsde.paths import make_grid
+from mrbsde.picard import picard_solve
 from mrbsde.scenarios import get, registry
 
 
@@ -14,7 +17,6 @@ def test_exact_scenario_a_hand_enumeration():
     assert np.allclose(sol.k, [0.0, 0.0, 0.3], atol=1e-12)
     assert sol.y[0][0] == pytest.approx(0.3, abs=1e-12)
     assert abs(sol.flatness_right) <= 1e-12
-    assert sol.converged
 
 
 def test_exact_inactive_constraint_is_martingale():
@@ -62,15 +64,53 @@ def test_exact_solve_deterministic():
     assert a.flatness_right == b.flatness_right
 
 
-@pytest.mark.parametrize("name", ["A_sine_constraint", "C_resistance_lipschitz"])
-def test_lattice_backend_matches_oracle(name, regression_backend):
-    spec = get(name).spec
+@pytest.mark.parametrize("entry", registry(), ids=lambda e: e.name)
+def test_lattice_backend_matches_oracle(entry, regression_backend):
+    spec = entry.spec
     _, backend = regression_backend(spec.horizon, 8, 4000, 3)
     report = oracle_compare(spec, backend)
     assert report["lattice"]["within"]
     assert report["lattice"]["mean_y"] <= 1e-10
     assert report["lattice"]["k"] <= 1e-10
     assert report["lattice"]["flatness"] <= 1e-10
+
+
+BIND_T = 0.5
+
+
+def _binding_resistance():
+    # f = -G(k) under evaluation resistance with a decreasing shift profile
+    # c(t) = 0.2 - 0.2 sin(omega t): K binds and feeds back into the generator
+    omega = math.pi / (2 * BIND_T)
+    spec = ScenarioSpec(name="bind", horizon=BIND_T, brownian_dim=1,
+                        terminal=brownian_terminal(),
+                        driver=mean_resist_driver(0.0, -1.0),
+                        resistance=ResistanceSpec("evaluation"),
+                        loss=linear_shift_loss(c0=0.2, amp=-0.2, omega=omega))
+    return spec, lambda t: 0.2 - 0.2 * math.sin(omega * t)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_exact_binding_resistance_matches_recursion(n):
+    # the generator is deterministic, so K_i = (c(0) - c(t_i)) + dt sum_{j<i} K_j
+    spec, c = _binding_resistance()
+    sol = exact_solve(spec, n)
+    ref = [0.0]
+    for i in range(1, n + 1):
+        ref.append((c(0.0) - c(sol.times[i])) + sol.dt * sum(ref[:i]))
+    assert np.max(np.abs(sol.k - np.array(ref))) <= 1e-12
+    assert sol.k[-1] > 0.0
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_lattice_backend_matches_oracle_under_binding_resistance(n):
+    spec, _ = _binding_resistance()
+    exact = exact_solve(spec, n)
+    backend = LatticeBackend(make_grid(BIND_T, n))
+    sol, _ = picard_solve(spec, backend.grid, backend, tol=1e-12)
+    assert np.max(np.abs(sol.mean_y_path(backend) - exact.mean_y)) <= 1e-10
+    assert np.max(np.abs(sol.k - exact.k)) <= 1e-10
+    assert abs(sol.diagnostics["flatness_right"] - exact.flatness_right) <= 1e-10
 
 
 def test_regression_backend_within_monte_carlo_budget(regression_backend):

@@ -108,3 +108,36 @@ def test_scenario_from_dict_rejects_unknown_keys():
         cfg[section] = {**entry, "params": {**entry.get("params", {}), "bogus": 3}}
         with pytest.raises(TypeError, match="bogus"):
             scenario_from_dict(cfg)
+
+
+def _inline(**changes):
+    cfg = {"T": 0.5, "d": 1, "terminal": {"kind": "brownian"},
+           "driver": {"kind": "zero"}, "loss": {"kind": "linear_shift", "params": {}}}
+    return {**cfg, **changes}
+
+
+@pytest.mark.parametrize("cfg, text", [
+    (_inline(d=1.5), "scenario.d must be an integer, got 1.5"),
+    (_inline(d="1"), "scenario.d must be a number, got '1'"),
+    (_inline(T="0.5"), "scenario.T must be a number, got '0.5'"),
+    (_inline(T=True), "scenario.T must be a number, got True"),
+    (_inline(driver={"kind": "constant", "params": {"value": "1"}}),
+     "driver.params.value must be a number, got '1'"),
+    (_inline(driver={"kind": "constant", "params": {"value": True}}),
+     "driver.params.value must be a number, got True"),
+    (_inline(loss={"kind": "linear_shift", "params": {"c0": False}}),
+     "loss.params.c0 must be a number, got False"),
+    (_inline(loss={"kind": "linear_shift", "params": [0.1]}),
+     "loss.params must be an object"),
+], ids=["d-fraction", "d-string", "T-string", "T-bool", "param-string",
+        "param-bool", "param-false", "params-list"])
+def test_scenario_from_dict_rejects_non_numbers(cfg, text):
+    with pytest.raises(ValueError) as err:
+        scenario_from_dict(cfg)
+    assert str(err.value) == text
+
+
+def test_scenario_from_dict_reads_integral_numbers():
+    spec = scenario_from_dict(_inline(T=1, d=2.0))
+    assert spec.horizon == 1.0 and spec.brownian_dim == 2
+    assert isinstance(spec.brownian_dim, int)
