@@ -25,7 +25,6 @@ from .reflect import (FrozenInputs, ReflectedSolution, build_k, constraint_diagn
                       empirical_norms, flatness_residual, solve_deflated,
                       solve_interval, x_process)
 from .scenarios import NamedScenario, get, registry, scenario_from_dict
-from .stitch import (IntervalPlan, plan_intervals, solve_global, stitch_constants,
-                     uniform_bound_check)
+from .stitch import IntervalPlan, plan_intervals, solve_global, stitch_constants
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from .condexp import (LATTICE_MAX_STEPS, LatticeBackend, RegressionBackend,
 from .model import ScenarioSpec, SolverError, validate_assumptions
 from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
-from .picard import contraction_estimate, picard_solve, scenario_constants
+from .picard import (DEFAULT_MAX_ITER, contraction_estimate, picard_solve,
+                     scenario_constants)
 from .reflect import ReflectedSolution, constraint_diagnostics, default_tolerances
 from .stitch import plan_intervals, solve_global, stitch_constants
 
@@ -64,7 +65,7 @@ class RunConfig:
     backend_kind: str = "regression"
     degree: int = 3
     picard_tol: float | None = None
-    picard_max_iter: int = 50
+    picard_max_iter: int = DEFAULT_MAX_ITER
     tol_constraint: float | None = None
     tol_flatness: float | None = None
     stitched: bool = False
@@ -161,7 +162,8 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         backend_kind=backend_kind,
         degree=_number("backend", backend_cfg, "degree", 3, integer=True),
         picard_tol=_number("picard", pic_cfg, "tol"),
-        picard_max_iter=_number("picard", pic_cfg, "max_iter", 50, integer=True),
+        picard_max_iter=_number("picard", pic_cfg, "max_iter", DEFAULT_MAX_ITER,
+                                integer=True),
         tol_constraint=_number("tolerances", tol_cfg, "constraint"),
         tol_flatness=_number("tolerances", tol_cfg, "flatness"),
         stitched=raw.get("stitch") is not None,
@@ -243,11 +245,14 @@ class RunResult:
 
 def execute(cfg: RunConfig) -> RunResult:
     start = time.perf_counter()
+    try:
+        constants = (stitch_constants if cfg.stitched else scenario_constants)(cfg.scenario)
+    except ValueError as exc:
+        raise ConfigError(f"cli: {exc}") from exc
     grid = make_grid(cfg.scenario.horizon, cfg.n)
     backend = build_backend(cfg, grid)
     stitch_report = None
     if cfg.stitched:
-        constants = stitch_constants(cfg.scenario)
         plan = plan_intervals(cfg.scenario, grid, constants,
                               intervals=cfg.stitch_intervals)
         solution, report = solve_global(cfg.scenario, grid, backend, plan,
@@ -256,7 +261,6 @@ def execute(cfg: RunConfig) -> RunResult:
         histories = report.histories
         stitch_report = report
     else:
-        constants = scenario_constants(cfg.scenario)
         solution, history = picard_solve(cfg.scenario, grid, backend,
                                          tol=cfg.picard_tol,
                                          max_iter=cfg.picard_max_iter,

@@ -4,7 +4,7 @@ validation of the standing regularity assumptions by randomized probing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,8 +141,8 @@ class DriverSpec:
     `lam` is the Lipschitz constant (lipschitz mode) or the structure constant of
     the quadratic increment bound (quadratic mode); `alpha` the subquadratic
     exponent of the zbar slot; `zero_bound` bounds |f(t,0,0,0,0,0)|;
-    `zero_z_bound`, when declared, asserts |f(t,y,ybar,0,zbar)| <= zero_z_bound
-    and enables the uniform-bound check of the global solver.
+    `zero_z_bound`, when declared, asserts |f(t,y,ybar,0,zbar)| <= zero_z_bound;
+    it is recorded with the scenario and not probed.
     """
 
     kind: str
@@ -327,15 +327,11 @@ class AssumptionCheck:
     name: str
     worst_ratio: float
     passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    scenario: str
-    probes: int
-    seed: int
-    checks: tuple[AssumptionCheck, ...] = field(default_factory=tuple)
+    checks: tuple[AssumptionCheck, ...]
 
     @property
     def passed(self) -> bool:
@@ -347,30 +343,17 @@ class ValidationReport:
                 return c.worst_ratio
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "probes": self.probes,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "worst_ratio": c.worst_ratio,
-                 "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
-
-def _ratio_check(name, num, den, detail="") -> AssumptionCheck:
+def _ratio_check(name, num, den) -> AssumptionCheck:
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     ok = den > 0.0
     worst = float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
-    return AssumptionCheck(name, worst, worst <= PASS_RATIO, detail)
+    return AssumptionCheck(name, worst, worst <= PASS_RATIO)
 
 
-def _bool_check(name, all_good: bool, detail="") -> AssumptionCheck:
-    return AssumptionCheck(name, 0.0 if all_good else math.inf, all_good, detail)
+def _bool_check(name, all_good: bool) -> AssumptionCheck:
+    return AssumptionCheck(name, 0.0 if all_good else math.inf, all_good)
 
 
 def _driver_checks(spec: ScenarioSpec, rng, probes: int) -> list[AssumptionCheck]:
@@ -462,8 +445,7 @@ def _loss_checks(spec: ScenarioSpec, rng, probes: int) -> list[AssumptionCheck]:
                      loss.growth_const * (1.0 + np.abs(np.concatenate([y1, y2])))),
         _ratio_check("loss_bilip_upper", dl, loss.lip_upper * dy),
         _ratio_check("loss_bilip_lower", loss.lip_lower * dy, dl),
-        _bool_check("loss_positive_tail", bool(np.all(ltail > 0.0)),
-                    detail=f"threshold={loss.positive_above}"),
+        _bool_check("loss_positive_tail", bool(np.all(ltail > 0.0))),
     ]
 
 
@@ -476,8 +458,7 @@ def _terminal_checks(spec: ScenarioSpec, rng, probes: int) -> list[AssumptionChe
     se = float(np.std(lvals)) / math.sqrt(n_samp)
     checks = [
         _ratio_check("terminal_constraint_margin",
-                     np.array([max(0.0, -mean)]), np.array([3.0 * se + 1e-12]),
-                     detail=f"mean={mean:.6g} se={se:.3g}"),
+                     np.array([max(0.0, -mean)]), np.array([3.0 * se + 1e-12])),
     ]
     if spec.mode == QUADRATIC:
         checks.append(_ratio_check("terminal_bound", np.abs(xi),
@@ -488,8 +469,8 @@ def _terminal_checks(spec: ScenarioSpec, rng, probes: int) -> list[AssumptionChe
 def validate_assumptions(spec: ScenarioSpec, probes: int, seed: int) -> ValidationReport:
     """Probe the standing assumptions on `probes` randomized tuples.
 
-    Checks are numerical evidence, not proofs; the probe count and seed are
-    recorded so the report is reproducible.
+    Checks are numerical evidence, not proofs; the same probe count and seed
+    reproduce the same report.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -501,5 +482,4 @@ def validate_assumptions(spec: ScenarioSpec, probes: int, seed: int) -> Validati
     checks += _resistance_checks(spec, rng, max(8, probes // 4))
     checks += _loss_checks(spec, rng, probes)
     checks += _terminal_checks(spec, rng, probes)
-    return ValidationReport(scenario=spec.name, probes=probes, seed=seed,
-                            checks=tuple(checks))
+    return ValidationReport(checks=tuple(checks))

@@ -146,30 +146,33 @@ def constants_report(hl_const: float, bound: float | None, lam: float,
                      alpha: float = 0.0, horizon: float | None = None,
                      radius: float | None = None) -> ConstantsReport:
     """Evaluate every constant that the inputs allow; radius defaults to the
-    ball floor. Raises ValueError on a non-finite input."""
+    ball floor. Raises ValueError on a non-finite input or on overflow."""
     _require_finite("constants_report", hl_const, bound, lam, alpha, horizon, radius)
-    delta_lip = lipschitz_horizon(hl_const, lam) if lam > 0.0 else math.inf
-    fields = dict(hl_const=hl_const, lam=lam, alpha=alpha, bound=bound,
-                  horizon=horizon, delta_lipschitz=delta_lip)
-    if bound is not None and lam > 0.0:
-        floor = quadratic_ball_floor(hl_const, bound, lam)
-        radius = floor if radius is None else radius
-        if radius < floor:
-            raise ValueError(f"radius {radius:g} below the admissible floor {floor:g}")
-        selected, literal, reciprocal = quadratic_contraction_horizon(
-            radius, hl_const, bound, lam, alpha)
-        fields.update(
-            radius=radius,
-            ball_floor=floor,
-            delta_stability=quadratic_stability_horizon(radius, bound, lam, alpha),
-            contraction_coeff=quadratic_contraction_coeff(hl_const, lam, radius),
-            delta_contraction=selected,
-            delta_contraction_literal=literal,
-            delta_contraction_reciprocal=reciprocal,
-        )
-        if horizon is not None:
-            b1, b2, b = uniform_y_bound(hl_const, bound, lam, horizon)
-            fields.update(y_bound_first=b1, y_bound_second=b2, y_bound=b)
+    try:
+        delta_lip = lipschitz_horizon(hl_const, lam) if lam > 0.0 else math.inf
+        fields = dict(hl_const=hl_const, lam=lam, alpha=alpha, bound=bound,
+                      horizon=horizon, delta_lipschitz=delta_lip)
+        if bound is not None and lam > 0.0:
+            floor = quadratic_ball_floor(hl_const, bound, lam)
+            radius = floor if radius is None else radius
+            if radius < floor:
+                raise ValueError(f"radius {radius:g} below the admissible floor {floor:g}")
+            selected, literal, reciprocal = quadratic_contraction_horizon(
+                radius, hl_const, bound, lam, alpha)
+            fields.update(
+                radius=radius,
+                ball_floor=floor,
+                delta_stability=quadratic_stability_horizon(radius, bound, lam, alpha),
+                contraction_coeff=quadratic_contraction_coeff(hl_const, lam, radius),
+                delta_contraction=selected,
+                delta_contraction_literal=literal,
+                delta_contraction_reciprocal=reciprocal,
+            )
+            if horizon is not None:
+                b1, b2, b = uniform_y_bound(hl_const, bound, lam, horizon)
+                fields.update(y_bound_first=b1, y_bound_second=b2, y_bound=b)
+    except OverflowError as exc:
+        raise ValueError(f"a horizon or bound constant overflows: {exc}") from exc
     return ConstantsReport(**fields)
 
 

@@ -169,14 +169,21 @@ def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
     for j in range(m + 1):
         vals = loss.evaluate(grid.nodes[lo + j], y_values[j])
         constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
-    flat_right, flat_left = flatness_residual(constraint, k)
+    return diagnostics_record(constraint, constraint_se,
+                              flatness_residual(constraint, k), backend.loss_tol)
+
+
+def diagnostics_record(constraint, constraint_se, flatness, loss_tol: float) -> dict:
+    """An answer's diagnostics from its per-node constraint means and standard
+    errors, its (right, left) flatness residuals and the shift tolerance."""
+    flat_right, flat_left = flatness
     return {
         "constraint": constraint,
         "constraint_se": constraint_se,
         "min_constraint": float(np.min(constraint)),
         "flatness_right": flat_right,
         "flatness_left": flat_left,
-        "loss_tol": backend.loss_tol,
+        "loss_tol": loss_tol,
     }
 
 

@@ -28,7 +28,6 @@ class NamedScenario:
     name: str
     spec: ScenarioSpec
     closed_form: dict | None = None
-    notes: str = ""
 
 
 def _scenario_a() -> NamedScenario:
@@ -56,8 +55,7 @@ def _scenario_a() -> NamedScenario:
 
     return NamedScenario(
         name=spec.name, spec=spec,
-        closed_form={"k": k_exact, "mean_y": mean_y_exact},
-        notes="driverless; constraint profile 0.3*sin(pi t/T) saturates on [T/2, T]")
+        closed_form={"k": k_exact, "mean_y": mean_y_exact})
 
 
 def _scenario_b() -> NamedScenario:
@@ -74,8 +72,7 @@ def _scenario_b() -> NamedScenario:
     return NamedScenario(
         name=spec.name, spec=spec,
         closed_form={"k": lambda t: 0.0,
-                     "mean_y": lambda t: math.exp(a * (T - t))},
-        notes="mean solves m' = -a m, m(T) = 1; constraint slack so k vanishes")
+                     "mean_y": lambda t: math.exp(a * (T - t))})
 
 
 def _scenario_c() -> NamedScenario:
@@ -88,12 +85,11 @@ def _scenario_c() -> NamedScenario:
         resistance=ResistanceSpec("evaluation"),
         loss=linear_shift_loss(),
     )
-    return NamedScenario(name=spec.name, spec=spec,
-                         notes="resistance feeds back through the generator; "
-                               "horizon within the contraction horizon")
+    return NamedScenario(name=spec.name, spec=spec)
 
 
 def _scenario_d() -> NamedScenario:
+    # the cap keeps the declared increment constants exact under probing
     driver = quadratic_z_driver(a=0.05, gamma=0.1, z_cap=1e3, b=0.02,
                                 zero_bound=1.0, zero_z_bound=1.0)
     loss = linear_shift_loss(c0=-0.5)
@@ -110,9 +106,7 @@ def _scenario_d() -> NamedScenario:
         resistance=ResistanceSpec("zero"),
         loss=loss,
     )
-    return NamedScenario(name=spec.name, spec=spec,
-                         notes="capped quadratic z-term keeps the declared "
-                               "increment constants exact under probing")
+    return NamedScenario(name=spec.name, spec=spec)
 
 
 def registry() -> list[NamedScenario]:

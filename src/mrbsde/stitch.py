@@ -12,9 +12,10 @@ import numpy as np
 
 from .model import QUADRATIC, ScenarioSpec, SolverError
 from .paths import TimeGrid
-from .picard import (ConstantsReport, PicardHistory, constants_report,
-                     contraction_horizon, picard_solve, scenario_constants)
-from .reflect import ReflectedSolution, flatness_residual, sup_norm
+from .picard import (DEFAULT_MAX_ITER, ConstantsReport, PicardHistory,
+                     constants_report, contraction_horizon, picard_solve,
+                     scenario_constants)
+from .reflect import ReflectedSolution, diagnostics_record, flatness_residual
 
 
 class PlanError(SolverError):
@@ -28,7 +29,6 @@ class IntervalPlan:
     """Breakpoints as grid-node indices, ascending from 0 to n."""
 
     breaks: list[int]
-    delta_star: float
     constants: ConstantsReport
     warnings: list[str] = field(default_factory=list)
 
@@ -47,9 +47,9 @@ def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
     horizon-uniform bound on the constrained component, so every interval of
     the backward induction stays admissible.
     """
-    if scenario.mode != QUADRATIC:
-        return scenario_constants(scenario)
     base = scenario_constants(scenario)
+    if scenario.mode != QUADRATIC:
+        return base
     if base.y_bound is None:
         raise PlanError("quadratic stitching needs the uniform bound, which "
                         "requires a declared zero-z bound and horizon")
@@ -97,8 +97,7 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
         warnings.append(
             f"interval length {max(lengths):g} exceeds the contraction "
             f"horizon {delta:g} (advisory)")
-    return IntervalPlan(breaks=breaks, delta_star=delta,
-                        constants=constants, warnings=warnings)
+    return IntervalPlan(breaks=breaks, constants=constants, warnings=warnings)
 
 
 @dataclass(eq=False)
@@ -117,7 +116,7 @@ class StitchReport:
 
 def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
                  plan: IntervalPlan, tol: float | None = None,
-                 max_iter: int = 50) -> tuple[ReflectedSolution, StitchReport]:
+                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[ReflectedSolution, StitchReport]:
     """Solve right-to-left and paste.
 
     Each interval's terminal condition is the pasted solution value at its
@@ -169,45 +168,13 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         k[lo:hi + 1] = piece.k + offset
         offset += piece.k[-1]
 
-    flat_right, flat_left = flatness_residual(constraint, k)
     solution = ReflectedSolution(
         lo=0, hi=n, z=z, k=k, y_deflated=ybar, tail=tail,
-        diagnostics={
-            "constraint": constraint,
-            "constraint_se": constraint_se,
-            "min_constraint": float(np.min(constraint)),
-            "flatness_right": flat_right,
-            "flatness_left": flat_left,
-            "loss_tol": backend.loss_tol,
-        })
+        diagnostics=diagnostics_record(constraint, constraint_se,
+                                       flatness_residual(constraint, k),
+                                       backend.loss_tol))
     seam_constraints = [float(constraint[b]) for b in breaks[1:-1]]
     report = StitchReport(plan=plan, histories=histories,
                           seam_constraints=seam_constraints)
     return solution, report
 
-
-def uniform_bound_check(solution: ReflectedSolution, constants: ConstantsReport,
-                        scenario: ScenarioSpec, plan: IntervalPlan | None = None) -> dict:
-    """Check the horizon-uniform bound on the constrained component.
-
-    Applies in quadratic mode when the scenario declares the zero-z bound; the
-    check reports violations rather than aborting.
-    """
-    applies = (scenario.mode == QUADRATIC
-               and scenario.driver.zero_z_bound is not None
-               and constants.y_bound is not None)
-    s_inf = sup_norm(solution.y)
-    report = {"applies": applies, "s_inf": s_inf, "bound": constants.y_bound}
-    if not applies:
-        report["ok"] = None
-        return report
-    report["ok"] = bool(s_inf <= constants.y_bound)
-    if plan is not None:
-        per_interval = []
-        for a, b in zip(plan.breaks, plan.breaks[1:]):
-            local = sup_norm(solution.y[a:b + 1])
-            per_interval.append({"nodes": [a, b], "s_inf": local,
-                                 "ok": bool(local <= constants.y_bound)})
-        report["per_interval"] = per_interval
-        report["ok"] = report["ok"] and all(p["ok"] for p in per_interval)
-    return report

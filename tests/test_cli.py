@@ -153,9 +153,13 @@ def test_constants_command(capsys):
 
 def test_constants_rejects_bad_input(capsys):
     valid = {"--C": "1", "--L": "1", "--lambda": "1"}
-    for flag, value in (("--lambda", "-2"), ("--C", "nan"), ("--L", "inf"),
-                        ("--lambda", "nan"), ("--T", "inf"), ("--A-tilde", "nan")):
-        flags = {**valid, flag: value}
+    bad = [{flag: value} for flag, value in (
+        ("--lambda", "-2"), ("--C", "nan"), ("--L", "inf"), ("--lambda", "nan"),
+        ("--T", "inf"), ("--A-tilde", "nan"))]
+    # finite flags whose ball floor, uniform bound or Lipschitz horizon overflows
+    bad += [{"--L": "100"}, {"--T": "500"}, {"--C": "1e200", "--lambda": "1e200"}]
+    for extra in bad:
+        flags = {**valid, **extra}
         assert main(["constants", *(x for kv in flags.items() for x in kv)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("picard: ")
@@ -493,6 +497,31 @@ def _overflow_fails(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "no output written" in captured.err
     assert captured.out == ""
+    assert not out.exists()
+
+
+_QUADRATIC_Z = {"kind": "quadratic_z", "params": {
+    "a": 0, "gamma": 0.2, "z_cap": 100, "b": 0, "zero_bound": 200}}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("cfg", [
+    {"scenario": "D_quadratic", "grid": {"T": 5}, "stitch": {}},
+    {"scenario": "D_quadratic", "grid": {"T": 500}},
+    {"scenario": {**_inline(), "T": 0.5,
+                  "driver": {"kind": "linear_mean", "params": {"a": 1e200}}}},
+    {"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5, "driver": _QUADRATIC_Z,
+                  "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}},
+], ids=["D-T5-stitched", "D-T500", "linear_mean-huge-a", "quadratic_z-big-bound"])
+def test_overflowing_constants_exit_3_without_files(tmp_path, capsys, command, cfg):
+    cfg = {"grid": {}, **cfg, "backend": {"kind": "lattice"}}
+    cfg["grid"] = {**cfg["grid"], "n": 8}
+    out = tmp_path / "never"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("cli: a horizon or bound constant overflows")
     assert not out.exists()
 
 

@@ -9,9 +9,9 @@ from mrbsde.model import (QUADRATIC, DriverSpec, ResistanceSpec, ScenarioSpec,
                           linear_shift_loss, scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import ConstantsReport, constants_report, picard_solve
+from mrbsde.reflect import constraint_diagnostics, sup_norm
 from mrbsde.scenarios import get
-from mrbsde.stitch import (PlanError, plan_intervals, solve_global,
-                           stitch_constants, uniform_bound_check)
+from mrbsde.stitch import PlanError, plan_intervals, solve_global, stitch_constants
 
 
 def lattice(T, n):
@@ -133,7 +133,7 @@ def bounded_zero_scenario():
                         loss=linear_shift_loss(c0=-1.0))
 
 
-def test_uniform_bound_check_martingale_case():
+def test_stitched_quadratic_martingale_stays_bounded():
     # f = 0 and |xi| <= L: the solution is the conditional expectation of xi,
     # so its sup norm stays below L and far below the horizon-uniform bound
     spec = bounded_zero_scenario()
@@ -143,21 +143,7 @@ def test_uniform_bound_check_martingale_case():
     # interval count exercises the pasting with the horizon warning recorded
     plan = plan_intervals(spec, grid, constants, intervals=2)
     sol, _ = solve_global(spec, grid, backend, plan)
-    report = uniform_bound_check(sol, constants, spec, plan)
-    assert report["applies"]
-    assert report["s_inf"] <= 1.0 + 1e-12
-    assert report["ok"]
-    assert all(p["ok"] for p in report["per_interval"])
-
-
-def test_uniform_bound_check_not_applicable_for_lipschitz():
-    spec = get("A_sine_constraint").spec
-    grid, backend = lattice(1.0, 4)
-    sol, _ = picard_solve(spec, grid, backend)
-    constants = constants_report(1.0, None, 1.0)
-    report = uniform_bound_check(sol, constants, spec)
-    assert not report["applies"]
-    assert report["ok"] is None
+    assert sup_norm(sol.y) <= 1.0 + 1e-12 < constants.y_bound
 
 
 def test_stitched_y_is_each_pieces_y(monkeypatch):
@@ -182,6 +168,26 @@ def test_stitched_y_is_each_pieces_y(monkeypatch):
     # tail recomputed from the global k would count it twice
     assert not all(np.array_equal(sol.y[i], sol.y_deflated[i] + (sol.k[-1] - sol.k[i]))
                    for i in range(10))
+
+
+@pytest.mark.parametrize("name,kind,n", [
+    ("A_sine_constraint", "lattice", 9), ("A_sine_constraint", "regression", 12),
+    ("D_quadratic", "lattice", 8), ("B_meanfield_linear", "regression", 10)])
+def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
+    # the pasted per-node values, and the record built from them, are what one
+    # loss pass over the stitched answer gives, bit for bit
+    spec = get(name).spec
+    grid = make_grid(spec.horizon, n)
+    if kind == "lattice":
+        backend = LatticeBackend(grid)
+    else:
+        backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 1, seed=5)))
+    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=3)
+    sol, _ = solve_global(spec, grid, backend, plan)
+    fresh = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k)
+    assert sol.diagnostics.keys() == fresh.keys()
+    for key, value in fresh.items():
+        assert np.array_equal(sol.diagnostics[key], value), key
 
 
 def test_one_constraint_pass_per_solve(monkeypatch):
