@@ -215,11 +215,6 @@ def build_backend(cfg: RunConfig, grid):
     return RegressionBackend(ens, degree=cfg.degree)
 
 
-def scenario_hash(spec: ScenarioSpec) -> str:
-    payload = json.dumps(scenarios.scenario_to_dict(spec), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     """Negative control: add a spurious terminal jump to the reflection, which
     shifts every non-terminal value up and raises the flatness residual; the
@@ -338,7 +333,8 @@ def summarize(result: RunResult) -> dict:
     summary = {
         "config": result.cfg.raw,
         "resolved_config": resolved,
-        "scenario_hash": scenario_hash(result.cfg.scenario),
+        "scenario_hash": hashlib.sha256(json.dumps(
+            result.cfg.scenario_cfg, sort_keys=True).encode()).hexdigest(),
         "seed": result.cfg.seed,
         "flatness_residual": sol.diagnostics["flatness_right"],
         "flatness_residual_left": sol.diagnostics["flatness_left"],

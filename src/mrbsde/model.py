@@ -140,9 +140,9 @@ class DriverSpec:
 
     `lam` is the Lipschitz constant (lipschitz mode) or the structure constant of
     the quadratic increment bound (quadratic mode); `alpha` the subquadratic
-    exponent of the zbar slot; `zero_bound` bounds |f(t,0,0,0,0,0)|;
-    `zero_z_bound`, when declared, asserts |f(t,y,ybar,0,zbar)| <= zero_z_bound;
-    it is recorded with the scenario and not probed.
+    exponent of the zbar slot; `zero_bound` bounds |f(t,0,0,0,0,0)|. Quadratic
+    mode needs `lam > 0` and `zero_bound`: the ball radius, the contraction
+    horizon and the horizon-uniform bound are built from them.
     """
 
     kind: str
@@ -150,14 +150,13 @@ class DriverSpec:
     lam: float = 0.0
     alpha: float = 0.0
     zero_bound: float | None = None
-    zero_z_bound: float | None = None
     params: tuple = ()
 
     def __post_init__(self):
         if self.kind not in DRIVER_KINDS:
             raise ValueError(f"unknown driver kind {self.kind!r}")
         _require_finite("driver", *self.params, self.lam, self.alpha,
-                        self.zero_bound, self.zero_z_bound)
+                        self.zero_bound)
         if self.mode not in (LIPSCHITZ, QUADRATIC):
             raise ValueError(f"unknown driver mode {self.mode!r}")
         if self.lam < 0.0:
@@ -167,8 +166,8 @@ class DriverSpec:
         if self.kind in QUADRATIC_DRIVER_KINDS and self.mode != QUADRATIC:
             raise ModeError(f"driver family {self.kind!r} has a quadratic z term "
                             "but is declared lipschitz")
-        if self.mode == QUADRATIC and self.zero_bound is None:
-            raise ValueError("quadratic mode requires zero_bound")
+        if self.mode == QUADRATIC and (self.zero_bound is None or self.lam <= 0.0):
+            raise ValueError("quadratic mode requires zero_bound and lam > 0")
 
     def evaluate(self, t: float, y, ybar: float, z, zbar, g: float):
         """Vectorized over the particle axis: y (m,), z (m, d); returns (m,)."""
@@ -215,13 +214,12 @@ def mean_resist_driver(a: float, b: float) -> DriverSpec:
 
 
 def quadratic_z_driver(a: float, gamma: float, z_cap: float, b: float,
-                       zero_bound: float, zero_z_bound: float | None = None,
-                       alpha: float = 0.0) -> DriverSpec:
+                       zero_bound: float, alpha: float = 0.0) -> DriverSpec:
     lam = max(abs(a), abs(gamma) / 2.0, abs(b))
     if not lam > 0.0:
         raise ValueError("quadratic_z needs lam = max(|a|, |gamma|/2, |b|) > 0")
     return DriverSpec(kind="quadratic_z", mode=QUADRATIC, lam=lam, alpha=alpha,
-                      zero_bound=zero_bound, zero_z_bound=zero_z_bound,
+                      zero_bound=zero_bound,
                       params=(float(a), float(gamma), float(z_cap), float(b)))
 
 
@@ -474,8 +472,6 @@ def validate_assumptions(spec: ScenarioSpec, probes: int, seed: int) -> Validati
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    if spec.driver.kind in QUADRATIC_DRIVER_KINDS and spec.mode != QUADRATIC:
-        raise ModeError("driver family has a quadratic z term but mode is lipschitz")
     rng = np.random.default_rng(seed)
     checks = []
     checks += _driver_checks(spec, rng, probes)

@@ -145,14 +145,15 @@ class ConstantsReport:
 def constants_report(hl_const: float, bound: float | None, lam: float,
                      alpha: float = 0.0, horizon: float | None = None,
                      radius: float | None = None) -> ConstantsReport:
-    """Evaluate every constant that the inputs allow; radius defaults to the
+    """Evaluate every constant that the inputs allow; a `bound` adds the
+    quadratic ones, which need `lam > 0`, with the radius defaulting to the
     ball floor. Raises ValueError on a non-finite input or on overflow."""
     _require_finite("constants_report", hl_const, bound, lam, alpha, horizon, radius)
     try:
         delta_lip = lipschitz_horizon(hl_const, lam) if lam > 0.0 else math.inf
         fields = dict(hl_const=hl_const, lam=lam, alpha=alpha, bound=bound,
                       horizon=horizon, delta_lipschitz=delta_lip)
-        if bound is not None and lam > 0.0:
+        if bound is not None:
             floor = quadratic_ball_floor(hl_const, bound, lam)
             radius = floor if radius is None else radius
             if radius < floor:
@@ -252,13 +253,12 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
 def _frozen_from(scenario, grid, backend, prev: ReflectedSolution) -> FrozenInputs:
     lo, hi = prev.lo, prev.hi
     m = hi - lo
-    mean_y = np.array([float(backend.mean(lo + j, prev.y[j])) for j in range(m + 1)])
+    mean_y = prev.mean_y_path(backend)
     mean_z = np.vstack([np.atleast_1d(backend.mean(lo + j, prev.z[j]))
                         for j in range(m + 1)])
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
-    k_tail = prev.k[-1] - prev.k
     y_ensemble = prev.y if scenario.mode == QUADRATIC else None
-    return FrozenInputs(mean_y, mean_z, resistance, k_tail, y_ensemble)
+    return FrozenInputs(mean_y, mean_z, resistance, prev.tail, y_ensemble)
 
 
 def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:

@@ -91,7 +91,7 @@ def _scenario_c() -> NamedScenario:
 def _scenario_d() -> NamedScenario:
     # the cap keeps the declared increment constants exact under probing
     driver = quadratic_z_driver(a=0.05, gamma=0.1, z_cap=1e3, b=0.02,
-                                zero_bound=1.0, zero_z_bound=1.0)
+                                zero_bound=1.0)
     loss = linear_shift_loss(c0=-0.5)
     # pin the horizon to the scenario's own contraction horizon
     floor = quadratic_ball_floor(hl_constant(loss), 1.0, driver.lam)
@@ -174,8 +174,7 @@ def _build(table, section: str, cfg: dict):
     if not isinstance(params, dict):
         raise ValueError(f"{section}.params must be an object")
     for key, value in params.items():
-        if value is not None:       # null leaves an optional bound undeclared
-            config_number(f"{section}.params.{key}", value)
+        config_number(f"{section}.params.{key}", value)
     return table[kind](params)
 
 
@@ -213,7 +212,6 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         "driver": {"kind": spec.driver.kind, "mode": spec.driver.mode,
                    "lam": spec.driver.lam, "alpha": spec.driver.alpha,
                    "zero_bound": spec.driver.zero_bound,
-                   "zero_z_bound": spec.driver.zero_z_bound,
                    "params": list(spec.driver.params)},
         "resistance": {"kind": spec.resistance.kind},
         "loss": {"kind": spec.loss.kind, "params": list(spec.loss.params),

@@ -45,14 +45,12 @@ def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
 
     In quadratic mode the per-interval ball radius is rebuilt from the
     horizon-uniform bound on the constrained component, so every interval of
-    the backward induction stays admissible.
+    the backward induction stays admissible. Every quadratic scenario has that
+    bound: its driver declares `lam > 0` and `zero_bound`.
     """
     base = scenario_constants(scenario)
     if scenario.mode != QUADRATIC:
         return base
-    if base.y_bound is None:
-        raise PlanError("quadratic stitching needs the uniform bound, which "
-                        "requires a declared zero-z bound and horizon")
     return constants_report(base.hl_const, base.y_bound, base.lam, base.alpha,
                             horizon=scenario.horizon)
 

@@ -90,6 +90,9 @@ def test_mode_contradiction_rejected():
 def test_quadratic_mode_requires_bounds():
     with pytest.raises(ValueError):
         DriverSpec(kind="zero", mode=QUADRATIC, lam=0.5)
+    # lam = 0 would leave the ball radius and both horizons undefined
+    with pytest.raises(ValueError, match="lam > 0"):
+        DriverSpec(kind="zero", mode=QUADRATIC, lam=0.0, zero_bound=1.0)
     drv = DriverSpec(kind="zero", mode=QUADRATIC, lam=0.5, zero_bound=1.0)
     with pytest.raises(ModeError):
         _plain_scenario(drv)   # unbounded terminal in quadratic mode

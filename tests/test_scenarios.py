@@ -62,7 +62,6 @@ def test_scenario_d_horizon_is_contraction_horizon():
                                                 spec.driver.alpha)
     assert spec.horizon == delta
     assert spec.terminal.bound == 1.0
-    assert spec.driver.zero_z_bound is not None
 
 
 def test_scenario_from_dict_roundtrip():
@@ -108,6 +107,14 @@ def test_scenario_from_dict_rejects_unknown_keys():
         cfg[section] = {**entry, "params": {**entry.get("params", {}), "bogus": 3}}
         with pytest.raises(TypeError, match="bogus"):
             scenario_from_dict(cfg)
+    # no computation reads a zero-z bound, so a quadratic driver declares none
+    quadratic = {"kind": "quadratic_z",
+                 "params": {"a": 0.05, "gamma": 0.1, "z_cap": 1e3, "b": 0.02,
+                            "zero_bound": 1.0, "zero_z_bound": 1.0}}
+    with pytest.raises(TypeError, match="zero_z_bound"):
+        scenario_from_dict({"T": 1.0, "terminal": {"kind": "scaled_tanh"},
+                            "driver": quadratic,
+                            "loss": {"kind": "linear_shift", "params": {}}})
 
 
 def _inline(**changes):
@@ -127,10 +134,12 @@ def _inline(**changes):
      "driver.params.value must be a number, got True"),
     (_inline(loss={"kind": "linear_shift", "params": {"c0": False}}),
      "loss.params.c0 must be a number, got False"),
+    (_inline(loss={"kind": "linear_shift", "params": {"c0": None}}),
+     "loss.params.c0 must be a number, got None"),
     (_inline(loss={"kind": "linear_shift", "params": [0.1]}),
      "loss.params must be an object"),
 ], ids=["d-fraction", "d-string", "T-string", "T-bool", "param-string",
-        "param-bool", "param-false", "params-list"])
+        "param-bool", "param-false", "param-null", "params-list"])
 def test_scenario_from_dict_rejects_non_numbers(cfg, text):
     with pytest.raises(ValueError) as err:
         scenario_from_dict(cfg)

@@ -125,8 +125,8 @@ def test_solve_global_rejects_bad_plan():
 
 
 def bounded_zero_scenario():
-    driver = DriverSpec(kind="zero", mode=QUADRATIC, lam=0.1, zero_bound=1.0,
-                        zero_z_bound=1.0)
+    # quadratic stitching needs lam > 0 and zero_bound, and no zero-z bound
+    driver = DriverSpec(kind="zero", mode=QUADRATIC, lam=0.1, zero_bound=1.0)
     return ScenarioSpec(name="bounded_zero", horizon=1.0, brownian_dim=1,
                         terminal=scaled_tanh_terminal(1.0), driver=driver,
                         resistance=ResistanceSpec("zero"),
