@@ -3,8 +3,8 @@ constants / compare-oracle workflows, write CSV time series and JSON summaries.
 
 Exit codes: 0 success, 1 verification failed or a rank-deficient regression
 (`SolverError.exit_code`), 2 no convergence, 3 configuration error (including
-a step too coarse for the implicit node fixed point, an inadmissible stitching
-plan, and a solution that overflows the summary).
+a step too coarse for the implicit node step, lam * dt >= 1, an inadmissible
+stitching plan, and a solution that overflows the summary).
 """
 
 from __future__ import annotations
@@ -180,12 +180,14 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         raise ConfigError("cli: backend.degree must be >= 0")
     if cfg.picard_max_iter < 1:
         raise ConfigError("cli: picard.max_iter must be >= 1")
-    # no solution passes a negative gate, and a negative tolerance never stops
+    # no solution passes a negative gate, a negative tolerance never stops,
+    # and a negative jump would make the reflection decrease
     for name, value in (("picard.tol", cfg.picard_tol),
                         ("tolerances.constraint", cfg.tol_constraint),
                         ("tolerances.flatness", cfg.tol_flatness),
                         ("compare.lattice_budget", cfg.lattice_budget),
-                        ("compare.mc_budget", cfg.mc_budget)):
+                        ("compare.mc_budget", cfg.mc_budget),
+                        ("debug.inflate_k", cfg.inflate_k)):
         if value is not None and value < 0:
             raise ConfigError(f"cli: {name} must be >= 0")
     if cfg.backend_kind == "lattice":

@@ -169,6 +169,13 @@ class DriverSpec:
         if self.mode == QUADRATIC and (self.zero_bound is None or self.lam <= 0.0):
             raise ValueError("quadratic mode requires zero_bound and lam > 0")
 
+    @property
+    def y_slope(self) -> float:
+        """The coefficient of y in f. Every family is affine in y, so
+        f(t, y1, ...) - f(t, y0, ...) = y_slope * (y1 - y0); the implicit node
+        step of the deflated solve is solved in closed form on this."""
+        return self.params[0] if self.kind in ("linear_y", "quadratic_z") else 0.0
+
     def evaluate(self, t: float, y, ybar: float, z, zbar, g: float):
         """Vectorized over the particle axis: y (m,), z (m, d); returns (m,)."""
         y = np.asarray(y, dtype=float)

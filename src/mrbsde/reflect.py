@@ -1,7 +1,8 @@
-"""Single-interval reflected solve with frozen (or per-step implicit) generator
-inputs: deflated backward induction, the reflection path built as a backward
-running supremum of minimal shifts of the deflated process's laws, the
-flatness / constraint diagnostics, and the sample norms."""
+"""Single-interval reflected solve with frozen generator inputs (the Lipschitz
+mode y slot implicit, solved per node in closed form): deflated backward
+induction, the reflection path built as a backward running supremum of minimal
+shifts of the deflated process's laws, the flatness / constraint diagnostics,
+and the sample norms."""
 
 from __future__ import annotations
 
@@ -14,18 +15,12 @@ from .lossop import loss_operator, DEFAULT_TOL
 from .model import LIPSCHITZ, LossSpec, ScenarioSpec, SolverError
 from .paths import TimeGrid
 
-IMPLICIT_MAX_ITER = 50
-IMPLICIT_TOL = 1e-12
-
 
 class StepSizeError(SolverError):
-    """The per-node fixed point cannot contract; the grid is too coarse."""
+    """lam * dt >= 1: the implicit node step is not guaranteed solvable; the
+    grid is too coarse."""
 
     exit_code = 3
-
-
-class FixedPointError(SolverError):
-    """The per-node fixed point failed to reach tolerance."""
 
 
 def window_grid(grid: TimeGrid, lo: int, hi: int) -> TimeGrid:
@@ -40,8 +35,8 @@ class FrozenInputs:
 
     All paths are window-local: index j corresponds to grid node lo + j.
     `y_ensemble` carries the pathwise frozen y slot of the explicit (quadratic
-    mode) solve; `k_tail` is the frozen reflection tail entering the y slot of
-    the implicit (Lipschitz mode) solve.
+    mode) solve; `k_tail` is the frozen reflection tail added to the current
+    unknown in the y slot of the implicit (Lipschitz mode) node step.
     """
 
     mean_y: np.ndarray
@@ -58,9 +53,11 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
     per-node `ybar` and `z`, each node's row a view of one block per field.
 
     The scenario's mode picks the generator's y slot. In Lipschitz mode it is
-    the current unknown plus the frozen reflection tail, resolved by a
-    per-node fixed point, which needs lam * dt < 1. In quadratic mode it is
-    the frozen ensemble, and the z slot is the current integrand estimate.
+    the current unknown plus the frozen reflection tail: the node equation
+    v = base + f(t, v + tail, ...) * dt is linear in v, because f is affine in
+    y, so one evaluation at v = base divided by 1 - y_slope * dt solves it
+    (needs lam * dt < 1). In quadratic mode the y slot is the frozen ensemble,
+    and the z slot is the current integrand estimate.
     """
     hi = grid.n if hi is None else hi
     m = hi - lo
@@ -69,10 +66,12 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
     implicit = scenario.mode == LIPSCHITZ
     if implicit and drv.lam * dt >= 1.0:
         raise StepSizeError(
-            f"lam*dt = {drv.lam * dt:.3g} >= 1: per-node fixed point cannot "
-            "contract; use a finer grid")
+            f"lam*dt = {drv.lam * dt:.3g} >= 1: the implicit node step is not "
+            "guaranteed solvable; use a finer grid")
     if not implicit and frozen.y_ensemble is None:
         raise ValueError("explicit solve needs a frozen y ensemble")
+    # division by 1.0 is exact, so drivers without a y term step explicitly
+    denom = 1.0 - drv.y_slope * dt if implicit else 1.0
 
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
@@ -86,26 +85,11 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     for j in range(m - 1, -1, -1):
         i = lo + j
-        t_i = grid.nodes[i]
         base, z_i = backend.condexp_and_z(i, ybar[j + 1])
-        g_i = float(frozen.resistance[j])
-        my = float(frozen.mean_y[j])
-        mz = frozen.mean_z[j]
-        if implicit:
-            tail = float(frozen.k_tail[j])
-            v = base
-            for _ in range(IMPLICIT_MAX_ITER):
-                v_new = base + drv.evaluate(t_i, v + tail, my, z_i, mz, g_i) * dt
-                done = float(np.max(np.abs(v_new - v))) <= IMPLICIT_TOL
-                v = v_new
-                if done:
-                    break
-            else:
-                raise FixedPointError(f"implicit node solve stalled at step {i}")
-            ybar[j][...] = v
-        else:
-            f_i = drv.evaluate(t_i, frozen.y_ensemble[j], my, z_i, mz, g_i)
-            np.add(base, f_i * dt, out=ybar[j])
+        y_slot = base + float(frozen.k_tail[j]) if implicit else frozen.y_ensemble[j]
+        f = drv.evaluate(grid.nodes[i], y_slot, float(frozen.mean_y[j]), z_i,
+                         frozen.mean_z[j], float(frozen.resistance[j]))
+        np.add(base, (f / denom) * dt, out=ybar[j])
         zs[j][...] = z_i
     return ybar, zs
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mrbsde import cli, reflect, scenarios
+from mrbsde import cli, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
 from mrbsde.stitch import plan_intervals, stitch_constants
@@ -447,12 +447,6 @@ def test_bracket_error_exits_2_with_one_line(tmp_path, capsys):
     _solve_fails(tmp_path, capsys, cfg, 2, "no nonnegative expected loss")
 
 
-def test_fixed_point_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(reflect, "IMPLICIT_MAX_ITER", 1)
-    cfg = {"scenario": _inline(), "grid": {"n": 4}, "backend": {"kind": "lattice"}}
-    _solve_fails(tmp_path, capsys, cfg, 2, "implicit node solve stalled")
-
-
 def test_plan_error_exits_3_with_one_line(tmp_path, capsys):
     cfg = {"scenario": "C_resistance_lipschitz", "grid": {"n": 4},
            "backend": {"kind": "lattice"}, "stitch": {"intervals": 2}}
@@ -547,6 +541,7 @@ A_REGRESSION = {**A_LATTICE,
     ("grid", "n", 2.5, "grid.n must be an integer, got 2.5"),
     ("ensemble", "seed", 1.5, "ensemble.seed must be an integer, got 1.5"),
     ("ensemble", "antithetic", "no", "ensemble.antithetic must be true or false, got 'no'"),
+    ("debug", "inflate_k", -0.05, "debug.inflate_k must be >= 0"),
 ])
 def test_bad_config_values_exit_3_without_files(tmp_path, capsys, section, key,
                                                 value, text):

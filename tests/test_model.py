@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mrbsde.model import (LIPSCHITZ, QUADRATIC, DriverSpec, LossSpec, ModeError,
+from mrbsde.model import (DRIVER_KINDS, LIPSCHITZ, QUADRATIC,
+                          QUADRATIC_DRIVER_KINDS, DriverSpec, LossSpec, ModeError,
                           ResistanceSpec, ScenarioSpec, brownian_terminal,
                           hl_constant, linear_shift_loss, linear_y_driver,
                           quadratic_z_driver, scaled_tanh_terminal,
@@ -96,6 +97,31 @@ def test_quadratic_mode_requires_bounds():
     drv = DriverSpec(kind="zero", mode=QUADRATIC, lam=0.5, zero_bound=1.0)
     with pytest.raises(ModeError):
         _plain_scenario(drv)   # unbounded terminal in quadratic mode
+
+
+# one driver per family, every parameter nonzero so every term is live
+AFFINE_PROBE_PARAMS = {"zero": (), "constant": (0.7,), "linear_y": (-0.6,),
+                       "linear_mean": (0.5,), "mean_resist": (0.4, -0.9),
+                       "quadratic_z": (0.3, 0.2, 5.0, 0.1)}
+
+
+@pytest.mark.parametrize("kind", DRIVER_KINDS)
+def test_every_driver_is_affine_in_y(kind):
+    # the deflated solve's closed-form implicit node step relies on
+    # f(t, y1, ...) - f(t, y0, ...) = y_slope (y1 - y0)
+    quadratic = kind in QUADRATIC_DRIVER_KINDS
+    drv = DriverSpec(kind=kind, mode=QUADRATIC if quadratic else LIPSCHITZ,
+                     lam=1.0, zero_bound=1.0 if quadratic else None,
+                     params=AFFINE_PROBE_PARAMS[kind])
+    rng = np.random.default_rng(17)
+    m, d = 64, 2
+    for _ in range(20):
+        t, ybar, g = rng.uniform(0.0, 1.0), rng.normal(), rng.normal()
+        z, zbar = rng.normal(size=(m, d)), rng.normal(size=d)
+        y0, y1 = rng.normal(scale=3.0, size=(2, m))
+        gap = (drv.evaluate(t, y1, ybar, z, zbar, g)
+               - drv.evaluate(t, y0, ybar, z, zbar, g))
+        assert np.max(np.abs(gap - drv.y_slope * (y1 - y0))) <= 1e-12
 
 
 def test_scenario_spec_guards():

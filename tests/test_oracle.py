@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from mrbsde.condexp import LatticeBackend
 from mrbsde.model import (ResistanceSpec, ScenarioSpec, brownian_terminal,
-                          linear_shift_loss, mean_resist_driver, zero_driver)
+                          linear_shift_loss, linear_y_driver, mean_resist_driver,
+                          zero_driver)
 from mrbsde.oracle import OracleError, exact_solve, oracle_compare
 from mrbsde.paths import make_grid
 from mrbsde.picard import picard_solve
@@ -50,7 +52,6 @@ def test_exact_solve_guards():
     spec = get("A_sine_constraint").spec
     with pytest.raises(OracleError):
         exact_solve(spec, 13)
-    import dataclasses
     wide = dataclasses.replace(spec, brownian_dim=2)
     with pytest.raises(OracleError):
         exact_solve(wide, 4)
@@ -111,6 +112,21 @@ def test_lattice_backend_matches_oracle_under_binding_resistance(n):
     assert np.max(np.abs(sol.mean_y_path(backend) - exact.mean_y)) <= 1e-10
     assert np.max(np.abs(sol.k - exact.k)) <= 1e-10
     assert abs(sol.diagnostics["flatness_right"] - exact.flatness_right) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_lattice_backend_matches_oracle_linear_y(n):
+    # f = 0.8 y reads the current value: the solver's closed-form implicit
+    # node step against the oracle's own per-node fixed point, with K binding
+    spec = dataclasses.replace(_binding_resistance()[0], name="linear_y",
+                               driver=linear_y_driver(0.8),
+                               resistance=ResistanceSpec("zero"))
+    exact = exact_solve(spec, n)
+    backend = LatticeBackend(make_grid(BIND_T, n))
+    sol, _ = picard_solve(spec, backend.grid, backend, tol=1e-12)
+    assert np.max(np.abs(sol.mean_y_path(backend) - exact.mean_y)) <= 1e-10
+    assert np.max(np.abs(sol.k - exact.k)) <= 1e-10
+    assert sol.k[-1] > 0.0
 
 
 def test_regression_backend_within_monte_carlo_budget(regression_backend):

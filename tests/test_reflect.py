@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (DriverSpec, ResistanceSpec, ScenarioSpec,
+from mrbsde.model import (LIPSCHITZ, DriverSpec, ResistanceSpec, ScenarioSpec,
                           brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, zero_driver)
@@ -38,19 +38,23 @@ def first_frozen(spec, grid, backend, lo=0, hi=None):
 
 def deflate_with_generator(spec, grid, backend, frozen):
     """The deflated process of one sweep and the generator values it
-    realized: at each step, the last driver evaluation at that step's time
-    (the implicit node solve evaluates until its fixed point)."""
-    last = {}
+    realized: at each step, the step's one driver evaluation, divided in
+    Lipschitz mode by 1 - y_slope * dt (the implicit node step solved in
+    closed form)."""
+    evals = {}
     evaluate = DriverSpec.evaluate
 
     def spy(self, t, *args):
-        last[t] = evaluate(self, t, *args)
-        return last[t]
+        assert t not in evals, "one driver evaluation per step"
+        evals[t] = evaluate(self, t, *args)
+        return evals[t]
 
     with mock.patch.object(DriverSpec, "evaluate", spy):
         ybar, _ = solve_deflated(spec, grid, backend, frozen)
     n = grid.n
-    realized_f = [last[grid.nodes[i]] for i in range(n)] + [np.zeros(backend.count(n))]
+    denom = 1.0 - spec.driver.y_slope * grid.dt if spec.mode == LIPSCHITZ else 1.0
+    realized_f = ([evals[grid.nodes[i]] / denom for i in range(n)]
+                  + [np.zeros(backend.count(n))])
     return ybar, realized_f
 
 
