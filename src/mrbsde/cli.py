@@ -307,16 +307,21 @@ def summarize(result: RunResult) -> dict:
     from .reflect import empirical_norms
 
     sol = result.solution
-    history = result.histories[-1]
-    try:
-        est = contraction_estimate(history)
+    # a stitched run's ratio is the largest over every interval's sweeps
+    estimates = []
+    for history in result.histories:
+        try:
+            estimates.append(contraction_estimate(history))
+        except ValueError:
+            pass
+    contraction = None
+    if estimates:
+        est = max(estimates, key=lambda e: e.max_ratio)
         contraction = {"max_ratio": est.max_ratio, "bound": est.bound,
                        "metric": est.metric}
-    except ValueError:
-        contraction = None
     norms = empirical_norms(sol.y, sol.z, sol.k, result.grid, result.backend, sol.lo)
     # a stitched run reports its plan's warnings before the intervals'
-    warnings = (result.stitch_report or history).warnings
+    warnings = (result.stitch_report or result.histories[0]).warnings
     defaults = default_tolerances(sol, result.grid)
     if len(result.histories) == 1:
         distances = result.histories[0].distances

@@ -187,9 +187,10 @@ class RegressionBackend:
     def law(self, i: int, values) -> EmpiricalLaw:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float))
 
-    def sup_sq_mean(self, values, lo: int = 0) -> float:
-        """E[ sup_i |V_i|^2 ] over an iterable of per-node particle values."""
-        sup = _sup_abs(values)
+    def sup_sq_mean(self, nodes) -> float:
+        """E[ sup_i |V_i|^2 ] over an iterable of (grid node i, particle values
+        V_i) pairs, in any node order."""
+        sup = _sup_abs(v for _, v in nodes)
         return float(particle_mean(sup * sup, self.ensemble.antithetic))
 
 
@@ -255,9 +256,10 @@ class LatticeBackend:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float),
                             weights=self.probs(i))
 
-    def sup_sq_mean(self, values, lo: int = 0) -> float:
-        """Exact E[ sup |V|^2 ] by enumerating all 2^n equally likely paths;
-        the j-th of the iterable's node values sits at grid node lo + j."""
-        sup = _sup_abs(np.asarray(v, dtype=float)[self._paths[:, lo + j]]
-                       for j, v in enumerate(values))
+    def sup_sq_mean(self, nodes) -> float:
+        """Exact E[ sup |V|^2 ] by enumerating all 2^n equally likely paths,
+        over an iterable of (grid node i, node values V_i) pairs in any node
+        order; each path reads V_i at its node index at step i."""
+        sup = _sup_abs(np.asarray(v, dtype=float)[self._paths[:, i]]
+                       for i, v in nodes)
         return float(np.mean(sup * sup))

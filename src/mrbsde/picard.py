@@ -233,17 +233,19 @@ class ContractionEstimate:
 
 def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
                      grid: TimeGrid, backend, mode: str) -> float:
-    """Distance between consecutive iterates on the shared ensemble.
+    """Distance between two complete iterates on the shared ensemble.
 
     Lipschitz mode uses the root-sum-square of (sample S2, sample H2, sup-k);
     quadratic mode sums (sample S-inf, BMO proxy, sup-k). Both y terms reduce
-    the differences node by node.
+    the differences node by node. The sweep finds the same distance inside its
+    backward pass (`solve_interval`); this is the distance pass of the
+    two-pass reference the tests compare it with.
     """
     lo, m = new.lo, len(new.z) - 1
     dy = (new.y[j] - prev.y[j] for j in range(m + 1))
     dk = float(np.max(np.abs(new.k - prev.k)))
     if mode == LIPSCHITZ:
-        s2_sq = backend.sup_sq_mean(dy, lo)
+        s2_sq = backend.sup_sq_mean(enumerate(dy, lo))
         dz_sq = h2_sq((new.z[j] - prev.z[j] for j in range(m)), grid, backend, lo)
         return math.sqrt(s2_sq + dz_sq + dk * dk)
     dz = [a - b for a, b in zip(new.z, prev.z)]
@@ -277,9 +279,10 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     """Iterate the reflected solve from the zero triple until the inter-iterate
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
-    A stall returns the last iterate with `converged=False` and
-    `stop_reason="stalled"`; running out of `max_iter` raises
-    `ConvergenceError`. The returned iterate, and only it, carries the
+    Each sweep is one backward pass written over the previous iterate, so a
+    solve holds one iterate's blocks. A stall returns the last iterate with
+    `converged=False` and `stop_reason="stalled"`; running out of `max_iter`
+    raises `ConvergenceError`. The returned iterate, and only it, carries the
     constraint diagnostics.
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
@@ -311,9 +314,8 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     solution = None
     for sweep in range(1, max_iter + 1):
         frozen = _frozen_from(scenario, grid, backend, prev)
-        solution = solve_interval(scenario, grid, backend, frozen, lo, hi,
-                                  terminal_values)
-        dist = iterate_distance(prev, solution, grid, backend, mode)
+        solution, dist = solve_interval(scenario, grid, backend, frozen, prev,
+                                        terminal_values)
         history.distances.append(dist)
         if mode == QUADRATIC:
             record = _ball_record(solution, grid, backend, constants.radius)

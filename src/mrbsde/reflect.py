@@ -1,11 +1,13 @@
 """Single-interval reflected solve with frozen generator inputs (the Lipschitz
-mode y slot implicit, solved per node in closed form): deflated backward
-induction, the reflection path built as a backward running supremum of minimal
-shifts of the deflated process's laws, the flatness / constraint diagnostics,
-and the sample norms."""
+mode y slot implicit, solved per node in closed form): one backward pass that
+deflates, builds the reflection path as a backward running supremum of minimal
+shifts of the deflated process's laws, and measures the distance from the
+previous iterate while writing over it; the flatness / constraint
+diagnostics, and the sample norms."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -46,20 +48,31 @@ class FrozenInputs:
     y_ensemble: Sequence | None = None
 
 
-def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                   frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
-                   terminal_values=None) -> tuple[list, list]:
-    """Backward Euler for the deflated (unconstrained) equation; returns the
-    per-node `ybar` and `z`, each node's row a view of one block per field.
+def _node_blocks(backend, lo: int, hi: int) -> tuple[list, list]:
+    """Zeroed per-node rows of one block per field: node j of the window owns
+    the first count(lo + j) entries of row j of an (m+1, width) block for y
+    and of an (m+1, d, width) block for z."""
+    width = backend.count(hi)
+    counts = [backend.count(lo + j) for j in range(hi - lo + 1)]
+    ys = [row[:c] for row, c in zip(np.zeros((len(counts), width)), counts)]
+    zs = [row[:, :c].T for row, c in zip(np.zeros((len(counts), backend.d, width)), counts)]
+    return ys, zs
+
+
+def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
+                    frozen: FrozenInputs, lo: int, hi: int, terminal_values):
+    """Backward Euler for the deflated (unconstrained) equation, one node at a
+    time: yields (j, ybar_j, z_j) for j = m, m-1, ..., 0, each a fresh array,
+    with z_m None at the terminal node.
 
     The scenario's mode picks the generator's y slot. In Lipschitz mode it is
     the current unknown plus the frozen reflection tail: the node equation
     v = base + f(t, v + tail, ...) * dt is linear in v, because f is affine in
     y, so one evaluation at v = base divided by 1 - y_slope * dt solves it
     (needs lam * dt < 1). In quadratic mode the y slot is the frozen ensemble,
-    and the z slot is the current integrand estimate.
+    read at node j before node j is yielded, and the z slot is the current
+    integrand estimate.
     """
-    hi = grid.n if hi is None else hi
     m = hi - lo
     drv = scenario.driver
     dt = grid.dt
@@ -73,24 +86,39 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
     # division by 1.0 is exact, so drivers without a y term step explicitly
     denom = 1.0 - drv.y_slope * dt if implicit else 1.0
 
-    if terminal_values is None:
-        terminal_values = scenario.terminal.evaluate(backend.state(hi))
-    # one block per field, node j its first count(lo + j) entries; z keeps its
-    # zeros at the terminal node
-    width = backend.count(hi)
-    counts = [backend.count(lo + j) for j in range(m + 1)]
-    ybar = [row[:c] for row, c in zip(np.empty((m + 1, width)), counts)]
-    zs = [row[:, :c].T for row, c in zip(np.zeros((m + 1, backend.d, width)), counts)]
-    ybar[m][...] = terminal_values
-
-    for j in range(m - 1, -1, -1):
+    def step(j, ybar_next):
+        # the step's temporaries die on return, before the next projection
         i = lo + j
-        base, z_i = backend.condexp_and_z(i, ybar[j + 1])
+        base, z_i = backend.condexp_and_z(i, ybar_next)
         y_slot = base + float(frozen.k_tail[j]) if implicit else frozen.y_ensemble[j]
         f = drv.evaluate(grid.nodes[i], y_slot, float(frozen.mean_y[j]), z_i,
                          frozen.mean_z[j], float(frozen.resistance[j]))
-        np.add(base, (f / denom) * dt, out=ybar[j])
-        zs[j][...] = z_i
+        return base + (f / denom) * dt, z_i
+
+    ybar = np.asarray(terminal_values, dtype=float)
+    yield m, ybar, None
+    for j in range(m - 1, -1, -1):
+        ybar, z = step(j, ybar)
+        yield j, ybar, z
+
+
+def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
+                   frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
+                   terminal_values=None) -> tuple[list, list]:
+    """The deflated process of one sweep, with no reflection; returns the
+    per-node `ybar` and `z`, each node's row a view of one block per field
+    (z keeps its zeros at the terminal node). The sweep itself
+    (`solve_interval`) runs the same node steps; this is the deflate pass of
+    the two-pass reference the tests compare it with."""
+    hi = grid.n if hi is None else hi
+    if terminal_values is None:
+        terminal_values = scenario.terminal.evaluate(backend.state(hi))
+    ybar, zs = _node_blocks(backend, lo, hi)
+    for j, y, z in _deflated_nodes(scenario, grid, backend, frozen, lo, hi,
+                                   terminal_values):
+        ybar[j][...] = y
+        if z is not None:
+            zs[j][...] = z
     return ybar, zs
 
 
@@ -119,7 +147,9 @@ def build_k(loss: LossSpec, grid: TimeGrid, backend, x_values,
     grid nodes.
 
     rho_j is the minimal shift at node j; the backward running maximum s gives
-    k_j = s_0 - s_j, so k starts at zero and is nondecreasing.
+    k_j = s_0 - s_j, so k starts at zero and is nondecreasing. The sweep
+    finds the same shifts node by node inside its backward pass; this is the
+    shift pass of the two-pass reference the tests compare it with.
     """
     m = len(x_values) - 1
     rho = np.empty(m + 1)
@@ -200,7 +230,7 @@ def h2_sq(zs, grid: TimeGrid, backend, lo: int = 0) -> float:
 def empirical_norms(y_values, zs, k, grid: TimeGrid, backend, lo: int = 0) -> dict:
     """Sample versions of the solution norms used by the fixed-point analysis."""
     return {
-        "s2": float(np.sqrt(backend.sup_sq_mean(y_values, lo))),
+        "s2": float(np.sqrt(backend.sup_sq_mean(enumerate(y_values, lo)))),
         "h2": float(np.sqrt(h2_sq(zs[:-1], grid, backend, lo))),
         "s_inf": sup_norm(y_values),
         "k_sup": float(np.max(np.abs(k))),
@@ -244,26 +274,75 @@ class ReflectedSolution:
 
 
 def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
-    """The (0, 0, 0) starting triple of the fixed-point iteration."""
+    """The (0, 0, 0) starting triple of the fixed-point iteration. Its blocks
+    are the only iterate blocks of a solve: every sweep writes over them."""
     m = hi - lo
-    ybar = [np.zeros(backend.count(lo + j)) for j in range(m + 1)]
-    z = [np.zeros((backend.count(lo + j), backend.d)) for j in range(m + 1)]
+    ybar, z = _node_blocks(backend, lo, hi)
     return ReflectedSolution(lo=lo, hi=hi, z=z, k=np.zeros(m + 1), y_deflated=ybar,
                              tail=np.zeros(m + 1))
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                   frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
-                   terminal_values=None) -> ReflectedSolution:
-    """One full reflected solve for fixed frozen inputs: deflate, extract the
-    reflection from the deflated process, and recompose. The iterate carries
-    no diagnostics; the solver attaches them to the answer it returns."""
-    hi = grid.n if hi is None else hi
+                   frozen: FrozenInputs, prev: ReflectedSolution,
+                   terminal_values=None) -> tuple[ReflectedSolution, float]:
+    """One sweep of the solution map for fixed frozen inputs, in one backward
+    pass written over the previous iterate `prev`.
+
+    At node j the pass deflates, finds the minimal shift rho_j of the law of
+    ybar_j and the backward running maximum s_j = max(rho_j, s_(j+1)), so the
+    remaining reflection s_j - s_m and y_j are known there. It then adds node
+    j's distance terms against `prev`'s node j, and only then writes node j
+    over `prev`'s blocks, so `prev` must not be read afterwards. The
+    reflection is k = s_0 - s.
+
+    Returns the new iterate, which carries no diagnostics, and its distance
+    from `prev`: in Lipschitz mode the root-sum-square of (sample S2, sample
+    H2, sup-k), with a per-particle running sup of |dy| and the per-node H2
+    means summed forward at the end; in quadratic mode the sum of (sample
+    S-inf, BMO proxy, sup-k), the BMO recursion run on dz node by node.
+    """
+    lo, hi = prev.lo, prev.hi
+    m = hi - lo
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
-    ybar, z = solve_deflated(scenario, grid, backend, frozen, lo, hi, terminal_values)
-    k, _ = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
-    return ReflectedSolution(lo=lo, hi=hi, z=z, k=k, y_deflated=ybar, tail=k[-1] - k)
+    lipschitz = scenario.mode == LIPSCHITZ
+    s = np.empty(m + 1)
+    tail = np.empty(m + 1)
+    # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
+    # variation of dz from node j on (quadratic)
+    z_terms = [0.0] * m
+
+    def node_differences():
+        r = None if lipschitz else np.zeros(backend.count(hi))   # BMO recursion on dz
+        for j, ybar_j, z_j in _deflated_nodes(scenario, grid, backend, frozen, lo, hi,
+                                              terminal_values):
+            i = lo + j
+            rho = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j),
+                                backend.loss_tol)
+            s[j] = rho if j == m else np.maximum(rho, s[j + 1])
+            tail[j] = s[j] - s[m]
+            dy = ybar_j + tail[j] - prev.y[j]
+            if j < m:
+                dz_sq = np.sum((z_j - prev.z[j]) ** 2, axis=-1)
+                if lipschitz:
+                    z_terms[j] = backend.mean(i, dz_sq)
+                else:
+                    r = backend.condexp(i, r) + dz_sq * grid.dt
+                    z_terms[j] = float(np.max(r))
+                prev.z[j][...] = z_j
+            prev.y_deflated[j][...] = ybar_j
+            yield i, dy
+
+    nodes = node_differences()
+    y_term = backend.sup_sq_mean(nodes) if lipschitz else sup_norm(dy for _, dy in nodes)
+    k = s[0] - s
+    dk = float(np.max(np.abs(k - prev.k)))
+    if lipschitz:
+        dist = math.sqrt(y_term + sum(z_terms) * grid.dt + dk * dk)
+    else:
+        dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
+    return ReflectedSolution(lo=lo, hi=hi, z=prev.z, k=k, y_deflated=prev.y_deflated,
+                             tail=tail), dist
 
 
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:

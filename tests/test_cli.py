@@ -333,6 +333,29 @@ def test_stitch_plan_warning_reaches_the_outputs(tmp_path, capsys):
     assert report["warnings"] == summary["warnings"]
 
 
+def test_stitched_contraction_ratio_covers_every_interval(tmp_path, capsys):
+    # on stitched lattice B the intervals' largest ratios fall from the first
+    # interval to the last; the reported ratio, and the verify gate that reads
+    # it, take the largest over all of them
+    cfg = write_config(tmp_path, {
+        "scenario": "B_meanfield_linear",
+        "grid": {"n": 9},
+        "backend": {"kind": "lattice"},
+        "stitch": {"intervals": 3},
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    largest = [max(h["ratios"]) for h in summary["picard_history"]]
+    assert len(largest) == 3 and largest[0] > largest[-1]
+    assert summary["contraction_ratio"]["max_ratio"] == max(largest)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    gate = next(c for c in report["checks"] if c["name"] == "contraction_ratio")
+    assert gate["value"] == max(largest)
+
+
 def test_empty_stitch_section_plans_from_the_horizon(tmp_path):
     # the contraction horizon of B is about 0.0021: three steps of 0.000625
     spec = scenarios.with_horizon(scenarios.get("B_meanfield_linear").spec, 0.005)

@@ -264,8 +264,9 @@ def test_regression_sup_sq_mean_streams_bit_for_bit():
     cols = [rng.normal(size=ens.N) for _ in range(7)]
     copies = [c.copy() for c in cols]
     ref = float(particle_mean(_stacked_sup_sq(cols), antithetic=True))
-    assert backend.sup_sq_mean(cols) == ref
-    assert backend.sup_sq_mean(c for c in cols) == ref
+    assert backend.sup_sq_mean(enumerate(cols)) == ref
+    # the sweep passes its nodes backward
+    assert backend.sup_sq_mean(reversed(list(enumerate(cols)))) == ref
     # the running max never writes into the caller's values
     assert all(np.array_equal(a, b) for a, b in zip(cols, copies))
 
@@ -277,8 +278,9 @@ def test_lattice_sup_sq_mean_streams_bit_for_bit():
     cols = [rng.normal(size=lo + j + 1) for j in range(5)]
     gathered = [c[backend._paths[:, lo + j]] for j, c in enumerate(cols)]
     ref = float(np.mean(_stacked_sup_sq(gathered)))
-    assert backend.sup_sq_mean(cols, lo) == ref
-    assert backend.sup_sq_mean((c for c in cols), lo) == ref
+    assert backend.sup_sq_mean(enumerate(cols, lo)) == ref
+    # the sweep passes its nodes backward; each path still reads node lo + j
+    assert backend.sup_sq_mean(reversed(list(enumerate(cols, lo)))) == ref
 
 
 def test_step_rows_are_contiguous_views():

@@ -13,13 +13,14 @@ from mrbsde.model import (LIPSCHITZ, ResistanceSpec, ScenarioSpec,
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
 from mrbsde import picard
 from mrbsde.cli import main
-from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _frozen_from,
-                           constants_report, contraction_estimate,
+from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _ball_record,
+                           _frozen_from, constants_report, contraction_estimate,
                            iterate_distance, lipschitz_horizon, picard_solve,
                            quadratic_ball_floor, quadratic_contraction_coeff,
                            quadratic_contraction_horizon,
                            quadratic_stability_horizon, uniform_y_bound)
-from mrbsde.reflect import solve_interval, zero_solution
+from mrbsde.reflect import (ReflectedSolution, build_k, solve_deflated, solve_interval,
+                            zero_solution)
 from mrbsde.scenarios import get
 
 
@@ -181,7 +182,8 @@ def test_implicit_y_fixed_point_matches_closed_form():
 def test_stall_returns_unconverged(monkeypatch, tmp_path):
     # distances that stop falling end the iteration as a stall, not as
     # convergence; running out of sweeps still raises
-    monkeypatch.setattr(picard, "iterate_distance", lambda *args: 0.5)
+    sweep = picard.solve_interval
+    monkeypatch.setattr(picard, "solve_interval", lambda *args: (sweep(*args)[0], 0.5))
     b = get("B_meanfield_linear").spec
     grid, backend = lattice(b.horizon, 4)
     sol, hist = picard_solve(b, grid, backend, tol=1e-12)
@@ -252,25 +254,139 @@ def test_iterate_distance_streams_within_eight_node_vectors():
     grid = make_grid(1.0, n)
     backend = RegressionBackend(antithetic(sample_ensemble(grid, N // 2, 1, seed=11)))
     spec = get("A_sine_constraint").spec
-    prev = zero_solution(backend, 0, n)
-    new = solve_interval(spec, grid, backend, _frozen_from(spec, grid, backend, prev))
+    # the sweep writes over its zero triple, so the reference reads another
+    prev, kept = zero_solution(backend, 0, n), zero_solution(backend, 0, n)
+    new, swept = solve_interval(spec, grid, backend,
+                                _frozen_from(spec, grid, backend, prev), prev)
 
     tracemalloc.start()
     try:
-        dist = iterate_distance(prev, new, grid, backend, LIPSCHITZ)
+        dist = iterate_distance(kept, new, grid, backend, LIPSCHITZ)
         extra = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert extra <= 8 * N * 8, f"{extra / (N * 8):.1f} node vectors"
 
     # the list-based formula the streamed distance replaces
-    dy = [a - b for a, b in zip(new.y, prev.y)]
-    dz = [a - b for a, b in zip(new.z, prev.z)]
+    dy = [a - b for a, b in zip(new.y, kept.y)]
+    dz = [a - b for a, b in zip(new.z, kept.z)]
     sup = np.abs(np.stack(dy, axis=1)).max(axis=1)
     s2_sq = float(particle_mean(sup * sup, antithetic=True))
     h2_sq = sum(backend.mean(j, np.sum(dz[j] ** 2, axis=-1)) for j in range(n)) * grid.dt
-    dk = float(np.max(np.abs(new.k - prev.k)))
-    assert dist > 0.0 and dist == math.sqrt(s2_sq + h2_sq + dk * dk)
+    dk = float(np.max(np.abs(new.k - kept.k)))
+    assert dist > 0.0 and dist == swept == math.sqrt(s2_sq + h2_sq + dk * dk)
+
+
+def test_picard_solve_holds_one_iterate():
+    # every sweep writes over the zero triple's blocks, so a whole solve holds
+    # one iterate, one projection's working set and a few node vectors; two
+    # iterates alive together would add 2 * (n + 1) node vectors
+    n, N = 32, 20000
+    node = N * 8
+    grid = make_grid(1.0, n)
+    ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
+    ones = np.ones(N)
+    tracemalloc.start()
+    try:
+        # a projection on a step not factored yet: design, factor and fit
+        RegressionBackend(ensemble).condexp_and_z(n // 2, ones)
+        projection = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    backend = RegressionBackend(ensemble)
+    tracemalloc.start()
+    try:
+        _, hist = picard_solve(get("A_sine_constraint").spec, grid, backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hist.distances) >= 2
+    iterate = (n + 1) * (1 + backend.d) * node
+    extra = (peak - iterate - projection) / node
+    assert extra <= 12, f"{extra:.1f} node vectors beyond one iterate and one projection"
+
+
+def _kept_copy(sol: ReflectedSolution) -> ReflectedSolution:
+    return ReflectedSolution(lo=sol.lo, hi=sol.hi, z=[z.copy() for z in sol.z],
+                             k=sol.k.copy(), y_deflated=[y.copy() for y in sol.y_deflated],
+                             tail=sol.tail.copy())
+
+
+def _two_pass_sweep(scenario, grid, backend, frozen, prev, terminal_values=None):
+    """The sweep as three passes over two iterates: deflate, build_k on the
+    deflated values, then iterate_distance; `prev` is left as it was."""
+    lo, hi = prev.lo, prev.hi
+    ybar, z = solve_deflated(scenario, grid, backend, frozen, lo, hi, terminal_values)
+    k, _ = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
+    new = ReflectedSolution(lo=lo, hi=hi, z=z, k=k, y_deflated=ybar, tail=k[-1] - k)
+    return new, iterate_distance(prev, new, grid, backend, scenario.mode)
+
+
+def _binding_linear_y():
+    return ScenarioSpec(name="ylin-bind", horizon=0.5, brownian_dim=1,
+                        terminal=brownian_terminal(), driver=linear_y_driver(0.8),
+                        resistance=ResistanceSpec("zero"),
+                        loss=linear_shift_loss(c0=0.2, amp=-0.2, omega=math.pi))
+
+
+def _binding_resistance():
+    T = 0.05
+    return ScenarioSpec(name="bind", horizon=T, brownian_dim=1,
+                        terminal=brownian_terminal(),
+                        driver=mean_resist_driver(0.0, -1.0),
+                        resistance=ResistanceSpec("evaluation"),
+                        loss=linear_shift_loss(c0=0.2, amp=-0.2, omega=math.pi / (2 * T)))
+
+
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+@pytest.mark.parametrize("make_spec", [
+    lambda: get("A_sine_constraint").spec, _binding_resistance, _binding_linear_y,
+    lambda: get("D_quadratic").spec], ids=["A", "resistance", "linear_y", "D"])
+def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regression_backend):
+    # every sweep of a solve, run also as the two-pass reference on a kept
+    # copy of the previous iterate with the same frozen inputs
+    spec = make_spec()
+    n = 8
+
+    def setup():
+        if kind == "lattice":
+            grid, backend = lattice(spec.horizon, n)
+            return grid, backend, 1e-12
+        grid, backend = regression_backend(spec.horizon, n, N=2000, seed=7, degree=2)
+        return grid, backend, 1e-9
+
+    sweeps = []
+    fused = picard.solve_interval
+
+    def compared(scenario, grid, backend, frozen, prev, terminal_values=None):
+        ref, ref_dist = _two_pass_sweep(scenario, grid, backend, frozen, _kept_copy(prev),
+                                        terminal_values)
+        new, dist = fused(scenario, grid, backend, frozen, prev, terminal_values)
+        assert np.array_equal(new.k, ref.k)
+        y_scale = max(float(np.max(np.abs(y))) for y in ref.y)
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(new.y, ref.y)) <= 1e-15
+        # the tail s_j - s_m and the reference's k_m - k_j round apart by up
+        # to one ulp of Y, which a distance near the stopping floor can see
+        assert abs(dist - ref_dist) <= 1e-12 * ref_dist + np.spacing(y_scale)
+        if scenario.mode != LIPSCHITZ:
+            rec, ref_rec = (_ball_record(sol, grid, backend, 1.0) for sol in (new, ref))
+            for key in ("s_inf", "bmo", "k_sup"):
+                assert rec[key] == pytest.approx(ref_rec[key], rel=1e-12, abs=0.0), key
+        sweeps.append(dist)
+        return new, dist
+
+    grid, backend, tol = setup()
+    monkeypatch.setattr(picard, "solve_interval", compared)
+    _, hist = picard_solve(spec, grid, backend, tol=tol)
+    assert sweeps == hist.distances and len(sweeps) >= 2
+
+    # a whole solve of the two-pass reference stops where the sweep does
+    grid, backend, tol = setup()
+    monkeypatch.setattr(picard, "solve_interval", _two_pass_sweep)
+    _, ref_hist = picard_solve(spec, grid, backend, tol=tol)
+    assert len(ref_hist.distances) == len(hist.distances)
+    assert ref_hist.stop_reason == hist.stop_reason
 
 
 def test_picard_solve_needs_one_sweep():

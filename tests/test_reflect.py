@@ -36,6 +36,15 @@ def first_frozen(spec, grid, backend, lo=0, hi=None):
     return _frozen_from(spec, grid, backend, zero_solution(backend, lo, hi))
 
 
+def first_sweep(spec, grid, backend, lo=0, hi=None):
+    """The first sweep's iterate, written over a zero triple."""
+    hi = grid.n if hi is None else hi
+    zero = zero_solution(backend, lo, hi)
+    sol, _ = solve_interval(spec, grid, backend, _frozen_from(spec, grid, backend, zero),
+                            zero)
+    return sol
+
+
 def deflate_with_generator(spec, grid, backend, frozen):
     """The deflated process of one sweep and the generator values it
     realized: at each step, the step's one driver evaluation, divided in
@@ -205,7 +214,7 @@ def test_build_k_structural_guarantees_random_targets():
 def test_compose_and_negative_control():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
+    sol = first_sweep(spec, grid, backend)
     # the minimal-shift search runs at the lattice's 1e-13 tolerance
     assert sol.y[0][0] == pytest.approx(0.3, abs=1e-9)
     diagnostics = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k)
@@ -237,7 +246,7 @@ def test_y_view_recomposes_deflated_plus_tail(kind):
         grid = make_grid(1.0, 8)
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 1, seed=4)))
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
+    sol = first_sweep(spec, grid, backend)
     assert sol.k[-1] > 0.0
     for j in range(9):
         assert np.array_equal(sol.y[j], sol.y_deflated[j] + (sol.k[-1] - sol.k[j]))
@@ -246,7 +255,7 @@ def test_y_view_recomposes_deflated_plus_tail(kind):
 def test_y_view_sequence_access():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
+    sol = first_sweep(spec, grid, backend)
     y = sol.y
     nodes = [sol.y_deflated[j] + sol.tail[j] for j in range(9)]
 
@@ -288,7 +297,7 @@ def test_empirical_norms_examples():
 def test_norms_scenario_a_reflection_sup():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
+    sol = first_sweep(spec, grid, backend)
     norms = empirical_norms(sol.y, sol.z, sol.k, grid, backend)
     assert norms["k_sup"] == pytest.approx(0.3, abs=1e-10)
 
@@ -296,7 +305,7 @@ def test_norms_scenario_a_reflection_sup():
 def test_solution_constraint_profile_nonnegative():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend))
+    sol = first_sweep(spec, grid, backend)
     diagnostics = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k)
     assert diagnostics["min_constraint"] >= -1e-10
     assert sol.k[0] == 0.0
@@ -307,8 +316,7 @@ def test_solve_interval_window_offsets():
     # a window solve indexes state, time, and laws by global node
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = solve_interval(spec, grid, backend, first_frozen(spec, grid, backend, 4, 8),
-                         lo=4, hi=8)
+    sol = first_sweep(spec, grid, backend, 4, 8)
     assert len(sol.y) == 5
     assert sol.k[0] == 0.0
     # on [T/2, T] the shift profile decreases: k_j = rho_0 - rho_j
