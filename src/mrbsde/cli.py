@@ -419,6 +419,7 @@ def verify_checks(result: RunResult, summary: dict) -> list[dict]:
     defaults = summary["default_tolerances"]
     eps_c = cfg.tol_constraint if cfg.tol_constraint is not None else defaults["constraint"]
     eps_f = cfg.tol_flatness if cfg.tol_flatness is not None else defaults["flatness"]
+    stalled = sum(h.stop_reason == "stalled" for h in result.histories)
 
     checks = [
         {"name": "constraint_profile", "value": sol.diagnostics["min_constraint"],
@@ -430,6 +431,7 @@ def verify_checks(result: RunResult, summary: dict) -> list[dict]:
          "value": float(np.min(np.diff(sol.k), initial=0.0)),
          "threshold": 0.0,
          "passed": bool(sol.k[0] == 0.0 and np.all(np.diff(sol.k) >= 0.0))},
+        {"name": "converged", "value": stalled, "threshold": 0, "passed": stalled == 0},
     ]
 
     contraction = summary["contraction_ratio"]

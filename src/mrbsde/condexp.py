@@ -18,6 +18,7 @@ from .paths import ParticleEnsemble, TimeGrid, particle_mean, particle_mean_se
 
 LATTICE_MAX_STEPS = 12
 COND_WARN = 1e10
+GRAM_COND_MAX = 1e6
 
 
 class RegressionError(SolverError):
@@ -119,29 +120,40 @@ class RegressionBackend:
         return self.ensemble.states[:, i, :]
 
     def _orthonormalizer(self, i: int, phi: np.ndarray) -> np.ndarray:
-        """The p x p map W with phi @ W orthonormal, factored once per step.
+        """The p x p map W = R⁻¹/s with phi @ W orthonormal, factored once per
+        step; s holds phi's column norms and phi/s = QR.
 
-        Columns are equilibrated before the decomposition; this leaves the
-        projection unchanged and keeps the conditioning scale-free. The rank
-        and condition number come from the singular values of R, which are
-        those of the equilibrated design.
+        R is the Cholesky factor of the Gram matrix equilibrated by s while its
+        condition number is at most GRAM_COND_MAX (the normal equations lose
+        cond(G)·eps), and past it comes from a thin QR of phi/s with a rank
+        test. COND_WARN is checked against the design's condition number.
         """
         w = self._factors.get(i)
         if w is not None:
             return w
-        scale = np.max(np.abs(phi), axis=0)
-        scale[scale == 0.0] = 1.0
-        r = np.linalg.qr(phi / scale, mode="r")
-        sv = np.linalg.svd(r, compute_uv=False)
-        rank = int(np.sum(sv > np.finfo(float).eps * max(phi.shape) * sv[0]))
-        if rank < self.basis.n_features:
-            raise RegressionError(
-                f"rank-deficient design matrix at step {i} "
-                f"(degree {self.basis.degree}, rank {rank}/{self.basis.n_features})")
-        if sv[-1] > 0 and sv[0] / sv[-1] > COND_WARN:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = phi.T @ phi
+        s = np.sqrt(gram.diagonal())
+        if not np.isfinite(s).all():
+            raise RegressionError(f"non-finite design matrix at step {i}")
+        s[s == 0.0] = 1.0
+        gram /= np.outer(s, s)
+        ev = np.linalg.eigvalsh(gram)
+        if ev[0] > 0 and ev[-1] <= GRAM_COND_MAX * ev[0]:
+            r, cond = np.linalg.cholesky(gram).T, math.sqrt(ev[-1] / ev[0])
+        else:
+            r = np.linalg.qr(phi / s, mode="r")
+            sv = np.linalg.svd(r, compute_uv=False)
+            rank = int(np.sum(sv > np.finfo(float).eps * max(phi.shape) * sv[0]))
+            if rank < self.basis.n_features:
+                raise RegressionError(
+                    f"rank-deficient design matrix at step {i} "
+                    f"(degree {self.basis.degree}, rank {rank}/{self.basis.n_features})")
+            cond = sv[0] / sv[-1]
+        if cond > COND_WARN:
             warnings.warn(f"ill-conditioned regression at step {i}: "
-                          f"cond={sv[0] / sv[-1]:.3g}", RuntimeWarning)
-        w = np.linalg.inv(r) / scale[:, None]
+                          f"cond={cond:.3g}", RuntimeWarning)
+        w = np.linalg.inv(r) / s[:, None]
         self._factors[i] = w
         return w
 

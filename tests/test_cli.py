@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mrbsde import cli, scenarios
+from mrbsde import cli, picard, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
 from mrbsde.stitch import plan_intervals, stitch_constants
@@ -113,7 +113,7 @@ def test_verify_passes_and_reports_warning(tmp_path, capsys):
     assert report["passed"]
     assert any("contraction horizon" in w for w in report["warnings"])
     names = [c["name"] for c in report["checks"]]
-    assert names == ["constraint_profile", "flatness", "k_monotone",
+    assert names == ["constraint_profile", "flatness", "k_monotone", "converged",
                      "contraction_ratio", "hl_probe", "assumptions"]
 
 
@@ -129,6 +129,27 @@ def test_verify_negative_control_fails_flatness(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["flatness"]
+
+
+@pytest.mark.parametrize("stitch", [None, {"intervals": 2}])
+def test_verify_fails_a_stalled_solve(monkeypatch, tmp_path, capsys, stitch):
+    # distances stuck at 0.5 stall the interval that ends at T, the only one
+    # of an unstitched run and the first of two solved when stitched
+    sweep = picard.solve_interval
+
+    def stall_at_horizon(scenario, grid, backend, frozen, prev, *rest):
+        sol, dist = sweep(scenario, grid, backend, frozen, prev, *rest)
+        return sol, 0.5 if sol.hi == grid.n else dist
+
+    monkeypatch.setattr(picard, "solve_interval", stall_at_horizon)
+    cfg = {"scenario": "B_meanfield_linear", "grid": {"n": 8},
+           "backend": {"kind": "lattice"}}
+    if stitch is not None:
+        cfg["stitch"] = stitch
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    gate = next(c for c in report["checks"] if c["name"] == "converged")
+    assert gate == {"name": "converged", "value": 1, "threshold": 0, "passed": False}
 
 
 def test_verify_writes_report(tmp_path, capsys):

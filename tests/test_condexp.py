@@ -218,36 +218,100 @@ def test_projection_matches_lstsq(dim):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_each_step_factored_once(monkeypatch):
+@pytest.fixture
+def factors(monkeypatch):
+    """The factorisations run, in order: "cholesky" of a step's Gram matrix
+    or "qr" of its design."""
     calls = []
-    qr = np.linalg.qr
+    for name in ("cholesky", "qr"):
+        def spy(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return qr(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", spy)
+def test_each_step_factored_once(monkeypatch, factors):
     grid = make_grid(1.0, 4)
     ens = sample_ensemble(grid, 2000, 2, seed=12)
-    backend = RegressionBackend(ens, degree=2)
-    assert not calls                                   # factoring is lazy
-    v = ens.states[:, 3, 0]
-    first = backend.condexp(2, v)
-    backend.condexp_and_z(2, v)
-    assert np.array_equal(backend.condexp(2, v), first)
-    assert len(calls) == 1
-    backend.condexp(1, ens.states[:, 2, 1])
-    backend.condexp(0, ens.states[:, 1, 1])            # plain average, no factor
-    assert len(calls) == 2
+    for path, gram_cond_max in (("cholesky", condexp.GRAM_COND_MAX), ("qr", 0.0)):
+        monkeypatch.setattr(condexp, "GRAM_COND_MAX", gram_cond_max)
+        factors.clear()
+        backend = RegressionBackend(ens, degree=2)
+        assert not factors                             # factoring is lazy
+        v = ens.states[:, 3, 0]
+        first = backend.condexp(2, v)
+        backend.condexp_and_z(2, v)
+        assert np.array_equal(backend.condexp(2, v), first)
+        assert factors == [path]
+        backend.condexp(1, ens.states[:, 2, 1])
+        backend.condexp(0, ens.states[:, 1, 1])        # plain average, no factor
+        assert factors == [path] * 2
 
 
-def test_regression_ill_conditioning_warns(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_gram_factor_matches_qr_and_lstsq(monkeypatch, factors, dim, degree):
+    grid = make_grid(1.0, 4)
+    ens = antithetic(sample_ensemble(grid, 2000, dim, seed=15))
+    gram, qr = RegressionBackend(ens, degree), RegressionBackend(ens, degree)
+    for i in range(1, grid.n):
+        nxt = ens.states[:, i + 1, :]
+        v = np.sin(nxt[:, 0]) + nxt[:, -1] ** 2
+        phi = reference_design(gram.basis, ens.states[:, i, :])
+        want = phi @ np.linalg.lstsq(phi, v, rcond=None)[0]
+        got = gram.condexp(i, v)
+        with monkeypatch.context() as m:
+            m.setattr(condexp, "GRAM_COND_MAX", 0.0)
+            by_qr = qr.condexp(i, v)
+        for ref in (by_qr, want):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert factors == ["cholesky", "qr"] * (grid.n - 1)
+
+
+def test_ill_conditioned_design_takes_qr_and_overflow_is_refused(factors):
+    grid = make_grid(1.0, 4)
+    base = sample_ensemble(grid, 2000, 1, seed=14)
+
+    def backend(states, degree):
+        return RegressionBackend(ParticleEnsemble(
+            grid=grid, N=2000, d=1, seed=14, increments=base.increments,
+            states=states), degree)
+
+    # offset 10 at degree 3: the equilibrated Gram matrix reads cond 8e7,
+    # past GRAM_COND_MAX, and the design 9e3, which QR resolves
+    shifted = backend(base.states + 10.0, 3)
+    v = np.sin(shifted.state(3)[:, 0])
+    phi = reference_design(shifted.basis, shifted.state(2))
+    phi /= np.max(np.abs(phi), axis=0)
+    want = phi @ np.linalg.lstsq(phi, v, rcond=None)[0]
+    got = shifted.condexp(2, v)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert factors == ["qr"]
+    # powers that overflow, in the Gram matrix (1e80 squared at degree 2) or
+    # in the design itself (1e100 at degree 4), are refused before a factor
+    for scale, degree in ((1e80, 2), (1e100, 4)):
+        huge = backend(base.states * scale, degree)
+        with np.errstate(over="ignore"), pytest.raises(
+                RegressionError, match="non-finite design matrix at step 2"):
+            huge.condexp(2, np.ones(2000))
+    assert factors == ["qr"]
+
+
+def test_regression_ill_conditioning_warns(monkeypatch, factors):
     monkeypatch.setattr(condexp, "COND_WARN", 1.0)
     grid = make_grid(1.0, 4)
     ens = sample_ensemble(grid, 500, 1, seed=13)
-    backend = RegressionBackend(ens, degree=3)
-    with pytest.warns(RuntimeWarning, match="ill-conditioned regression at step 2"):
-        backend.condexp(2, np.ones(500))
+    messages = []
+    for gram_cond_max in (condexp.GRAM_COND_MAX, 0.0):    # Gram path, then QR
+        monkeypatch.setattr(condexp, "GRAM_COND_MAX", gram_cond_max)
+        backend = RegressionBackend(ens, degree=3)
+        with pytest.warns(RuntimeWarning,
+                          match="ill-conditioned regression at step 2") as record:
+            backend.condexp(2, np.ones(500))
+        messages.append(str(record[0].message))
+    assert factors == ["cholesky", "qr"]
+    assert messages[0] == messages[1]   # both read the design's condition number
 
 
 def _stacked_sup_sq(columns):
