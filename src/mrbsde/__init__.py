@@ -21,9 +21,8 @@ from .picard import (ConstantsReport, ContractionEstimate, ConvergenceError,
                      quadratic_ball_floor, quadratic_contraction_coeff,
                      quadratic_contraction_horizon, quadratic_stability_horizon,
                      scenario_constants, uniform_y_bound)
-from .reflect import (FrozenInputs, ReflectedSolution, build_k, constraint_diagnostics,
-                      empirical_norms, flatness_residual, solve_deflated,
-                      solve_interval, x_process)
+from .reflect import (ReflectedSolution, build_k, constraint_diagnostics, empirical_norms,
+                      flatness_residual, solve_deflated, solve_interval, x_process)
 from .scenarios import NamedScenario, get, registry, scenario_from_dict
 from .stitch import IntervalPlan, plan_intervals, solve_global, stitch_constants
 

@@ -224,8 +224,9 @@ def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     k, tail = solution.k.copy(), solution.tail.copy()
     k[-1] += amount
     tail[:-1] += amount
-    return ReflectedSolution(lo=solution.lo, hi=solution.hi, z=solution.z, k=k,
-                             y_deflated=solution.y_deflated, tail=tail)
+    y = [y_j + amount for y_j in solution.y[:-1]] + [solution.y[-1]]
+    return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, z=solution.z, k=k,
+                             tail=tail)
 
 
 @dataclass(eq=False)
@@ -458,13 +459,14 @@ def verify_checks(result: RunResult, summary: dict) -> list[dict]:
 
 def hl_probe_worst(result: RunResult) -> float:
     """Probe the shift operator's mean-Lipschitz bound on coupled perturbations
-    of the solved deflated-process laws, the laws the reflection is read off."""
+    of the solved deflated-process laws (y less its offset), the laws the
+    reflection is read off."""
     sol, backend = result.solution, result.backend
     loss = result.cfg.scenario.loss
     m = sol.hi - sol.lo
     worst = 0.0
     for j in (0, m // 2, m):
-        law = backend.law(sol.lo + j, sol.y_deflated[j])
+        law = backend.law(sol.lo + j, sol.y[j] - sol.tail[j])
         atoms = law.atoms
         pairs = [
             (law, lossop.EmpiricalLaw(atoms + 0.25, law.weights)),

@@ -11,8 +11,8 @@ import numpy as np
 from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, _require_finite,
                     hl_constant)
 from .paths import TimeGrid
-from .reflect import (FrozenInputs, ReflectedSolution, bmo_proxy, constraint_diagnostics,
-                      h2_sq, solve_interval, sup_norm, window_grid, zero_solution)
+from .reflect import (ReflectedSolution, bmo_proxy, constraint_diagnostics, h2_sq,
+                      solve_interval, sup_norm, zero_solution)
 
 DEFAULT_MAX_ITER = 50
 STALL_WINDOW = 3
@@ -252,17 +252,6 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
     return sup_norm(dy) + bmo_proxy(dz, grid, backend, lo) + dk
 
 
-def _frozen_from(scenario, grid, backend, prev: ReflectedSolution) -> FrozenInputs:
-    lo, hi = prev.lo, prev.hi
-    m = hi - lo
-    mean_y = prev.mean_y_path(backend)
-    mean_z = np.vstack([np.atleast_1d(backend.mean(lo + j, prev.z[j]))
-                        for j in range(m + 1)])
-    resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
-    y_ensemble = prev.y if scenario.mode == QUADRATIC else None
-    return FrozenInputs(mean_y, mean_z, resistance, prev.tail, y_ensemble)
-
-
 def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:
     s_inf = sup_norm(sol.y)
     bmo = bmo_proxy(sol.z, grid, backend, sol.lo)
@@ -313,9 +302,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     prev = zero_solution(backend, lo, hi)
     solution = None
     for sweep in range(1, max_iter + 1):
-        frozen = _frozen_from(scenario, grid, backend, prev)
-        solution, dist = solve_interval(scenario, grid, backend, frozen, prev,
-                                        terminal_values)
+        solution, dist = solve_interval(scenario, grid, backend, prev, terminal_values)
         history.distances.append(dist)
         if mode == QUADRATIC:
             record = _ball_record(solution, grid, backend, constants.radius)
@@ -327,10 +314,12 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
             history.converged = True
             history.stop_reason = "tolerance"
             break
+        # stalled: the last STALL_WINDOW sweeps all failed to improve on the
+        # best earlier distance by STALL_REL, and the last is no new maximum
+        # (a diverging run stays a ConvergenceError)
         d = history.distances
-        if (len(d) > STALL_WINDOW and d[-1 - STALL_WINDOW] > 0.0
-                and d[-1] <= d[-1 - STALL_WINDOW]
-                and (d[-1 - STALL_WINDOW] - d[-1]) < STALL_REL * d[-1 - STALL_WINDOW]):
+        if (len(d) > STALL_WINDOW and d[-1] <= max(d[:-1])
+                and min(d[-STALL_WINDOW:]) > (1.0 - STALL_REL) * min(d[:-STALL_WINDOW])):
             history.stop_reason = "stalled"
             break
         prev = solution

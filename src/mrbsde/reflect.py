@@ -8,7 +8,6 @@ diagnostics, and the sample norms."""
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,23 +30,6 @@ def window_grid(grid: TimeGrid, lo: int, hi: int) -> TimeGrid:
     return TimeGrid(T=m * grid.dt, n=m, nodes=np.arange(m + 1) * grid.dt, dt=grid.dt)
 
 
-@dataclass(eq=False)
-class FrozenInputs:
-    """Generator inputs frozen from the previous fixed-point iterate.
-
-    All paths are window-local: index j corresponds to grid node lo + j.
-    `y_ensemble` carries the pathwise frozen y slot of the explicit (quadratic
-    mode) solve; `k_tail` is the frozen reflection tail added to the current
-    unknown in the y slot of the implicit (Lipschitz mode) node step.
-    """
-
-    mean_y: np.ndarray
-    mean_z: np.ndarray
-    resistance: np.ndarray
-    k_tail: np.ndarray
-    y_ensemble: Sequence | None = None
-
-
 def _node_blocks(backend, lo: int, hi: int) -> tuple[list, list]:
     """Zeroed per-node rows of one block per field: node j of the window owns
     the first count(lo + j) entries of row j of an (m+1, width) block for y
@@ -60,19 +42,22 @@ def _node_blocks(backend, lo: int, hi: int) -> tuple[list, list]:
 
 
 def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                    frozen: FrozenInputs, lo: int, hi: int, terminal_values):
-    """Backward Euler for the deflated (unconstrained) equation, one node at a
-    time: yields (j, ybar_j, z_j) for j = m, m-1, ..., 0, each a fresh array,
-    with z_m None at the terminal node.
+                    prev: ReflectedSolution, terminal_values):
+    """Backward Euler for the deflated (unconstrained) equation on `prev`'s
+    window, one node at a time: yields (j, ybar_j, z_j) for j = m, m-1, ..., 0,
+    each a fresh array, with z_m None at the terminal node.
 
-    The scenario's mode picks the generator's y slot. In Lipschitz mode it is
-    the current unknown plus the frozen reflection tail: the node equation
-    v = base + f(t, v + tail, ...) * dt is linear in v, because f is affine in
-    y, so one evaluation at v = base divided by 1 - y_slope * dt solves it
-    (needs lam * dt < 1). In quadratic mode the y slot is the frozen ensemble,
-    read at node j before node j is yielded, and the z slot is the current
-    integrand estimate.
+    The generator's frozen inputs come from the previous iterate `prev`: the
+    means of its y and z, the resistance of its k, and its reflection tail,
+    all read before the first node is yielded. The scenario's mode picks the
+    generator's y slot. In Lipschitz mode it is the current unknown plus
+    `prev`'s tail: the node equation v = base + f(t, v + tail, ...) * dt is
+    linear in v, because f is affine in y, so one evaluation at v = base
+    divided by 1 - y_slope * dt solves it (needs lam * dt < 1). In quadratic
+    mode the y slot is `prev.y[j]`, read before node j is yielded, and the z
+    slot is the current integrand estimate.
     """
+    lo, hi = prev.lo, prev.hi
     m = hi - lo
     drv = scenario.driver
     dt = grid.dt
@@ -81,18 +66,19 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
         raise StepSizeError(
             f"lam*dt = {drv.lam * dt:.3g} >= 1: the implicit node step is not "
             "guaranteed solvable; use a finer grid")
-    if not implicit and frozen.y_ensemble is None:
-        raise ValueError("explicit solve needs a frozen y ensemble")
     # division by 1.0 is exact, so drivers without a y term step explicitly
     denom = 1.0 - drv.y_slope * dt if implicit else 1.0
+    mean_y = prev.mean_y_path(backend)
+    mean_z = [np.atleast_1d(backend.mean(lo + j, z)) for j, z in enumerate(prev.z)]
+    resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
 
     def step(j, ybar_next):
         # the step's temporaries die on return, before the next projection
         i = lo + j
         base, z_i = backend.condexp_and_z(i, ybar_next)
-        y_slot = base + float(frozen.k_tail[j]) if implicit else frozen.y_ensemble[j]
-        f = drv.evaluate(grid.nodes[i], y_slot, float(frozen.mean_y[j]), z_i,
-                         frozen.mean_z[j], float(frozen.resistance[j]))
+        y_slot = base + float(prev.tail[j]) if implicit else prev.y[j]
+        f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i,
+                         mean_z[j], float(resistance[j]))
         return base + (f / denom) * dt, z_i
 
     ybar = np.asarray(terminal_values, dtype=float)
@@ -103,19 +89,18 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
 
 def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                   frozen: FrozenInputs, lo: int = 0, hi: int | None = None,
-                   terminal_values=None) -> tuple[list, list]:
-    """The deflated process of one sweep, with no reflection; returns the
-    per-node `ybar` and `z`, each node's row a view of one block per field
-    (z keeps its zeros at the terminal node). The sweep itself
+                   prev: ReflectedSolution, terminal_values=None) -> tuple[list, list]:
+    """The deflated process of one sweep from the previous iterate `prev`, on
+    its window, with no reflection; returns the per-node `ybar` and `z`, each
+    node's row a view of one block per field (z keeps its zeros at the
+    terminal node), and leaves `prev` as it was. The sweep itself
     (`solve_interval`) runs the same node steps; this is the deflate pass of
     the two-pass reference the tests compare it with."""
-    hi = grid.n if hi is None else hi
+    lo, hi = prev.lo, prev.hi
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     ybar, zs = _node_blocks(backend, lo, hi)
-    for j, y, z in _deflated_nodes(scenario, grid, backend, frozen, lo, hi,
-                                   terminal_values):
+    for j, y, z in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
         ybar[j][...] = y
         if z is not None:
             zs[j][...] = z
@@ -238,36 +223,19 @@ def empirical_norms(y_values, zs, k, grid: TimeGrid, backend, lo: int = 0) -> di
     }
 
 
-class NodeSum(Sequence):
-    """Read-only per-node values base[j] + offset[j], formed when read."""
-
-    def __init__(self, base, offset):
-        self.base, self.offset = base, offset
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return NodeSum(self.base[j], self.offset[j])
-        return self.base[j] + self.offset[j]
-
-
 @dataclass(eq=False)
 class ReflectedSolution:
-    """Constrained triple on a node window; y_j = y_deflated_j + tail_j on read."""
+    """Constrained triple on a node window, with the reflection offset tail_j
+    that node j's y holds over the deflated value (on one interval the
+    remaining reflection k_m - k_j)."""
 
     lo: int
     hi: int
+    y: list
     z: list
     k: np.ndarray
-    y_deflated: list
     tail: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def y(self) -> NodeSum:
-        return NodeSum(self.y_deflated, self.tail)
 
     def mean_y_path(self, backend) -> np.ndarray:
         return np.array([backend.mean(self.lo + j, v) for j, v in enumerate(self.y)])
@@ -277,23 +245,23 @@ def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
     """The (0, 0, 0) starting triple of the fixed-point iteration. Its blocks
     are the only iterate blocks of a solve: every sweep writes over them."""
     m = hi - lo
-    ybar, z = _node_blocks(backend, lo, hi)
-    return ReflectedSolution(lo=lo, hi=hi, z=z, k=np.zeros(m + 1), y_deflated=ybar,
+    y, z = _node_blocks(backend, lo, hi)
+    return ReflectedSolution(lo=lo, hi=hi, y=y, z=z, k=np.zeros(m + 1),
                              tail=np.zeros(m + 1))
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                   frozen: FrozenInputs, prev: ReflectedSolution,
+                   prev: ReflectedSolution,
                    terminal_values=None) -> tuple[ReflectedSolution, float]:
-    """One sweep of the solution map for fixed frozen inputs, in one backward
-    pass written over the previous iterate `prev`.
+    """One sweep of the solution map from the previous iterate `prev`, in one
+    backward pass written over it.
 
     At node j the pass deflates, finds the minimal shift rho_j of the law of
     ybar_j and the backward running maximum s_j = max(rho_j, s_(j+1)), so the
-    remaining reflection s_j - s_m and y_j are known there. It then adds node
-    j's distance terms against `prev`'s node j, and only then writes node j
-    over `prev`'s blocks, so `prev` must not be read afterwards. The
-    reflection is k = s_0 - s.
+    remaining reflection tail_j = s_j - s_m and y_j = ybar_j + tail_j are
+    known there. It then adds node j's distance terms against `prev`'s node
+    j, and only then writes node j over `prev`'s blocks, so `prev` must not
+    be read afterwards. The reflection is k = s_0 - s.
 
     Returns the new iterate, which carries no diagnostics, and its distance
     from `prev`: in Lipschitz mode the root-sum-square of (sample S2, sample
@@ -314,14 +282,16 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     def node_differences():
         r = None if lipschitz else np.zeros(backend.count(hi))   # BMO recursion on dz
-        for j, ybar_j, z_j in _deflated_nodes(scenario, grid, backend, frozen, lo, hi,
+        for j, ybar_j, z_j in _deflated_nodes(scenario, grid, backend, prev,
                                               terminal_values):
             i = lo + j
             rho = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j),
                                 backend.loss_tol)
             s[j] = rho if j == m else np.maximum(rho, s[j + 1])
             tail[j] = s[j] - s[m]
-            dy = ybar_j + tail[j] - prev.y[j]
+            # one temporary: y_j is formed again straight into the block
+            dy = ybar_j + tail[j]
+            dy -= prev.y[j]
             if j < m:
                 dz_sq = np.sum((z_j - prev.z[j]) ** 2, axis=-1)
                 if lipschitz:
@@ -330,7 +300,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     r = backend.condexp(i, r) + dz_sq * grid.dt
                     z_terms[j] = float(np.max(r))
                 prev.z[j][...] = z_j
-            prev.y_deflated[j][...] = ybar_j
+            np.add(ybar_j, tail[j], out=prev.y[j])
             yield i, dy
 
     nodes = node_differences()
@@ -341,8 +311,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         dist = math.sqrt(y_term + sum(z_terms) * grid.dt + dk * dk)
     else:
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
-    return ReflectedSolution(lo=lo, hi=hi, z=prev.z, k=k, y_deflated=prev.y_deflated,
-                             tail=tail), dist
+    return ReflectedSolution(lo=lo, hi=hi, y=prev.y, z=prev.z, k=k, tail=tail), dist
 
 
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:

@@ -145,7 +145,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     n = grid.n
     z = [None] * (n + 1)
-    ybar = [None] * (n + 1)
+    y = [None] * (n + 1)
     tail = np.zeros(n + 1)
     k = np.zeros(n + 1)
     constraint = np.empty(n + 1)
@@ -157,8 +157,8 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         for i in range(lo, own_hi):
             idx = i - lo
             z[i] = piece.z[idx]
-            ybar[i] = piece.y_deflated[idx]
-            # the piece's own tail: its ybar already holds the later reflection
+            y[i] = piece.y[idx]
+            # the piece's own tail: its y already holds the later reflection
             tail[i] = piece.tail[idx]
             # the pieces evaluated the loss on these same node values
             constraint[i] = piece.diagnostics["constraint"][idx]
@@ -167,7 +167,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         offset += piece.k[-1]
 
     solution = ReflectedSolution(
-        lo=0, hi=n, z=z, k=k, y_deflated=ybar, tail=tail,
+        lo=0, hi=n, y=y, z=z, k=k, tail=tail,
         diagnostics=diagnostics_record(constraint, constraint_se,
                                        flatness_residual(constraint, k),
                                        backend.loss_tol))

@@ -181,7 +181,7 @@ def _hl_worst(sol, backend, grid, loss):
     worst = 0.0
     m = sol.hi - sol.lo
     for j in (0, m // 2, m):
-        law = backend.law(sol.lo + j, sol.y_deflated[j])
+        law = backend.law(sol.lo + j, sol.y[j] - sol.tail[j])
         pairs = [(law, EmpiricalLaw(law.atoms + 0.3, law.weights)),
                  (law, EmpiricalLaw(law.atoms * 1.1, law.weights)),
                  (law, EmpiricalLaw(law.atoms + 0.1 * np.sin(law.atoms),

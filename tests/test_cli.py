@@ -137,8 +137,8 @@ def test_verify_fails_a_stalled_solve(monkeypatch, tmp_path, capsys, stitch):
     # of an unstitched run and the first of two solved when stitched
     sweep = picard.solve_interval
 
-    def stall_at_horizon(scenario, grid, backend, frozen, prev, *rest):
-        sol, dist = sweep(scenario, grid, backend, frozen, prev, *rest)
+    def stall_at_horizon(scenario, grid, backend, prev, *rest):
+        sol, dist = sweep(scenario, grid, backend, prev, *rest)
         return sol, 0.5 if sol.hi == grid.n else dist
 
     monkeypatch.setattr(picard, "solve_interval", stall_at_horizon)
@@ -150,6 +150,26 @@ def test_verify_fails_a_stalled_solve(monkeypatch, tmp_path, capsys, stitch):
     report = json.loads(capsys.readouterr().out)
     gate = next(c for c in report["checks"] if c["name"] == "converged")
     assert gate == {"name": "converged", "value": 1, "threshold": 0, "passed": False}
+
+
+def test_plateau_at_the_shift_noise_floor_stalls(tmp_path, capsys):
+    # a binding linear_y solve with a tolerance below the regression shift
+    # search's noise floor: its distances bounce around 1e-10 from sweep 10 on
+    cfg = write_config(tmp_path, {
+        "scenario": {"T": 0.5, "terminal": {"kind": "brownian"},
+                     "driver": {"kind": "linear_y", "params": {"a": 0.8}},
+                     "loss": {"kind": "linear_shift",
+                              "params": {"c0": 0.2, "amp": -0.2, "omega": math.pi}}},
+        "grid": {"n": 16}, "ensemble": {"N": 4000, "seed": 7},
+        "backend": {"kind": "regression"}, "picard": {"tol": 1e-12}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    history = json.loads((tmp_path / "out" / "summary.json").read_text())["picard_history"][0]
+    assert history["stop_reason"] == "stalled" and len(history["distances"]) <= 15
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 1
+    report = json.loads(capsys.readouterr().out)
+    gate = next(c for c in report["checks"] if c["name"] == "converged")
+    assert gate["value"] == 1 and not gate["passed"]
 
 
 def test_verify_writes_report(tmp_path, capsys):

@@ -14,7 +14,7 @@ from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
 from mrbsde import picard
 from mrbsde.cli import main
 from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _ball_record,
-                           _frozen_from, constants_report, contraction_estimate,
+                           constants_report, contraction_estimate,
                            iterate_distance, lipschitz_horizon, picard_solve,
                            quadratic_ball_floor, quadratic_contraction_coeff,
                            quadratic_contraction_horizon,
@@ -256,8 +256,7 @@ def test_iterate_distance_streams_within_eight_node_vectors():
     spec = get("A_sine_constraint").spec
     # the sweep writes over its zero triple, so the reference reads another
     prev, kept = zero_solution(backend, 0, n), zero_solution(backend, 0, n)
-    new, swept = solve_interval(spec, grid, backend,
-                                _frozen_from(spec, grid, backend, prev), prev)
+    new, swept = solve_interval(spec, grid, backend, prev)
 
     tracemalloc.start()
     try:
@@ -308,18 +307,20 @@ def test_picard_solve_holds_one_iterate():
 
 
 def _kept_copy(sol: ReflectedSolution) -> ReflectedSolution:
-    return ReflectedSolution(lo=sol.lo, hi=sol.hi, z=[z.copy() for z in sol.z],
-                             k=sol.k.copy(), y_deflated=[y.copy() for y in sol.y_deflated],
+    return ReflectedSolution(lo=sol.lo, hi=sol.hi, y=[y.copy() for y in sol.y],
+                             z=[z.copy() for z in sol.z], k=sol.k.copy(),
                              tail=sol.tail.copy())
 
 
-def _two_pass_sweep(scenario, grid, backend, frozen, prev, terminal_values=None):
+def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     """The sweep as three passes over two iterates: deflate, build_k on the
     deflated values, then iterate_distance; `prev` is left as it was."""
     lo, hi = prev.lo, prev.hi
-    ybar, z = solve_deflated(scenario, grid, backend, frozen, lo, hi, terminal_values)
+    ybar, z = solve_deflated(scenario, grid, backend, prev, terminal_values)
     k, _ = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
-    new = ReflectedSolution(lo=lo, hi=hi, z=z, k=k, y_deflated=ybar, tail=k[-1] - k)
+    tail = k[-1] - k
+    new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], z=z,
+                            k=k, tail=tail)
     return new, iterate_distance(prev, new, grid, backend, scenario.mode)
 
 
@@ -345,7 +346,7 @@ def _binding_resistance():
     lambda: get("D_quadratic").spec], ids=["A", "resistance", "linear_y", "D"])
 def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regression_backend):
     # every sweep of a solve, run also as the two-pass reference on a kept
-    # copy of the previous iterate with the same frozen inputs
+    # copy of the previous iterate
     spec = make_spec()
     n = 8
 
@@ -359,10 +360,10 @@ def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regressi
     sweeps = []
     fused = picard.solve_interval
 
-    def compared(scenario, grid, backend, frozen, prev, terminal_values=None):
-        ref, ref_dist = _two_pass_sweep(scenario, grid, backend, frozen, _kept_copy(prev),
+    def compared(scenario, grid, backend, prev, terminal_values=None):
+        ref, ref_dist = _two_pass_sweep(scenario, grid, backend, _kept_copy(prev),
                                         terminal_values)
-        new, dist = fused(scenario, grid, backend, frozen, prev, terminal_values)
+        new, dist = fused(scenario, grid, backend, prev, terminal_values)
         assert np.array_equal(new.k, ref.k)
         y_scale = max(float(np.max(np.abs(y))) for y in ref.y)
         assert max(float(np.max(np.abs(a - b))) for a, b in zip(new.y, ref.y)) <= 1e-15

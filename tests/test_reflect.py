@@ -10,9 +10,8 @@ from mrbsde.model import (LIPSCHITZ, DriverSpec, ResistanceSpec, ScenarioSpec,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, zero_driver)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
-from mrbsde.picard import _frozen_from, picard_solve
-from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k,
-                            constraint_diagnostics, empirical_norms,
+from mrbsde.picard import picard_solve
+from mrbsde.reflect import (StepSizeError, build_k, constraint_diagnostics, empirical_norms,
                             flatness_residual, solve_deflated, solve_interval,
                             x_process, zero_solution)
 from mrbsde.scenarios import get
@@ -30,22 +29,18 @@ def scenario(driver, loss=None, terminal=None, T=1.0):
                         loss=loss or linear_shift_loss())
 
 
-def first_frozen(spec, grid, backend, lo=0, hi=None):
-    """The frozen inputs of the first sweep: those of the zero triple."""
-    hi = grid.n if hi is None else hi
-    return _frozen_from(spec, grid, backend, zero_solution(backend, lo, hi))
+def first_prev(grid, backend, lo=0, hi=None):
+    """The previous iterate of the first sweep: the zero triple."""
+    return zero_solution(backend, lo, grid.n if hi is None else hi)
 
 
 def first_sweep(spec, grid, backend, lo=0, hi=None):
     """The first sweep's iterate, written over a zero triple."""
-    hi = grid.n if hi is None else hi
-    zero = zero_solution(backend, lo, hi)
-    sol, _ = solve_interval(spec, grid, backend, _frozen_from(spec, grid, backend, zero),
-                            zero)
+    sol, _ = solve_interval(spec, grid, backend, first_prev(grid, backend, lo, hi))
     return sol
 
 
-def deflate_with_generator(spec, grid, backend, frozen):
+def deflate_with_generator(spec, grid, backend, prev):
     """The deflated process of one sweep and the generator values it
     realized: at each step, the step's one driver evaluation, divided in
     Lipschitz mode by 1 - y_slope * dt (the implicit node step solved in
@@ -59,7 +54,7 @@ def deflate_with_generator(spec, grid, backend, frozen):
         return evals[t]
 
     with mock.patch.object(DriverSpec, "evaluate", spy):
-        ybar, _ = solve_deflated(spec, grid, backend, frozen)
+        ybar, _ = solve_deflated(spec, grid, backend, prev)
     n = grid.n
     denom = 1.0 - spec.driver.y_slope * grid.dt if spec.mode == LIPSCHITZ else 1.0
     realized_f = ([evals[grid.nodes[i]] / denom for i in range(n)]
@@ -70,7 +65,7 @@ def deflate_with_generator(spec, grid, backend, frozen):
 def test_deflated_zero_driver_is_martingale():
     grid, backend = lattice(1.0, 4)
     spec = scenario(zero_driver())
-    ybar, z = solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
+    ybar, z = solve_deflated(spec, grid, backend, first_prev(grid, backend))
     for i in range(5):
         assert np.allclose(ybar[i], backend.state(i)[:, 0], atol=1e-14)
     for i in range(4):
@@ -80,21 +75,23 @@ def test_deflated_zero_driver_is_martingale():
 def test_deflated_constant_driver_exact():
     grid, backend = lattice(1.0, 4)
     spec = scenario(constant_driver(0.7))
-    ybar, _ = solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
+    ybar, _ = solve_deflated(spec, grid, backend, first_prev(grid, backend))
     for i in range(5):
         expected = backend.state(i)[:, 0] + 0.7 * (1.0 - grid.nodes[i])
         assert np.allclose(ybar[i], expected, atol=1e-13)
 
 
 def test_deflated_frozen_mean_tracks_ode():
-    # generator reads the frozen mean path e^{a(T-t)}; Euler error is O(dt)
+    # generator reads the previous iterate's mean path e^{a(T-t)}; Euler error
+    # is O(dt)
     a, T, n = 0.5, 0.5, 8
     grid, backend = lattice(T, n)
     spec = scenario(linear_mean_driver(a), terminal=brownian_shift_terminal(1.0),
                     T=T)
-    frozen = first_frozen(spec, grid, backend)
-    frozen.mean_y[:] = np.exp(a * (T - grid.nodes))
-    ybar, _ = solve_deflated(spec, grid, backend, frozen)
+    prev = first_prev(grid, backend)
+    for j, row in enumerate(prev.y):
+        row[...] = math.exp(a * (T - grid.nodes[j]))
+    ybar, _ = solve_deflated(spec, grid, backend, prev)
     for i in range(n + 1):
         expected = backend.state(i)[:, 0] + math.exp(a * (T - grid.nodes[i]))
         assert np.max(np.abs(ybar[i] - expected)) <= 0.02
@@ -104,14 +101,14 @@ def test_implicit_rejects_coarse_grid():
     grid, backend = lattice(1.0, 2)
     spec = scenario(linear_y_driver(2.5))   # lam*dt = 1.25
     with pytest.raises(StepSizeError, match="finer grid"):
-        solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
+        solve_deflated(spec, grid, backend, first_prev(grid, backend))
 
 
 def test_x_process_zero_driver():
     grid, backend = lattice(1.0, 4)
     spec = scenario(zero_driver())
     _, realized_f = deflate_with_generator(spec, grid, backend,
-                                           first_frozen(spec, grid, backend))
+                                           first_prev(grid, backend))
     xi = spec.terminal.evaluate(backend.state(4))
     x = x_process(grid, backend, xi, realized_f)
     for i in range(5):
@@ -120,7 +117,7 @@ def test_x_process_zero_driver():
 
 def _x_and_ybar_after_one_sweep(backend_kind, style):
     """The target process and the deflated process of one sweep from the
-    frozen inputs of a first iterate, in the given sweep style."""
+    first iterate, in the given sweep style."""
     if style == "quadratic":
         spec = get("D_quadratic").spec
     else:
@@ -133,8 +130,7 @@ def _x_and_ybar_after_one_sweep(backend_kind, style):
     else:
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 1000, 1, 3)))
     prev, _ = picard_solve(spec, grid, backend, max_iter=1, tol=np.inf)
-    frozen = _frozen_from(spec, grid, backend, prev)
-    ybar, realized_f = deflate_with_generator(spec, grid, backend, frozen)
+    ybar, realized_f = deflate_with_generator(spec, grid, backend, prev)
     xi = spec.terminal.evaluate(backend.state(n))
     return x_process(grid, backend, xi, realized_f), ybar
 
@@ -157,7 +153,7 @@ def test_x_process_mean_small_monte_carlo():
     backend = RegressionBackend(ens, degree=3)
     spec = get("A_sine_constraint").spec
     _, realized_f = deflate_with_generator(spec, grid, backend,
-                                           first_frozen(spec, grid, backend))
+                                           first_prev(grid, backend))
     xi = spec.terminal.evaluate(backend.state(8))
     x = x_process(grid, backend, xi, realized_f)
     for i in range(9):
@@ -231,46 +227,24 @@ def test_compose_and_negative_control():
     assert right > 0.01
 
 
-def test_compose_zero_reflection_identity():
-    ybar = [np.array([1.0]), np.array([2.0, 3.0])]
-    sol = ReflectedSolution(lo=0, hi=1, z=[None, None], k=np.zeros(2),
-                            y_deflated=ybar, tail=np.zeros(2))
-    assert all(np.array_equal(a, b) for a, b in zip(sol.y, ybar))
-
-
 @pytest.mark.parametrize("kind", ["lattice", "regression"])
 def test_y_view_recomposes_deflated_plus_tail(kind):
+    # the sweep stores y_j = ybar_j + tail_j, with ybar the deflate pass's
+    # values, in rows of one block that read back as stored
     if kind == "lattice":
         grid, backend = lattice(1.0, 8)
     else:
         grid = make_grid(1.0, 8)
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 1, seed=4)))
     spec = get("A_sine_constraint").spec
+    ybar, _ = solve_deflated(spec, grid, backend, first_prev(grid, backend))
     sol = first_sweep(spec, grid, backend)
     assert sol.k[-1] > 0.0
     for j in range(9):
-        assert np.array_equal(sol.y[j], sol.y_deflated[j] + (sol.k[-1] - sol.k[j]))
-
-
-def test_y_view_sequence_access():
-    grid, backend = lattice(1.0, 8)
-    spec = get("A_sine_constraint").spec
-    sol = first_sweep(spec, grid, backend)
-    y = sol.y
-    nodes = [sol.y_deflated[j] + sol.tail[j] for j in range(9)]
-
-    def same(a, b):
-        return len(a) == len(b) and all(np.array_equal(u, v) for u, v in zip(a, b))
-
-    assert len(y) == 9
-    assert same(list(y), nodes)
-    assert np.array_equal(y[-1], nodes[-1]) and np.array_equal(y[-9], nodes[0])
-    assert same(y[:-1], nodes[:-1]) and same(y[2:7:2], nodes[2:7:2])
-    assert same(y[::-1], nodes[::-1])
-    with pytest.raises(IndexError):
-        y[9]
-    with pytest.raises(TypeError):
-        y[0] = nodes[0]
+        assert np.array_equal(sol.y[j], ybar[j] + sol.tail[j])
+    base = sol.y[0].base
+    assert base is not None and all(row.base is base for row in sol.y)
+    assert all(sol.y[j] is sol.y[j] for j in range(9))
 
 
 def test_flatness_zero_when_reflection_flat():
@@ -320,7 +294,8 @@ def test_solve_interval_window_offsets():
     assert len(sol.y) == 5
     assert sol.k[0] == 0.0
     # on [T/2, T] the shift profile decreases: k_j = rho_0 - rho_j
-    _, rho = build_k(spec.loss, grid, backend, sol.y_deflated, 4, backend.loss_tol)
+    ybar, _ = solve_deflated(spec, grid, backend, first_prev(grid, backend, 4, 8))
+    _, rho = build_k(spec.loss, grid, backend, ybar, 4, backend.loss_tol)
     assert np.allclose(sol.k, rho[0] - rho, atol=1e-12)
 
 
@@ -328,7 +303,7 @@ def test_regression_sweep_rows_share_one_block_per_field():
     grid = make_grid(1.0, 8)
     backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 2, seed=4)), degree=2)
     spec = get("A_sine_constraint").spec
-    sweep = solve_deflated(spec, grid, backend, first_frozen(spec, grid, backend))
+    sweep = solve_deflated(spec, grid, backend, first_prev(grid, backend))
     for name, rows in zip(("ybar", "z"), sweep):
         base = rows[0].base
         assert base is not None and base.shape[0] == 9, name
@@ -339,8 +314,7 @@ def test_lattice_sweep_row_j_holds_the_window_nodes():
     grid, backend = lattice(1.0, 8)
     spec = get("B_meanfield_linear").spec
     lo, hi = 2, 6
-    frozen = first_frozen(spec, grid, backend, lo, hi)
-    sweep = solve_deflated(spec, grid, backend, frozen, lo=lo, hi=hi)
+    sweep = solve_deflated(spec, grid, backend, first_prev(grid, backend, lo, hi))
     for name, rows in zip(("ybar", "z"), sweep):
         assert [len(row) for row in rows] == [lo + j + 1 for j in range(hi - lo + 1)], name
         assert all(row.base is rows[0].base for row in rows), name
