@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,24 +56,27 @@ def _section(raw: dict, name: str, allowed: set[str]) -> dict:
 
 @dataclass(eq=False)
 class RunConfig:
+    """A parsed run configuration; `parse_config` builds it and owns every
+    default."""
+
     scenario: ScenarioSpec
     scenario_cfg: dict
     n: int
-    N: int = 20000
-    seed: int = 0
-    antithetic: bool = True
-    backend_kind: str = "regression"
-    degree: int = 3
-    picard_tol: float | None = None
-    picard_max_iter: int = DEFAULT_MAX_ITER
-    tol_constraint: float | None = None
-    tol_flatness: float | None = None
-    stitched: bool = False
-    stitch_intervals: int | None = None
-    inflate_k: float = 0.0
-    lattice_budget: float = 1e-10
-    mc_budget: float = 1e-2
-    raw: dict = field(default_factory=dict)
+    N: int
+    seed: int
+    antithetic: bool
+    backend_kind: str
+    degree: int
+    picard_tol: float | None
+    picard_max_iter: int
+    tol_constraint: float | None
+    tol_flatness: float | None
+    stitched: bool
+    stitch_intervals: int | None
+    inflate_k: float
+    lattice_budget: float
+    mc_budget: float
+    raw: dict
 
 
 def _number(section: str, cfg: dict, key: str, default=None, integer: bool = False):
@@ -378,18 +381,25 @@ def summary_text(summary: dict) -> str:
 def solve_and_summarize(cfg: RunConfig) -> tuple[RunResult, dict, str]:
     """Run the solve, then build the summary and its JSON text.
 
-    A solution that overflows carries a non-finite Picard distance or norm
-    into the summary, whose encoding refuses it; that is reported once, as a
-    configuration error, so numpy's overflow warnings on the way are muted.
+    A solution that overflows either leaves the sweep a law with non-finite
+    atoms, or carries a non-finite Picard distance or norm into the summary,
+    whose encoding refuses it. Either is reported once, as a configuration
+    error, so numpy's overflow warnings on the way are muted.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        result = execute(cfg)
+        try:
+            result = execute(cfg)
+        except lossop.NonFiniteLawError as exc:
+            raise _overflows(exc) from exc
         summary = summarize(result)
     try:
         return result, summary, summary_text(summary)
     except ValueError as exc:
-        raise ConfigError(f"cli: the solution overflows ({exc}); "
-                          "no output written") from exc
+        raise _overflows(exc) from exc
+
+
+def _overflows(exc: Exception) -> ConfigError:
+    return ConfigError(f"cli: the solution overflows ({exc}); no output written")
 
 
 def write_summary(path: Path, summary: dict):

@@ -14,6 +14,10 @@ DEFAULT_TOL = 1e-10
 DEFAULT_BRACKET_CAP = 2.0 ** 60
 
 
+class NonFiniteLawError(ValueError):
+    """A law with a non-finite atom: the values it is read off overflowed."""
+
+
 class BracketError(SolverError):
     """Bracket expansion exceeded the cap: the loss violates the positive-tail
     assumption numerically."""
@@ -33,7 +37,7 @@ class EmpiricalLaw:
         atoms = np.asarray(self.atoms, dtype=float)
         object.__setattr__(self, "atoms", atoms)
         if not np.all(np.isfinite(atoms)):
-            raise ValueError("law atoms must be finite")
+            raise NonFiniteLawError("law atoms must be finite")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             object.__setattr__(self, "weights", w)

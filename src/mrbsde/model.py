@@ -17,14 +17,11 @@ DRIVER_KINDS = ("zero", "constant", "linear_y", "linear_mean", "mean_resist",
 RESISTANCE_KINDS = ("zero", "evaluation", "running_sup", "scaled_integral")
 TERMINAL_KINDS = ("brownian", "brownian_shift", "scaled_tanh")
 
-# Driver families whose increment bound is genuinely quadratic in z.
-QUADRATIC_DRIVER_KINDS = ("quadratic_z",)
-
 PASS_RATIO = 1.0 + 1e-9
 
 
 class ModeError(ValueError):
-    """Scenario mode flags contradict the declared coefficient family."""
+    """A quadratic-mode driver paired with an unbounded terminal condition."""
 
 
 def _require_finite(owner: str, *values):
@@ -48,26 +45,40 @@ class LossSpec:
     Built-in families:
       linear_shift:   l(t, y) = y - (c0 + amp*sin(omega*t))
       sine_perturbed: l(t, y) = y + beta*sin(y), 0 < beta < 1
-    `positive_above` is the documented threshold with l(t, y) > 0 for y > threshold,
+    Every constant is derived from the family and its parameters: the
+    bi-Lipschitz pair `lip_lower` <= `lip_upper`, the linear growth constant
+    and `positive_above`, a threshold with l(t, y) > 0 for y > threshold,
     which guarantees bracket expansion in the shift search terminates.
     """
 
     kind: str
     params: tuple = ()
-    growth_const: float = 1.0
-    lip_lower: float = 1.0
-    lip_upper: float = 1.0
-    positive_above: float = 0.0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        _require_finite("loss", *self.params, self.growth_const, self.lip_lower,
-                        self.lip_upper, self.positive_above)
-        if not (0.0 < self.lip_lower <= self.lip_upper):
-            raise ValueError("loss needs 0 < lip_lower <= lip_upper")
-        if self.growth_const <= 0.0:
-            raise ValueError("loss growth constant must be positive")
+        _require_finite("loss", *self.params)
+        if self.kind == "sine_perturbed" and not 0.0 < self.params[0] < 1.0:
+            raise ValueError("sine_perturbed needs 0 < beta < 1")
+
+    @property
+    def lip_lower(self) -> float:
+        return 1.0 - self.params[0] if self.kind == "sine_perturbed" else 1.0
+
+    @property
+    def lip_upper(self) -> float:
+        return 1.0 + self.params[0] if self.kind == "sine_perturbed" else 1.0
+
+    @property
+    def positive_above(self) -> float:
+        if self.kind == "linear_shift":
+            c0, amp, _ = self.params
+            return abs(c0) + abs(amp)
+        return self.params[0]
+
+    @property
+    def growth_const(self) -> float:
+        return max(1.0, self.positive_above) if self.kind == "linear_shift" else 1.0
 
     def shift(self, t: float) -> float:
         """Deterministic shift c(t) subtracted by the linear_shift family."""
@@ -103,51 +114,32 @@ class LossSpec:
 
 
 def linear_shift_loss(c0: float = 0.0, amp: float = 0.0, omega: float = 0.0) -> LossSpec:
-    peak = abs(c0) + abs(amp)
-    return LossSpec(
-        kind="linear_shift",
-        params=(float(c0), float(amp), float(omega)),
-        growth_const=max(1.0, peak),
-        lip_lower=1.0,
-        lip_upper=1.0,
-        positive_above=peak,
-    )
+    return LossSpec(kind="linear_shift", params=(float(c0), float(amp), float(omega)))
 
 
 def sine_perturbed_loss(beta: float) -> LossSpec:
-    if not 0.0 < beta < 1.0:
-        raise ValueError("sine_perturbed needs 0 < beta < 1")
-    return LossSpec(
-        kind="sine_perturbed",
-        params=(float(beta),),
-        growth_const=1.0,
-        lip_lower=1.0 - beta,
-        lip_upper=1.0 + beta,
-        positive_above=beta,
-    )
+    return LossSpec(kind="sine_perturbed", params=(float(beta),))
 
 
 def hl_constant(loss: LossSpec) -> float:
     """Lipschitz constant of the shift operator on laws: lip_upper / lip_lower."""
-    if loss.lip_lower <= 0.0:
-        raise ValueError("bi-Lipschitz lower constant must be positive")
     return loss.lip_upper / loss.lip_lower
 
 
 @dataclass(frozen=True, eq=False)
 class DriverSpec:
-    """Generator f(t, y, ybar, z, zbar, g) with declared regularity constants.
+    """Generator f(t, y, ybar, z, zbar, g) of a built-in family.
 
-    `lam` is the Lipschitz constant (lipschitz mode) or the structure constant of
-    the quadratic increment bound (quadratic mode); `alpha` the subquadratic
-    exponent of the zbar slot; `zero_bound` bounds |f(t,0,0,0,0,0)|. Quadratic
-    mode needs `lam > 0` and `zero_bound`: the ball radius, the contraction
-    horizon and the horizon-uniform bound are built from them.
+    The family fixes the mode (quadratic exactly for `quadratic_z`) and its
+    parameters fix `lam`, the Lipschitz constant (Lipschitz mode) or the
+    structure constant of the quadratic increment bound (quadratic mode).
+    `alpha` is the subquadratic exponent of the zbar slot and `zero_bound`
+    bounds |f(t,0,0,0,0,0)|. Quadratic mode needs `lam > 0` and `zero_bound`:
+    the ball radius, the contraction horizon and the horizon-uniform bound are
+    built from them.
     """
 
     kind: str
-    mode: str = LIPSCHITZ
-    lam: float = 0.0
     alpha: float = 0.0
     zero_bound: float | None = None
     params: tuple = ()
@@ -155,19 +147,26 @@ class DriverSpec:
     def __post_init__(self):
         if self.kind not in DRIVER_KINDS:
             raise ValueError(f"unknown driver kind {self.kind!r}")
-        _require_finite("driver", *self.params, self.lam, self.alpha,
-                        self.zero_bound)
-        if self.mode not in (LIPSCHITZ, QUADRATIC):
-            raise ValueError(f"unknown driver mode {self.mode!r}")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        _require_finite("driver", *self.params, self.alpha, self.zero_bound)
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if self.kind in QUADRATIC_DRIVER_KINDS and self.mode != QUADRATIC:
-            raise ModeError(f"driver family {self.kind!r} has a quadratic z term "
-                            "but is declared lipschitz")
-        if self.mode == QUADRATIC and (self.zero_bound is None or self.lam <= 0.0):
+        if self.mode == QUADRATIC and not self.lam > 0.0:
+            raise ValueError("quadratic_z needs lam = max(|a|, |gamma|/2, |b|) > 0")
+        if self.mode == QUADRATIC and self.zero_bound is None:
             raise ValueError("quadratic mode requires zero_bound and lam > 0")
+
+    @property
+    def mode(self) -> str:
+        return QUADRATIC if self.kind == "quadratic_z" else LIPSCHITZ
+
+    @property
+    def lam(self) -> float:
+        if self.kind in ("zero", "constant"):
+            return 0.0
+        if self.kind == "quadratic_z":
+            a, gamma, _, b = self.params
+            return max(abs(a), abs(gamma) / 2.0, abs(b))
+        return max(abs(p) for p in self.params)
 
     @property
     def y_slope(self) -> float:
@@ -200,33 +199,28 @@ class DriverSpec:
 
 
 def zero_driver() -> DriverSpec:
-    return DriverSpec(kind="zero", lam=0.0)
+    return DriverSpec(kind="zero")
 
 
 def constant_driver(value: float) -> DriverSpec:
-    return DriverSpec(kind="constant", lam=0.0, params=(float(value),))
+    return DriverSpec(kind="constant", params=(float(value),))
 
 
 def linear_y_driver(a: float) -> DriverSpec:
-    return DriverSpec(kind="linear_y", lam=abs(a), params=(float(a),))
+    return DriverSpec(kind="linear_y", params=(float(a),))
 
 
 def linear_mean_driver(a: float) -> DriverSpec:
-    return DriverSpec(kind="linear_mean", lam=abs(a), params=(float(a),))
+    return DriverSpec(kind="linear_mean", params=(float(a),))
 
 
 def mean_resist_driver(a: float, b: float) -> DriverSpec:
-    return DriverSpec(kind="mean_resist", lam=max(abs(a), abs(b)),
-                      params=(float(a), float(b)))
+    return DriverSpec(kind="mean_resist", params=(float(a), float(b)))
 
 
 def quadratic_z_driver(a: float, gamma: float, z_cap: float, b: float,
                        zero_bound: float, alpha: float = 0.0) -> DriverSpec:
-    lam = max(abs(a), abs(gamma) / 2.0, abs(b))
-    if not lam > 0.0:
-        raise ValueError("quadratic_z needs lam = max(|a|, |gamma|/2, |b|) > 0")
-    return DriverSpec(kind="quadratic_z", mode=QUADRATIC, lam=lam, alpha=alpha,
-                      zero_bound=zero_bound,
+    return DriverSpec(kind="quadratic_z", alpha=float(alpha), zero_bound=float(zero_bound),
                       params=(float(a), float(gamma), float(z_cap), float(b)))
 
 
@@ -260,19 +254,21 @@ class ResistanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class TerminalSpec:
-    """Terminal payoff g(B_T); `bound` is the essential bound used in quadratic mode.
-
-    Built-in families read the first Brownian coordinate.
-    """
+    """Terminal payoff g(B_T). Built-in families read the first Brownian
+    coordinate."""
 
     kind: str
     params: tuple = ()
-    bound: float | None = None
 
     def __post_init__(self):
         if self.kind not in TERMINAL_KINDS:
             raise ValueError(f"unknown terminal kind {self.kind!r}")
-        _require_finite("terminal", *self.params, self.bound)
+        _require_finite("terminal", *self.params)
+
+    @property
+    def bound(self) -> float | None:
+        """The essential bound of g, used in quadratic mode (None: unbounded)."""
+        return abs(self.params[0]) if self.kind == "scaled_tanh" else None
 
     def evaluate(self, terminal_state) -> np.ndarray:
         x = np.asarray(terminal_state, dtype=float)[..., 0]
@@ -293,7 +289,7 @@ def brownian_shift_terminal(c: float) -> TerminalSpec:
 
 
 def scaled_tanh_terminal(scale: float = 1.0) -> TerminalSpec:
-    return TerminalSpec(kind="scaled_tanh", params=(float(scale),), bound=abs(scale))
+    return TerminalSpec(kind="scaled_tanh", params=(float(scale),))
 
 
 @dataclass(frozen=True, eq=False)

@@ -199,11 +199,14 @@ class PicardHistory:
     metric: str
     tolerance: float
     distances: list[float] = field(default_factory=list)
-    converged: bool = False
     stop_reason: str = ""
     warnings: list[str] = field(default_factory=list)
     ball_radius: float | None = None
     ball_records: list[dict] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
     @property
     def ratios(self) -> list[float]:
@@ -270,7 +273,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     Each sweep is one backward pass written over the previous iterate, so a
     solve holds one iterate's blocks. A stall returns the last iterate with
-    `converged=False` and `stop_reason="stalled"`; running out of `max_iter`
+    `stop_reason="stalled"`, so `converged` is False; running out of `max_iter`
     raises `ConvergenceError`. The returned iterate, and only it, carries the
     constraint diagnostics.
 
@@ -311,7 +314,6 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 history.warnings.append(
                     f"iterate {sweep} left the radius-{constants.radius:g} ball: {record}")
         if dist <= tol:
-            history.converged = True
             history.stop_reason = "tolerance"
             break
         # stalled: the last STALL_WINDOW sweeps all failed to improve on the

@@ -89,7 +89,7 @@ def _scenario_c() -> NamedScenario:
 
 
 def _scenario_d() -> NamedScenario:
-    # the cap keeps the declared increment constants exact under probing
+    # the cap keeps the derived increment constants exact under probing
     driver = quadratic_z_driver(a=0.05, gamma=0.1, z_cap=1e3, b=0.02,
                                 zero_bound=1.0)
     loss = linear_shift_loss(c0=-0.5)
@@ -202,7 +202,11 @@ def scenario_from_dict(cfg: dict) -> ScenarioSpec:
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    """Canonical mapping of a scenario (drives the provenance content hash)."""
+    """Canonical mapping of a scenario (drives the provenance content hash).
+
+    The constants it echoes are derived from each kind and its float-cast
+    parameters, so a config that spells a number as a JSON integer maps, and
+    hashes, as its float spelling."""
     return {
         "name": spec.name,
         "T": spec.horizon,

@@ -46,7 +46,8 @@ def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
     In quadratic mode the per-interval ball radius is rebuilt from the
     horizon-uniform bound on the constrained component, so every interval of
     the backward induction stays admissible. Every quadratic scenario has that
-    bound: its driver declares `lam > 0` and `zero_bound`.
+    bound: building its driver checks that the parameters give `lam > 0` and
+    that a `zero_bound` is set.
     """
     base = scenario_constants(scenario)
     if scenario.mode != QUADRATIC:

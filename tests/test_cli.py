@@ -543,10 +543,10 @@ def test_quadratic_driver_with_zero_lam_exits_3(tmp_path, capsys):
     _solve_fails(tmp_path, capsys, cfg, 3, "cli: bad scenario: quadratic_z needs lam")
 
 
-def _overflow_fails(tmp_path, capsys, command):
+def _overflow_fails(tmp_path, capsys, command, cfg=None):
     # finite inputs, but the squared norms of Y overflow to inf
-    cfg = {"scenario": _inline(terminal_c=1e160), "grid": {"n": 4},
-           "backend": {"kind": "lattice"}}
+    cfg = cfg or {"scenario": _inline(terminal_c=1e160), "grid": {"n": 4},
+                  "backend": {"kind": "lattice"}}
     out = tmp_path / "never"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -556,6 +556,7 @@ def _overflow_fails(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1 and "no output written" in captured.err
     assert captured.out == ""
     assert not out.exists()
+    return captured.err
 
 
 _QUADRATIC_Z = {"kind": "quadratic_z", "params": {
@@ -589,6 +590,45 @@ def test_overflowing_summary_exits_3_without_files(tmp_path, capsys):
 
 def test_verify_overflowing_summary_exits_3_without_files(tmp_path, capsys):
     _overflow_fails(tmp_path, capsys, "verify")
+
+
+# finite inputs whose deflated values overflow inside the sweep: the law the
+# shift search reads has infinite atoms
+SWEEP_OVERFLOW = {
+    "scenario": {**_inline(terminal_c=1e308),
+                 "driver": {"kind": "constant", "params": {"value": 1e308}}},
+    "grid": {"n": 4}, "ensemble": {"N": 200}}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("backend", ["lattice", "regression"])
+def test_overflowing_sweep_exits_3_without_files(tmp_path, capsys, command, backend):
+    cfg = {**SWEEP_OVERFLOW, "backend": {"kind": backend}}
+    err = _overflow_fails(tmp_path, capsys, command, cfg)
+    assert "law atoms must be finite" in err
+
+
+def _scenario_hash(tmp_path, scenario, name):
+    cfg = {"scenario": scenario, "grid": {"n": 4}, "backend": {"kind": "lattice"}}
+    out = tmp_path / name
+    assert main(["solve", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                 "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())["scenario_hash"]
+
+
+def test_scenario_hash_ignores_integer_spelling(tmp_path):
+    # the spec constants are derived from the float-cast parameters, so a
+    # number spelled 1 maps and hashes as 1.0
+    def spelled(one, two):
+        return {"name": "spelled", "T": 1.0, "d": 1,
+                "terminal": {"kind": "scaled_tanh", "params": {"scale": one}},
+                "driver": {"kind": "linear_y", "params": {"a": one}},
+                "resistance": {"kind": "zero"},
+                "loss": {"kind": "linear_shift",
+                         "params": {"c0": two, "amp": one, "omega": 3.0}}}
+
+    assert (_scenario_hash(tmp_path, spelled(1, 2), "int")
+            == _scenario_hash(tmp_path, spelled(1.0, 2.0), "float"))
 
 
 A_REGRESSION = {**A_LATTICE,

@@ -1,11 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mrbsde.model import (DRIVER_KINDS, LIPSCHITZ, QUADRATIC,
-                          QUADRATIC_DRIVER_KINDS, DriverSpec, LossSpec, ModeError,
-                          ResistanceSpec, ScenarioSpec, brownian_terminal,
+from mrbsde.model import (DRIVER_KINDS, DriverSpec, LossSpec, ModeError,
+                          ResistanceSpec, ScenarioSpec, TerminalSpec, brownian_terminal,
                           hl_constant, linear_shift_loss, linear_y_driver,
                           quadratic_z_driver, scaled_tanh_terminal,
                           sine_perturbed_loss, validate_assumptions, zero_driver)
@@ -63,15 +63,9 @@ def test_sine_perturbed_slopes_within_bilipschitz_band():
 def test_hl_constant_values():
     assert hl_constant(linear_shift_loss(c0=0.1)) == 1.0
     assert hl_constant(sine_perturbed_loss(0.5)) == pytest.approx(3.0, abs=1e-12)
-    loss = LossSpec(kind="linear_shift", params=(0.0, 0.0, 0.0),
-                    lip_lower=0.7, lip_upper=0.7)
-    assert hl_constant(loss) == 1.0
 
 
 def test_loss_constructor_rejects_bad_constants():
-    with pytest.raises(ValueError):
-        LossSpec(kind="linear_shift", params=(0.0, 0.0, 0.0),
-                 lip_lower=0.0, lip_upper=1.0)
     with pytest.raises(ValueError):
         sine_perturbed_loss(1.2)
     # the linear family's constants have no range check that a NaN would fail
@@ -82,19 +76,14 @@ def test_loss_constructor_rejects_bad_constants():
             linear_shift_loss(amp=1.0, omega=bad)
 
 
-def test_mode_contradiction_rejected():
-    with pytest.raises(ModeError):
-        DriverSpec(kind="quadratic_z", mode=LIPSCHITZ, lam=1.0,
-                   params=(0.1, 0.2, 10.0, 0.1))
-
-
 def test_quadratic_mode_requires_bounds():
-    with pytest.raises(ValueError):
-        DriverSpec(kind="zero", mode=QUADRATIC, lam=0.5)
+    params = (0.1, 0.2, 10.0, 0.1)
+    with pytest.raises(ValueError, match="requires zero_bound"):
+        DriverSpec(kind="quadratic_z", params=params)
     # lam = 0 would leave the ball radius and both horizons undefined
-    with pytest.raises(ValueError, match="lam > 0"):
-        DriverSpec(kind="zero", mode=QUADRATIC, lam=0.0, zero_bound=1.0)
-    drv = DriverSpec(kind="zero", mode=QUADRATIC, lam=0.5, zero_bound=1.0)
+    with pytest.raises(ValueError, match="quadratic_z needs lam"):
+        DriverSpec(kind="quadratic_z", zero_bound=1.0, params=(0.0, 0.0, 10.0, 0.0))
+    drv = DriverSpec(kind="quadratic_z", zero_bound=1.0, params=params)
     with pytest.raises(ModeError):
         _plain_scenario(drv)   # unbounded terminal in quadratic mode
 
@@ -109,9 +98,7 @@ AFFINE_PROBE_PARAMS = {"zero": (), "constant": (0.7,), "linear_y": (-0.6,),
 def test_every_driver_is_affine_in_y(kind):
     # the deflated solve's closed-form implicit node step relies on
     # f(t, y1, ...) - f(t, y0, ...) = y_slope (y1 - y0)
-    quadratic = kind in QUADRATIC_DRIVER_KINDS
-    drv = DriverSpec(kind=kind, mode=QUADRATIC if quadratic else LIPSCHITZ,
-                     lam=1.0, zero_bound=1.0 if quadratic else None,
+    drv = DriverSpec(kind=kind, zero_bound=1.0 if kind == "quadratic_z" else None,
                      params=AFFINE_PROBE_PARAMS[kind])
     rng = np.random.default_rng(17)
     m, d = 64, 2
@@ -169,7 +156,7 @@ def test_linear_y_driver_probe_saturates():
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
 def test_hl_constant_at_least_one(beta):
-    # construction enforces lip_lower <= lip_upper, so the ratio is >= 1
+    # beta in (0, 1) gives 0 < lip_lower < lip_upper, so the ratio is >= 1
     assert hl_constant(sine_perturbed_loss(beta)) >= 1.0
 
 
@@ -181,3 +168,55 @@ def test_quadratic_probe_capped_driver():
                         loss=linear_shift_loss(c0=-0.5))
     report = validate_assumptions(spec, probes=400, seed=11)
     assert report.passed
+
+
+DERIVED = ("mode", "lam", "growth_const", "lip_lower", "lip_upper",
+           "positive_above", "bound")
+
+
+def test_spec_constants_are_read_only_properties():
+    # a spec stores only what a caller chooses; its constants are derived
+    specs = (DriverSpec, LossSpec, TerminalSpec)
+    fields = {f.name for spec in specs for f in dataclasses.fields(spec)}
+    assert fields.isdisjoint(DERIVED)
+    props = {name: vars(spec)[name] for spec in specs for name in DERIVED
+             if name in vars(spec)}
+    assert sorted(props) == sorted(DERIVED)
+    assert all(isinstance(p, property) and p.fset is None for p in props.values())
+
+
+@pytest.mark.parametrize("spec,expected", [
+    (zero_driver(), ("lipschitz", 0.0)),
+    (DriverSpec(kind="constant", params=(-3.0,)), ("lipschitz", 0.0)),
+    (linear_y_driver(-0.6), ("lipschitz", 0.6)),
+    (DriverSpec(kind="mean_resist", params=(0.2, -0.7)), ("lipschitz", 0.7)),
+    (quadratic_z_driver(a=0.1, gamma=-0.5, z_cap=9.0, b=0.2, zero_bound=1),
+     ("quadratic", 0.25)),
+    (quadratic_z_driver(a=0.1, gamma=0.1, z_cap=9.0, b=-0.3, zero_bound=1),
+     ("quadratic", 0.3)),
+], ids=["zero", "constant", "linear_y", "mean_resist", "quadratic-gamma",
+        "quadratic-b"])
+def test_driver_mode_and_lam_follow_kind_and_params(spec, expected):
+    assert (spec.mode, spec.lam) == expected
+
+
+@pytest.mark.parametrize("loss,expected", [
+    (linear_shift_loss(c0=2, amp=-1, omega=3), (1.0, 1.0, 3.0, 3.0)),
+    (linear_shift_loss(c0=-0.2, amp=0.3), (1.0, 1.0, 0.5, 1.0)),
+    (sine_perturbed_loss(0.25), (0.75, 1.25, 0.25, 1.0)),
+], ids=["linear-peak", "linear-small", "sine"])
+def test_loss_constants_follow_kind_and_params(loss, expected):
+    derived = (loss.lip_lower, loss.lip_upper, loss.positive_above, loss.growth_const)
+    assert derived == expected
+    assert all(type(c) is float for c in derived)
+
+
+def test_terminal_bound_and_directly_built_specs():
+    assert scaled_tanh_terminal(-2).bound == 2.0
+    assert type(scaled_tanh_terminal(2).bound) is float
+    assert brownian_terminal().bound is None
+    # a spec built directly is checked as its builder's is
+    with pytest.raises(ValueError, match="sine_perturbed needs 0 < beta < 1"):
+        LossSpec(kind="sine_perturbed", params=(1.0,))
+    drv = quadratic_z_driver(a=0, gamma=1, z_cap=1, b=0, zero_bound=2, alpha=0)
+    assert (type(drv.zero_bound), type(drv.alpha)) == (float, float)

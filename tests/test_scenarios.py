@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -150,3 +151,85 @@ def test_scenario_from_dict_reads_integral_numbers():
     spec = scenario_from_dict(_inline(T=1, d=2.0))
     assert spec.horizon == 1.0 and spec.brownian_dim == 2
     assert isinstance(spec.brownian_dim, int)
+
+
+def _driver(kind, params, lam, mode="lipschitz", zero_bound=None):
+    return {"kind": kind, "mode": mode, "lam": lam, "alpha": 0.0,
+            "zero_bound": zero_bound, "params": params}
+
+
+def _loss(kind, params, lip_lower=1.0, lip_upper=1.0):
+    return {"kind": kind, "params": params, "growth_const": 1.0,
+            "lip_lower": lip_lower, "lip_upper": lip_upper}
+
+
+def _terminal(kind, params, bound=None):
+    return {"kind": kind, "params": params, "bound": bound}
+
+
+# scenario_to_dict of the built-in and benchmark scenarios, pinned: each
+# scenario_hash, and so each provenance record, depends on these exact values
+PINNED_MAPPINGS = {
+    "A_sine_constraint": {
+        "name": "A_sine_constraint", "T": 1.0, "d": 1,
+        "terminal": _terminal("brownian", []),
+        "driver": _driver("zero", [], 0.0),
+        "resistance": {"kind": "zero"},
+        "loss": _loss("linear_shift", [0.0, 0.3, 3.141592653589793])},
+    "B_meanfield_linear": {
+        "name": "B_meanfield_linear", "T": 0.5, "d": 1,
+        "terminal": _terminal("brownian_shift", [1.0]),
+        "driver": _driver("linear_mean", [0.5], 0.5),
+        "resistance": {"kind": "zero"},
+        "loss": _loss("linear_shift", [0.0, 0.0, 0.0])},
+    "C_resistance_lipschitz": {
+        "name": "C_resistance_lipschitz", "T": 0.01, "d": 1,
+        "terminal": _terminal("brownian_shift", [1.0]),
+        "driver": _driver("mean_resist", [0.2, -0.1], 0.2),
+        "resistance": {"kind": "evaluation"},
+        "loss": _loss("linear_shift", [0.0, 0.0, 0.0])},
+    "D_quadratic": {
+        "name": "D_quadratic", "T": 2.0769956553165817e-06, "d": 1,
+        "terminal": _terminal("scaled_tanh", [1.0], bound=1.0),
+        "driver": _driver("quadratic_z", [0.05, 0.1, 1000.0, 0.02], 0.05,
+                          mode="quadratic", zero_bound=1.0),
+        "resistance": {"kind": "zero"},
+        "loss": _loss("linear_shift", [-0.5, 0.0, 0.0])},
+    "meanfield_d3": {
+        "name": "meanfield_d3", "T": 0.5, "d": 3,
+        "terminal": _terminal("brownian_shift", [1.0]),
+        "driver": _driver("linear_mean", [0.5], 0.5),
+        "resistance": {"kind": "zero"},
+        "loss": _loss("linear_shift", [0.0, 0.0, 0.0])},
+    "stitch_sine": {
+        "name": "stitch_sine", "T": 1.0, "d": 1,
+        "terminal": _terminal("brownian_shift", [0.2]),
+        "driver": _driver("constant", [-0.5], 0.0),
+        "resistance": {"kind": "zero"},
+        "loss": _loss("sine_perturbed", [0.5], lip_lower=0.5, lip_upper=1.5)},
+}
+
+# the inline scenarios of the benchmark workloads; the third runs A
+WORKLOAD_SCENARIOS = [
+    {"name": "meanfield_d3", "T": 0.5, "d": 3,
+     "terminal": {"kind": "brownian_shift", "params": {"c": 1.0}},
+     "driver": {"kind": "linear_mean", "params": {"a": 0.5}},
+     "resistance": {"kind": "zero"},
+     "loss": {"kind": "linear_shift", "params": {"c0": 0.0}}},
+    {"name": "stitch_sine", "T": 1.0, "d": 1,
+     "terminal": {"kind": "brownian_shift", "params": {"c": 0.2}},
+     "driver": {"kind": "constant", "params": {"value": -0.5}},
+     "resistance": {"kind": "zero"},
+     "loss": {"kind": "sine_perturbed", "params": {"beta": 0.5}}},
+]
+
+
+def test_canonical_mapping_is_pinned():
+    # json text tells 1 from 1.0 and prints every float exactly, so the derived
+    # constants equal the ones the specs stored, bit for bit
+    specs = [e.spec for e in registry()]
+    specs += [scenario_from_dict(cfg) for cfg in WORKLOAD_SCENARIOS]
+    assert [s.name for s in specs] == list(PINNED_MAPPINGS)
+    for spec in specs:
+        assert (json.dumps(scenario_to_dict(spec), sort_keys=True)
+                == json.dumps(PINNED_MAPPINGS[spec.name], sort_keys=True)), spec.name

@@ -5,8 +5,8 @@ import pytest
 
 from mrbsde import stitch
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (QUADRATIC, DriverSpec, ResistanceSpec, ScenarioSpec,
-                          linear_shift_loss, scaled_tanh_terminal)
+from mrbsde.model import (ResistanceSpec, ScenarioSpec, linear_shift_loss,
+                          quadratic_z_driver, scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import ConstantsReport, constants_report, picard_solve
 from mrbsde.reflect import constraint_diagnostics, sup_norm
@@ -125,8 +125,9 @@ def test_solve_global_rejects_bad_plan():
 
 
 def bounded_zero_scenario():
-    # quadratic stitching needs lam > 0 and zero_bound, and no zero-z bound
-    driver = DriverSpec(kind="zero", mode=QUADRATIC, lam=0.1, zero_bound=1.0)
+    # f = 0 in quadratic mode with lam = |gamma|/2 = 0.1: quadratic stitching
+    # needs lam > 0 and zero_bound
+    driver = quadratic_z_driver(a=0, gamma=0.2, z_cap=0, b=0, zero_bound=1)
     return ScenarioSpec(name="bounded_zero", horizon=1.0, brownian_dim=1,
                         terminal=scaled_tanh_terminal(1.0), driver=driver,
                         resistance=ResistanceSpec("zero"),
