@@ -99,7 +99,6 @@ class RegressionBackend:
     """
 
     picard_tol = 1e-4   # default Picard stopping distance
-    loss_tol = 1e-10    # minimal-shift search tolerance
 
     def __init__(self, ensemble: ParticleEnsemble, degree: int = 3):
         self.ensemble = ensemble
@@ -218,7 +217,6 @@ class LatticeBackend:
 
     d = 1
     picard_tol = 1e-8   # default Picard stopping distance
-    loss_tol = 1e-13    # minimal-shift search tolerance
 
     def __init__(self, grid: TimeGrid):
         if grid.n > LATTICE_MAX_STEPS:

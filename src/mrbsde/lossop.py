@@ -3,6 +3,7 @@ of a shifted law nonnegative, on empirical and exact finite-support laws."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -10,7 +11,6 @@ import numpy as np
 
 from .model import LossSpec, SolverError, hl_constant
 
-DEFAULT_TOL = 1e-10
 DEFAULT_BRACKET_CAP = 2.0 ** 60
 
 
@@ -88,25 +88,25 @@ def expected_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> floa
     return law.mean(loss.evaluate(t, law.atoms, law.sin_atoms()))
 
 
-def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
-                  tol: float = DEFAULT_TOL) -> float:
-    """Smallest x >= 0 with E[l(t, x + X)] >= 0, to within `tol`.
+def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw) -> float:
+    """Smallest float x >= 0 with E[l(t, x + X)] >= 0.
 
     Returns exactly 0 when the constraint already holds at x = 0; otherwise
     doubles an upper bracket from 1 (termination guaranteed by the loss's
     positive tail) and shrinks it by the Illinois variant of regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) until `hi - lo <= tol`. Each secant point
-    lies at least tol/2 inside the bracket, and a bisection step follows any two
-    steps that leave the bracket wider than half its width before them. The
-    returned endpoint satisfies the constraint.
+    (Dowell & Jarratt, BIT 11, 1971) until its ends are adjacent floats, and
+    returns the upper end: the loss was evaluated nonnegative there and negative
+    one float below. The secant is anchored at the lower end and each secant
+    point lies at least one float inside the bracket. A bisection step replaces
+    the secant after any two steps that leave the bracket wider than half its
+    width before them, and wherever the end values do not increase (Illinois
+    halving can underflow one of them to zero).
 
     Every evaluation is one `expected_loss` call. The one at x = 0 is a pass
     over the atoms; the rest read the law's memoised moments, so after the
     first of them each costs O(1), and a positive shift takes at most two
     trigonometric passes over the atoms (sin at x = 0, cos after it).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     f_lo = expected_loss(loss, t, law, 0.0)
     if f_lo >= 0.0:
         return 0.0
@@ -120,20 +120,18 @@ def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
                                f"{DEFAULT_BRACKET_CAP:g} at t={t}")
         f_hi = expected_loss(loss, t, law, hi)
 
-    half_tol = 0.5 * tol
     side = 0              # +1 / -1: the last step moved hi / lo
     ref = hi - lo         # width at the start of the current two-step window
     steps = 0
-    while hi - lo > tol:
-        if steps == 2:    # the bracket failed to halve within two steps
-            x = 0.5 * (lo + hi)
+    while math.nextafter(lo, hi) < hi:
+        if steps == 2 or not f_hi - f_lo > 0.0:
+            x = lo + 0.5 * (hi - lo)
         else:
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            x = min(max(x, lo + half_tol), hi - half_tol)
-        if not lo < x < hi:  # tol/2 is below the float spacing near the root
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break     # adjacent floats: no smaller shift is representable
+            x = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+        if not x > lo:    # also a 0 * inf secant
+            x = math.nextafter(lo, hi)
+        elif not x < hi:
+            x = math.nextafter(hi, lo)
         f_x = expected_loss(loss, t, law, x)
         if f_x >= 0.0:
             hi, f_hi = x, f_x
@@ -152,8 +150,7 @@ def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
 
 
 def hl_lipschitz_probe(loss: LossSpec, t: float,
-                       law_pairs: list[tuple[EmpiricalLaw, EmpiricalLaw]],
-                       tol: float = DEFAULT_TOL) -> float:
+                       law_pairs: list[tuple[EmpiricalLaw, EmpiricalLaw]]) -> float:
     """Worst |shift(X) - shift(Y)| / (C * E|X - Y|) over coupled law pairs.
 
     Pairs are coupled by shared particle index; C is the bi-Lipschitz ratio of
@@ -171,6 +168,6 @@ def hl_lipschitz_probe(loss: LossSpec, t: float,
             continue
         for law in (law_a, law_b):
             if id(law) not in shifts:
-                shifts[id(law)] = loss_operator(loss, t, law, tol)
+                shifts[id(law)] = loss_operator(loss, t, law)
         worst = max(worst, abs(shifts[id(law_a)] - shifts[id(law_b)]) / denom)
     return worst

@@ -11,17 +11,27 @@ import numpy as np
 LIPSCHITZ = "lipschitz"
 QUADRATIC = "quadratic"
 
-LOSS_KINDS = ("linear_shift", "sine_perturbed")
-DRIVER_KINDS = ("zero", "constant", "linear_y", "linear_mean", "mean_resist",
-                "quadratic_z")
+# kind -> the number of its params
+LOSS_KINDS = {"linear_shift": 3, "sine_perturbed": 1}
+DRIVER_KINDS = {"zero": 0, "constant": 1, "linear_y": 1, "linear_mean": 1,
+                "mean_resist": 2, "quadratic_z": 4}
 RESISTANCE_KINDS = ("zero", "evaluation", "running_sup", "scaled_integral")
-TERMINAL_KINDS = ("brownian", "brownian_shift", "scaled_tanh")
+TERMINAL_KINDS = {"brownian": 0, "brownian_shift": 1, "scaled_tanh": 1}
 
 PASS_RATIO = 1.0 + 1e-9
 
 
 class ModeError(ValueError):
     """A quadratic-mode driver paired with an unbounded terminal condition."""
+
+
+def _require_kind(owner: str, kinds: dict, kind: str, params: tuple):
+    """Refuse an unknown kind, and params of another count than the kind's."""
+    if kind not in kinds:
+        raise ValueError(f"unknown {owner} kind {kind!r}")
+    if len(params) != kinds[kind]:
+        raise ValueError(f"{owner} kind {kind!r} takes {kinds[kind]} params, "
+                         f"got {len(params)}")
 
 
 def _require_finite(owner: str, *values):
@@ -55,8 +65,7 @@ class LossSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
+        _require_kind("loss", LOSS_KINDS, self.kind, self.params)
         _require_finite("loss", *self.params)
         if self.kind == "sine_perturbed" and not 0.0 < self.params[0] < 1.0:
             raise ValueError("sine_perturbed needs 0 < beta < 1")
@@ -145,8 +154,7 @@ class DriverSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in DRIVER_KINDS:
-            raise ValueError(f"unknown driver kind {self.kind!r}")
+        _require_kind("driver", DRIVER_KINDS, self.kind, self.params)
         _require_finite("driver", *self.params, self.alpha, self.zero_bound)
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
@@ -261,8 +269,7 @@ class TerminalSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in TERMINAL_KINDS:
-            raise ValueError(f"unknown terminal kind {self.kind!r}")
+        _require_kind("terminal", TERMINAL_KINDS, self.kind, self.params)
         _require_finite("terminal", *self.params)
 
     @property

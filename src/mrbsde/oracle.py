@@ -2,9 +2,9 @@
 exact dyadic probabilities, fsum reductions, fixed point run to machine
 precision. Ground truth for derived values and backend-equivalence tests.
 
-Shares only the problem definition (loss/driver/resistance evaluation and the
-minimal-shift search) with the solver stack; all conditional expectations,
-the backward induction, and the reflection assembly are implemented here
+Shares only the problem definition (loss/driver/resistance evaluation) with
+the solver stack; all conditional expectations, the backward induction, the
+minimal-shift search and the reflection assembly are implemented here
 independently.
 """
 
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lossop import EmpiricalLaw, loss_operator
-from .model import LIPSCHITZ, ScenarioSpec
+from .model import LIPSCHITZ, ScenarioSpec, SolverError
 from .paths import make_grid
 
 ORACLE_MAX_STEPS = 12
@@ -50,6 +49,29 @@ def _probs(i: int) -> list[float]:
 
 def _wmean(probs, values) -> float:
     return math.fsum(p * v for p, v in zip(probs, values))
+
+
+def _min_shift(loss, t: float, probs, values) -> float:
+    """Smallest x >= 0 with E[l(t, x + X)] >= 0, to within ORACLE_LOSS_TOL, by
+    plain bisection on the fsum mean of the loss at the shifted atoms."""
+    atoms = np.array(values)
+
+    def g(x: float) -> float:
+        return _wmean(probs, loss.evaluate(t, x + atoms))
+
+    if g(0.0) >= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while g(hi) < 0.0:
+        if hi >= 2.0 ** 60:
+            raise SolverError(f"no nonnegative expected loss below shift 2^60 at t={t}")
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > ORACLE_LOSS_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # past 1024 adjacent floats are wider than the tolerance
+            break
+        lo, hi = (lo, mid) if g(mid) >= 0.0 else (mid, hi)
+    return hi
 
 
 def require_exact(scenario: ScenarioSpec, n: int):
@@ -130,9 +152,7 @@ def exact_solve(scenario: ScenarioSpec, n: int) -> LatticeSolution:
             ybar[i] = row_y
             zs[i] = row_z
 
-        rho = [loss_operator(loss, float(times[i]),
-                             EmpiricalLaw(np.array(ybar[i]), np.array(probs[i])),
-                             tol=ORACLE_LOSS_TOL)
+        rho = [_min_shift(loss, float(times[i]), probs[i], ybar[i])
                for i in range(n + 1)]
         s = [0.0] * (n + 1)
         s[n] = rho[n]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lossop import loss_operator, DEFAULT_TOL
+from .lossop import loss_operator
 from .model import LIPSCHITZ, LossSpec, ScenarioSpec, SolverError
 from .paths import TimeGrid
 
@@ -126,21 +126,21 @@ def x_process(grid: TimeGrid, backend, terminal_values, f_values,
     return x
 
 
-def build_k(loss: LossSpec, grid: TimeGrid, backend, x_values,
-            lo: int = 0, tol: float = DEFAULT_TOL):
+def build_k(loss: LossSpec, grid: TimeGrid, backend, x_values, lo: int = 0):
     """Reflection path from the laws of the target (deflated) process at the
     grid nodes.
 
-    rho_j is the minimal shift at node j; the backward running maximum s gives
-    k_j = s_0 - s_j, so k starts at zero and is nondecreasing. The sweep
-    finds the same shifts node by node inside its backward pass; this is the
-    shift pass of the two-pass reference the tests compare it with.
+    rho_j is the minimal shift at node j, the smallest float with a nonnegative
+    expected loss; the backward running maximum s gives k_j = s_0 - s_j, so k
+    starts at zero and is nondecreasing. The sweep finds the same shifts node
+    by node inside its backward pass; this is the shift pass of the two-pass
+    reference the tests compare it with.
     """
     m = len(x_values) - 1
     rho = np.empty(m + 1)
     for j in range(m + 1):
         t_j = grid.nodes[lo + j]
-        rho[j] = loss_operator(loss, t_j, backend.law(lo + j, x_values[j]), tol)
+        rho[j] = loss_operator(loss, t_j, backend.law(lo + j, x_values[j]))
     s = np.maximum.accumulate(rho[::-1])[::-1]
     k = s[0] - s
     return k, rho
@@ -160,21 +160,19 @@ def flatness_residual(constraint, k) -> tuple[float, float]:
 def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
                            lo: int = 0) -> dict:
     """One pass of the loss over the nodes: the mean and standard error of
-    l(t_j, y_j) at each node, their minimum, the flatness residuals, and the
-    shift tolerance the reflection was built with."""
+    l(t_j, y_j) at each node, their minimum and the flatness residuals."""
     m = len(y_values) - 1
     constraint = np.empty(m + 1)
     constraint_se = np.empty(m + 1)
     for j in range(m + 1):
         vals = loss.evaluate(grid.nodes[lo + j], y_values[j])
         constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
-    return diagnostics_record(constraint, constraint_se,
-                              flatness_residual(constraint, k), backend.loss_tol)
+    return diagnostics_record(constraint, constraint_se, flatness_residual(constraint, k))
 
 
-def diagnostics_record(constraint, constraint_se, flatness, loss_tol: float) -> dict:
+def diagnostics_record(constraint, constraint_se, flatness) -> dict:
     """An answer's diagnostics from its per-node constraint means and standard
-    errors, its (right, left) flatness residuals and the shift tolerance."""
+    errors and its (right, left) flatness residuals."""
     flat_right, flat_left = flatness
     return {
         "constraint": constraint,
@@ -182,7 +180,6 @@ def diagnostics_record(constraint, constraint_se, flatness, loss_tol: float) -> 
         "min_constraint": float(np.min(constraint)),
         "flatness_right": flat_right,
         "flatness_left": flat_left,
-        "loss_tol": loss_tol,
     }
 
 
@@ -285,8 +282,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         for j, ybar_j, z_j in _deflated_nodes(scenario, grid, backend, prev,
                                               terminal_values):
             i = lo + j
-            rho = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j),
-                                backend.loss_tol)
+            rho = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
             s[j] = rho if j == m else np.maximum(rho, s[j + 1])
             tail[j] = s[j] - s[m]
             # one temporary: y_j is formed again straight into the block
@@ -317,10 +313,8 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:
     """Suggested acceptance tolerances: statistical error plus quadrature slack."""
     se_max = float(np.max(solution.diagnostics["constraint_se"]))
-    loss_tol = solution.diagnostics["loss_tol"]
     k_total = float(solution.k[-1])
     return {
-        "constraint": 3.0 * se_max + loss_tol + 1e-12,
-        "flatness": 3.0 * se_max * k_total + k_total * grid.dt
-        + loss_tol * (len(solution.y)) + 1e-12,
+        "constraint": 3.0 * se_max + 1e-12,
+        "flatness": 3.0 * se_max * k_total + k_total * grid.dt + 1e-12,
     }

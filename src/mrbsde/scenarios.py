@@ -152,11 +152,15 @@ _TERMINAL_BUILDERS = {
 
 def config_number(label: str, value, integer: bool = False):
     """`value` as a float, or an int where `integer`; refuses strings,
-    booleans and, where an integer is wanted, fractions."""
+    booleans, integers beyond the float range and, where an integer is
+    wanted, fractions."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{label} must be a number, got {value!r}")
     if not integer:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{label} is beyond the float range") from None
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{label} must be an integer, got {value!r}")
     return int(value)

@@ -170,8 +170,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     solution = ReflectedSolution(
         lo=0, hi=n, y=y, z=z, k=k, tail=tail,
         diagnostics=diagnostics_record(constraint, constraint_se,
-                                       flatness_residual(constraint, k),
-                                       backend.loss_tol))
+                                       flatness_residual(constraint, k)))
     seam_constraints = [float(constraint[b]) for b in breaks[1:-1]]
     report = StitchReport(plan=plan, histories=histories,
                           seam_constraints=seam_constraints)

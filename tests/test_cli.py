@@ -152,19 +152,40 @@ def test_verify_fails_a_stalled_solve(monkeypatch, tmp_path, capsys, stitch):
     assert gate == {"name": "converged", "value": 1, "threshold": 0, "passed": False}
 
 
-def test_plateau_at_the_shift_noise_floor_stalls(tmp_path, capsys):
-    # a binding linear_y solve with a tolerance below the regression shift
-    # search's noise floor: its distances bounce around 1e-10 from sweep 10 on
-    cfg = write_config(tmp_path, {
-        "scenario": {"T": 0.5, "terminal": {"kind": "brownian"},
-                     "driver": {"kind": "linear_y", "params": {"a": 0.8}},
-                     "loss": {"kind": "linear_shift",
-                              "params": {"c0": 0.2, "amp": -0.2, "omega": math.pi}}},
-        "grid": {"n": 16}, "ensemble": {"N": 4000, "seed": 7},
-        "backend": {"kind": "regression"}, "picard": {"tol": 1e-12}})
+BINDING_LINEAR_Y = {
+    "T": 0.5, "terminal": {"kind": "brownian"},
+    "driver": {"kind": "linear_y", "params": {"a": 0.8}},
+    "loss": {"kind": "linear_shift", "params": {"c0": 0.2, "amp": -0.2, "omega": math.pi}}}
+
+
+def _solve_history(tmp_path, cfg) -> dict:
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    history = json.loads((tmp_path / "out" / "summary.json").read_text())["picard_history"][0]
-    assert history["stop_reason"] == "stalled" and len(history["distances"]) <= 15
+    return json.loads((tmp_path / "out" / "summary.json").read_text())["picard_history"][0]
+
+
+@pytest.mark.parametrize("setup", [
+    {"grid": {"n": 16}, "ensemble": {"N": 4000, "seed": 7}, "backend": {"kind": "regression"}},
+    {"grid": {"n": 8}, "backend": {"kind": "lattice"}},
+], ids=["regression", "lattice"])
+def test_binding_solve_converges_below_1e_14(tmp_path, capsys, setup):
+    # the minimal shift is exact to the float, so a binding solve contracts to
+    # a tolerance far below any search tolerance
+    cfg = write_config(tmp_path, {"scenario": BINDING_LINEAR_Y, **setup,
+                                  "picard": {"tol": 1e-14}})
+    history = _solve_history(tmp_path, cfg)
+    assert history["stop_reason"] == "tolerance" and len(history["distances"]) <= 15
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 0
+
+
+def test_rounding_level_plateau_stalls_and_fails_verify(tmp_path, capsys):
+    # a zero tolerance on the lattice: the distances settle at a few ulps of
+    # the solution and repeat, which the stall rule stops
+    cfg = write_config(tmp_path, {"scenario": BINDING_LINEAR_Y, "grid": {"n": 8},
+                                  "backend": {"kind": "lattice"}, "picard": {"tol": 0.0}})
+    history = _solve_history(tmp_path, cfg)
+    assert history["stop_reason"] == "stalled" and len(history["distances"]) <= 25
+    assert 0.0 < history["distances"][-1] < 1e-15
     capsys.readouterr()
     assert main(["verify", "--config", cfg]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -424,6 +445,19 @@ def test_stitch_auto_key_is_unknown(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "unknown keys in stitch: ['auto']" in err
+    assert not out.exists()
+
+
+def test_integer_beyond_the_float_range_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "scenario": {"T": 1.0, "terminal": {"kind": "brownian"},
+                     "driver": {"kind": "zero"},
+                     "loss": {"kind": "linear_shift", "params": {"c0": 10 ** 400}}},
+        "grid": {"n": 4}, "backend": {"kind": "lattice"}})
+    out = tmp_path / "never"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "loss.params.c0 is beyond the float range" in err
     assert not out.exists()
 
 

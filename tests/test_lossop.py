@@ -54,7 +54,7 @@ def test_loss_operator_linear_cases():
 
 def test_loss_operator_sine_matches_scan_oracle():
     law = EmpiricalLaw(np.array([-2.0, 0.0]))
-    got = loss_operator(SINE, 0.0, law, tol=1e-10)
+    got = loss_operator(SINE, 0.0, law)
     ref = brute_force_shift(SINE, 0.0, law)
     assert abs(got - ref) <= 2e-6
     # the atoms are symmetric about -1 and the loss is odd: the root is exactly 1
@@ -65,11 +65,6 @@ def test_loss_operator_weighted_law():
     law = EmpiricalLaw(np.array([-1.0, 1.0]), np.array([0.75, 0.25]))
     # expected loss at shift x: x - 0.5, root at 0.5
     assert loss_operator(LINEAR, 0.0, law) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_loss_operator_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        loss_operator(LINEAR, 0.0, EmpiricalLaw(np.array([0.0])), tol=0.0)
 
 
 def test_bracket_expansion_cap():
@@ -172,13 +167,16 @@ def random_laws(seed, count, size=500):
 
 @pytest.mark.parametrize("loss", [LINEAR, SINE, linear_shift_loss(0.3, 0.2, 5.0),
                                   sine_perturbed_loss(0.99)])
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_shift_contract_on_random_laws(loss, tol):
+@pytest.mark.parametrize("gap", [1e-10, 1e-13])
+def test_shift_contract_on_random_laws(loss, gap):
+    # the smallest float with a nonnegative expected loss: negative one float
+    # below, so also `gap` below
     for law in random_laws(11, 40):
-        hi = loss_operator(loss, 0.4, law, tol)
+        hi = loss_operator(loss, 0.4, law)
+        assert hi > gap
         assert expected_loss(loss, 0.4, law, hi) >= 0.0
-        if hi > tol:
-            assert expected_loss(loss, 0.4, law, hi - tol) < 0.0
+        assert expected_loss(loss, 0.4, law, np.nextafter(hi, 0.0)) < 0.0
+        assert expected_loss(loss, 0.4, law, hi - gap) < 0.0
 
 
 @pytest.mark.parametrize("loss", [LINEAR, SINE])
@@ -201,16 +199,16 @@ def test_shift_search_worst_case_evaluations(atoms, weights, monkeypatch):
     loss, tol = sine_perturbed_loss(0.99), 1e-10
     law = EmpiricalLaw(atoms, weights)
     counter = CountingLoss(monkeypatch)
-    hi = loss_operator(loss, 0.0, law, tol)
+    hi = loss_operator(loss, 0.0, law)
     bracket_hi = 2.0 ** math.ceil(math.log2(hi))
     width = bracket_hi / 2.0 if bracket_hi > 1.0 else 1.0
     assert counter.calls <= 2 * math.ceil(math.log2(width / tol)) + 4
     assert expected_loss(loss, 0.0, law, hi) >= 0.0 > expected_loss(
-        loss, 0.0, law, hi - tol)
+        loss, 0.0, law, np.nextafter(hi, 0.0))
 
 
 def test_shift_search_stops_at_float_spacing(monkeypatch):
-    # near 1e6 adjacent floats are 1.2e-10 apart, wider than tol = 1e-10
+    # near 1e6 adjacent floats are 1.2e-10 apart
     loss = linear_shift_loss(c0=1e6 + 0.3)
     law = EmpiricalLaw(np.array([0.0]), np.array([1.0]))
     counter = CountingLoss(monkeypatch, limit=200)
@@ -229,14 +227,38 @@ def losses(draw):
 
 
 @st.composite
-def laws(draw):
-    """Finite-support laws of up to 32 atoms, half of them weighted."""
-    atoms = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32)))
+def laws(draw, bound=1e6):
+    """Finite-support laws of up to 32 atoms in [-bound, bound], half of them
+    weighted."""
+    atoms = np.array(draw(st.lists(st.floats(-bound, bound), min_size=1, max_size=32)))
     if not draw(st.booleans()):
         return EmpiricalLaw(atoms)
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=atoms.size,
                                max_size=atoms.size)))
     return EmpiricalLaw(atoms, w / w.sum())
+
+
+def assert_minimal_shift(loss, t, law, max_evals=200):
+    """The shift is the smallest float with a nonnegative expected loss: the
+    loss is nonnegative there and negative one float below, unless it is 0."""
+    with pytest.MonkeyPatch.context() as mp:
+        CountingLoss(mp, limit=max_evals)
+        rho = loss_operator(loss, t, law)
+    assert expected_loss(loss, t, law, rho) >= 0.0
+    assert rho == 0.0 or expected_loss(loss, t, law, np.nextafter(rho, 0.0)) < 0.0
+    return rho
+
+
+@given(losses(), st.one_of(laws(1e6), laws(1e-300)), st.floats(0.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_shift_is_the_smallest_float_with_nonnegative_loss(loss, law, t):
+    assert_minimal_shift(loss, t, law)
+
+
+@pytest.mark.parametrize("loss", [LINEAR, SINE])
+def test_shift_of_a_point_mass_below_zero_at_the_smallest_scale(loss):
+    law = EmpiricalLaw(np.array([-1e-300]), np.array([1.0]))
+    assert assert_minimal_shift(loss, 0.0, law) == pytest.approx(1e-300, rel=1e-12)
 
 
 @given(losses(), laws(), st.floats(0.0, 2.0), st.floats(0.0, 2.0 ** 20))

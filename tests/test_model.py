@@ -220,3 +220,15 @@ def test_terminal_bound_and_directly_built_specs():
         LossSpec(kind="sine_perturbed", params=(1.0,))
     drv = quadratic_z_driver(a=0, gamma=1, z_cap=1, b=0, zero_bound=2, alpha=0)
     assert (type(drv.zero_bound), type(drv.alpha)) == (float, float)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DriverSpec(kind="linear_y"), "driver kind 'linear_y' takes 1 params, got 0"),
+    (lambda: DriverSpec(kind="zero", params=(1.0,)), "driver kind 'zero' takes 0"),
+    (lambda: LossSpec(kind="sine_perturbed"), "loss kind 'sine_perturbed' takes 1"),
+    (lambda: LossSpec(kind="linear_shift", params=(0.2,)), "loss kind 'linear_shift' takes 3"),
+    (lambda: TerminalSpec(kind="scaled_tanh"), "terminal kind 'scaled_tanh' takes 1"),
+], ids=["linear_y", "zero", "sine_perturbed", "linear_shift", "scaled_tanh"])
+def test_spec_refuses_a_params_count_other_than_its_kinds(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

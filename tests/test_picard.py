@@ -317,7 +317,7 @@ def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     deflated values, then iterate_distance; `prev` is left as it was."""
     lo, hi = prev.lo, prev.hi
     ybar, z = solve_deflated(scenario, grid, backend, prev, terminal_values)
-    k, _ = build_k(scenario.loss, grid, backend, ybar, lo, backend.loss_tol)
+    k, _ = build_k(scenario.loss, grid, backend, ybar, lo)
     tail = k[-1] - k
     new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], z=z,
                             k=k, tail=tail)

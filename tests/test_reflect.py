@@ -295,7 +295,7 @@ def test_solve_interval_window_offsets():
     assert sol.k[0] == 0.0
     # on [T/2, T] the shift profile decreases: k_j = rho_0 - rho_j
     ybar, _ = solve_deflated(spec, grid, backend, first_prev(grid, backend, 4, 8))
-    _, rho = build_k(spec.loss, grid, backend, ybar, 4, backend.loss_tol)
+    _, rho = build_k(spec.loss, grid, backend, ybar, 4)
     assert np.allclose(sol.k, rho[0] - rho, atol=1e-12)
 
 
