@@ -71,7 +71,9 @@ class RegressionBasis:
 
     @property
     def n_features(self) -> int:
-        return len(self.exponents)
+        """The number of monomials of total degree <= `degree` in `dim`
+        variables, counted without building their table."""
+        return math.comb(self.degree + self.dim, self.dim)
 
     def design(self, states) -> np.ndarray:
         """(N, p) features of (N, d) states; each monomial is its parent times

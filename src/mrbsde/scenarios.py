@@ -89,7 +89,6 @@ def _scenario_c() -> NamedScenario:
 
 
 def _scenario_d() -> NamedScenario:
-    # the cap keeps the derived increment constants exact under probing
     driver = quadratic_z_driver(a=0.05, gamma=0.1, z_cap=1e3, b=0.02,
                                 zero_bound=1.0)
     loss = linear_shift_loss(c0=-0.5)

@@ -117,6 +117,33 @@ def test_verify_passes_and_reports_warning(tmp_path, capsys):
                      "contraction_ratio", "hl_probe", "assumptions"]
 
 
+def _verify_failures(tmp_path, capsys, scenario, backend):
+    cfg = {"scenario": scenario, "grid": {"n": 8 if backend == "lattice" else 16},
+           "ensemble": {"N": 4000, "seed": 7}, "backend": {"kind": backend}}
+    code = main(["verify", "--config", write_config(tmp_path, cfg)])
+    report = json.loads(capsys.readouterr().out)
+    return code, [c["name"] for c in report["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("backend", ["lattice", "regression"])
+def test_constraint_far_below_the_terminal_passes_verify(tmp_path, capsys, backend):
+    # l(T, xi) = xi + 1e9 is far above 0; rounding at that scale once failed
+    # a randomized probe of the loss's own formulas
+    scenario = {"T": 0.5, "terminal": {"kind": "brownian_shift", "params": {"c": 1.0}},
+                "driver": {"kind": "linear_mean", "params": {"a": 0.5}},
+                "loss": {"kind": "linear_shift", "params": {"c0": -1e9}}}
+    assert _verify_failures(tmp_path, capsys, scenario, backend) == (0, [])
+
+
+@pytest.mark.parametrize("backend", ["lattice", "regression"])
+def test_terminal_constraint_violation_fails_verify(tmp_path, capsys, backend):
+    # E[l(T, B_T)] = -0.5: the solver's profile and the terminal margin both fail
+    scenario = {"T": 1.0, "terminal": {"kind": "brownian"}, "driver": {"kind": "zero"},
+                "loss": {"kind": "linear_shift", "params": {"c0": 0.5}}}
+    assert _verify_failures(tmp_path, capsys, scenario, backend) == (
+        1, ["constraint_profile", "assumptions"])
+
+
 def test_verify_negative_control_fails_flatness(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "scenario": "A_sine_constraint",
@@ -577,6 +604,18 @@ def test_quadratic_driver_with_zero_lam_exits_3(tmp_path, capsys):
     _solve_fails(tmp_path, capsys, cfg, 3, "cli: bad scenario: quadratic_z needs lam")
 
 
+@pytest.mark.parametrize("key", ["z_cap", "zero_bound"])
+def test_quadratic_driver_with_a_negative_cap_or_bound_exits_3(tmp_path, capsys, key):
+    # with both nonnegative, f(t, 0, 0, 0, 0, 0) = 0 <= zero_bound by the formula
+    params = {"a": 0.05, "gamma": 0.1, "z_cap": 1000.0, "b": 0.02, "zero_bound": 1.0}
+    scenario = {**_inline(loss_params={"c0": -0.5}), "T": 0.1,
+                "terminal": {"kind": "scaled_tanh", "params": {"scale": 1.0}},
+                "driver": {"kind": "quadratic_z", "params": {**params, key: -1.0}}}
+    cfg = {"scenario": scenario, "grid": {"n": 8}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 3,
+                 "cli: bad scenario: quadratic_z needs z_cap >= 0 and zero_bound >= 0")
+
+
 def _overflow_fails(tmp_path, capsys, command, cfg=None):
     # finite inputs, but the squared norms of Y overflow to inf
     cfg = cfg or {"scenario": _inline(terminal_c=1e160), "grid": {"n": 4},
@@ -674,6 +713,13 @@ A_REGRESSION = {**A_LATTICE,
     ("ensemble", "N", "abc", "ensemble.N must be a number, got 'abc'"),
     ("backend", "degree", -1, "backend.degree must be >= 0"),
     ("ensemble", "N", 4, "ensemble.N must exceed the 4 regression features of degree 3"),
+    pytest.param("ensemble", "N", 10 ** 400, "an ensemble of (grid.n + 1) * d * "
+                 "ensemble.N states exceeds the largest array", id="ensemble-N-10**400"),
+    pytest.param("grid", "n", 10 ** 400, "an ensemble of (grid.n + 1) * d * "
+                 "ensemble.N states exceeds the largest array", id="grid-n-10**400"),
+    pytest.param("backend", "degree", 10 ** 400,
+                 f"ensemble.N must exceed the {10 ** 400 + 1} regression features",
+                 id="backend-degree-10**400"),
     ("picard", "max_iter", 0, "picard.max_iter must be >= 1"),
     ("picard", "tol", -1, "picard.tol must be >= 0"),
     ("grid", "n", 2.5, "grid.n must be an integer, got 2.5"),

@@ -73,6 +73,11 @@ def test_basis_feature_count():
     assert RegressionBasis(3, 1).n_features == 4
     assert RegressionBasis(3, 2).n_features == 10   # C(3+2, 2)
     assert RegressionBasis(0, 3).n_features == 1
+    # counted without the table, so a huge degree is refused before it is built
+    for degree in range(9):
+        for dim in range(1, 5):
+            basis = RegressionBasis(degree, dim)
+            assert basis.n_features == len(basis.exponents)
     with pytest.raises(ValueError):
         RegressionBasis(-1, 1)
 
