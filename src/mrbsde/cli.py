@@ -109,8 +109,10 @@ def load_config(path: str | Path, backend_override: str | None = None) -> RunCon
                          parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cli: cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cli: config is not valid JSON: {exc}") from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:   # bad syntax, or an integer past Python's digit limit
+        raise ConfigError(f"cli: cannot read config as JSON: {exc}") from exc
     return parse_config(raw, backend_override)
 
 
@@ -207,8 +209,11 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         if states * np.dtype(float).itemsize > np.iinfo(np.intp).max:
             raise ConfigError("cli: an ensemble of (grid.n + 1) * d * ensemble.N "
                               "states exceeds the largest array")
-        features = RegressionBasis(cfg.degree, spec.brownian_dim).n_features
-        if cfg.N <= features:
+        features = RegressionBasis(cfg.degree, spec.brownian_dim).features_up_to(cfg.N)
+        if features > cfg.N:
+            raise ConfigError("cli: backend.degree gives more regression features "
+                              f"than ensemble.N = {cfg.N}")
+        if features == cfg.N:
             raise ConfigError(f"cli: ensemble.N must exceed the {features} regression "
                               f"features of degree {cfg.degree}")
     return cfg
@@ -576,17 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean-reflected BSDE solver and verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run a solve and write CSV/JSON results")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--backend", choices=["lattice", "regression"])
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_verify = sub.add_parser("verify", help="run a solve and assert its contracts")
-    p_verify.add_argument("--config", required=True)
-    p_verify.add_argument("--out")
-    p_verify.add_argument("--backend", choices=["lattice", "regression"])
-    p_verify.set_defaults(func=cmd_verify)
+    for name, func, text in (("solve", cmd_solve, "run a solve and write CSV/JSON results"),
+                             ("verify", cmd_verify, "run a solve and assert its contracts")):
+        p_run = sub.add_parser(name, help=text)
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--out", required=func is cmd_solve)
+        p_run.add_argument("--backend", choices=["lattice", "regression"])
+        p_run.set_defaults(func=func)
 
     p_const = sub.add_parser("constants", help="print the horizon/bound constants")
     p_const.add_argument("--C", type=float, required=True)

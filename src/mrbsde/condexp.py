@@ -71,9 +71,17 @@ class RegressionBasis:
 
     @property
     def n_features(self) -> int:
-        """The number of monomials of total degree <= `degree` in `dim`
-        variables, counted without building their table."""
-        return math.comb(self.degree + self.dim, self.dim)
+        return len(self.exponents)
+
+    def features_up_to(self, cap: int) -> int:
+        """C(degree + dim, dim), the monomial count, or `cap + 1` once its
+        running products C(m + k, k), which at least double, pass `cap`."""
+        m, count = max(self.degree, self.dim), 1
+        for k in range(1, min(self.degree, self.dim) + 1):
+            count = count * (m + k) // k
+            if count > cap:
+                return cap + 1
+        return count
 
     def design(self, states) -> np.ndarray:
         """(N, p) features of (N, d) states; each monomial is its parent times
@@ -107,7 +115,7 @@ class RegressionBackend:
         self.grid = ensemble.grid
         self.basis = RegressionBasis(degree=degree, dim=ensemble.d)
         self._factors: dict[int, np.ndarray] = {}
-        if ensemble.N <= self.basis.n_features:
+        if ensemble.N <= self.basis.features_up_to(ensemble.N):
             raise ValueError("need more particles than basis features")
 
     @property
@@ -181,11 +189,12 @@ class RegressionBackend:
 
     def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
         """One decomposition for E_{t_i}[V] and E_{t_i}[V dB_i]/dt together;
-        the targets are the rows [V; V dB_i], with dB_i read step-major."""
+        the targets are [V; V dB_i], dB_i = B_{i+1} - B_i formed in their rows."""
         v = np.asarray(next_values, dtype=float)
         targets = np.empty((1 + self.d, v.shape[0]))
         targets[0] = v
-        np.multiply(v, self.ensemble.increments[:, i, :].T, out=targets[1:])
+        np.subtract(self.state(i + 1).T, self.state(i).T, out=targets[1:])
+        targets[1:] *= v
         fit = self._project(i, targets)
         fit[1:] /= self.grid.dt
         return fit[0], fit[1:].T

@@ -2,18 +2,20 @@
 
 Randomness is counter-based: particles are grouped into fixed-size blocks and
 each block draws from its own Philox stream keyed by (seed, block index), so
-the increments of particle p at step i are a pure function of (seed, p, i) --
+the path of particle p up to step i is a pure function of (seed, p, i) --
 independent of the total particle count and of any parallel generation order.
 
-The draws are stored step-major, `(n, d, N)` and `(n+1, d, N)`, so the rows
-that one regression step reads are contiguous; the `increments` and `states`
-fields are `(N, ., d)` transposed views of those arrays.
+The ensemble stores only its states, step-major as one `(n+1, d, N)` array, so
+the rows that one regression step reads are contiguous; the `states` field is
+its `(N, n+1, d)` transposed view. Each block's draws are scaled and summed
+straight into the state rows, and a step's increments are read back as the
+difference of two state rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,10 +28,6 @@ class TimeGrid:
     n: int
     nodes: np.ndarray
     dt: float
-
-    def __post_init__(self):
-        if self.T <= 0.0 or self.n < 1:
-            raise ValueError("need T > 0 and n >= 1")
 
 
 def make_grid(T: float, n: int) -> TimeGrid:
@@ -49,52 +47,46 @@ class ParticleEnsemble:
     N: int
     d: int
     seed: int
-    increments: np.ndarray  # (N, n, d) view of an (n, d, N) array, Normal(0, dt)
     states: np.ndarray      # (N, n+1, d) view of an (n+1, d, N) array, starting at 0
     antithetic: bool = False
 
-
-def _block_key(seed: int, block: int) -> np.ndarray:
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    @property
+    def increments(self) -> np.ndarray:
+        """(N, n, d) state differences, new on each read; no solve reads them."""
+        return np.diff(self.states, axis=1)
 
 
 def sample_ensemble(grid: TimeGrid, N: int, d: int, seed: int) -> ParticleEnsemble:
-    """Draw N Brownian paths on the grid with per-block Philox streams."""
+    """Draw N Brownian paths on the grid with per-block Philox streams; each
+    block's Normal(0, dt) draws are summed into the state rows step by step."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if d < 1:
         raise ValueError("d must be >= 1")
-    scale = math.sqrt(grid.dt)
-    inc = np.empty((grid.n, d, N))
+    states = np.zeros((grid.n + 1, d, N))
+    buf = np.empty((min(_BLOCK, N), grid.n, d))
     for block in range(0, N, _BLOCK):
-        size = min(_BLOCK, N - block)
-        gen = np.random.Generator(np.random.Philox(key=_block_key(seed, block // _BLOCK)))
-        draw = gen.standard_normal((size, grid.n, d)).transpose(1, 2, 0)
-        np.multiply(draw, scale, out=inc[:, :, block:block + size])
-    return _step_major(grid, seed, inc)
-
-
-def _step_major(grid: TimeGrid, seed: int, inc: np.ndarray,
-                anti: bool = False) -> ParticleEnsemble:
-    """The ensemble of (n, d, N) increments, with their running sums as states
-    (the sequential cumulative sum, one contiguous row at a time)."""
-    n, d, N = inc.shape
-    states = np.empty((n + 1, d, N))
-    states[0] = 0.0
-    for i in range(n):
-        np.add(states[i], inc[i], out=states[i + 1])
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block // _BLOCK], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        draw = gen.standard_normal(out=buf[:N - block]).transpose(1, 2, 0)
+        draw *= math.sqrt(grid.dt)
+        rows = states[:, :, block:block + _BLOCK]
+        for i in range(grid.n):
+            np.add(rows[i], draw[i], out=rows[i + 1])
     return ParticleEnsemble(grid=grid, N=N, d=d, seed=int(seed),
-                            increments=inc.transpose(2, 0, 1),
-                            states=states.transpose(2, 0, 1), antithetic=anti)
+                            states=states.transpose(2, 0, 1))
 
 
 def antithetic(ensemble: ParticleEnsemble) -> ParticleEnsemble:
-    """Double the ensemble, pairing every path with its negation (interleaved)."""
-    src = ensemble.increments.transpose(1, 2, 0)
-    inc = np.empty(src.shape[:2] + (2 * ensemble.N,))
-    inc[..., 0::2] = src
-    np.negative(src, out=inc[..., 1::2])
-    return _step_major(ensemble.grid, ensemble.seed, inc, anti=True)
+    """Double the ensemble, pairing every path with its negation (interleaved).
+    The negation `0.0 - states` is exact and +0.0 at zero, as the running sums
+    of the negated increments are."""
+    src = ensemble.states.transpose(1, 2, 0)
+    states = np.empty(src.shape[:2] + (2 * ensemble.N,))
+    states[..., 0::2] = src
+    np.subtract(0.0, src, out=states[..., 1::2])
+    return replace(ensemble, N=2 * ensemble.N, states=states.transpose(2, 0, 1),
+                   antithetic=True)
 
 
 def particle_mean(values, antithetic: bool = False):
@@ -114,6 +106,4 @@ def particle_mean_se(values, antithetic: bool = False) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
     if antithetic:
         v = 0.5 * (v[0::2] + v[1::2])
-    m = float(v.mean())
-    se = float(v.std()) / math.sqrt(v.shape[0])
-    return m, se
+    return float(v.mean()), float(v.std()) / math.sqrt(v.shape[0])

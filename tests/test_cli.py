@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -488,6 +489,28 @@ def test_integer_beyond_the_float_range_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_integer_past_the_digit_limit_exits_3(tmp_path, capsys):
+    # json.loads raises a plain ValueError for more than 4,300 digits
+    path = tmp_path / "config.json"
+    path.write_text('{"scenario": "A_sine_constraint", "grid": {"n": 4}, '
+                    '"ensemble": {"N": 1' + "0" * 5000 + '}}')
+    out = tmp_path / "never"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("cli: ")
+    assert not out.exists()
+
+
+def test_feature_count_too_large_to_print_exits_3_at_once(tmp_path, capsys):
+    # C(10**2500 + 2, 2) has 5,000 digits: compared with N, never printed
+    cfg = {**A_REGRESSION, "scenario": {**_inline(), "d": 2},
+           "backend": {"kind": "regression", "degree": 10 ** 2500}}
+    start = time.perf_counter()
+    _solve_fails(tmp_path, capsys, cfg, 3,
+                 "cli: backend.degree gives more regression features than ensemble.N = 200")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_step_size_error_exits_3_with_one_line(tmp_path, capsys):
     # linear_y with a = 20 at n = 8 puts lam * dt at 2.5: no per-node contraction
     cfg = write_config(tmp_path, {
@@ -718,7 +741,7 @@ A_REGRESSION = {**A_LATTICE,
     pytest.param("grid", "n", 10 ** 400, "an ensemble of (grid.n + 1) * d * "
                  "ensemble.N states exceeds the largest array", id="grid-n-10**400"),
     pytest.param("backend", "degree", 10 ** 400,
-                 f"ensemble.N must exceed the {10 ** 400 + 1} regression features",
+                 "backend.degree gives more regression features than ensemble.N = 200",
                  id="backend-degree-10**400"),
     ("picard", "max_iter", 0, "picard.max_iter must be >= 1"),
     ("picard", "tol", -1, "picard.tol must be >= 0"),

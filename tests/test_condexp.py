@@ -78,6 +78,8 @@ def test_basis_feature_count():
         for dim in range(1, 5):
             basis = RegressionBasis(degree, dim)
             assert basis.n_features == len(basis.exponents)
+            for cap in range(1, 60):
+                assert basis.features_up_to(cap) == min(basis.n_features, cap + 1)
     with pytest.raises(ValueError):
         RegressionBasis(-1, 1)
 
@@ -146,7 +148,6 @@ def test_regression_rank_deficiency_reported():
     grid = make_grid(1.0, 4)
     base = sample_ensemble(grid, 100, 1, seed=4)
     frozen = ParticleEnsemble(grid=grid, N=100, d=1, seed=4,
-                              increments=np.zeros_like(base.increments),
                               states=np.zeros_like(base.states))
     backend = RegressionBackend(frozen, degree=3)
     with pytest.raises(RegressionError, match="step 2.*degree 3"):
@@ -160,6 +161,22 @@ def test_regression_z_martingale_representation():
     backend = RegressionBackend(ens, degree=3)
     z = backend.condexp_and_z(4, ens.states[:, 5, 0])[1]
     assert abs(z.mean() - 1.0) <= 2e-2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_z_fit_from_state_differences_matches_drawn_increments(d):
+    # one Philox block: the drawn increments are its scaled standard normals
+    grid = make_grid(1.0, 8)
+    N = 3000
+    ens = sample_ensemble(grid, N, d, seed=17)
+    gen = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
+    drawn = gen.standard_normal((N, grid.n, d)) * math.sqrt(grid.dt)
+    backend = RegressionBackend(ens, degree=3)
+    for i in range(grid.n):
+        v = np.sin(ens.states[:, i + 1, 0]) + ens.states[:, i + 1, -1] ** 2
+        z = backend.condexp_and_z(i, v)[1]
+        want = backend._project(i, v * drawn[:, i, :].T).T / grid.dt
+        assert np.linalg.norm(z - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_regression_two_dimensional_state():
@@ -280,8 +297,7 @@ def test_ill_conditioned_design_takes_qr_and_overflow_is_refused(factors):
 
     def backend(states, degree):
         return RegressionBackend(ParticleEnsemble(
-            grid=grid, N=2000, d=1, seed=14, increments=base.increments,
-            states=states), degree)
+            grid=grid, N=2000, d=1, seed=14, states=states), degree)
 
     # offset 10 at degree 3: the equilibrated Gram matrix reads cond 8e7,
     # past GRAM_COND_MAX, and the design 9e3, which QR resolves
@@ -359,9 +375,6 @@ def test_step_rows_are_contiguous_views():
     for i in range(grid.n + 1):
         rows = backend.state(i).T
         assert rows.flags.c_contiguous and np.shares_memory(rows, ens.states)
-    for i in range(grid.n):
-        rows = ens.increments[:, i, :].T
-        assert rows.flags.c_contiguous and np.shares_memory(rows, ens.increments)
 
 
 def test_projection_holds_only_design_targets_and_fit():

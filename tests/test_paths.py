@@ -1,4 +1,7 @@
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +100,7 @@ def test_antithetic_reduces_flatness_noise():
 
 
 def particle_major_reference(grid, N, d, seed):
-    """The (N, n, d) draws of the same Philox blocks and their running sums."""
+    """The running sums of the same Philox blocks' (N, n, d) draws."""
     inc = np.empty((N, grid.n, d))
     for block in range(0, N, paths._BLOCK):
         size = min(paths._BLOCK, N - block)
@@ -106,7 +109,7 @@ def particle_major_reference(grid, N, d, seed):
         inc[block:block + size] = gen.standard_normal((size, grid.n, d)) * math.sqrt(grid.dt)
     states = np.zeros((N, grid.n + 1, d))
     np.cumsum(inc, axis=1, out=states[:, 1:, :])
-    return inc, states
+    return states
 
 
 def same_bits(a, b):
@@ -116,13 +119,36 @@ def same_bits(a, b):
 def test_step_major_ensemble_matches_particle_major_reference():
     g = make_grid(1.0, 5)
     N = paths._BLOCK + 904                              # two Philox blocks
-    inc, states = particle_major_reference(g, N, 2, seed=31)
+    states = particle_major_reference(g, N, 2, seed=31)
     ens = sample_ensemble(g, N, 2, seed=31)
-    assert same_bits(ens.increments, inc) and same_bits(ens.states, states)
+    assert same_bits(ens.states, states)
     # the interleaved pairing, with the negated paths' start node left at +0.0
-    anti_inc = np.empty((2 * N,) + inc.shape[1:])
-    anti_inc[0::2], anti_inc[1::2] = inc, -inc
     anti_states = np.zeros((2 * N,) + states.shape[1:])
     anti_states[0::2, 1:], anti_states[1::2, 1:] = states[:, 1:], -states[:, 1:]
     anti = antithetic(ens)
-    assert same_bits(anti.increments, anti_inc) and same_bits(anti.states, anti_states)
+    assert same_bits(anti.states, anti_states)
+
+
+def test_antithetic_sampling_holds_only_the_states_and_one_block():
+    # no increments array: the peak is the half and the full states plus
+    # one block of draws, where an (n, d, N/2) increments array is 3 blocks
+    g = make_grid(1.0, 16)
+    half, d = 3 * paths._BLOCK, 1
+    state_bytes = (g.n + 1) * d * half * 8
+    block_bytes = g.n * d * paths._BLOCK * 8
+    antithetic(sample_ensemble(g, 2, d, seed=3))       # the first draw imports modules
+    tracemalloc.start()
+    try:
+        ens = antithetic(sample_ensemble(g, half, d, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.N == 2 * half
+    assert peak <= 3 * state_bytes + block_bytes, f"{peak / block_bytes:.2f} blocks"
+
+
+def test_no_src_module_reads_the_derived_increments():
+    src = Path(paths.__file__).parent
+    readers = [f.name for f in sorted(src.glob("*.py"))
+               if re.search(r"\.increments\b", f.read_text())]
+    assert readers == []
