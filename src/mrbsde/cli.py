@@ -210,12 +210,9 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
             raise ConfigError("cli: an ensemble of (grid.n + 1) * d * ensemble.N "
                               "states exceeds the largest array")
         features = RegressionBasis(cfg.degree, spec.brownian_dim).features_up_to(cfg.N)
-        if features > cfg.N:
-            raise ConfigError("cli: backend.degree gives more regression features "
-                              f"than ensemble.N = {cfg.N}")
-        if features == cfg.N:
-            raise ConfigError(f"cli: ensemble.N must exceed the {features} regression "
-                              f"features of degree {cfg.degree}")
+        if features >= cfg.N:
+            raise ConfigError("cli: ensemble.N must exceed the regression features "
+                              f"of backend.degree, got N = {cfg.N}")
     return cfg
 
 
@@ -581,13 +578,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean-reflected BSDE solver and verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (("solve", cmd_solve, "run a solve and write CSV/JSON results"),
-                             ("verify", cmd_verify, "run a solve and assert its contracts")):
-        p_run = sub.add_parser(name, help=text)
-        p_run.add_argument("--config", required=True)
-        p_run.add_argument("--out", required=func is cmd_solve)
-        p_run.add_argument("--backend", choices=["lattice", "regression"])
-        p_run.set_defaults(func=func)
+    p_solve = sub.add_parser("solve", help="run a solve and write CSV/JSON results")
+    p_solve.add_argument("--config", required=True)
+    p_solve.add_argument("--out", required=True)
+    p_solve.add_argument("--backend", choices=["lattice", "regression"])
+    p_solve.set_defaults(func=cmd_solve)
+
+    p_verify = sub.add_parser("verify", help="run a solve and assert its contracts")
+    p_verify.add_argument("--config", required=True)
+    p_verify.add_argument("--out")
+    p_verify.add_argument("--backend", choices=["lattice", "regression"])
+    p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constants", help="print the horizon/bound constants")
     p_const.add_argument("--C", type=float, required=True)

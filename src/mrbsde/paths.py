@@ -29,6 +29,10 @@ class TimeGrid:
     nodes: np.ndarray
     dt: float
 
+    def __post_init__(self):
+        if self.T <= 0.0 or self.n < 1:
+            raise ValueError("need T > 0 and n >= 1")
+
 
 def make_grid(T: float, n: int) -> TimeGrid:
     """Uniform grid t_i = i*T/n, i = 0..n."""
@@ -106,4 +110,6 @@ def particle_mean_se(values, antithetic: bool = False) -> tuple[float, float]:
     v = np.asarray(values, dtype=float)
     if antithetic:
         v = 0.5 * (v[0::2] + v[1::2])
-    return float(v.mean()), float(v.std()) / math.sqrt(v.shape[0])
+    m = float(v.mean())
+    se = float(v.std()) / math.sqrt(v.shape[0])
+    return m, se

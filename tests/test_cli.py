@@ -507,7 +507,8 @@ def test_feature_count_too_large_to_print_exits_3_at_once(tmp_path, capsys):
            "backend": {"kind": "regression", "degree": 10 ** 2500}}
     start = time.perf_counter()
     _solve_fails(tmp_path, capsys, cfg, 3,
-                 "cli: backend.degree gives more regression features than ensemble.N = 200")
+                 "cli: ensemble.N must exceed the regression features of backend.degree, "
+                 "got N = 200")
     assert time.perf_counter() - start < 1.0
 
 
@@ -735,13 +736,14 @@ A_REGRESSION = {**A_LATTICE,
 @pytest.mark.parametrize("section,key,value,text", [
     ("ensemble", "N", "abc", "ensemble.N must be a number, got 'abc'"),
     ("backend", "degree", -1, "backend.degree must be >= 0"),
-    ("ensemble", "N", 4, "ensemble.N must exceed the 4 regression features of degree 3"),
+    ("ensemble", "N", 4,
+     "ensemble.N must exceed the regression features of backend.degree, got N = 4"),
     pytest.param("ensemble", "N", 10 ** 400, "an ensemble of (grid.n + 1) * d * "
                  "ensemble.N states exceeds the largest array", id="ensemble-N-10**400"),
     pytest.param("grid", "n", 10 ** 400, "an ensemble of (grid.n + 1) * d * "
                  "ensemble.N states exceeds the largest array", id="grid-n-10**400"),
     pytest.param("backend", "degree", 10 ** 400,
-                 "backend.degree gives more regression features than ensemble.N = 200",
+                 "ensemble.N must exceed the regression features of backend.degree, got N = 200",
                  id="backend-degree-10**400"),
     ("picard", "max_iter", 0, "picard.max_iter must be >= 1"),
     ("picard", "tol", -1, "picard.tol must be >= 0"),

@@ -229,7 +229,8 @@ def test_projection_matches_lstsq(dim):
     for i in range(1, grid.n):
         nxt = ens.states[:, i + 1, :]
         v = np.sin(nxt[:, 0]) + nxt[:, -1] ** 2
-        targets = np.column_stack([v, v[:, None] * ens.increments[:, i, :]])
+        dB = np.diff(ens.states, axis=1)[:, i, :]
+        targets = np.column_stack([v, v[:, None] * dB])
         phi = reference_design(backend.basis, ens.states[:, i, :])
         phi /= np.max(np.abs(phi), axis=0)
         ref = phi @ np.linalg.lstsq(phi, targets, rcond=None)[0]
