@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +143,7 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
     if horizon is not None:
         if not math.isfinite(horizon) or horizon <= 0:
             raise ConfigError("cli: grid.T must be positive and finite")
-        spec = scenarios.with_horizon(spec, horizon)
+        spec = replace(spec, horizon=horizon)
 
     ens_cfg = _section(raw, "ensemble", {"N", "seed", "antithetic"})
     backend_cfg = _section(raw, "backend", {"kind", "degree"})
@@ -516,10 +516,6 @@ def cmd_constants(args) -> int:
     from .picard import constants_report
 
     try:
-        if args.C < 0 or args.L <= 0 or args.lam <= 0 or not 0 <= args.alpha < 1:
-            raise ValueError("need C >= 0, L > 0, lambda > 0, alpha in [0, 1)")
-        if args.T is not None and args.T <= 0:
-            raise ValueError("T must be positive")
         report = constants_report(hl_const=args.C, bound=args.L, lam=args.lam,
                                   alpha=args.alpha, horizon=args.T,
                                   radius=args.A_tilde)

@@ -3,7 +3,7 @@ of a shifted law nonnegative, on empirical and exact finite-support laws."""
 
 from __future__ import annotations
 
-import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +19,8 @@ class NonFiniteLawError(ValueError):
 
 
 class BracketError(SolverError):
-    """Bracket expansion exceeded the cap: the loss violates the positive-tail
-    assumption numerically."""
+    """The expected loss is negative at the cap shift: the loss violates the
+    positive-tail assumption numerically."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,65 +88,39 @@ def expected_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> floa
     return law.mean(loss.evaluate(t, law.atoms, law.sin_atoms()))
 
 
+def _from_bits(bits: int) -> float:
+    return struct.unpack("d", struct.pack("q", bits))[0]
+
+
 def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw) -> float:
     """Smallest float x >= 0 with E[l(t, x + X)] >= 0.
 
     Returns exactly 0 when the constraint already holds at x = 0; otherwise
-    doubles an upper bracket from 1 (termination guaranteed by the loss's
-    positive tail) and shrinks it by the Illinois variant of regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) until its ends are adjacent floats, and
-    returns the upper end: the loss was evaluated nonnegative there and negative
-    one float below. The secant is anchored at the lower end and each secant
-    point lies at least one float inside the bracket. A bisection step replaces
-    the secant after any two steps that leave the bracket wider than half its
-    width before them, and wherever the end values do not increase (Illinois
-    halving can underflow one of them to zero).
+    bisects [0, DEFAULT_BRACKET_CAP] on the int64 bit patterns of its floats
+    until the ends are adjacent floats, and returns the upper end: the loss was
+    evaluated nonnegative there and negative one float below. Nonnegative
+    doubles are ordered as their bit patterns, so the search takes at most 63
+    halvings, subnormal shifts included, and needs no tolerance. Raises
+    BracketError when the expected loss is still negative at the cap.
 
     Every evaluation is one `expected_loss` call. The one at x = 0 is a pass
     over the atoms; the rest read the law's memoised moments, so after the
     first of them each costs O(1), and a positive shift takes at most two
     trigonometric passes over the atoms (sin at x = 0, cos after it).
     """
-    f_lo = expected_loss(loss, t, law, 0.0)
-    if f_lo >= 0.0:
+    if expected_loss(loss, t, law, 0.0) >= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    f_hi = expected_loss(loss, t, law, hi)
-    while f_hi < 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        if hi > DEFAULT_BRACKET_CAP:
-            raise BracketError(f"no nonnegative expected loss below shift "
-                               f"{DEFAULT_BRACKET_CAP:g} at t={t}")
-        f_hi = expected_loss(loss, t, law, hi)
-
-    side = 0              # +1 / -1: the last step moved hi / lo
-    ref = hi - lo         # width at the start of the current two-step window
-    steps = 0
-    while math.nextafter(lo, hi) < hi:
-        if steps == 2 or not f_hi - f_lo > 0.0:
-            x = lo + 0.5 * (hi - lo)
+    if expected_loss(loss, t, law, DEFAULT_BRACKET_CAP) < 0.0:
+        raise BracketError(f"no nonnegative expected loss below shift "
+                           f"{DEFAULT_BRACKET_CAP:g} at t={t}")
+    lo, hi = 0, struct.unpack("q", struct.pack("d", DEFAULT_BRACKET_CAP))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if expected_loss(loss, t, law, _from_bits(mid)) >= 0.0:
+            hi = mid
         else:
-            x = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
-        if not x > lo:    # also a 0 * inf secant
-            x = math.nextafter(lo, hi)
-        elif not x < hi:
-            x = math.nextafter(hi, lo)
-        f_x = expected_loss(loss, t, law, x)
-        if f_x >= 0.0:
-            hi, f_hi = x, f_x
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = x, f_x
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        steps += 1
-        if hi - lo <= 0.5 * ref or steps > 2:
-            ref, steps = hi - lo, 0
-    return hi
+            lo = mid
+    return _from_bits(hi)
 
 
 def hl_lipschitz_probe(loss: LossSpec, t: float,

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,12 @@ def lipschitz_horizon(hl_const: float, lam: float) -> float:
         raise ValueError("lam must be positive")
     if hl_const < 0.0:
         raise ValueError("hl_const must be nonnegative")
-    base = 1.0 / (40.0 * (38.0 + 10.0 * hl_const ** 2) * lam ** 2)
+    coeff = 40.0 * (38.0 + 10.0 * hl_const ** 2)
+    # below the normal range lam ** 2 loses its bits or underflows to 0
+    if lam ** 2 >= sys.float_info.min:
+        base = 1.0 / (coeff * lam ** 2)
+    else:
+        base = 1.0 / lam / (coeff * lam)
     return min(math.sqrt(base), base)
 
 

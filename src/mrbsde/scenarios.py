@@ -13,7 +13,7 @@ D: capped quadratic driver with bounded terminal value -- quadratic mode,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
                     brownian_terminal, constant_driver, hl_constant,
@@ -120,32 +120,28 @@ def get(name: str) -> NamedScenario:
                    f"known: {[e.name for e in registry()]}")
 
 
-def with_horizon(spec: ScenarioSpec, horizon: float) -> ScenarioSpec:
-    return replace(spec, horizon=horizon)
-
-
 # ---------------------------------------------------------------------------
 # Inline scenario construction (JSON config support)
 # ---------------------------------------------------------------------------
 
 _LOSS_BUILDERS = {
-    "linear_shift": lambda p: linear_shift_loss(**p),
-    "sine_perturbed": lambda p: sine_perturbed_loss(**p),
+    "linear_shift": linear_shift_loss,
+    "sine_perturbed": sine_perturbed_loss,
 }
 
 _DRIVER_BUILDERS = {
-    "zero": lambda p: zero_driver(**p),
-    "constant": lambda p: constant_driver(**p),
-    "linear_y": lambda p: linear_y_driver(**p),
-    "linear_mean": lambda p: linear_mean_driver(**p),
-    "mean_resist": lambda p: mean_resist_driver(**p),
-    "quadratic_z": lambda p: quadratic_z_driver(**p),
+    "zero": zero_driver,
+    "constant": constant_driver,
+    "linear_y": linear_y_driver,
+    "linear_mean": linear_mean_driver,
+    "mean_resist": mean_resist_driver,
+    "quadratic_z": quadratic_z_driver,
 }
 
 _TERMINAL_BUILDERS = {
-    "brownian": lambda p: brownian_terminal(**p),
-    "brownian_shift": lambda p: brownian_shift_terminal(**p),
-    "scaled_tanh": lambda p: scaled_tanh_terminal(**p),
+    "brownian": brownian_terminal,
+    "brownian_shift": brownian_shift_terminal,
+    "scaled_tanh": scaled_tanh_terminal,
 }
 
 
@@ -178,7 +174,7 @@ def _build(table, section: str, cfg: dict):
         raise ValueError(f"{section}.params must be an object")
     for key, value in params.items():
         config_number(f"{section}.params.{key}", value)
-    return table[kind](params)
+    return table[kind](**params)
 
 
 def scenario_from_dict(cfg: dict) -> ScenarioSpec:

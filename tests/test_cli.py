@@ -1,7 +1,10 @@
+import dataclasses
+import importlib
 import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +232,14 @@ def test_verify_writes_report(tmp_path, capsys):
     assert (out / "verify_report.json").exists()
 
 
+def test_console_script_entry_point_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["mrbsde"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
+
 def test_constants_command(capsys):
     assert main(["constants", "--C", "1", "--L", "1", "--lambda", "1",
                  "--alpha", "0", "--T", "1"]) == 0
@@ -245,9 +256,13 @@ def test_constants_rejects_bad_input(capsys):
     valid = {"--C": "1", "--L": "1", "--lambda": "1"}
     bad = [{flag: value} for flag, value in (
         ("--lambda", "-2"), ("--C", "nan"), ("--L", "inf"), ("--lambda", "nan"),
-        ("--T", "inf"), ("--A-tilde", "nan"))]
-    # finite flags whose ball floor, uniform bound or Lipschitz horizon overflows
-    bad += [{"--L": "100"}, {"--T": "500"}, {"--C": "1e200", "--lambda": "1e200"}]
+        ("--T", "inf"), ("--A-tilde", "nan"), ("--C", "-1"), ("--L", "0"),
+        ("--lambda", "0"), ("--alpha", "1"), ("--alpha", "-0.1"), ("--T", "0"),
+        ("--A-tilde", "0"))]
+    # finite flags whose ball floor, uniform bound or Lipschitz horizon
+    # overflows; at lambda = 1e-300 the ball floor's square does
+    bad += [{"--L": "100"}, {"--T": "500"}, {"--C": "1e200", "--lambda": "1e200"},
+            {"--lambda": "1e-300"}]
     for extra in bad:
         flags = {**valid, **extra}
         assert main(["constants", *(x for kv in flags.items() for x in kv)]) == 3
@@ -448,7 +463,7 @@ def test_stitched_contraction_ratio_covers_every_interval(tmp_path, capsys):
 
 def test_empty_stitch_section_plans_from_the_horizon(tmp_path):
     # the contraction horizon of B is about 0.0021: three steps of 0.000625
-    spec = scenarios.with_horizon(scenarios.get("B_meanfield_linear").spec, 0.005)
+    spec = dataclasses.replace(scenarios.get("B_meanfield_linear").spec, horizon=0.005)
     grid = make_grid(spec.horizon, 8)
     expected = plan_intervals(spec, grid, stitch_constants(spec)).breaks
     assert expected == [0, 3, 6, 8]
@@ -668,7 +683,12 @@ _QUADRATIC_Z = {"kind": "quadratic_z", "params": {
                   "driver": {"kind": "linear_mean", "params": {"a": 1e200}}}},
     {"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5, "driver": _QUADRATIC_Z,
                   "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}},
-], ids=["D-T5-stitched", "D-T500", "linear_mean-huge-a", "quadratic_z-big-bound"])
+    {"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5,
+                  "driver": {"kind": "quadratic_z", "params": {
+                      **_QUADRATIC_Z["params"], "gamma": 0, "a": 1e-300}},
+                  "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}},
+], ids=["D-T5-stitched", "D-T500", "linear_mean-huge-a", "quadratic_z-big-bound",
+        "quadratic_z-tiny-a"])
 def test_overflowing_constants_exit_3_without_files(tmp_path, capsys, command, cfg):
     cfg = {"grid": {}, **cfg, "backend": {"kind": "lattice"}}
     cfg["grid"] = {**cfg["grid"], "n": 8}
@@ -679,6 +699,19 @@ def test_overflowing_constants_exit_3_without_files(tmp_path, capsys, command, c
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("cli: a horizon or bound constant overflows")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [1e-170, 1e-300])
+def test_tiny_lam_has_an_unbounded_lipschitz_horizon(tmp_path, a):
+    # lam ** 2 underflows to 0; the horizon is beyond the float range
+    cfg = {"scenario": {**_inline(), "T": 0.5,
+                        "driver": {"kind": "linear_mean", "params": {"a": a}}},
+           "grid": {"n": 8}, "backend": {"kind": "lattice"}}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["constants_report"]["delta_lipschitz"] is None
 
 
 def test_overflowing_summary_exits_3_without_files(tmp_path, capsys):

@@ -210,9 +210,12 @@ def test_spec_refuses_a_params_count_other_than_its_kinds(build, message):
 # a spec's kind and params, so each assumption is checked here over every
 # kind it applies to and params across their valid ranges. Each side of an
 # inequality is compared with a slack of a few ulps of the magnitudes it was
-# formed from, so rounding at large params cannot fail a true inequality.
+# formed from, so rounding at large params cannot fail a true inequality,
+# plus a few of the smallest subnormal, the absolute error of a rounding that
+# underflows, so a subnormal param cannot fail one either.
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 LIPSCHITZ_DRIVER_KINDS = [k for k in DRIVER_KINDS if k != "quadratic_z"]
 PARAM = st.floats(-1e6, 1e6)
 
@@ -242,12 +245,13 @@ def driver_arg_pairs(draw):
 
 def _driver_gap(drv, t, u, v):
     """|f(t, u) - f(t, v)| and its rounding slack: a few ulps of lam times
-    every term's magnitude, |z|^2 included for the quadratic family."""
+    every term's magnitude, |z|^2 included for the quadratic family, and as
+    many smallest subnormals for the roundings that underflow."""
     f1, f2 = (float(drv.evaluate(t, np.array([y]), yb, z[None, :], zb, g)[0])
               for y, yb, z, zb, g in (u, v))
     size = sum(abs(y) + abs(yb) + np.linalg.norm(z) * (1.0 + np.linalg.norm(z))
                + np.linalg.norm(zb) + abs(g) for y, yb, z, zb, g in (u, v))
-    return abs(f1 - f2), 8 * (len(u[2]) + 2) * EPS * drv.lam * size
+    return abs(f1 - f2), 8 * (len(u[2]) + 2) * (EPS * drv.lam * size + TINY)
 
 
 @pytest.mark.parametrize("kind", LIPSCHITZ_DRIVER_KINDS)
@@ -260,6 +264,15 @@ def test_driver_lipschitz(kind, data):
         gap, slack = _driver_gap(drv, t, u, v)
         dist = sum(np.linalg.norm(np.subtract(a, b)) for a, b in zip(u, v))
         assert gap <= drv.lam * dist + slack
+
+
+def test_driver_lipschitz_at_a_subnormal_slope():
+    # a * 0.5 - a * 0.25 and a * 0.25 round to different multiples of the
+    # smallest subnormal, where a relative slack is 0
+    drv = linear_y_driver(2.225073858507e-311)
+    z = np.zeros(1)
+    gap, slack = _driver_gap(drv, 0.0, (0.25, 0.0, z, z, 0.0), (0.5, 0.0, z, z, 0.0))
+    assert gap <= drv.lam * 0.25 + slack
 
 
 @given(quadratic_drivers(), st.floats(0, 10), driver_arg_pairs())

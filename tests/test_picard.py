@@ -42,6 +42,12 @@ def test_lipschitz_horizon_values():
     assert lipschitz_horizon(1.0, 2.0) < lipschitz_horizon(1.0, 1.0)
     with pytest.raises(ValueError):
         lipschitz_horizon(1.0, 0.0)
+    # lam ** 2 leaves the normal range: the horizon is
+    # 1 / (lam sqrt(40 (38 + 10 C^2))) where that is finite, inf otherwise
+    assert lipschitz_horizon(1e100, 1e-250) == pytest.approx(5e148, rel=1e-12)
+    assert lipschitz_horizon(1e10, 1e-160) == pytest.approx(5e148, rel=1e-12)
+    assert lipschitz_horizon(1.0, 1e-300) == math.inf
+    assert lipschitz_horizon(1.0, 5e-324) == math.inf
 
 
 def test_ball_floor_values():
