@@ -330,8 +330,6 @@ def summarize(result: RunResult) -> dict:
         contraction = {"max_ratio": est.max_ratio, "bound": est.bound,
                        "metric": est.metric}
     norms = empirical_norms(sol.y, sol.z, sol.k, result.grid, result.backend, sol.lo)
-    # a stitched run reports its plan's warnings before the intervals'
-    warnings = (result.stitch_report or result.histories[0]).warnings
     defaults = default_tolerances(sol, result.grid)
     if len(result.histories) == 1:
         distances = result.histories[0].distances
@@ -365,7 +363,7 @@ def summarize(result: RunResult) -> dict:
             "shift_at_zero_max": shift_at_zero_max(result.cfg.scenario, result.grid),
         },
         "default_tolerances": defaults,
-        "warnings": warnings,
+        "warnings": [w for h in result.histories for w in h.warnings],
         "converged": all(h.converged for h in result.histories),
         "sweeps": sum(len(h.distances) for h in result.histories),
         "runtime_ms": result.runtime_ms,

@@ -144,23 +144,21 @@ class DriverSpec:
     The family fixes the mode (quadratic exactly for `quadratic_z`) and its
     parameters fix `lam`, the Lipschitz constant (Lipschitz mode) or the
     structure constant of the quadratic increment bound (quadratic mode).
-    `alpha` is the subquadratic exponent of the zbar slot and `zero_bound`
-    bounds |f(t,0,0,0,0,0)|. Quadratic mode needs `lam > 0` and `zero_bound`:
+    The zbar term b|zbar| is Lipschitz, so the bound holds with the
+    subquadratic exponent alpha = 0 of the zbar slot. `zero_bound` bounds
+    |f(t,0,0,0,0,0)|. Quadratic mode needs `lam > 0` and `zero_bound`:
     the ball radius, the contraction horizon and the horizon-uniform bound are
     built from them. It also needs `z_cap >= 0` and `zero_bound >= 0`, so that
     f(t,0,0,0,0,0) = 0 lies within the bound.
     """
 
     kind: str
-    alpha: float = 0.0
     zero_bound: float | None = None
     params: tuple = ()
 
     def __post_init__(self):
         _require_kind("driver", DRIVER_KINDS, self.kind, self.params)
-        _require_finite("driver", *self.params, self.alpha, self.zero_bound)
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+        _require_finite("driver", *self.params, self.zero_bound)
         if self.mode == QUADRATIC and not self.lam > 0.0:
             raise ValueError("quadratic_z needs lam = max(|a|, |gamma|/2, |b|) > 0")
         if self.mode == QUADRATIC and self.zero_bound is None:
@@ -233,8 +231,8 @@ def mean_resist_driver(a: float, b: float) -> DriverSpec:
 
 
 def quadratic_z_driver(a: float, gamma: float, z_cap: float, b: float,
-                       zero_bound: float, alpha: float = 0.0) -> DriverSpec:
-    return DriverSpec(kind="quadratic_z", alpha=float(alpha), zero_bound=float(zero_bound),
+                       zero_bound: float) -> DriverSpec:
+    return DriverSpec(kind="quadratic_z", zero_bound=float(zero_bound),
                       params=(float(a), float(gamma), float(z_cap), float(b)))
 
 

@@ -75,24 +75,19 @@ def quadratic_contraction_coeff(hl_const: float, lam: float, radius: float) -> f
 
 
 def quadratic_contraction_horizon(radius: float, hl_const: float, bound: float,
-                                  lam: float, alpha: float):
+                                  lam: float, alpha: float) -> float:
     """Interval length below which the quadratic-case map halves distances.
 
-    The printed source of the third argument admits two readings; both are
-    computed and the reciprocal one is selected (the literal reading grows
-    with the coefficient and cannot bound a small horizon).  Returns
-    (selected, literal, reciprocal).
+    The printed third argument is read as the reciprocal of
+    24 A^(2 alpha) c^2 lam^2, raised to 1/(1-alpha): read literally it grows
+    with the coefficient c and cannot bound a small horizon.
     """
     _require_alpha(alpha)
     coeff = quadratic_contraction_coeff(hl_const, lam, radius)
-    stability = quadratic_stability_horizon(radius, bound, lam, alpha)
-    expo = 1.0 / (1.0 - alpha)
-    third_literal = (coeff ** 2 * lam ** 2 / (24.0 * radius ** (2.0 * alpha))) ** expo
-    third_reciprocal = (1.0 / (24.0 * radius ** (2.0 * alpha) * coeff ** 2 * lam ** 2)) ** expo
-    head = min(1.0 / (4.0 * coeff * lam), 1.0 / (12.0 * coeff ** 2 * lam ** 2))
-    literal = min(head, third_literal, stability)
-    reciprocal = min(head, third_reciprocal, stability)
-    return reciprocal, literal, reciprocal
+    third = ((1.0 / (24.0 * radius ** (2.0 * alpha) * coeff ** 2 * lam ** 2))
+             ** (1.0 / (1.0 - alpha)))
+    return min(1.0 / (4.0 * coeff * lam), 1.0 / (12.0 * coeff ** 2 * lam ** 2), third,
+               quadratic_stability_horizon(radius, bound, lam, alpha))
 
 
 def uniform_y_bound(hl_const: float, bound: float, lam: float,
@@ -128,14 +123,11 @@ class ConstantsReport:
     bound: float | None = None
     horizon: float | None = None
     radius: float | None = None
-    reading: str = "reciprocal"
     delta_lipschitz: float | None = None
     ball_floor: float | None = None
     delta_stability: float | None = None
     contraction_coeff: float | None = None
     delta_contraction: float | None = None
-    delta_contraction_literal: float | None = None
-    delta_contraction_reciprocal: float | None = None
     y_bound_first: float | None = None
     y_bound_second: float | None = None
     y_bound: float | None = None
@@ -153,7 +145,8 @@ def constants_report(hl_const: float, bound: float | None, lam: float,
                      radius: float | None = None) -> ConstantsReport:
     """Evaluate every constant that the inputs allow; a `bound` adds the
     quadratic ones, which need `lam > 0`, with the radius defaulting to the
-    ball floor. Raises ValueError on a non-finite input or on overflow."""
+    ball floor. Raises ValueError on a non-finite input, on overflow, or on a
+    divisor that underflows to 0."""
     _require_finite("constants_report", hl_const, bound, lam, alpha, horizon, radius)
     try:
         delta_lip = lipschitz_horizon(hl_const, lam) if lam > 0.0 else math.inf
@@ -164,29 +157,28 @@ def constants_report(hl_const: float, bound: float | None, lam: float,
             radius = floor if radius is None else radius
             if radius < floor:
                 raise ValueError(f"radius {radius:g} below the admissible floor {floor:g}")
-            selected, literal, reciprocal = quadratic_contraction_horizon(
-                radius, hl_const, bound, lam, alpha)
             fields.update(
                 radius=radius,
                 ball_floor=floor,
+                delta_contraction=quadratic_contraction_horizon(
+                    radius, hl_const, bound, lam, alpha),
                 delta_stability=quadratic_stability_horizon(radius, bound, lam, alpha),
                 contraction_coeff=quadratic_contraction_coeff(hl_const, lam, radius),
-                delta_contraction=selected,
-                delta_contraction_literal=literal,
-                delta_contraction_reciprocal=reciprocal,
             )
             if horizon is not None:
                 b1, b2, b = uniform_y_bound(hl_const, bound, lam, horizon)
                 fields.update(y_bound_first=b1, y_bound_second=b2, y_bound=b)
     except OverflowError as exc:
         raise ValueError(f"a horizon or bound constant overflows: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError("a horizon constant underflows: its divisor rounds "
+                         "to 0") from exc
     return ConstantsReport(**fields)
 
 
 def scenario_constants(scenario: ScenarioSpec) -> ConstantsReport:
     return constants_report(hl_constant(scenario.loss), scenario.effective_bound(),
-                            scenario.driver.lam, scenario.driver.alpha,
-                            horizon=scenario.horizon)
+                            scenario.driver.lam, horizon=scenario.horizon)
 
 
 def contraction_horizon(constants: ConstantsReport, mode: str) -> float | None:

@@ -20,7 +20,7 @@ from .model import (ResistanceSpec, ScenarioSpec, brownian_shift_terminal,
                     linear_mean_driver, linear_shift_loss, linear_y_driver,
                     mean_resist_driver, quadratic_z_driver,
                     scaled_tanh_terminal, sine_perturbed_loss, zero_driver)
-from .picard import quadratic_ball_floor, quadratic_contraction_horizon
+from .picard import constants_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +93,9 @@ def _scenario_d() -> NamedScenario:
                                 zero_bound=1.0)
     loss = linear_shift_loss(c0=-0.5)
     # pin the horizon to the scenario's own contraction horizon
-    floor = quadratic_ball_floor(hl_constant(loss), 1.0, driver.lam)
-    horizon, _, _ = quadratic_contraction_horizon(floor, hl_constant(loss), 1.0,
-                                                  driver.lam, driver.alpha)
     spec = ScenarioSpec(
         name="D_quadratic",
-        horizon=horizon,
+        horizon=constants_report(hl_constant(loss), 1.0, driver.lam).delta_contraction,
         brownian_dim=1,
         terminal=scaled_tanh_terminal(1.0),
         driver=driver,
@@ -213,8 +210,7 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         "terminal": {"kind": spec.terminal.kind, "params": list(spec.terminal.params),
                      "bound": spec.terminal.bound},
         "driver": {"kind": spec.driver.kind, "mode": spec.driver.mode,
-                   "lam": spec.driver.lam, "alpha": spec.driver.alpha,
-                   "zero_bound": spec.driver.zero_bound,
+                   "lam": spec.driver.lam, "zero_bound": spec.driver.zero_bound,
                    "params": list(spec.driver.params)},
         "resistance": {"kind": spec.resistance.kind},
         "loss": {"kind": spec.loss.kind, "params": list(spec.loss.params),

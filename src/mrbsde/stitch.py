@@ -6,7 +6,7 @@ offsets that keep the global path continuous."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class IntervalPlan:
 
     breaks: list[int]
     constants: ConstantsReport
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_intervals(self) -> int:
@@ -47,12 +46,13 @@ def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
     horizon-uniform bound on the constrained component, so every interval of
     the backward induction stays admissible. Every quadratic scenario has that
     bound: building its driver checks that the parameters give `lam > 0` and
-    that a `zero_bound` is set.
+    that a `zero_bound` is set. Both reports take the driver's exponent
+    alpha = 0.
     """
     base = scenario_constants(scenario)
     if scenario.mode != QUADRATIC:
         return base
-    return constants_report(base.hl_const, base.y_bound, base.lam, base.alpha,
+    return constants_report(base.hl_const, base.y_bound, base.lam,
                             horizon=scenario.horizon)
 
 
@@ -62,8 +62,9 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
     """Partition [0, T] into sub-intervals snapped to grid nodes.
 
     Without an explicit count the partition is the balanced one with every
-    length at most the contraction horizon; an explicit count overrides the
-    horizon with a recorded warning (the horizon is sufficient, not necessary).
+    length at most the contraction horizon. An explicit count overrides the
+    horizon (it is sufficient, not necessary); each interval longer than it
+    records the warning of its own `picard_solve`.
     """
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator "
@@ -71,7 +72,6 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
     delta = contraction_horizon(constants, scenario.mode)
     if delta is None:
         raise PlanError("constants report lacks the applicable horizon")
-    warnings = []
     if intervals is None:
         if not math.isfinite(delta):
             m = 1
@@ -91,12 +91,7 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
     breaks = [0]
     for s in sizes:
         breaks.append(breaks[-1] + s)
-    lengths = [s * grid.dt for s in sizes]
-    if math.isfinite(delta) and max(lengths) > delta * (1.0 + 1e-12):
-        warnings.append(
-            f"interval length {max(lengths):g} exceeds the contraction "
-            f"horizon {delta:g} (advisory)")
-    return IntervalPlan(breaks=breaks, constants=constants, warnings=warnings)
+    return IntervalPlan(breaks=breaks, constants=constants)
 
 
 @dataclass(eq=False)
@@ -104,13 +99,6 @@ class StitchReport:
     plan: IntervalPlan
     histories: list[PicardHistory]
     seam_constraints: list[float]
-
-    @property
-    def warnings(self) -> list[str]:
-        out = list(self.plan.warnings)
-        for h in self.histories:
-            out.extend(h.warnings)
-        return out
 
 
 def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,

@@ -247,9 +247,15 @@ def test_constants_command(capsys):
     assert report["delta_lipschitz"] == pytest.approx(1.0 / 1920.0, rel=1e-12)
     assert report["ball_floor"] == pytest.approx(7.0 + 8.0 * math.exp(9.0),
                                                  rel=1e-12)
-    assert "delta_contraction_literal" in report
-    assert "delta_contraction_reciprocal" in report
+    assert not {"reading", "delta_contraction_literal",
+                "delta_contraction_reciprocal"} & set(report)
     assert report["y_bound"] is not None
+    # the command line is what reaches the general formulas at alpha > 0
+    assert main(["constants", "--C", "1", "--L", "1", "--lambda", "1",
+                 "--alpha", "0.5", "--T", "1"]) == 0
+    at_half = json.loads(capsys.readouterr().out)
+    assert at_half == picard.constants_report(1.0, 1.0, 1.0, 0.5, horizon=1.0).to_dict()
+    assert at_half["delta_stability"] != report["delta_stability"]
 
 
 def test_constants_rejects_bad_input(capsys):
@@ -263,6 +269,8 @@ def test_constants_rejects_bad_input(capsys):
     # overflows; at lambda = 1e-300 the ball floor's square does
     bad += [{"--L": "100"}, {"--T": "500"}, {"--C": "1e200", "--lambda": "1e200"},
             {"--lambda": "1e-300"}]
+    # the quadratic horizons' divisors, products of lambda^2 and L^2, underflow
+    bad += [{"--L": "1e-300", "--lambda": "1e-300"}, {"--L": "1e-200", "--lambda": "1e-170"}]
     for extra in bad:
         flags = {**valid, **extra}
         assert main(["constants", *(x for kv in flags.items() for x in kv)]) == 3
@@ -418,20 +426,22 @@ def test_stitched_solve_through_cli(tmp_path):
 
 
 def test_stitch_plan_warning_reaches_the_outputs(tmp_path, capsys):
-    # three intervals of 1/6 on B (T = 0.5) are far above its contraction horizon
+    # three intervals of 1/6 on B (T = 0.5) are far above its contraction
+    # horizon: each interval's solve records it, in order
     cfg = write_config(tmp_path, {
         "scenario": "B_meanfield_linear",
         "grid": {"n": 9},
         "backend": {"kind": "lattice"},
         "stitch": {"intervals": 3},
     })
-    plan_warning = ("interval length 0.166667 exceeds the contraction horizon "
-                    "0.00208333 (advisory)")
+    interval_warning = ("horizon 0.166667 exceeds the contraction horizon "
+                        "0.00208333 (advisory)")
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["warnings"][0] == plan_warning
-    assert len(summary["warnings"]) == 4        # the plan's and one per interval
+    assert summary["warnings"] == [interval_warning] * 3
+    assert summary["warnings"] == [w for h in summary["picard_history"]
+                                   for w in h["warnings"]]
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
@@ -622,6 +632,14 @@ def test_unknown_builder_param_exits_3_with_one_line(tmp_path, capsys):
                                         "params": {"value": 1, "bogus": 3}}}
     cfg = {"scenario": scenario, "grid": {"n": 4}, "backend": {"kind": "lattice"}}
     _solve_fails(tmp_path, capsys, cfg, 3, "cli: bad scenario:")
+    # quadratic_z's zbar term b |zbar| is Lipschitz: its exponent is 0, not a param
+    scenario = {**_inline(loss_params={"c0": -0.5}), "T": 0.1,
+                "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}},
+                "driver": {"kind": "quadratic_z", "params": {
+                    "a": 0.05, "gamma": 0.1, "z_cap": 1000, "b": 0.02,
+                    "zero_bound": 1, "alpha": 0}}}
+    cfg = {"scenario": scenario, "grid": {"n": 8}, "backend": {"kind": "lattice"}}
+    _solve_fails(tmp_path, capsys, cfg, 3, "unexpected keyword argument 'alpha'")
 
 
 def test_non_number_scenario_value_exits_3_with_one_line(tmp_path, capsys):
@@ -675,21 +693,33 @@ _QUADRATIC_Z = {"kind": "quadratic_z", "params": {
     "a": 0, "gamma": 0.2, "z_cap": 100, "b": 0, "zero_bound": 200}}
 
 
+_OVERFLOWS = "cli: a horizon or bound constant overflows"
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("cfg", [
-    {"scenario": "D_quadratic", "grid": {"T": 5}, "stitch": {}},
-    {"scenario": "D_quadratic", "grid": {"T": 500}},
-    {"scenario": {**_inline(), "T": 0.5,
-                  "driver": {"kind": "linear_mean", "params": {"a": 1e200}}}},
-    {"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5, "driver": _QUADRATIC_Z,
-                  "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}},
-    {"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5,
-                  "driver": {"kind": "quadratic_z", "params": {
-                      **_QUADRATIC_Z["params"], "gamma": 0, "a": 1e-300}},
-                  "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}},
+@pytest.mark.parametrize("cfg, message", [
+    ({"scenario": "D_quadratic", "grid": {"T": 5}, "stitch": {}}, _OVERFLOWS),
+    ({"scenario": "D_quadratic", "grid": {"T": 500}}, _OVERFLOWS),
+    ({"scenario": {**_inline(), "T": 0.5,
+                   "driver": {"kind": "linear_mean", "params": {"a": 1e200}}}}, _OVERFLOWS),
+    ({"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5, "driver": _QUADRATIC_Z,
+                   "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}}, _OVERFLOWS),
+    ({"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5,
+                   "driver": {"kind": "quadratic_z", "params": {
+                       **_QUADRATIC_Z["params"], "gamma": 0, "a": 1e-300}},
+                   "terminal": {"kind": "scaled_tanh", "params": {"scale": 1}}}}, _OVERFLOWS),
+    # lam = L = 1e-300: the horizons divide by products of lam^2, which round
+    # to 0, while the ball floor stays near 4, far from overflow
+    ({"scenario": {**_inline(loss_params={"c0": -1}), "T": 0.5,
+                   "driver": {"kind": "quadratic_z", "params": {
+                       **_QUADRATIC_Z["params"], "gamma": 0, "a": 1e-300,
+                       "zero_bound": 1e-300}},
+                   "terminal": {"kind": "scaled_tanh", "params": {"scale": 1e-300}}}},
+     "cli: a horizon constant underflows"),
 ], ids=["D-T5-stitched", "D-T500", "linear_mean-huge-a", "quadratic_z-big-bound",
-        "quadratic_z-tiny-a"])
-def test_overflowing_constants_exit_3_without_files(tmp_path, capsys, command, cfg):
+        "quadratic_z-tiny-a", "quadratic_z-tiny-a-and-bound"])
+def test_overflowing_constants_exit_3_without_files(tmp_path, capsys, command, cfg,
+                                                    message):
     cfg = {"grid": {}, **cfg, "backend": {"kind": "lattice"}}
     cfg["grid"] = {**cfg["grid"], "n": 8}
     out = tmp_path / "never"
@@ -697,7 +727,7 @@ def test_overflowing_constants_exit_3_without_files(tmp_path, capsys, command, c
                  "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("cli: a horizon or bound constant overflows")
+    assert captured.err.startswith(message)
     assert not out.exists()
 
 

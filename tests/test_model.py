@@ -190,8 +190,8 @@ def test_terminal_bound_and_directly_built_specs():
     # a spec built directly is checked as its builder's is
     with pytest.raises(ValueError, match="sine_perturbed needs 0 < beta < 1"):
         LossSpec(kind="sine_perturbed", params=(1.0,))
-    drv = quadratic_z_driver(a=0, gamma=1, z_cap=1, b=0, zero_bound=2, alpha=0)
-    assert (type(drv.zero_bound), type(drv.alpha)) == (float, float)
+    drv = quadratic_z_driver(a=0, gamma=1, z_cap=1, b=0, zero_bound=2)
+    assert type(drv.zero_bound) is float
 
 
 @pytest.mark.parametrize("build, message", [
@@ -226,8 +226,7 @@ def quadratic_drivers(draw):
     assume(max(abs(a), abs(gamma), abs(b)) > 0.0)
     cap = draw(st.floats(0, 1e6) | st.floats(1e6, 1e12))
     return quadratic_z_driver(a=a, gamma=gamma, z_cap=cap, b=b,
-                              zero_bound=draw(st.floats(0, 1e6)),
-                              alpha=draw(st.floats(0, 1, exclude_max=True)))
+                              zero_bound=draw(st.floats(0, 1e6)))
 
 
 @st.composite
@@ -285,11 +284,11 @@ def test_driver_quadratic_increment(drv, t, args):
     y, yb, z, zb, g = u
     for p, pb, q, qb, gb in vs:
         gap, slack = _driver_gap(drv, t, u, (p, pb, q, qb, gb))
-        nz, nq, nzb, nqb = (np.linalg.norm(x) for x in (z, q, zb, qb))
+        nz, nq = np.linalg.norm(z), np.linalg.norm(q)
+        # the zbar factor (1 + |zbar|^alpha + |qbar|^alpha) at alpha = 0
         bound = drv.lam * (abs(y - p) + abs(yb - pb)
                            + (1.0 + nz + nq) * np.linalg.norm(z - q)
-                           + (1.0 + nzb ** drv.alpha + nqb ** drv.alpha)
-                           * np.linalg.norm(zb - qb)
+                           + 3.0 * np.linalg.norm(zb - qb)
                            + abs(g - gb))
         assert gap <= bound + slack
 

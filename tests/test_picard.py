@@ -80,15 +80,41 @@ def test_contraction_coeff_values():
 
 
 def test_contraction_horizon_readings():
-    sel, literal, reciprocal = quadratic_contraction_horizon(10.0, 1.0, 1.0, 1.0, 0.0)
+    sel = quadratic_contraction_horizon(10.0, 1.0, 1.0, 1.0, 0.0)
     coeff = quadratic_contraction_coeff(1.0, 1.0, 10.0)
     stability = quadratic_stability_horizon(10.0, 1.0, 1.0, 0.0)
     expected = min(1.0 / (4.0 * coeff), 1.0 / (12.0 * coeff ** 2),
                    1.0 / (24.0 * coeff ** 2), stability)
     assert sel == pytest.approx(expected, rel=1e-12)
-    assert sel == reciprocal
-    assert literal >= reciprocal
     assert sel <= stability                      # min always includes it
+
+
+@pytest.mark.parametrize("radius, bound, expected", [
+    (0.01, 0.03, 1.0 / 3.0),       # L/(9 lam A) = 0.03/0.09
+    (0.01, 0.003, 0.01),           # L^2/(9 lam^2 A^2) = 9e-6/9e-4
+    (10.0, 1.0, 1.0 / 81e6),       # (L/(3 lam A^1.5))^4 = (1/(30 sqrt 10))^4
+], ids=["first", "second", "third"])
+def test_stability_horizon_terms_at_alpha_half(radius, bound, expected):
+    # lam = 1 and alpha = 0.5: each (A, L) makes one term the minimum
+    assert quadratic_stability_horizon(radius, bound, 1.0, 0.5) == pytest.approx(
+        expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius, bound, lam, term", [
+    (1.0, 1.0, 0.01, 0),           # u = c lam < 1/3
+    (0.01, 1.0, 0.1, 1),           # u > 1/3 and u A small
+    (0.1, 1.0, 1.0, 2),            # u A large
+    (1.0, 1e-3, 0.01, 3),          # a small bound: the stability horizon
+], ids=["first", "second", "third", "stability"])
+def test_contraction_horizon_terms_at_alpha_half(radius, bound, lam, term):
+    # hl = 0 and alpha = 0.5: with u = c lam the terms are 1/(4u), 1/(12u^2),
+    # (1/(24 A u^2))^2 and the stability horizon; each row makes one the minimum
+    u = quadratic_contraction_coeff(0.0, lam, radius) * lam
+    terms = [1.0 / (4.0 * u), 1.0 / (12.0 * u ** 2), 1.0 / (24.0 * radius * u ** 2) ** 2,
+             quadratic_stability_horizon(radius, bound, lam, 0.5)]
+    assert min(range(4), key=terms.__getitem__) == term
+    assert quadratic_contraction_horizon(radius, 0.0, bound, lam, 0.5) == pytest.approx(
+        terms[term], rel=1e-12)
 
 
 def test_uniform_bound_values():
@@ -109,8 +135,10 @@ def test_constants_report_roundtrip():
     assert d["delta_lipschitz"] == pytest.approx(1.0 / 1920.0, rel=1e-12)
     assert d["ball_floor"] == pytest.approx(7.0 + 8.0 * math.exp(9.0), rel=1e-12)
     assert d["delta_contraction"] <= d["delta_stability"]
-    assert d["delta_contraction_literal"] is not None
-    assert d["delta_contraction_reciprocal"] is not None
+    assert d["delta_contraction"] == quadratic_contraction_horizon(
+        d["radius"], 1.0, 1.0, 1.0, 0.0)
+    assert not {"reading", "delta_contraction_literal",
+                "delta_contraction_reciprocal"} & set(d)
     with pytest.raises(ValueError):
         constants_report(1.0, 1.0, 1.0, radius=1.0)   # below the floor
 

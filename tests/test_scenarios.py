@@ -58,10 +58,10 @@ def test_scenario_d_horizon_is_contraction_horizon():
     spec = get("D_quadratic").spec
     assert spec.mode == QUADRATIC
     floor = quadratic_ball_floor(hl_constant(spec.loss), 1.0, spec.driver.lam)
-    delta, _, _ = quadratic_contraction_horizon(floor, hl_constant(spec.loss),
-                                                1.0, spec.driver.lam,
-                                                spec.driver.alpha)
-    assert spec.horizon == delta
+    delta = quadratic_contraction_horizon(floor, hl_constant(spec.loss), 1.0,
+                                          spec.driver.lam, 0.0)
+    assert spec.horizon == delta == 2.0769956553165817e-06
+    assert spec.horizon == scenario_constants(spec).delta_contraction
     assert spec.terminal.bound == 1.0
 
 
@@ -154,8 +154,8 @@ def test_scenario_from_dict_reads_integral_numbers():
 
 
 def _driver(kind, params, lam, mode="lipschitz", zero_bound=None):
-    return {"kind": kind, "mode": mode, "lam": lam, "alpha": 0.0,
-            "zero_bound": zero_bound, "params": params}
+    return {"kind": kind, "mode": mode, "lam": lam, "zero_bound": zero_bound,
+            "params": params}
 
 
 def _loss(kind, params, lip_lower=1.0, lip_upper=1.0):

@@ -48,7 +48,6 @@ def test_plan_from_derived_horizon():
     plan = plan_intervals(spec, grid, constants)
     assert plan.n_intervals == 7
     assert max(plan.lengths(grid)) <= 0.078125 + 1e-15
-    assert not plan.warnings
 
 
 def test_plan_refuses_resistance():
@@ -67,11 +66,15 @@ def test_plan_refuses_subgrid_horizon():
 
 def test_plan_explicit_count_warns_past_horizon():
     spec = get("B_meanfield_linear").spec
-    grid = make_grid(0.5, 64)
     constants = stitch_constants(spec)
-    plan = plan_intervals(spec, grid, constants, intervals=4)
+    plan = plan_intervals(spec, make_grid(0.5, 64), constants, intervals=4)
     assert plan.breaks == [0, 16, 32, 48, 64]
-    assert any("advisory" in w for w in plan.warnings)
+    # each interval of 1/8 is past the horizon 1/480, and its solve says so
+    grid, backend = lattice(0.5, 8)
+    plan = plan_intervals(spec, grid, constants, intervals=4)
+    _, report = solve_global(spec, grid, backend, plan)
+    assert [h.warnings for h in report.histories] == [[
+        "horizon 0.125 exceeds the contraction horizon 0.00208333 (advisory)"]] * 4
 
 
 def test_single_interval_plan_equals_local_solve():
