@@ -92,8 +92,9 @@ def _from_bits(bits: int) -> float:
     return struct.unpack("d", struct.pack("q", bits))[0]
 
 
-def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw) -> float:
-    """Smallest float x >= 0 with E[l(t, x + X)] >= 0.
+def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw,
+                  offset: float = 0.0) -> float:
+    """Smallest float x >= 0 with E[l(t, x + offset + X)] >= 0.
 
     Returns exactly 0 when the constraint already holds at x = 0; otherwise
     bisects [0, DEFAULT_BRACKET_CAP] on the int64 bit patterns of its floats
@@ -107,16 +108,19 @@ def loss_operator(loss: LossSpec, t: float, law: EmpiricalLaw) -> float:
     over the atoms; the rest read the law's memoised moments, so after the
     first of them each costs O(1), and a positive shift takes at most two
     trigonometric passes over the atoms (sin at x = 0, cos after it).
+
+    `offset` shifts the law by a constant: every evaluation is `expected_loss`
+    at x + offset, so a law kept across searches computes its moments once.
     """
-    if expected_loss(loss, t, law, 0.0) >= 0.0:
+    if expected_loss(loss, t, law, offset) >= 0.0:
         return 0.0
-    if expected_loss(loss, t, law, DEFAULT_BRACKET_CAP) < 0.0:
+    if expected_loss(loss, t, law, DEFAULT_BRACKET_CAP + offset) < 0.0:
         raise BracketError(f"no nonnegative expected loss below shift "
                            f"{DEFAULT_BRACKET_CAP:g} at t={t}")
     lo, hi = 0, struct.unpack("q", struct.pack("d", DEFAULT_BRACKET_CAP))[0]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if expected_loss(loss, t, law, _from_bits(mid)) >= 0.0:
+        if expected_loss(loss, t, law, _from_bits(mid) + offset) >= 0.0:
             hi = mid
         else:
             lo = mid

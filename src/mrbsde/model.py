@@ -16,6 +16,7 @@ QUADRATIC = "quadratic"
 LOSS_KINDS = {"linear_shift": 3, "sine_perturbed": 1}
 DRIVER_KINDS = {"zero": 0, "constant": 1, "linear_y": 1, "linear_mean": 1,
                 "mean_resist": 2, "quadratic_z": 4}
+PARTICLE_FREE_KINDS = ("zero", "constant", "linear_mean", "mean_resist")
 RESISTANCE_KINDS = ("zero", "evaluation", "running_sup", "scaled_integral")
 TERMINAL_KINDS = {"brownian": 0, "brownian_shift": 1, "scaled_tanh": 1}
 
@@ -149,7 +150,9 @@ class DriverSpec:
     |f(t,0,0,0,0,0)|. Quadratic mode needs `lam > 0` and `zero_bound`:
     the ball radius, the contraction horizon and the horizon-uniform bound are
     built from them. It also needs `z_cap >= 0` and `zero_bound >= 0`, so that
-    f(t,0,0,0,0,0) = 0 lies within the bound.
+    f(t,0,0,0,0,0) = 0 lies within the bound. The kinds `zero`, `constant`,
+    `linear_mean` and `mean_resist` are `particle_free`: one scalar formula
+    gives their f, which `evaluate` broadcasts.
     """
 
     kind: str
@@ -181,6 +184,19 @@ class DriverSpec:
         return max(abs(p) for p in self.params)
 
     @property
+    def particle_free(self) -> bool:
+        """f reads the solution only through its law, as `scalar(t, ybar, g)`."""
+        return self.kind in PARTICLE_FREE_KINDS
+
+    def scalar(self, t: float, ybar: float, g: float) -> float:
+        """f of a particle-free kind at the mean ybar and the resistance g."""
+        if self.kind == "mean_resist":
+            return self.params[0] * ybar + self.params[1] * g
+        if self.kind == "linear_mean":
+            return self.params[0] * ybar
+        return self.params[0] if self.params else 0.0   # constant, zero
+
+    @property
     def y_slope(self) -> float:
         """The coefficient of y in f. Every family is affine in y, so
         f(t, y1, ...) - f(t, y0, ...) = y_slope * (y1 - y0); the implicit node
@@ -190,19 +206,10 @@ class DriverSpec:
     def evaluate(self, t: float, y, ybar: float, z, zbar, g: float):
         """Vectorized over the particle axis: y (m,), z (m, d); returns (m,)."""
         y = np.asarray(y, dtype=float)
-        m = y.shape[0]
-        if self.kind == "zero":
-            return np.zeros(m)
-        if self.kind == "constant":
-            return np.full(m, self.params[0])
+        if self.kind in PARTICLE_FREE_KINDS:
+            return np.full(y.shape[0], self.scalar(t, ybar, g))
         if self.kind == "linear_y":
             return self.params[0] * y
-        if self.kind == "linear_mean":
-            a, = self.params
-            return np.full(m, a * ybar)
-        if self.kind == "mean_resist":
-            a, b = self.params
-            return np.full(m, a * ybar + b * g)
         # quadratic_z: a*y + (gamma/2)*min(|z|^2, cap) + b*|zbar|
         a, gamma, cap, b = self.params
         z = np.asarray(z, dtype=float)

@@ -12,8 +12,8 @@ import numpy as np
 from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, _require_finite,
                     hl_constant)
 from .paths import TimeGrid
-from .reflect import (ReflectedSolution, bmo_proxy, constraint_diagnostics, h2_sq,
-                      solve_interval, sup_norm, zero_solution)
+from .reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, constraint_diagnostics,
+                      h2_sq, solve_interval, sup_norm, zero_solution)
 
 DEFAULT_MAX_ITER = 50
 STALL_WINDOW = 3
@@ -270,10 +270,12 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
     Each sweep is one backward pass written over the previous iterate, so a
-    solve holds one iterate's blocks. A stall returns the last iterate with
-    `stop_reason="stalled"`, so `converged` is False; running out of `max_iter`
-    raises `ConvergenceError`. The returned iterate, and only it, carries the
-    constraint diagnostics.
+    solve holds one iterate's blocks, except that a particle-free driver's
+    sweeps after the first run on per-node scalars (`ScalarSweeps`), which
+    write y and z once, when the iteration stops. A stall returns the last
+    iterate with `stop_reason="stalled"`, so `converged` is False; running out
+    of `max_iter` raises `ConvergenceError`. The returned iterate, and only
+    it, carries the constraint diagnostics.
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
     gives the quadratic ball radius and the contraction horizon, which is
@@ -301,9 +303,12 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
 
     prev = zero_solution(backend, lo, hi)
-    solution = None
+    solution = later = None
     for sweep in range(1, max_iter + 1):
-        solution, dist = solve_interval(scenario, grid, backend, prev, terminal_values)
+        if later is None:
+            solution, dist = solve_interval(scenario, grid, backend, prev, terminal_values)
+        else:
+            dist = later.sweep()
         history.distances.append(dist)
         if mode == QUADRATIC:
             record = _ball_record(solution, grid, backend, constants.radius)
@@ -322,11 +327,15 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 and min(d[-STALL_WINDOW:]) > (1.0 - STALL_REL) * min(d[:-STALL_WINDOW])):
             history.stop_reason = "stalled"
             break
+        if later is None and scenario.driver.particle_free:
+            later = ScalarSweeps(scenario, grid, backend, solution)
         prev = solution
     if not history.stop_reason:
         raise ConvergenceError(
             f"no convergence after {max_iter} sweeps "
             f"(last distance {history.distances[-1]:.3g})", history=history)
+    if later is not None:
+        solution = later.write_back()
     solution.diagnostics = constraint_diagnostics(scenario.loss, grid, backend,
                                                   solution.y, solution.k, lo)
     return solution, history

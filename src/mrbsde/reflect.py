@@ -76,9 +76,12 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
         # the step's temporaries die on return, before the next projection
         i = lo + j
         base, z_i = backend.condexp_and_z(i, ybar_next)
-        y_slot = base + float(prev.tail[j]) if implicit else prev.y[j]
-        f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i,
-                         mean_z[j], float(resistance[j]))
+        if drv.particle_free:
+            f = drv.scalar(grid.nodes[i], float(mean_y[j]), float(resistance[j]))
+        else:
+            y_slot = base + float(prev.tail[j]) if implicit else prev.y[j]
+            f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i,
+                             mean_z[j], float(resistance[j]))
         return base + (f / denom) * dt, z_i
 
     ybar = np.asarray(terminal_values, dtype=float)
@@ -224,7 +227,7 @@ def empirical_norms(y_values, zs, k, grid: TimeGrid, backend, lo: int = 0) -> di
 class ReflectedSolution:
     """Constrained triple on a node window, with the reflection offset tail_j
     that node j's y holds over the deflated value (on one interval the
-    remaining reflection k_m - k_j)."""
+    remaining reflection k_m - k_j), and the sweep's minimal shifts, if any."""
 
     lo: int
     hi: int
@@ -232,6 +235,7 @@ class ReflectedSolution:
     z: list
     k: np.ndarray
     tail: np.ndarray
+    shifts: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def mean_y_path(self, backend) -> np.ndarray:
@@ -258,21 +262,23 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     remaining reflection tail_j = s_j - s_m and y_j = ybar_j + tail_j are
     known there. It then adds node j's distance terms against `prev`'s node
     j, and only then writes node j over `prev`'s blocks, so `prev` must not
-    be read afterwards. The reflection is k = s_0 - s.
+    be read afterwards. The reflection is k = s_0 - s. `picard_solve` runs
+    this sweep for the first sweep of a particle-free driver, and for every
+    sweep of the others.
 
-    Returns the new iterate, which carries no diagnostics, and its distance
-    from `prev`: in Lipschitz mode the root-sum-square of (sample S2, sample
-    H2, sup-k), with a per-particle running sup of |dy| and the per-node H2
-    means summed forward at the end; in quadratic mode the sum of (sample
-    S-inf, BMO proxy, sup-k), the BMO recursion run on dz node by node.
+    Returns the new iterate, which carries its shifts but no diagnostics, and
+    its distance from `prev`: in Lipschitz mode the root-sum-square of
+    (sample S2, sample H2, sup-k), with a per-particle running sup of |dy| and
+    the per-node H2 means summed forward at the end; in quadratic mode the
+    sum of (sample S-inf, BMO proxy, sup-k), the BMO recursion run on dz node
+    by node.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     lipschitz = scenario.mode == LIPSCHITZ
-    s = np.empty(m + 1)
-    tail = np.empty(m + 1)
+    rho, s, tail = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
     # variation of dz from node j on (quadratic)
     z_terms = [0.0] * m
@@ -282,8 +288,8 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         for j, ybar_j, z_j in _deflated_nodes(scenario, grid, backend, prev,
                                               terminal_values):
             i = lo + j
-            rho = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
-            s[j] = rho if j == m else np.maximum(rho, s[j + 1])
+            rho[j] = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
+            s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
             tail[j] = s[j] - s[m]
             # one temporary: y_j is formed again straight into the block
             dy = ybar_j + tail[j]
@@ -307,7 +313,71 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         dist = math.sqrt(y_term + sum(z_terms) * grid.dt + dk * dk)
     else:
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
-    return ReflectedSolution(lo=lo, hi=hi, y=prev.y, z=prev.z, k=k, tail=tail), dist
+    return ReflectedSolution(lo=lo, hi=hi, y=prev.y, z=prev.z, k=k, tail=tail,
+                             shifts=rho), dist
+
+
+class ScalarSweeps:
+    """Every sweep after the first of a particle-free driver, on per-node
+    scalars. A projection maps constants to themselves, so a later sweep's
+    deflated value is the first one's plus the offset delta_j =
+    sum_(l>=j) (f_l - f1_l) dt, and its z the first one's plus delta_(j+1)
+    zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice). The
+    blocks of `first`, the first sweep's iterate, hold its y and z until
+    `write_back` adds the last sweep's offsets to them."""
+
+    def __init__(self, scenario: ScenarioSpec, grid: TimeGrid, backend,
+                 first: ReflectedSolution):
+        self.scenario, self.grid, self.backend, self.first = scenario, grid, backend, first
+        self.window = window_grid(grid, first.lo, first.hi)
+        self.times = grid.nodes[first.lo:first.hi + 1]
+        # the first sweep read the zero triple, whose mean and resistance are 0
+        self.f1 = [scenario.driver.scalar(t, 0.0, 0.0) for t in self.times]
+        self.mean_y1 = first.mean_y_path(backend)
+        self.last, self.delta = first, np.zeros(len(self.times))
+        self.laws, self.zeta_sq = [None] * len(self.times), None
+
+    def _zeta(self, j: int) -> np.ndarray:
+        i = self.first.lo + j
+        return self.backend.condexp_and_z(i, np.ones(self.backend.count(i + 1)))[1]
+
+    def sweep(self) -> float:
+        """One sweep; returns its distance from the last, the Lipschitz metric
+        of `solve_interval` on dy_j and dz_j / zeta_j, the same on every particle."""
+        first, last, m, dt = self.first, self.last, len(self.times) - 1, self.grid.dt
+        g = self.scenario.resistance.apply(self.window, last.k)
+        mean_y = self.mean_y1 + ((self.delta + last.tail) - first.tail)
+        delta, rho, s = np.zeros(m + 1), np.empty(m + 1), np.empty(m + 1)
+        for j in range(m, -1, -1):
+            if j < m:
+                f = self.scenario.driver.scalar(self.times[j], float(mean_y[j]), float(g[j]))
+                delta[j] = delta[j + 1] + (f - self.f1[j]) * dt
+            if delta[j] != 0.0 and self.laws[j] is None:
+                self.laws[j] = self.backend.law(first.lo + j, first.y[j])
+            # ybar1_j + delta_j is the block row y1_j plus delta_j - tail1_j
+            rho[j] = first.shifts[j] if delta[j] == 0.0 else loss_operator(
+                self.scenario.loss, self.times[j], self.laws[j], delta[j] - first.tail[j])
+            s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
+        new = ReflectedSolution(lo=first.lo, hi=first.hi, y=first.y, z=first.z,
+                                k=s[0] - s, tail=s - s[m], shifts=rho)
+        dy = (delta + new.tail) - (self.delta + last.tail)
+        moved = (delta - self.delta)[1:]
+        if self.zeta_sq is None and np.any(moved != 0.0):
+            self.zeta_sq = np.array([self.backend.mean(first.lo + j, np.sum(
+                self._zeta(j) ** 2, axis=-1)) for j in range(m)])
+        z_term = 0.0 if self.zeta_sq is None else float(np.sum(moved * moved * self.zeta_sq))
+        dk = float(np.max(np.abs(new.k - last.k)))
+        self.last, self.delta = new, delta
+        return math.sqrt(float(np.max(dy * dy)) + z_term * dt + dk * dk)
+
+    def write_back(self) -> ReflectedSolution:
+        """The last sweep's iterate, its y and z written into the blocks."""
+        first, delta = self.first, self.delta
+        for j, y in enumerate(first.y):
+            y += (delta[j] + self.last.tail[j]) - first.tail[j]
+            if j < len(delta) - 1 and delta[j + 1] != 0.0:
+                first.z[j] += delta[j + 1] * self._zeta(j)
+        return self.last
 
 
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:

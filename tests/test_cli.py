@@ -12,6 +12,7 @@ import pytest
 from mrbsde import cli, picard, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
+from mrbsde.reflect import ScalarSweeps
 from mrbsde.stitch import plan_intervals, stitch_constants
 
 A_LATTICE = {
@@ -165,14 +166,20 @@ def test_verify_negative_control_fails_flatness(tmp_path, capsys):
 @pytest.mark.parametrize("stitch", [None, {"intervals": 2}])
 def test_verify_fails_a_stalled_solve(monkeypatch, tmp_path, capsys, stitch):
     # distances stuck at 0.5 stall the interval that ends at T, the only one
-    # of an unstitched run and the first of two solved when stitched
-    sweep = picard.solve_interval
+    # of an unstitched run and the first of two solved when stitched; B's
+    # first sweep is `solve_interval` and its later ones are scalar sweeps
+    sweep, later = picard.solve_interval, ScalarSweeps.sweep
 
     def stall_at_horizon(scenario, grid, backend, prev, *rest):
         sol, dist = sweep(scenario, grid, backend, prev, *rest)
         return sol, 0.5 if sol.hi == grid.n else dist
 
+    def later_stall_at_horizon(self):
+        dist = later(self)
+        return 0.5 if self.first.hi == self.grid.n else dist
+
     monkeypatch.setattr(picard, "solve_interval", stall_at_horizon)
+    monkeypatch.setattr(ScalarSweeps, "sweep", later_stall_at_horizon)
     cfg = {"scenario": "B_meanfield_linear", "grid": {"n": 8},
            "backend": {"kind": "lattice"}}
     if stitch is not None:

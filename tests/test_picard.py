@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (LIPSCHITZ, ResistanceSpec, ScenarioSpec,
-                          brownian_shift_terminal, brownian_terminal,
-                          linear_mean_driver, linear_shift_loss, linear_y_driver,
-                          mean_resist_driver, zero_driver)
+from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, DriverSpec, ResistanceSpec,
+                          ScenarioSpec, brownian_shift_terminal, brownian_terminal,
+                          constant_driver, linear_mean_driver, linear_shift_loss,
+                          linear_y_driver, mean_resist_driver, sine_perturbed_loss,
+                          zero_driver)
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
 from mrbsde import picard
 from mrbsde.cli import main
@@ -19,9 +20,10 @@ from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _ball_
                            quadratic_ball_floor, quadratic_contraction_coeff,
                            quadratic_contraction_horizon,
                            quadratic_stability_horizon, uniform_y_bound)
-from mrbsde.reflect import (ReflectedSolution, build_k, solve_deflated, solve_interval,
-                            zero_solution)
+from mrbsde.reflect import (ReflectedSolution, ScalarSweeps, build_k, solve_deflated,
+                            solve_interval, zero_solution)
 from mrbsde.scenarios import get
+from mrbsde.stitch import plan_intervals, solve_global, stitch_constants
 
 
 def lattice(T, n):
@@ -215,9 +217,11 @@ def test_implicit_y_fixed_point_matches_closed_form():
 
 def test_stall_returns_unconverged(monkeypatch, tmp_path):
     # distances that stop falling end the iteration as a stall, not as
-    # convergence; running out of sweeps still raises
-    sweep = picard.solve_interval
+    # convergence; running out of sweeps still raises. B's first sweep is
+    # `solve_interval` and its later ones are scalar sweeps: both read 0.5
+    sweep, later = picard.solve_interval, ScalarSweeps.sweep
     monkeypatch.setattr(picard, "solve_interval", lambda *args: (sweep(*args)[0], 0.5))
+    monkeypatch.setattr(ScalarSweeps, "sweep", lambda self: (later(self), 0.5)[1])
     b = get("B_meanfield_linear").spec
     grid, backend = lattice(b.horizon, 4)
     sol, hist = picard_solve(b, grid, backend, tol=1e-12)
@@ -313,7 +317,9 @@ def test_iterate_distance_streams_within_eight_node_vectors():
 def test_picard_solve_holds_one_iterate():
     # every sweep writes over the zero triple's blocks, so a whole solve holds
     # one iterate, one projection's working set and a few node vectors; two
-    # iterates alive together would add 2 * (n + 1) node vectors
+    # iterates alive together would add 2 * (n + 1) node vectors. On B
+    # (linear_mean) the offsets move, so the scalar sweeps' zeta pass and
+    # the z write-back run
     n, N = 32, 20000
     node = N * 8
     grid = make_grid(1.0, n)
@@ -327,17 +333,21 @@ def test_picard_solve_holds_one_iterate():
     finally:
         tracemalloc.stop()
 
-    backend = RegressionBackend(ensemble)
-    tracemalloc.start()
-    try:
-        _, hist = picard_solve(get("A_sine_constraint").spec, grid, backend)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(hist.distances) >= 2
-    iterate = (n + 1) * (1 + backend.d) * node
-    extra = (peak - iterate - projection) / node
-    assert extra <= 12, f"{extra:.1f} node vectors beyond one iterate and one projection"
+    for name in ("A_sine_constraint", "B_meanfield_linear"):
+        backend = RegressionBackend(ensemble)
+        calls = _count_projections(backend)
+        tracemalloc.start()
+        try:
+            _, hist = picard_solve(get(name).spec, grid, backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hist.distances) >= 2
+        if name == "B_meanfield_linear":
+            assert len(calls) > 2 * n
+        iterate = (n + 1) * (1 + backend.d) * node
+        extra = (peak - iterate - projection) / node
+        assert extra <= 12, f"{name}: {extra:.1f} node vectors beyond one iterate and one projection"
 
 
 def _kept_copy(sol: ReflectedSolution) -> ReflectedSolution:
@@ -351,10 +361,10 @@ def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     deflated values, then iterate_distance; `prev` is left as it was."""
     lo, hi = prev.lo, prev.hi
     ybar, z = solve_deflated(scenario, grid, backend, prev, terminal_values)
-    k, _ = build_k(scenario.loss, grid, backend, ybar, lo)
+    k, rho = build_k(scenario.loss, grid, backend, ybar, lo)
     tail = k[-1] - k
     new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], z=z,
-                            k=k, tail=tail)
+                            k=k, tail=tail, shifts=rho)
     return new, iterate_distance(prev, new, grid, backend, scenario.mode)
 
 
@@ -379,8 +389,9 @@ def _binding_resistance():
     lambda: get("A_sine_constraint").spec, _binding_resistance, _binding_linear_y,
     lambda: get("D_quadratic").spec], ids=["A", "resistance", "linear_y", "D"])
 def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regression_backend):
-    # every sweep of a solve, run also as the two-pass reference on a kept
-    # copy of the previous iterate
+    # every `solve_interval` sweep of a solve, run also as the two-pass
+    # reference on a kept copy of the previous iterate: the first sweep of a
+    # particle-free driver (A, resistance), every sweep of the others
     spec = make_spec()
     n = 8
 
@@ -414,7 +425,8 @@ def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regressi
     grid, backend, tol = setup()
     monkeypatch.setattr(picard, "solve_interval", compared)
     _, hist = picard_solve(spec, grid, backend, tol=tol)
-    assert sweeps == hist.distances and len(sweeps) >= 2
+    assert len(hist.distances) >= 2
+    assert sweeps == (hist.distances[:1] if spec.driver.particle_free else hist.distances)
 
     # a whole solve of the two-pass reference stops where the sweep does
     grid, backend, tol = setup()
@@ -422,6 +434,92 @@ def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regressi
     _, ref_hist = picard_solve(spec, grid, backend, tol=tol)
     assert len(ref_hist.distances) == len(hist.distances)
     assert ref_hist.stop_reason == hist.stop_reason
+
+
+PARTICLE_FREE = {"zero": zero_driver(), "constant": constant_driver(-0.5),
+                 "linear_mean": linear_mean_driver(0.7),
+                 "mean_resist": mean_resist_driver(0.5, -1.0)}
+# the terminal E[xi] = -0.1 violates both losses' constraints, so both
+# searches run on positive shifts
+LOSSES = {"linear": linear_shift_loss(c0=0.2, amp=-0.2, omega=math.pi),
+          "sine": sine_perturbed_loss(0.5)}
+
+
+def _particle_free_spec(driver, resistance, loss):
+    return ScenarioSpec(name="pf", horizon=0.5, brownian_dim=1,
+                        terminal=brownian_shift_terminal(-0.1),
+                        driver=PARTICLE_FREE[driver],
+                        resistance=ResistanceSpec(resistance), loss=LOSSES[loss])
+
+
+def _assert_same_solve(got, ref, backend):
+    (sol, hist), (ref_sol, ref_hist) = got, ref
+    assert len(hist.distances) == len(ref_hist.distances)
+    assert hist.stop_reason == ref_hist.stop_reason
+    assert np.max(np.abs(np.subtract(hist.distances, ref_hist.distances))) <= 1e-12
+    assert np.max(np.abs(sol.k - ref_sol.k)) <= 1e-12
+    assert np.max(np.abs(sol.mean_y_path(backend) - ref_sol.mean_y_path(backend))) <= 1e-12
+    for new, old in ((sol.y, ref_sol.y), (sol.z, ref_sol.z)):
+        scale = max(float(np.max(np.abs(v))) for v in old)
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(new, old)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+@pytest.mark.parametrize("driver", PARTICLE_FREE)
+def test_scalar_sweeps_match_the_general_sweep(kind, driver, monkeypatch, regression_backend):
+    # every resistance and loss: the solve against one that runs every sweep
+    # through `solve_interval`, reached by reading no driver as particle-free
+    if kind == "lattice":
+        grid, backend = lattice(0.5, 8)
+    else:
+        grid, backend = regression_backend(0.5, 16, N=2000, seed=7, degree=2)
+    for resistance in RESISTANCE_KINDS:
+        for loss in LOSSES:
+            spec = _particle_free_spec(driver, resistance, loss)
+            got = picard_solve(spec, grid, backend)
+            with monkeypatch.context() as m:
+                m.setattr(DriverSpec, "particle_free", False)
+                ref = picard_solve(spec, grid, backend)
+            _assert_same_solve(got, ref, backend)
+            if (driver, resistance) == ("mean_resist", "evaluation"):
+                # K binds and feeds back, so the offsets move
+                assert got[0].k[-1] > 0.0 and got[1].distances[1] > 0.0
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+def test_stitched_scalar_sweeps_match_the_general_sweep(loss, monkeypatch,
+                                                         regression_backend):
+    grid, backend = regression_backend(0.5, 16, N=2000, seed=7, degree=2)
+    spec = _particle_free_spec("linear_mean", "zero", loss)
+    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=2)
+    got_sol, got = solve_global(spec, grid, backend, plan)
+    monkeypatch.setattr(DriverSpec, "particle_free", False)
+    ref_sol, ref = solve_global(spec, grid, backend, plan)
+    for hist, ref_hist in zip(got.histories, ref.histories):
+        _assert_same_solve((got_sol, hist), (ref_sol, ref_hist), backend)
+
+
+def _count_projections(backend) -> list:
+    calls = []
+    project = backend.condexp_and_z
+    backend.condexp_and_z = lambda i, values: (calls.append(i), project(i, values))[1]
+    return calls
+
+
+@pytest.mark.parametrize("name", ["B_meanfield_linear", "linear_y", "D_quadratic"])
+def test_projections_per_window(name, regression_backend):
+    # a particle-free solve projects in its first sweep, in one pass for
+    # E|zeta|^2 and in the z write-back, at most 3m whatever its sweep count;
+    # a driver that reads particles projects m times in every sweep
+    spec = _binding_linear_y() if name == "linear_y" else get(name).spec
+    m = 16
+    grid, backend = regression_backend(spec.horizon, m, N=4000, seed=7)
+    calls = _count_projections(backend)
+    _, hist = picard_solve(spec, grid, backend)
+    if spec.driver.particle_free:
+        assert len(hist.distances) == 6 and m < len(calls) <= 3 * m
+    else:
+        assert len(hist.distances) >= 2 and len(calls) == m * len(hist.distances)
 
 
 def test_picard_solve_needs_one_sweep():

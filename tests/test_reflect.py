@@ -42,18 +42,19 @@ def first_sweep(spec, grid, backend, lo=0, hi=None):
 
 def deflate_with_generator(spec, grid, backend, prev):
     """The deflated process of one sweep and the generator values it
-    realized: at each step, the step's one driver evaluation, divided in
-    Lipschitz mode by 1 - y_slope * dt (the implicit node step solved in
-    closed form)."""
+    realized: at each step, the step's one driver evaluation (of the scalar
+    formula for a particle-free driver), divided in Lipschitz mode by
+    1 - y_slope * dt (the implicit node step solved in closed form)."""
     evals = {}
-    evaluate = DriverSpec.evaluate
+    name = "scalar" if spec.driver.particle_free else "evaluate"
+    evaluate = getattr(DriverSpec, name)
 
     def spy(self, t, *args):
         assert t not in evals, "one driver evaluation per step"
         evals[t] = evaluate(self, t, *args)
         return evals[t]
 
-    with mock.patch.object(DriverSpec, "evaluate", spy):
+    with mock.patch.object(DriverSpec, name, spy):
         ybar, _ = solve_deflated(spec, grid, backend, prev)
     n = grid.n
     denom = 1.0 - spec.driver.y_slope * grid.dt if spec.mode == LIPSCHITZ else 1.0
