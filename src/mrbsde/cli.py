@@ -3,8 +3,9 @@ constants / compare-oracle workflows, write CSV time series and JSON summaries.
 
 Exit codes: 0 success, 1 verification failed or a rank-deficient regression
 (`SolverError.exit_code`), 2 no convergence, 3 configuration error (including
-a step too coarse for the implicit node step, lam * dt >= 1, an inadmissible
-stitching plan, and a solution that overflows the summary).
+a command-line usage error, a step too coarse for the implicit node step,
+lam * dt >= 1, an inadmissible stitching plan, and a solution that overflows
+the summary).
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ CONTRACTION_SLACK = 0.1
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A command-line usage error is a configuration error: exit 3 with one
+    line, not argparse's exit 2 (the code of no convergence) with the usage."""
+
+    def error(self, message):
+        raise ConfigError(f"cli: {self.prog}: {message}")
 
 
 def _require_keys(section: str, cfg: dict, allowed: set[str]):
@@ -567,7 +576,7 @@ def _write_comparison_csv(path: Path, report: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrbsde",
         description="Mean-reflected BSDE solver and verification harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -602,9 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

@@ -48,8 +48,8 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     each a fresh array, with z_m None at the terminal node.
 
     The generator's frozen inputs come from the previous iterate `prev`: the
-    means of its y and z, the resistance of its k, and its reflection tail,
-    all read before the first node is yielded. The scenario's mode picks the
+    mean of its y (and of its z in quadratic mode), the resistance of its k,
+    and its reflection tail, all read before the first node is yielded. The scenario's mode picks the
     generator's y slot. In Lipschitz mode it is the current unknown plus
     `prev`'s tail: the node equation v = base + f(t, v + tail, ...) * dt is
     linear in v, because f is affine in y, so one evaluation at v = base
@@ -69,7 +69,9 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     # division by 1.0 is exact, so drivers without a y term step explicitly
     denom = 1.0 - drv.y_slope * dt if implicit else 1.0
     mean_y = prev.mean_y_path(backend)
-    mean_z = [np.atleast_1d(backend.mean(lo + j, z)) for j, z in enumerate(prev.z)]
+    # zbar is read by quadratic_z only, the one quadratic-mode driver
+    mean_z = [None if implicit else np.atleast_1d(backend.mean(lo + j, z))
+              for j, z in enumerate(prev.z)]
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
 
     def step(j, ybar_next):
