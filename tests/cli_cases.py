@@ -268,10 +268,12 @@ CASES = [
         "backend": {"kind": "regression", "degree": 30}}, 1,
         has="rank-deficient design matrix"),
     # -- exit 2: no convergence --------------------------------------------------
-    configured("test_nonconvergence_exits_2_without_files", "solve", {
+    *(configured(test, "solve", {
         "scenario": {**inline(), "driver": {"kind": "linear_mean", "params": {"a": 6.0}}},
         "grid": {"n": 12}, "backend": LATTICE, "picard": {"max_iter": 4}}, 2,
-        starts="picard: no convergence after 4 sweeps (last distance "),
+        starts="picard: no convergence after 4 sweeps (last distance ")
+      for test in ("test_nonconvergence_exits_2_without_files",
+                   "test_nonconvergence_prints_one_line_with_one_prefix")),
     # the shift needed, 1e30, is past the bracket cap of 2**60
     configured("test_bracket_error_exits_2_with_one_line", "solve", {
         "scenario": inline(loss_params={"c0": 1e30}), "grid": {"n": 2},
@@ -378,9 +380,12 @@ CASES = [
         starts=message, id=f"{name}-{command}")
       for name, cfg, message in _OVERFLOWING_CONSTANTS for command in ("solve", "verify")),
     # finite inputs, but the squared norms of Y overflow to inf
-    configured("test_overflowing_summary_exits_3_without_files", "solve", {
+    *(configured(test, command, {
         "scenario": inline(terminal_c=1e160), "grid": {"n": 4}, "backend": LATTICE}, 3,
-        starts="cli: the solution overflows (", has="; no output written"),
+        starts="cli: the solution overflows (", has="; no output written")
+      for test, command in (("test_overflowing_summary_exits_3_without_files", "solve"),
+                            ("test_verify_overflowing_summary_exits_3_without_files",
+                             "verify"))),
     *(configured("test_overflowing_sweep_exits_3_without_files", command, {
         **_SWEEP_OVERFLOW, "backend": {"kind": backend}}, 3,
         starts="cli: the solution overflows (law atoms must be finite); no output written\n",
