@@ -17,6 +17,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
 from .picard import (DEFAULT_MAX_ITER, contraction_estimate, picard_solve,
                      scenario_constants)
-from .reflect import ReflectedSolution, constraint_diagnostics, default_tolerances
+from .reflect import (ReflectedSolution, constraint_diagnostics, default_tolerances,
+                      empirical_norms)
 from .stitch import plan_intervals, solve_global, stitch_constants
 
 HL_PROBE_PASS = 1.0 + 1e-6
@@ -239,12 +241,13 @@ def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     """Negative control: add a spurious terminal jump to the reflection, which
     shifts every non-terminal value up and raises the flatness residual; the
     default flatness threshold can still admit it."""
-    k, tail = solution.k.copy(), solution.tail.copy()
+    k, tail, offsets = solution.k.copy(), solution.tail.copy(), solution.step_offsets.copy()
     k[-1] += amount
     tail[:-1] += amount
+    offsets[:-1] += amount   # the steps into the shifted nodes: z is unchanged
     y = [y_j + amount for y_j in solution.y[:-1]] + [solution.y[-1]]
-    return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, z=solution.z, k=k,
-                             tail=tail)
+    return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, k=k, tail=tail,
+                             step_offsets=offsets)
 
 
 @dataclass(eq=False)
@@ -257,6 +260,12 @@ class RunResult:
     constants: object
     stitch_report: object = None
     runtime_ms: float = 0.0
+
+    @cached_property
+    def post_pass(self) -> dict:
+        """The norms and the means of z, from one pass over the solution that
+        `summarize` and `write_results_csv` share."""
+        return empirical_norms(self.solution, self.grid, self.backend)
 
 
 def execute(cfg: RunConfig) -> RunResult:
@@ -303,28 +312,22 @@ def _fmt(v: float) -> str:
 
 
 def write_results_csv(path: Path, result: RunResult):
-    sol, grid, backend = result.solution, result.grid, result.backend
-    d = backend.d
-    cols = (["t", "mean_Y", "std_Y"] + [f"mean_Z_{j + 1}" for j in range(d)]
+    sol, backend, mean_z = result.solution, result.backend, result.post_pass["mean_z"]
+    cols = (["t", "mean_Y", "std_Y"] + [f"mean_Z_{j + 1}" for j in range(backend.d)]
             + ["K", "dK", "constraint_value"])
     lines = [",".join(cols)]
-    constraint = sol.diagnostics["constraint"]
     for j, y in enumerate(sol.y):
         i = sol.lo + j
         mean_y = backend.mean(i, y)
         var_y = max(backend.mean(i, (y - mean_y) ** 2), 0.0)
-        mean_z = np.atleast_1d(backend.mean(i, sol.z[j]))
         dk = sol.k[j] - sol.k[j - 1] if j else 0.0
-        row = ([_fmt(grid.nodes[i]), _fmt(mean_y), _fmt(math.sqrt(var_y))]
-               + [_fmt(c) for c in mean_z]
-               + [_fmt(sol.k[j]), _fmt(dk), _fmt(constraint[j])])
-        lines.append(",".join(row))
+        row = [result.grid.nodes[i], mean_y, math.sqrt(var_y), *mean_z[j], sol.k[j], dk,
+               sol.diagnostics["constraint"][j]]
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
 def summarize(result: RunResult) -> dict:
-    from .reflect import empirical_norms
-
     sol = result.solution
     # a stitched run's ratio is the largest over every interval's sweeps
     estimates = []
@@ -338,7 +341,6 @@ def summarize(result: RunResult) -> dict:
         est = max(estimates, key=lambda e: e.max_ratio)
         contraction = {"max_ratio": est.max_ratio, "bound": est.bound,
                        "metric": est.metric}
-    norms = empirical_norms(sol.y, sol.z, sol.k, result.grid, result.backend, sol.lo)
     defaults = default_tolerances(sol, result.grid)
     if len(result.histories) == 1:
         distances = result.histories[0].distances
@@ -366,7 +368,7 @@ def summarize(result: RunResult) -> dict:
         "picard_distances": distances,
         "picard_history": [h.to_dict() for h in result.histories],
         "contraction_ratio": contraction,
-        "norms": norms,
+        "norms": result.post_pass["norms"],
         "constants_report": {
             **result.constants.to_dict(),
             "shift_at_zero_max": shift_at_zero_max(result.cfg.scenario, result.grid),

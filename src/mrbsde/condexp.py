@@ -187,17 +187,21 @@ class RegressionBackend:
         v = np.asarray(next_values, dtype=float)
         return self._project(i, v[None, :])[0]
 
-    def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
-        """One decomposition for E_{t_i}[V] and E_{t_i}[V dB_i]/dt together;
-        the targets are [V; V dB_i], dB_i = B_{i+1} - B_i formed in their rows."""
+    def condexp_and_z(self, i: int, next_values, *z_of) -> tuple[np.ndarray, ...]:
+        """One decomposition for E_{t_i}[V] and, for U = V or each U of `z_of`,
+        E_{t_i}[U dB_i]/dt (N x d); the targets are [V; U dB_i; ...], with
+        dB_i = B_{i+1} - B_i formed in their rows."""
         v = np.asarray(next_values, dtype=float)
-        targets = np.empty((1 + self.d, v.shape[0]))
+        us = z_of or (v,)
+        targets = np.empty((1 + self.d * len(us), v.shape[0]))
         targets[0] = v
-        np.subtract(self.state(i + 1).T, self.state(i).T, out=targets[1:])
-        targets[1:] *= v
+        blocks = targets[1:].reshape(len(us), self.d, -1)
+        np.subtract(self.state(i + 1).T, self.state(i).T, out=blocks)
+        for block, u in zip(blocks, us):
+            block *= u
         fit = self._project(i, targets)
         fit[1:] /= self.grid.dt
-        return fit[0], fit[1:].T
+        return fit[0], *(block.T for block in fit[1:].reshape(len(us), self.d, -1))
 
     def mean(self, i: int, values):
         res = particle_mean(values, self.ensemble.antithetic)
@@ -257,14 +261,16 @@ class LatticeBackend:
     def condexp(self, i: int, next_values) -> np.ndarray:
         return self.condexp_and_z(i, next_values)[0]
 
-    def condexp_and_z(self, i: int, next_values) -> tuple[np.ndarray, np.ndarray]:
-        """Exact one-step E_{t_i}[V] and E_{t_i}[V dB_i]/dt: the average of the
-        two successor nodes (probabilities 1/2, 1/2) and their slope."""
+    def condexp_and_z(self, i: int, next_values, *z_of) -> tuple[np.ndarray, ...]:
+        """Exact one-step E_{t_i}[V] and, for U = V or each U of `z_of`,
+        E_{t_i}[U dB_i]/dt: the average of V's two successor nodes
+        (probabilities 1/2, 1/2) and the slope of U's."""
         v = np.asarray(next_values, dtype=float)
         if v.shape[0] != i + 2:
             raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[0]}")
-        down, up = v[:-1], v[1:]
-        return 0.5 * (down + up), ((up - down) / (2.0 * math.sqrt(self.grid.dt)))[:, None]
+        us = [np.asarray(u, dtype=float) for u in z_of] or [v]
+        slopes = (((u[1:] - u[:-1]) / (2.0 * math.sqrt(self.grid.dt)))[:, None] for u in us)
+        return 0.5 * (v[:-1] + v[1:]), *slopes
 
     def mean(self, i: int, values):
         res = np.dot(self.probs(i), values)

@@ -13,7 +13,7 @@ from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, _require_fi
                     hl_constant)
 from .paths import TimeGrid
 from .reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, constraint_diagnostics,
-                      h2_sq, solve_interval, sup_norm, zero_solution)
+                      solve_interval, sq_norms, sup_norm, zero_solution)
 
 DEFAULT_MAX_ITER = 50
 STALL_WINDOW = 3
@@ -238,24 +238,29 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
 
     Lipschitz mode uses the root-sum-square of (sample S2, sample H2, sup-k);
     quadratic mode sums (sample S-inf, BMO proxy, sup-k). Both y terms reduce
-    the differences node by node. The sweep finds the same distance inside its
-    backward pass (`solve_interval`); this is the distance pass of the
+    the differences node by node. dz_j is refit, as the z-fit of the change
+    in the value step j projected. The sweep finds the same distance inside
+    its backward pass (`solve_interval`); this is the distance pass of the
     two-pass reference the tests compare it with.
     """
-    lo, m = new.lo, len(new.z) - 1
+    lo, m = new.lo, len(new.y) - 1
     dy = (new.y[j] - prev.y[j] for j in range(m + 1))
     dk = float(np.max(np.abs(new.k - prev.k)))
     if mode == LIPSCHITZ:
         s2_sq = backend.sup_sq_mean(enumerate(dy, lo))
-        dz_sq = h2_sq((new.z[j] - prev.z[j] for j in range(m)), grid, backend, lo)
+        moved = ((new.y[j + 1] - new.step_offsets[j]) - (prev.y[j + 1] - prev.step_offsets[j])
+                 for j in range(m))
+        dz_sq = sum(backend.mean(lo + j, sq_norms(backend.condexp_and_z(lo + j, v)[1]))
+                    for j, v in enumerate(moved)) * grid.dt
         return math.sqrt(s2_sq + dz_sq + dk * dk)
-    dz = [a - b for a, b in zip(new.z, prev.z)]
-    return sup_norm(dy) + bmo_proxy(dz, grid, backend, lo) + dk
+    dy = list(dy)
+    dc = new.step_offsets - prev.step_offsets
+    return sup_norm(dy) + bmo_proxy(dy, dc, grid, backend, lo) + dk
 
 
 def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:
     s_inf = sup_norm(sol.y)
-    bmo = bmo_proxy(sol.z, grid, backend, sol.lo)
+    bmo = bmo_proxy(sol.y, sol.step_offsets, grid, backend, sol.lo)
     k_sup = float(np.max(np.abs(sol.k)))
     return {"s_inf": s_inf, "bmo": bmo, "k_sup": k_sup,
             "inside": bool(s_inf <= radius and bmo <= radius and k_sup <= radius)}
@@ -270,9 +275,9 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
     Each sweep is one backward pass written over the previous iterate, so a
-    solve holds one iterate's blocks, except that a particle-free driver's
+    solve holds one iterate's y block, except that a particle-free driver's
     sweeps after the first run on per-node scalars (`ScalarSweeps`), which
-    write y and z once, when the iteration stops. A stall returns the last
+    write y once, when the iteration stops. A stall returns the last
     iterate with `stop_reason="stalled"`, so `converged` is False; running out
     of `max_iter` raises `ConvergenceError`. The returned iterate, and only
     it, carries the constraint diagnostics.

@@ -3,7 +3,8 @@ mode y slot implicit, solved per node in closed form): one backward pass that
 deflates, builds the reflection path as a backward running supremum of minimal
 shifts of the deflated process's laws, and measures the distance from the
 previous iterate while writing over it; the flatness / constraint
-diagnostics, and the sample norms."""
+diagnostics, and the sample norms. An iterate stores y only: z is refit
+where it is read, as extra rows of a projection the reader makes anyway."""
 
 from __future__ import annotations
 
@@ -30,32 +31,34 @@ def window_grid(grid: TimeGrid, lo: int, hi: int) -> TimeGrid:
     return TimeGrid(T=m * grid.dt, n=m, nodes=np.arange(m + 1) * grid.dt, dt=grid.dt)
 
 
-def _node_blocks(backend, lo: int, hi: int) -> tuple[list, list]:
-    """Zeroed per-node rows of one block per field: node j of the window owns
-    the first count(lo + j) entries of row j of an (m+1, width) block for y
-    and of an (m+1, d, width) block for z."""
+def _node_blocks(backend, lo: int, hi: int, *inner) -> list:
+    """Zeroed per-node rows of one block: node j of the window owns the first
+    count(lo + j) entries of row j of an (m+1, *inner, width) block, read as
+    (count, d) when `inner` is (d,)."""
     width = backend.count(hi)
     counts = [backend.count(lo + j) for j in range(hi - lo + 1)]
-    ys = [row[:c] for row, c in zip(np.zeros((len(counts), width)), counts)]
-    zs = [row[:, :c].T for row, c in zip(np.zeros((len(counts), backend.d, width)), counts)]
-    return ys, zs
+    return [row[..., :c].T for row, c in zip(np.zeros((len(counts), *inner, width)), counts)]
 
 
 def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     prev: ReflectedSolution, terminal_values):
     """Backward Euler for the deflated (unconstrained) equation on `prev`'s
-    window, one node at a time: yields (j, ybar_j, z_j) for j = m, m-1, ..., 0,
-    each a fresh array, with z_m None at the terminal node.
+    window, one node at a time: yields (j, ybar_j, z_j, dz_j) for
+    j = m, m-1, ..., 0, both z None at the terminal node. Step j projects
+    ybar_(j+1) and fits, in the same projection, dz_j, the z of ybar_(j+1)
+    less the value `prev`'s step j projected, which is read before node j+1
+    is yielded, so the caller may then write over it; in quadratic mode, whose
+    driver reads it, also z_j, the z of ybar_(j+1) (None in Lipschitz mode).
 
     The generator's frozen inputs come from the previous iterate `prev`: the
-    mean of its y (and of its z in quadratic mode), the resistance of its k,
-    and its reflection tail, all read before the first node is yielded. The scenario's mode picks the
-    generator's y slot. In Lipschitz mode it is the current unknown plus
-    `prev`'s tail: the node equation v = base + f(t, v + tail, ...) * dt is
-    linear in v, because f is affine in y, so one evaluation at v = base
-    divided by 1 - y_slope * dt solves it (needs lam * dt < 1). In quadratic
-    mode the y slot is `prev.y[j]`, read before node j is yielded, and the z
-    slot is the current integrand estimate.
+    mean of its y (and its `mean_z` in quadratic mode), the resistance of its
+    k, and its reflection tail, all read before the first node is yielded. The
+    scenario's mode picks the generator's y slot. In Lipschitz mode it is the
+    current unknown plus `prev`'s tail: the node equation v = base + f(t, v +
+    tail, ...) * dt is linear in v, because f is affine in y, so one
+    evaluation at v = base divided by 1 - y_slope * dt solves it (needs
+    lam * dt < 1). In quadratic mode the y slot is `prev.y[j]`, read before
+    node j is yielded, and the z slot is z_j.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
@@ -69,46 +72,52 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     # division by 1.0 is exact, so drivers without a y term step explicitly
     denom = 1.0 - drv.y_slope * dt if implicit else 1.0
     mean_y = prev.mean_y_path(backend)
-    # zbar is read by quadratic_z only, the one quadratic-mode driver
-    mean_z = [None if implicit else np.atleast_1d(backend.mean(lo + j, z))
-              for j, z in enumerate(prev.z)]
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
 
-    def step(j, ybar_next):
+    def step(j, ybar_next, dybar_next):
         # the step's temporaries die on return, before the next projection
         i = lo + j
-        base, z_i = backend.condexp_and_z(i, ybar_next)
+        z_of = (dybar_next,) if implicit else (ybar_next, dybar_next)
+        base, *zs = backend.condexp_and_z(i, ybar_next, *z_of)
+        z_i = None if implicit else zs[0]
         if drv.particle_free:
             f = drv.scalar(grid.nodes[i], float(mean_y[j]), float(resistance[j]))
         else:
-            y_slot = base + float(prev.tail[j]) if implicit else prev.y[j]
-            f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i,
-                             mean_z[j], float(resistance[j]))
-        return base + (f / denom) * dt, z_i
+            # zbar is read by quadratic_z only, the one quadratic-mode driver
+            y_slot, zbar = (base + float(prev.tail[j]), None) if implicit else (
+                prev.y[j], prev.mean_z[j])
+            f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
+                             float(resistance[j]))
+        return base + (f / denom) * dt, z_i, zs[-1]
 
-    ybar = np.asarray(terminal_values, dtype=float)
-    yield m, ybar, None
-    for j in range(m - 1, -1, -1):
-        ybar, z = step(j, ybar)
-        yield j, ybar, z
+    ybar, z, dz, dybar = np.asarray(terminal_values, dtype=float), None, None, None
+    for j in range(m, -1, -1):
+        if j < m:
+            ybar, z, dz = step(j, ybar, dybar)
+        if j > 0:   # what step j - 1 fits dz from
+            dybar = prev.y[j] - prev.step_offsets[j - 1]
+            np.subtract(ybar, dybar, out=dybar)
+        yield j, ybar, z, dz
+        z = dz = None   # the fit is freed before the next projection
 
 
 def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
                    prev: ReflectedSolution, terminal_values=None) -> tuple[list, list]:
     """The deflated process of one sweep from the previous iterate `prev`, on
-    its window, with no reflection; returns the per-node `ybar` and `z`, each
-    node's row a view of one block per field (z keeps its zeros at the
-    terminal node), and leaves `prev` as it was. The sweep itself
+    its window, with no reflection; returns the per-node `ybar` and `z` (z_j
+    the z-fit of ybar_(j+1), fitted after the pass; zeros at the terminal
+    node), each node's row a view of one block per field, and leaves `prev`
+    as it was. The sweep itself
     (`solve_interval`) runs the same node steps; this is the deflate pass of
     the two-pass reference the tests compare it with."""
     lo, hi = prev.lo, prev.hi
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
-    ybar, zs = _node_blocks(backend, lo, hi)
-    for j, y, z in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
+    ybar, zs = _node_blocks(backend, lo, hi), _node_blocks(backend, lo, hi, backend.d)
+    for j, y, _, _ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
         ybar[j][...] = y
-        if z is not None:
-            zs[j][...] = z
+    for j, z in enumerate(zs[:-1]):
+        z[...] = backend.condexp_and_z(lo + j, ybar[j + 1])[1]
     return ybar, zs
 
 
@@ -188,17 +197,37 @@ def diagnostics_record(constraint, constraint_se, flatness) -> dict:
     }
 
 
-def bmo_proxy(zs, grid: TimeGrid, backend, lo: int = 0) -> float:
-    """Crude BMO estimate: the largest conditional remaining quadratic
-    variation of z over all nodes and particles, square-rooted."""
-    m = len(zs) - 1
+def sq_norms(z) -> np.ndarray:
+    """|z|^2 per particle of an (N, d) z, the columns' squares added in order,
+    without np.sum's slow reduction over a short strided axis."""
+    out = z[:, 0] * z[:, 0]
+    for col in z.T[1:]:
+        out += col * col
+    return out
+
+
+def _bmo_steps(y_values, offsets, grid: TimeGrid, backend, lo: int = 0):
+    """Yields (z_j, |z_j|^2 dt, r_j) for j = m-1, ..., 0 from one projection
+    each: z_j, the z-fit of y_(j+1) - offsets[j], and r_j = E_j[r_(j+1)] +
+    |z_j|^2 dt (r_m = 0), the remaining quadratic variation of z."""
+    m = len(y_values) - 1
     r = np.zeros(backend.count(lo + m))
-    worst = 0.0
     for j in range(m - 1, -1, -1):
-        zsq = np.sum(np.asarray(zs[j]) ** 2, axis=-1)
-        r = backend.condexp(lo + j, r) + zsq * grid.dt
-        worst = max(worst, float(np.max(r)))
-    return float(np.sqrt(max(worst, 0.0)))
+        # y - 0.0 is y: the subtraction is skipped, not changed
+        u = y_values[j + 1] - offsets[j] if offsets[j] else y_values[j + 1]
+        r, z = backend.condexp_and_z(lo + j, r, u)
+        zsq_dt = sq_norms(z)
+        zsq_dt *= grid.dt
+        r += zsq_dt
+        yield z, zsq_dt, r
+
+
+def bmo_proxy(y_values, offsets, grid: TimeGrid, backend, lo: int = 0) -> float:
+    """Crude BMO estimate: the largest conditional remaining quadratic
+    variation over all nodes and particles, square-rooted, of the z that
+    `_bmo_steps` refits from `y_values`."""
+    steps = _bmo_steps(y_values, offsets, grid, backend, lo)
+    return float(np.sqrt(max([0.0, *(float(np.max(r)) for _, _, r in steps)])))
 
 
 def sup_norm(values) -> float:
@@ -206,38 +235,49 @@ def sup_norm(values) -> float:
     return max(float(np.max(np.abs(v))) for v in values)
 
 
-def h2_sq(zs, grid: TimeGrid, backend, lo: int = 0) -> float:
-    """Sample H2 square dt * sum_j E|z_j|^2 over an iterable of per-node z
-    values, the j-th at grid node lo + j, one node at a time. The sum runs
-    over steps, so callers pass every node but the terminal one."""
-    return sum(backend.mean(lo + j, np.sum(np.asarray(z) ** 2, axis=-1))
-               for j, z in enumerate(zs)) * grid.dt
+def empirical_norms(sol: ReflectedSolution, grid: TimeGrid, backend) -> dict:
+    """One backward pass over the nodes, each read once, z_j refit by
+    `_bmo_steps`: the sample norms used by the fixed-point analysis ("norms")
+    and the per-node means of z, "mean_z" (0 at the terminal node, which has
+    no step)."""
+    m, lo, ys = sol.hi - sol.lo, sol.lo, sol.y
+    mean_z, z_sq = np.zeros((m + 1, backend.d)), [0.0] * m   # z_sq[j] = E|z_j|^2 dt
+    steps = _bmo_steps(ys, sol.step_offsets, grid, backend, lo)
+    s_inf = worst = 0.0
 
+    def nodes():
+        nonlocal s_inf, worst
+        for j in range(m, -1, -1):
+            s_inf = max(s_inf, float(np.max(ys[j])), -float(np.min(ys[j])))
+            if j < m:
+                z, zsq, r = next(steps)
+                mean_z[j], z_sq[j] = backend.mean(lo + j, z), backend.mean(lo + j, zsq)
+                worst = max(worst, float(np.max(r)))
+            yield lo + j, ys[j]
 
-def empirical_norms(y_values, zs, k, grid: TimeGrid, backend, lo: int = 0) -> dict:
-    """Sample versions of the solution norms used by the fixed-point analysis."""
-    return {
-        "s2": float(np.sqrt(backend.sup_sq_mean(enumerate(y_values, lo)))),
-        "h2": float(np.sqrt(h2_sq(zs[:-1], grid, backend, lo))),
-        "s_inf": sup_norm(y_values),
-        "k_sup": float(np.max(np.abs(k))),
-        "bmo": bmo_proxy(zs, grid, backend, lo),
-    }
+    s2 = float(np.sqrt(backend.sup_sq_mean(nodes())))
+    return {"norms": {"s2": s2, "h2": float(np.sqrt(sum(z_sq))), "s_inf": s_inf,
+                      "k_sup": float(np.max(np.abs(sol.k))), "bmo": float(np.sqrt(worst))},
+            "mean_z": mean_z}
 
 
 @dataclass(eq=False)
 class ReflectedSolution:
     """Constrained triple on a node window, with the reflection offset tail_j
     that node j's y holds over the deflated value (on one interval the
-    remaining reflection k_m - k_j), and the sweep's minimal shifts, if any."""
+    remaining reflection k_m - k_j). z is not stored: z_j is the z-fit of
+    y_(j+1) - step_offsets[j], the value step j projected (on one window
+    tail[1:]). Also kept: the sweep's minimal shifts, if any, and in
+    quadratic mode the means E[z_j] its driver reads next sweep."""
 
     lo: int
     hi: int
     y: list
-    z: list
     k: np.ndarray
     tail: np.ndarray
+    step_offsets: np.ndarray
     shifts: np.ndarray | None = None
+    mean_z: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def mean_y_path(self, backend) -> np.ndarray:
@@ -245,12 +285,12 @@ class ReflectedSolution:
 
 
 def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
-    """The (0, 0, 0) starting triple of the fixed-point iteration. Its blocks
-    are the only iterate blocks of a solve: every sweep writes over them."""
+    """The (0, 0, 0) starting triple of the fixed-point iteration. Its y block
+    is the only iterate block of a solve: every sweep writes over it."""
     m = hi - lo
-    y, z = _node_blocks(backend, lo, hi)
-    return ReflectedSolution(lo=lo, hi=hi, y=y, z=z, k=np.zeros(m + 1),
-                             tail=np.zeros(m + 1))
+    return ReflectedSolution(lo=lo, hi=hi, y=_node_blocks(backend, lo, hi), k=np.zeros(m + 1),
+                             tail=np.zeros(m + 1), step_offsets=np.zeros(m),
+                             mean_z=np.zeros((m, backend.d)))
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
@@ -263,7 +303,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     ybar_j and the backward running maximum s_j = max(rho_j, s_(j+1)), so the
     remaining reflection tail_j = s_j - s_m and y_j = ybar_j + tail_j are
     known there. It then adds node j's distance terms against `prev`'s node
-    j, and only then writes node j over `prev`'s blocks, so `prev` must not
+    j, and only then writes node j over `prev`'s block, so `prev` must not
     be read afterwards. The reflection is k = s_0 - s. `picard_solve` runs
     this sweep for the first sweep of a particle-free driver, and for every
     sweep of the others.
@@ -284,11 +324,12 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
     # variation of dz from node j on (quadratic)
     z_terms = [0.0] * m
+    mean_z = None if lipschitz else np.empty((m, backend.d))
 
     def node_differences():
         r = None if lipschitz else np.zeros(backend.count(hi))   # BMO recursion on dz
-        for j, ybar_j, z_j in _deflated_nodes(scenario, grid, backend, prev,
-                                              terminal_values):
+        for j, ybar_j, z_j, dz_j in _deflated_nodes(scenario, grid, backend, prev,
+                                                    terminal_values):
             i = lo + j
             rho[j] = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
@@ -297,15 +338,16 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             dy = ybar_j + tail[j]
             dy -= prev.y[j]
             if j < m:
-                dz_sq = np.sum((z_j - prev.z[j]) ** 2, axis=-1)
+                dz_sq = sq_norms(dz_j)
                 if lipschitz:
                     z_terms[j] = backend.mean(i, dz_sq)
                 else:
                     r = backend.condexp(i, r) + dz_sq * grid.dt
                     z_terms[j] = float(np.max(r))
-                prev.z[j][...] = z_j
+                    mean_z[j] = backend.mean(i, z_j)
             np.add(ybar_j, tail[j], out=prev.y[j])
             yield i, dy
+            dy = z_j = dz_j = dz_sq = None   # freed before the next projection
 
     nodes = node_differences()
     y_term = backend.sup_sq_mean(nodes) if lipschitz else sup_norm(dy for _, dy in nodes)
@@ -315,8 +357,8 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         dist = math.sqrt(y_term + sum(z_terms) * grid.dt + dk * dk)
     else:
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
-    return ReflectedSolution(lo=lo, hi=hi, y=prev.y, z=prev.z, k=k, tail=tail,
-                             shifts=rho), dist
+    return ReflectedSolution(lo=lo, hi=hi, y=prev.y, k=k, tail=tail, step_offsets=tail[1:],
+                             shifts=rho, mean_z=mean_z), dist
 
 
 class ScalarSweeps:
@@ -325,8 +367,9 @@ class ScalarSweeps:
     deflated value is the first one's plus the offset delta_j =
     sum_(l>=j) (f_l - f1_l) dt, and its z the first one's plus delta_(j+1)
     zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice). The
-    blocks of `first`, the first sweep's iterate, hold its y and z until
-    `write_back` adds the last sweep's offsets to them."""
+    block of `first`, the first sweep's iterate, holds its y until
+    `write_back` adds the last sweep's offsets to it; y_(j+1) - tail_(j+1)
+    is then ybar1_(j+1) + delta_(j+1), so the refit z needs no write."""
 
     def __init__(self, scenario: ScenarioSpec, grid: TimeGrid, backend,
                  first: ReflectedSolution):
@@ -360,25 +403,24 @@ class ScalarSweeps:
             rho[j] = first.shifts[j] if delta[j] == 0.0 else loss_operator(
                 self.scenario.loss, self.times[j], self.laws[j], delta[j] - first.tail[j])
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
-        new = ReflectedSolution(lo=first.lo, hi=first.hi, y=first.y, z=first.z,
-                                k=s[0] - s, tail=s - s[m], shifts=rho)
+        tail = s - s[m]
+        new = ReflectedSolution(lo=first.lo, hi=first.hi, y=first.y, k=s[0] - s, tail=tail,
+                                step_offsets=tail[1:], shifts=rho)
         dy = (delta + new.tail) - (self.delta + last.tail)
         moved = (delta - self.delta)[1:]
         if self.zeta_sq is None and np.any(moved != 0.0):
-            self.zeta_sq = np.array([self.backend.mean(first.lo + j, np.sum(
-                self._zeta(j) ** 2, axis=-1)) for j in range(m)])
+            self.zeta_sq = np.array([self.backend.mean(first.lo + j, sq_norms(self._zeta(j)))
+                                     for j in range(m)])
         z_term = 0.0 if self.zeta_sq is None else float(np.sum(moved * moved * self.zeta_sq))
         dk = float(np.max(np.abs(new.k - last.k)))
         self.last, self.delta = new, delta
         return math.sqrt(float(np.max(dy * dy)) + z_term * dt + dk * dk)
 
     def write_back(self) -> ReflectedSolution:
-        """The last sweep's iterate, its y and z written into the blocks."""
+        """The last sweep's iterate, its y written into the block."""
         first, delta = self.first, self.delta
         for j, y in enumerate(first.y):
             y += (delta[j] + self.last.tail[j]) - first.tail[j]
-            if j < len(delta) - 1 and delta[j + 1] != 0.0:
-                first.z[j] += delta[j + 1] * self._zeta(j)
         return self.last
 
 

@@ -133,9 +133,8 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     histories.reverse()
 
     n = grid.n
-    z = [None] * (n + 1)
     y = [None] * (n + 1)
-    tail = np.zeros(n + 1)
+    tail, offsets = np.zeros(n + 1), np.zeros(n)
     k = np.zeros(n + 1)
     constraint = np.empty(n + 1)
     constraint_se = np.empty(n + 1)
@@ -145,18 +144,20 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         own_hi = hi + 1 if j == len(pieces) - 1 else hi
         for i in range(lo, own_hi):
             idx = i - lo
-            z[i] = piece.z[idx]
             y[i] = piece.y[idx]
             # the piece's own tail: its y already holds the later reflection
             tail[i] = piece.tail[idx]
             # the pieces evaluated the loss on these same node values
             constraint[i] = piece.diagnostics["constraint"][idx]
             constraint_se[i] = piece.diagnostics["constraint_se"][idx]
+        # the piece's own step offsets: its last step projected the seam
+        # value itself, at offset 0, whatever the global tail there
+        offsets[lo:hi] = piece.step_offsets
         k[lo:hi + 1] = piece.k + offset
         offset += piece.k[-1]
 
     solution = ReflectedSolution(
-        lo=0, hi=n, y=y, z=z, k=k, tail=tail,
+        lo=0, hi=n, y=y, k=k, tail=tail, step_offsets=offsets,
         diagnostics=diagnostics_record(constraint, constraint_se,
                                        flatness_residual(constraint, k)))
     seam_constraints = [float(constraint[b]) for b in breaks[1:-1]]

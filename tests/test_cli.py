@@ -147,6 +147,39 @@ def test_verify_negative_control_fails_flatness(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stitch", [None, {"intervals": 2}])
+def test_inflate_k_leaves_the_refit_z_unchanged(tmp_path, stitch):
+    # the control shifts y and the tail below the terminal node, and the
+    # offsets of the steps into those nodes with them, so z_j, the z-fit of
+    # y_(j+1) less its offset, does not move
+    cfg = {"scenario": "A_sine_constraint", "grid": {"n": 16},
+           "ensemble": {"N": 4000, "seed": 7}, "backend": {"kind": "regression"}}
+    if stitch is not None:
+        cfg["stitch"] = stitch
+    results = [cli.execute(cli.load_config(write_config(tmp_path, c)))
+               for c in (cfg, {**cfg, "debug": {"inflate_k": 0.05}})]
+    assert all(np.allclose(a - b, 0.05) for a, b in zip(results[1].solution.y[:-1],
+                                                        results[0].solution.y[:-1]))
+    plain, inflated = (result.post_pass for result in results)
+    z_scale = float(np.max(np.abs(plain["mean_z"])))
+    assert np.max(np.abs(inflated["mean_z"] - plain["mean_z"])) <= 1e-12 * z_scale
+    for key in ("h2", "bmo"):
+        assert inflated["norms"][key] == pytest.approx(plain["norms"][key], rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [
+    A_LATTICE, {"scenario": "A_sine_constraint", "grid": {"n": 8},
+                "ensemble": {"N": 2000, "seed": 7}, "stitch": {"intervals": 2}}],
+    ids=["lattice", "stitched-regression"])
+def test_terminal_row_has_no_z(tmp_path, cfg):
+    # the terminal node has no step, so no z to refit
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "results.csv")
+    assert rows[-1]["mean_Z_1"] == "0.0"
+    assert all(float(row["mean_Z_1"]) != 0.0 for row in rows[:-1])
+
+
+@pytest.mark.parametrize("stitch", [None, {"intervals": 2}])
 def test_verify_fails_a_stalled_solve(monkeypatch, tmp_path, capsys, stitch):
     # distances stuck at 0.5 stall the interval that ends at T, the only one
     # of an unstitched run and the first of two solved when stitched; B's

@@ -241,6 +241,32 @@ def test_projection_matches_lstsq(dim):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_z_rows_from_other_targets(dim):
+    # one projection fits the value row of V and the z rows of each U: the
+    # fits of V and U alone, to rounding, and exactly on the lattice
+    grid = make_grid(1.0, 6)
+    ens = antithetic(sample_ensemble(grid, 2000, dim, seed=11))
+    backend = RegressionBackend(ens, degree=2)
+    for i in (0, 3):
+        nxt = ens.states[:, i + 1, :]
+        v, u1, u2 = np.cos(nxt[:, 0]), nxt[:, -1] ** 2, np.sin(nxt[:, 0]) + 1.0
+        y, z1, z2 = backend.condexp_and_z(i, v, u1, u2)
+        for got, want in ((y, backend.condexp(i, v)), (z1, backend.condexp_and_z(i, u1)[1]),
+                          (z2, backend.condexp_and_z(i, u2)[1])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        y, z = backend.condexp_and_z(i, v, v)
+        assert np.array_equal(y, backend.condexp_and_z(i, v)[0])
+        assert np.array_equal(z, backend.condexp_and_z(i, v)[1])
+    lattice = LatticeBackend(make_grid(1.0, 4))
+    v, u = lattice.state(3)[:, 0], lattice.state(3)[:, 0] ** 3
+    y, zv, zu = lattice.condexp_and_z(2, v, v, u)
+    assert np.array_equal(y, lattice.condexp(2, v))
+    assert np.array_equal(zv, lattice.condexp_and_z(2, v)[1])
+    assert np.array_equal(zu, lattice.condexp_and_z(2, u)[1])
+
+
 @pytest.fixture
 def factors(monkeypatch):
     """The factorisations run, in order: "cholesky" of a step's Gram matrix

@@ -12,7 +12,7 @@ from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, DriverSpec, ResistanceSpe
                           linear_y_driver, mean_resist_driver, sine_perturbed_loss,
                           zero_driver)
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
-from mrbsde import picard
+from mrbsde import cli, picard
 from mrbsde.cli import main
 from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _ball_record,
                            constants_report, contraction_estimate,
@@ -287,51 +287,63 @@ def test_contraction_estimate_guards():
     assert est.bound == pytest.approx(1.0 / math.sqrt(2.0))
 
 
+def _projection_bytes(ensemble, i) -> int:
+    """The traced peak of one projection on a step not factored yet: design,
+    factor and fit."""
+    tracemalloc.start()
+    try:
+        RegressionBackend(ensemble).condexp_and_z(i, np.ones(ensemble.N))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_iterate_distance_streams_within_eight_node_vectors():
+    # beyond the working set of the projection that refits dz_j
     n, N = 32, 20000
     grid = make_grid(1.0, n)
-    backend = RegressionBackend(antithetic(sample_ensemble(grid, N // 2, 1, seed=11)))
+    ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
+    backend = RegressionBackend(ensemble)
     spec = get("A_sine_constraint").spec
     # the sweep writes over its zero triple, so the reference reads another
     prev, kept = zero_solution(backend, 0, n), zero_solution(backend, 0, n)
     new, swept = solve_interval(spec, grid, backend, prev)
+    projection = _projection_bytes(ensemble, n // 2)
 
     tracemalloc.start()
     try:
         dist = iterate_distance(kept, new, grid, backend, LIPSCHITZ)
-        extra = tracemalloc.get_traced_memory()[1]
+        extra = tracemalloc.get_traced_memory()[1] - projection
     finally:
         tracemalloc.stop()
     assert extra <= 8 * N * 8, f"{extra / (N * 8):.1f} node vectors"
 
-    # the list-based formula the streamed distance replaces
+    # the list-based formula the streamed distance replaces, dz_j refit from
+    # the change in the value step j projected
     dy = [a - b for a, b in zip(new.y, kept.y)]
-    dz = [a - b for a, b in zip(new.z, kept.z)]
+    dz = [backend.condexp_and_z(j, (new.y[j + 1] - new.step_offsets[j])
+                                - (kept.y[j + 1] - kept.step_offsets[j]))[1] for j in range(n)]
     sup = np.abs(np.stack(dy, axis=1)).max(axis=1)
     s2_sq = float(particle_mean(sup * sup, antithetic=True))
     h2_sq = sum(backend.mean(j, np.sum(dz[j] ** 2, axis=-1)) for j in range(n)) * grid.dt
     dk = float(np.max(np.abs(new.k - kept.k)))
-    assert dist > 0.0 and dist == swept == math.sqrt(s2_sq + h2_sq + dk * dk)
+    assert dist > 0.0 and dist == math.sqrt(s2_sq + h2_sq + dk * dk)
+    # the sweep fits dz_j from its fresh ybar_(j+1), the reference from the
+    # stored y_(j+1) less its offset: they round apart
+    assert dist == pytest.approx(swept, rel=1e-12, abs=0.0)
 
 
 def test_picard_solve_holds_one_iterate():
-    # every sweep writes over the zero triple's blocks, so a whole solve holds
-    # one iterate, one projection's working set and a few node vectors; two
-    # iterates alive together would add 2 * (n + 1) node vectors. On B
-    # (linear_mean) the offsets move, so the scalar sweeps' zeta pass and
-    # the z write-back run
+    # every sweep writes over the zero triple's y block, so a whole solve
+    # holds one iterate of (n + 1) node vectors, one projection's working set
+    # and a few node vectors; two iterates alive together would add n + 1
+    # node vectors, and a z block d (n + 1). On B (linear_mean) the offsets
+    # move, so the scalar sweeps' zeta pass and the y write-back run
     n, N = 32, 20000
     node = N * 8
     grid = make_grid(1.0, n)
     ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
-    ones = np.ones(N)
-    tracemalloc.start()
-    try:
-        # a projection on a step not factored yet: design, factor and fit
-        RegressionBackend(ensemble).condexp_and_z(n // 2, ones)
-        projection = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    projection = _projection_bytes(ensemble, n // 2)
 
     for name in ("A_sine_constraint", "B_meanfield_linear"):
         backend = RegressionBackend(ensemble)
@@ -343,28 +355,52 @@ def test_picard_solve_holds_one_iterate():
         finally:
             tracemalloc.stop()
         assert len(hist.distances) >= 2
-        if name == "B_meanfield_linear":
-            assert len(calls) > 2 * n
-        iterate = (n + 1) * (1 + backend.d) * node
+        if name == "B_meanfield_linear":   # the first sweep and the zeta pass
+            assert len(calls) == 2 * n
+        iterate = (n + 1) * node
         extra = (peak - iterate - projection) / node
         assert extra <= 12, f"{name}: {extra:.1f} node vectors beyond one iterate and one projection"
 
 
+def test_post_pass_holds_no_z_list(tmp_path):
+    # `summarize` and `write_results_csv` share one backward pass that refits
+    # z_j step by step: beyond one projection's working set it holds a few
+    # node vectors, where a list of z would hold n of them
+    n, N = 32, 20000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "A_sine_constraint", "grid": {"n": n},
+                               "ensemble": {"N": N, "seed": 11}}))
+    result = cli.execute(cli.load_config(str(cfg)))
+    projection = _projection_bytes(result.backend.ensemble, n // 2)
+    tracemalloc.start()
+    try:
+        cli.summarize(result)
+        cli.write_results_csv(tmp_path / "results.csv", result)
+        extra = (tracemalloc.get_traced_memory()[1] - projection) / (N * 8)
+    finally:
+        tracemalloc.stop()
+    assert extra <= 8, f"{extra:.1f} node vectors beyond one projection"
+
+
 def _kept_copy(sol: ReflectedSolution) -> ReflectedSolution:
     return ReflectedSolution(lo=sol.lo, hi=sol.hi, y=[y.copy() for y in sol.y],
-                             z=[z.copy() for z in sol.z], k=sol.k.copy(),
-                             tail=sol.tail.copy())
+                             k=sol.k.copy(), tail=sol.tail.copy(),
+                             step_offsets=sol.step_offsets.copy(),
+                             mean_z=None if sol.mean_z is None else sol.mean_z.copy())
 
 
 def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     """The sweep as three passes over two iterates: deflate, build_k on the
-    deflated values, then iterate_distance; `prev` is left as it was."""
+    deflated values, then iterate_distance; `prev` is left as it was. The
+    means E[z_j] that a quadratic driver reads next come from the deflate
+    pass's z block."""
     lo, hi = prev.lo, prev.hi
     ybar, z = solve_deflated(scenario, grid, backend, prev, terminal_values)
     k, rho = build_k(scenario.loss, grid, backend, ybar, lo)
     tail = k[-1] - k
-    new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], z=z,
-                            k=k, tail=tail, shifts=rho)
+    mean_z = np.array([backend.mean(lo + j, z[j]) for j in range(hi - lo)])
+    new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], k=k,
+                            tail=tail, step_offsets=tail[1:], shifts=rho, mean_z=mean_z)
     return new, iterate_distance(prev, new, grid, backend, scenario.mode)
 
 
@@ -419,6 +455,8 @@ def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regressi
             rec, ref_rec = (_ball_record(sol, grid, backend, 1.0) for sol in (new, ref))
             for key in ("s_inf", "bmo", "k_sup"):
                 assert rec[key] == pytest.approx(ref_rec[key], rel=1e-12, abs=0.0), key
+            z_scale = float(np.max(np.abs(ref.mean_z)))
+            assert np.max(np.abs(new.mean_z - ref.mean_z)) <= 1e-12 * z_scale
         sweeps.append(dist)
         return new, dist
 
@@ -452,6 +490,12 @@ def _particle_free_spec(driver, resistance, loss):
                         resistance=ResistanceSpec(resistance), loss=LOSSES[loss])
 
 
+def _refit_z(sol, backend) -> list:
+    """z_j of a solution, the z-fit of y_(j+1) less step j's offset."""
+    return [backend.condexp_and_z(sol.lo + j, sol.y[j + 1] - c)[1]
+            for j, c in enumerate(sol.step_offsets)]
+
+
 def _assert_same_solve(got, ref, backend):
     (sol, hist), (ref_sol, ref_hist) = got, ref
     assert len(hist.distances) == len(ref_hist.distances)
@@ -459,7 +503,7 @@ def _assert_same_solve(got, ref, backend):
     assert np.max(np.abs(np.subtract(hist.distances, ref_hist.distances))) <= 1e-12
     assert np.max(np.abs(sol.k - ref_sol.k)) <= 1e-12
     assert np.max(np.abs(sol.mean_y_path(backend) - ref_sol.mean_y_path(backend))) <= 1e-12
-    for new, old in ((sol.y, ref_sol.y), (sol.z, ref_sol.z)):
+    for new, old in ((sol.y, ref_sol.y), (_refit_z(sol, backend), _refit_z(ref_sol, backend))):
         scale = max(float(np.max(np.abs(v))) for v in old)
         assert max(float(np.max(np.abs(a - b))) for a, b in zip(new, old)) <= 1e-12 * scale
 
@@ -500,26 +544,30 @@ def test_stitched_scalar_sweeps_match_the_general_sweep(loss, monkeypatch,
 
 
 def _count_projections(backend) -> list:
+    """The steps of every projection the backend makes, whatever its rows."""
     calls = []
-    project = backend.condexp_and_z
-    backend.condexp_and_z = lambda i, values: (calls.append(i), project(i, values))[1]
+    project = backend._project
+    backend._project = lambda i, targets: (calls.append(i), project(i, targets))[1]
     return calls
 
 
 @pytest.mark.parametrize("name", ["B_meanfield_linear", "linear_y", "D_quadratic"])
 def test_projections_per_window(name, regression_backend):
-    # a particle-free solve projects in its first sweep, in one pass for
-    # E|zeta|^2 and in the z write-back, at most 3m whatever its sweep count;
-    # a driver that reads particles projects m times in every sweep
+    # a particle-free solve projects in its first sweep and in one pass for
+    # E|zeta|^2, at most 2m whatever its sweep count (the write-back adds to
+    # y only); a driver that reads particles projects m times in every sweep,
+    # and in quadratic mode also m for the BMO on dz and m for the ball
+    # record's BMO, which refits z in its projections
     spec = _binding_linear_y() if name == "linear_y" else get(name).spec
     m = 16
     grid, backend = regression_backend(spec.horizon, m, N=4000, seed=7)
     calls = _count_projections(backend)
     _, hist = picard_solve(spec, grid, backend)
     if spec.driver.particle_free:
-        assert len(hist.distances) == 6 and m < len(calls) <= 3 * m
+        assert len(hist.distances) == 6 and m < len(calls) <= 2 * m
     else:
-        assert len(hist.distances) >= 2 and len(calls) == m * len(hist.distances)
+        per_sweep = m if spec.mode == LIPSCHITZ else 3 * m
+        assert len(hist.distances) >= 2 and len(calls) == per_sweep * len(hist.distances)
 
 
 def test_picard_solve_needs_one_sweep():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -11,9 +12,9 @@ from mrbsde.model import (LIPSCHITZ, DriverSpec, ResistanceSpec, ScenarioSpec,
                           linear_y_driver, zero_driver)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import picard_solve
-from mrbsde.reflect import (StepSizeError, build_k, constraint_diagnostics, empirical_norms,
-                            flatness_residual, solve_deflated, solve_interval,
-                            x_process, zero_solution)
+from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k, constraint_diagnostics,
+                            empirical_norms, flatness_residual, solve_deflated,
+                            solve_interval, x_process, zero_solution)
 from mrbsde.scenarios import get
 
 
@@ -260,20 +261,32 @@ def test_flatness_zero_when_reflection_flat():
 
 def test_empirical_norms_examples():
     grid, backend = lattice(1.0, 4)
+    zeros = np.zeros(5)
+    # a constant y: its z is refit as 0
     y = [np.full(i + 1, -2.0) for i in range(5)]
-    z = [np.ones((i + 1, 1)) for i in range(5)]
-    norms = empirical_norms(y, z, np.zeros(5), grid, backend)
-    assert norms["s2"] == pytest.approx(2.0, abs=1e-12)
-    assert norms["s_inf"] == pytest.approx(2.0, abs=1e-12)
-    assert norms["h2"] == pytest.approx(1.0, abs=1e-12)
-    assert norms["bmo"] == pytest.approx(1.0, abs=1e-12)
+    sol = ReflectedSolution(0, 4, y=y, k=zeros, tail=zeros, step_offsets=zeros[1:])
+    post = empirical_norms(sol, grid, backend)
+    assert post["norms"] == {"s2": 2.0, "h2": 0.0, "s_inf": 2.0, "k_sup": 0.0, "bmo": 0.0}
+    assert np.array_equal(post["mean_z"], np.zeros((5, 1)))
+    # y = B + 1 less step offsets of 1: z = 1 at every step, so H2 and the
+    # BMO proxy are sqrt(T) = 1; sup |B + 1| over the 16 paths of the walk
+    y = [backend.state(i)[:, 0] + 1.0 for i in range(5)]
+    sol = ReflectedSolution(0, 4, y=y, k=np.arange(5.0), tail=zeros, step_offsets=np.ones(4))
+    post = empirical_norms(sol, grid, backend)
+    sups = [max(abs(1.0 + 0.5 * sum(steps[:i])) for i in range(5))
+            for steps in itertools.product((-1, 1), repeat=4)]
+    assert post["norms"]["s2"] == pytest.approx(math.sqrt(np.mean(np.square(sups))), rel=1e-15)
+    assert post["norms"]["s_inf"] == 3.0 and post["norms"]["k_sup"] == 4.0
+    assert post["norms"]["h2"] == pytest.approx(1.0, rel=1e-15)
+    assert post["norms"]["bmo"] == pytest.approx(1.0, rel=1e-15)
+    assert np.array_equal(post["mean_z"][:, 0], [1.0, 1.0, 1.0, 1.0, 0.0])
 
 
 def test_norms_scenario_a_reflection_sup():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
     sol = first_sweep(spec, grid, backend)
-    norms = empirical_norms(sol.y, sol.z, sol.k, grid, backend)
+    norms = empirical_norms(sol, grid, backend)["norms"]
     assert norms["k_sup"] == pytest.approx(0.3, abs=1e-10)
 
 

@@ -9,7 +9,7 @@ from mrbsde.model import (ResistanceSpec, ScenarioSpec, linear_shift_loss,
                           quadratic_z_driver, scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import ConstantsReport, constants_report, picard_solve
-from mrbsde.reflect import constraint_diagnostics, sup_norm
+from mrbsde.reflect import constraint_diagnostics, solve_deflated, sup_norm, zero_solution
 from mrbsde.scenarios import get
 from mrbsde.stitch import PlanError, plan_intervals, solve_global, stitch_constants
 
@@ -171,6 +171,31 @@ def test_stitched_y_is_each_pieces_y(monkeypatch):
     # the later intervals' reflection is already inside each piece's y, so the
     # pasted tail is each piece's own, not one recomputed from the global k
     assert not np.array_equal(sol.tail, sol.k[-1] - sol.k)
+
+
+@pytest.mark.parametrize("intervals", [2, 4])
+def test_stitched_refit_z_matches_the_stored_z(intervals, regression_backend):
+    # A's zero driver makes every sweep's deflated process the first one's, so
+    # `solve_deflated` on each piece, from the pasted value at its right edge,
+    # stores the z that the pieces' sweeps fitted. The refit z_j reads step
+    # j's own offset: at a seam the earlier piece's last step projected the
+    # seam value itself, whatever the global tail there
+    spec = get("A_sine_constraint").spec
+    grid, backend = regression_backend(spec.horizon, 16, N=2000, seed=7)
+    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=intervals)
+    sol, _ = solve_global(spec, grid, backend, plan)
+    stored = []
+    for lo, hi in zip(plan.breaks, plan.breaks[1:]):
+        _, z = solve_deflated(spec, grid, backend, zero_solution(backend, lo, hi), sol.y[hi])
+        stored += z[:-1]
+    refit = [backend.condexp_and_z(i, sol.y[i + 1] - c)[1]
+             for i, c in enumerate(sol.step_offsets)]
+    assert len(refit) == len(stored) == grid.n
+    scale = max(float(np.max(np.abs(z))) for z in stored)
+    for i, (got, want) in enumerate(zip(refit, stored)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"step {i}"
+    # K binds after a seam, so the global tail there is not the step's offset
+    assert max(sol.tail[b] for b in plan.breaks[1:-1]) > 0.05
 
 
 @pytest.mark.parametrize("name,kind,n", [
