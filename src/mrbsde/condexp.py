@@ -166,42 +166,54 @@ class RegressionBackend:
         self._factors[i] = w
         return w
 
-    def _project(self, i: int, targets: np.ndarray) -> np.ndarray:
-        """Fit the rows of the (k, N) targets on the step-i features.
+    def _project(self, i: int, targets: np.ndarray, scale=1.0, rows=None):
+        """Fit the first `rows` (default all) of the (k, N) targets, each row
+        times its `scale`, on the step-i features; returns that fit and every
+        scaled row's fitted mean and fitted mean square, (k,) each.
 
-        The fit is computed in coefficient form, `c = W Wᵀ (phi_fm targetsᵀ)`
-        and `fit = cᵀ phi_fm`, with `phi_fm` the (p, N) feature-major design:
+        In coefficient form, `b = phi_fm targetsᵀ`, `a = Wᵀ b` (scaled) and
+        `fit = (W a)ᵀ phi_fm`, with `phi_fm` the (p, N) feature-major design:
         two passes over the design, which is rebuilt on each call (storing it
-        would cost N x p per step), and no N x p orthonormal basis. Only the
-        p x p factor W is kept per step.
+        would cost N x p per step), and no N x p orthonormal basis; only the
+        p x p factor W is kept per step. phi's first feature is the constant
+        and phi W is orthonormal, so a fit's mean is b_0/N and its mean square
+        |a|^2/N. At step 0 the fit is the particle mean m: the pair is (m, m^2).
         """
+        n = targets.shape[1]
         if i == 0:
-            means = particle_mean(targets.T, self.ensemble.antithetic)
-            return np.broadcast_to(means[:, None], targets.shape).copy()
+            means = particle_mean(targets.T, self.ensemble.antithetic) * scale
+            return np.repeat(means[:rows, None], n, axis=1), means, means * means
         phi = self.basis.design(self.state(i))
         w = self._orthonormalizer(i, phi)
         phi_fm = phi.T
-        return (w @ (w.T @ (phi_fm @ targets.T))).T @ phi_fm
+        b = phi_fm @ targets.T
+        a = (w.T @ b) * scale
+        return (w @ a[:, :rows]).T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n
 
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)
-        return self._project(i, v[None, :])[0]
+        return self._project(i, v[None, :])[0][0]
 
-    def condexp_and_z(self, i: int, next_values, *z_of) -> tuple[np.ndarray, ...]:
+    def condexp_and_z(self, i: int, next_values, *z_of, fit=None, sq_scale=1.0) -> tuple:
         """One decomposition for E_{t_i}[V] and, for U = V or each U of `z_of`,
-        E_{t_i}[U dB_i]/dt (N x d); the targets are [V; U dB_i; ...], with
-        dB_i = B_{i+1} - B_i formed in their rows."""
+        z_U = E_{t_i}[U dB_i]/dt (N x d); the targets are [V; U dB_i; ...], with
+        dB_i = B_{i+1} - B_i formed in their rows and 1/dt in the coefficients.
+        With `fit` set, only the first `fit` of these are formed, followed by
+        E[z_U] (a row per U) and E|z_U|^2 * sq_scale, off the coefficients."""
         v = np.asarray(next_values, dtype=float)
-        us = z_of or (v,)
-        targets = np.empty((1 + self.d * len(us), v.shape[0]))
+        us, d, n = z_of or (v,), self.d, v.shape[0]
+        targets = np.empty((1 + d * len(us), n))
         targets[0] = v
-        blocks = targets[1:].reshape(len(us), self.d, -1)
+        blocks = targets[1:].reshape(len(us), d, -1)
         np.subtract(self.state(i + 1).T, self.state(i).T, out=blocks)
         for block, u in zip(blocks, us):
             block *= u
-        fit = self._project(i, targets)
-        fit[1:] /= self.grid.dt
-        return fit[0], *(block.T for block in fit[1:].reshape(len(us), self.d, -1))
+        scale = np.repeat([1.0, 1.0 / self.grid.dt], [1, d * len(us)])
+        rows = None if fit is None else 1 + d * (fit - 1) if fit else 0
+        out, mean, sq = self._project(i, targets, scale, rows)
+        moments = () if fit is None else (mean[1:].reshape(-1, d),
+                                          sq[1:].reshape(-1, d).sum(axis=1) * sq_scale)
+        return (*out[:1], *(block.T for block in out[1:].reshape(-1, d, n)), *moments)
 
     def mean(self, i: int, values):
         res = particle_mean(values, self.ensemble.antithetic)
@@ -213,11 +225,12 @@ class RegressionBackend:
     def law(self, i: int, values) -> EmpiricalLaw:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float))
 
-    def sup_sq_mean(self, nodes) -> float:
+    def sup_sq_mean(self, nodes, return_max=False):
         """E[ sup_i |V_i|^2 ] over an iterable of (grid node i, particle values
-        V_i) pairs, in any node order."""
+        V_i) pairs, in any node order, and with `return_max` the largest sup."""
         sup = _sup_abs(v for _, v in nodes)
-        return float(particle_mean(sup * sup, self.ensemble.antithetic))
+        mean = float(particle_mean(sup * sup, self.ensemble.antithetic))
+        return (mean, float(np.max(sup))) if return_max else mean
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +274,20 @@ class LatticeBackend:
     def condexp(self, i: int, next_values) -> np.ndarray:
         return self.condexp_and_z(i, next_values)[0]
 
-    def condexp_and_z(self, i: int, next_values, *z_of) -> tuple[np.ndarray, ...]:
+    def condexp_and_z(self, i: int, next_values, *z_of, fit=None, sq_scale=1.0) -> tuple:
         """Exact one-step E_{t_i}[V] and, for U = V or each U of `z_of`,
         E_{t_i}[U dB_i]/dt: the average of V's two successor nodes
-        (probabilities 1/2, 1/2) and the slope of U's."""
+        (probabilities 1/2, 1/2) and the slope of U's. `fit` is as in
+        `RegressionBackend.condexp_and_z`, the moments each slope's `mean`."""
         v = np.asarray(next_values, dtype=float)
         if v.shape[0] != i + 2:
             raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[0]}")
         us = [np.asarray(u, dtype=float) for u in z_of] or [v]
-        slopes = (((u[1:] - u[:-1]) / (2.0 * math.sqrt(self.grid.dt)))[:, None] for u in us)
-        return 0.5 * (v[:-1] + v[1:]), *slopes
+        slopes = [((u[1:] - u[:-1]) / (2.0 * math.sqrt(self.grid.dt)))[:, None] for u in us]
+        moments = () if fit is None else (
+            np.array([self.mean(i, z) for z in slopes]),
+            np.array([self.mean(i, z[:, 0] * z[:, 0] * sq_scale) for z in slopes]))
+        return (0.5 * (v[:-1] + v[1:]), *slopes)[:fit] + moments
 
     def mean(self, i: int, values):
         res = np.dot(self.probs(i), values)
@@ -283,10 +300,12 @@ class LatticeBackend:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float),
                             weights=self.probs(i))
 
-    def sup_sq_mean(self, nodes) -> float:
+    def sup_sq_mean(self, nodes, return_max=False):
         """Exact E[ sup |V|^2 ] by enumerating all 2^n equally likely paths,
         over an iterable of (grid node i, node values V_i) pairs in any node
-        order; each path reads V_i at its node index at step i."""
+        order; each path reads V_i at its node index at step i. `return_max`
+        adds the largest path sup: every node lies on some path."""
         sup = _sup_abs(np.asarray(v, dtype=float)[self._paths[:, i]]
                        for i, v in nodes)
-        return float(np.mean(sup * sup))
+        mean = float(np.mean(sup * sup))
+        return (mean, float(np.max(sup))) if return_max else mean

@@ -308,6 +308,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
 
     prev = zero_solution(backend, lo, hi)
+    prev.mean_y = np.zeros(hi - lo + 1)   # no pass over the zero block
     solution = later = None
     for sweep in range(1, max_iter + 1):
         if later is None:

@@ -43,12 +43,13 @@ def _node_blocks(backend, lo: int, hi: int, *inner) -> list:
 def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     prev: ReflectedSolution, terminal_values):
     """Backward Euler for the deflated (unconstrained) equation on `prev`'s
-    window, one node at a time: yields (j, ybar_j, z_j, dz_j) for
-    j = m, m-1, ..., 0, both z None at the terminal node. Step j projects
-    ybar_(j+1) and fits, in the same projection, dz_j, the z of ybar_(j+1)
+    window, one node at a time: yields (j, ybar_j, z_j, dz_j, moments) for
+    j = m, m-1, ..., 0, all but ybar_j None at the terminal node. Step j
+    projects ybar_(j+1) and, in the same projection, dz_j, the z of ybar_(j+1)
     less the value `prev`'s step j projected, which is read before node j+1
     is yielded, so the caller may then write over it; in quadratic mode, whose
-    driver reads it, also z_j, the z of ybar_(j+1) (None in Lipschitz mode).
+    driver reads it, also z_j, the z of ybar_(j+1). `moments` is their (E[z],
+    E|z|^2); Lipschitz mode forms only ybar_j, leaving z_j and dz_j None.
 
     The generator's frozen inputs come from the previous iterate `prev`: the
     mean of its y (and its `mean_z` in quadratic mode), the resistance of its
@@ -78,8 +79,8 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
         # the step's temporaries die on return, before the next projection
         i = lo + j
         z_of = (dybar_next,) if implicit else (ybar_next, dybar_next)
-        base, *zs = backend.condexp_and_z(i, ybar_next, *z_of)
-        z_i = None if implicit else zs[0]
+        base, *zs = backend.condexp_and_z(i, ybar_next, *z_of, fit=1 if implicit else 3)
+        z_i, dz_i = zs[:-2] or (None, None)
         if drv.particle_free:
             f = drv.scalar(grid.nodes[i], float(mean_y[j]), float(resistance[j]))
         else:
@@ -88,16 +89,16 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 prev.y[j], prev.mean_z[j])
             f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
                              float(resistance[j]))
-        return base + (f / denom) * dt, z_i, zs[-1]
+        return base + (f / denom) * dt, z_i, dz_i, zs[-2:]
 
-    ybar, z, dz, dybar = np.asarray(terminal_values, dtype=float), None, None, None
+    ybar, z, dz, moments = np.asarray(terminal_values, dtype=float), None, None, None
     for j in range(m, -1, -1):
         if j < m:
-            ybar, z, dz = step(j, ybar, dybar)
+            ybar, z, dz, moments = step(j, ybar, dybar)
         if j > 0:   # what step j - 1 fits dz from
             dybar = prev.y[j] - prev.step_offsets[j - 1]
             np.subtract(ybar, dybar, out=dybar)
-        yield j, ybar, z, dz
+        yield j, ybar, z, dz, moments
         z = dz = None   # the fit is freed before the next projection
 
 
@@ -114,7 +115,7 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     ybar, zs = _node_blocks(backend, lo, hi), _node_blocks(backend, lo, hi, backend.d)
-    for j, y, _, _ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
+    for j, y, *_ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
         ybar[j][...] = y
     for j, z in enumerate(zs[:-1]):
         z[...] = backend.condexp_and_z(lo + j, ybar[j + 1])[1]
@@ -207,19 +208,20 @@ def sq_norms(z) -> np.ndarray:
 
 
 def _bmo_steps(y_values, offsets, grid: TimeGrid, backend, lo: int = 0):
-    """Yields (z_j, |z_j|^2 dt, r_j) for j = m-1, ..., 0 from one projection
-    each: z_j, the z-fit of y_(j+1) - offsets[j], and r_j = E_j[r_(j+1)] +
-    |z_j|^2 dt (r_m = 0), the remaining quadratic variation of z."""
+    """Yields (E[z_j], E|z_j|^2 dt, r_j) for j = m-1, ..., 0 from one projection
+    each, which forms [r_j; z_j] and gives the moments: z_j, the z-fit of
+    y_(j+1) - offsets[j], and r_j = E_j[r_(j+1)] + |z_j|^2 dt (r_m = 0), the
+    remaining quadratic variation of z."""
     m = len(y_values) - 1
     r = np.zeros(backend.count(lo + m))
     for j in range(m - 1, -1, -1):
         # y - 0.0 is y: the subtraction is skipped, not changed
         u = y_values[j + 1] - offsets[j] if offsets[j] else y_values[j + 1]
-        r, z = backend.condexp_and_z(lo + j, r, u)
+        r, z, mean_z, sq_dt = backend.condexp_and_z(lo + j, r, u, fit=2, sq_scale=grid.dt)
         zsq_dt = sq_norms(z)
         zsq_dt *= grid.dt
         r += zsq_dt
-        yield z, zsq_dt, r
+        yield mean_z[0], sq_dt[0], r
 
 
 def bmo_proxy(y_values, offsets, grid: TimeGrid, backend, lo: int = 0) -> float:
@@ -237,26 +239,25 @@ def sup_norm(values) -> float:
 
 def empirical_norms(sol: ReflectedSolution, grid: TimeGrid, backend) -> dict:
     """One backward pass over the nodes, each read once, z_j refit by
-    `_bmo_steps`: the sample norms used by the fixed-point analysis ("norms")
+    `_bmo_steps` with its moments off the coefficients: the sample norms used
+    by the fixed-point analysis ("norms"; S-inf is the S2 pass's largest sup)
     and the per-node means of z, "mean_z" (0 at the terminal node, which has
     no step)."""
     m, lo, ys = sol.hi - sol.lo, sol.lo, sol.y
     mean_z, z_sq = np.zeros((m + 1, backend.d)), [0.0] * m   # z_sq[j] = E|z_j|^2 dt
     steps = _bmo_steps(ys, sol.step_offsets, grid, backend, lo)
-    s_inf = worst = 0.0
+    worst = 0.0
 
     def nodes():
-        nonlocal s_inf, worst
+        nonlocal worst
         for j in range(m, -1, -1):
-            s_inf = max(s_inf, float(np.max(ys[j])), -float(np.min(ys[j])))
             if j < m:
-                z, zsq, r = next(steps)
-                mean_z[j], z_sq[j] = backend.mean(lo + j, z), backend.mean(lo + j, zsq)
+                mean_z[j], z_sq[j], r = next(steps)
                 worst = max(worst, float(np.max(r)))
             yield lo + j, ys[j]
 
-    s2 = float(np.sqrt(backend.sup_sq_mean(nodes())))
-    return {"norms": {"s2": s2, "h2": float(np.sqrt(sum(z_sq))), "s_inf": s_inf,
+    s2_sq, s_inf = backend.sup_sq_mean(nodes(), return_max=True)
+    return {"norms": {"s2": float(np.sqrt(s2_sq)), "h2": float(np.sqrt(sum(z_sq))), "s_inf": s_inf,
                       "k_sup": float(np.max(np.abs(sol.k))), "bmo": float(np.sqrt(worst))},
             "mean_z": mean_z}
 
@@ -279,8 +280,11 @@ class ReflectedSolution:
     shifts: np.ndarray | None = None
     mean_z: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    mean_y: np.ndarray | None = None   # E[y_j], if known without a pass over y
 
     def mean_y_path(self, backend) -> np.ndarray:
+        if self.mean_y is not None:
+            return self.mean_y
         return np.array([backend.mean(self.lo + j, v) for j, v in enumerate(self.y)])
 
 
@@ -311,9 +315,9 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     Returns the new iterate, which carries its shifts but no diagnostics, and
     its distance from `prev`: in Lipschitz mode the root-sum-square of
     (sample S2, sample H2, sup-k), with a per-particle running sup of |dy| and
-    the per-node H2 means summed forward at the end; in quadratic mode the
-    sum of (sample S-inf, BMO proxy, sup-k), the BMO recursion run on dz node
-    by node.
+    the per-node H2 means, read off the projections, summed at the end; in
+    quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), the BMO
+    recursion run on dz node by node.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
@@ -328,8 +332,8 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     def node_differences():
         r = None if lipschitz else np.zeros(backend.count(hi))   # BMO recursion on dz
-        for j, ybar_j, z_j, dz_j in _deflated_nodes(scenario, grid, backend, prev,
-                                                    terminal_values):
+        for j, ybar_j, z_j, dz_j, moments in _deflated_nodes(scenario, grid, backend, prev,
+                                                             terminal_values):
             i = lo + j
             rho[j] = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
@@ -337,17 +341,15 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             # one temporary: y_j is formed again straight into the block
             dy = ybar_j + tail[j]
             dy -= prev.y[j]
-            if j < m:
-                dz_sq = sq_norms(dz_j)
-                if lipschitz:
-                    z_terms[j] = backend.mean(i, dz_sq)
-                else:
-                    r = backend.condexp(i, r) + dz_sq * grid.dt
-                    z_terms[j] = float(np.max(r))
-                    mean_z[j] = backend.mean(i, z_j)
+            if j < m and lipschitz:
+                z_terms[j] = float(moments[1][-1])
+            elif j < m:
+                r = backend.condexp(i, r) + sq_norms(dz_j) * grid.dt
+                z_terms[j] = float(np.max(r))
+                mean_z[j] = moments[0][0]
             np.add(ybar_j, tail[j], out=prev.y[j])
             yield i, dy
-            dy = z_j = dz_j = dz_sq = None   # freed before the next projection
+            dy = z_j = dz_j = None   # freed before the next projection
 
     nodes = node_differences()
     y_term = backend.sup_sq_mean(nodes) if lipschitz else sup_norm(dy for _, dy in nodes)
@@ -366,8 +368,9 @@ class ScalarSweeps:
     scalars. A projection maps constants to themselves, so a later sweep's
     deflated value is the first one's plus the offset delta_j =
     sum_(l>=j) (f_l - f1_l) dt, and its z the first one's plus delta_(j+1)
-    zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice). The
-    block of `first`, the first sweep's iterate, holds its y until
+    zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice), whose
+    E|zeta_j|^2 one pass reads off projection coefficients, fitting no row.
+    The block of `first`, the first sweep's iterate, holds its y until
     `write_back` adds the last sweep's offsets to it; y_(j+1) - tail_(j+1)
     is then ybar1_(j+1) + delta_(j+1), so the refit z needs no write."""
 
@@ -381,10 +384,6 @@ class ScalarSweeps:
         self.mean_y1 = first.mean_y_path(backend)
         self.last, self.delta = first, np.zeros(len(self.times))
         self.laws, self.zeta_sq = [None] * len(self.times), None
-
-    def _zeta(self, j: int) -> np.ndarray:
-        i = self.first.lo + j
-        return self.backend.condexp_and_z(i, np.ones(self.backend.count(i + 1)))[1]
 
     def sweep(self) -> float:
         """One sweep; returns its distance from the last, the Lipschitz metric
@@ -409,8 +408,9 @@ class ScalarSweeps:
         dy = (delta + new.tail) - (self.delta + last.tail)
         moved = (delta - self.delta)[1:]
         if self.zeta_sq is None and np.any(moved != 0.0):
-            self.zeta_sq = np.array([self.backend.mean(first.lo + j, sq_norms(self._zeta(j)))
-                                     for j in range(m)])
+            self.zeta_sq = np.array([self.backend.condexp_and_z(
+                i, np.ones(self.backend.count(i + 1)), fit=0)[1][0]
+                for i in range(first.lo, first.hi)])
         z_term = 0.0 if self.zeta_sq is None else float(np.sum(moved * moved * self.zeta_sq))
         dk = float(np.max(np.abs(new.k - last.k)))
         self.last, self.delta = new, delta

@@ -1,8 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrbsde import condexp
 from mrbsde.condexp import (LatticeBackend, RegressionBackend, RegressionBasis,
@@ -175,7 +179,7 @@ def test_z_fit_from_state_differences_matches_drawn_increments(d):
     for i in range(grid.n):
         v = np.sin(ens.states[:, i + 1, 0]) + ens.states[:, i + 1, -1] ** 2
         z = backend.condexp_and_z(i, v)[1]
-        want = backend._project(i, v * drawn[:, i, :].T).T / grid.dt
+        want = backend._project(i, v * drawn[:, i, :].T)[0].T / grid.dt
         assert np.linalg.norm(z - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -265,6 +269,68 @@ def test_z_rows_from_other_targets(dim):
     assert np.array_equal(y, lattice.condexp(2, v))
     assert np.array_equal(zv, lattice.condexp_and_z(2, v)[1])
     assert np.array_equal(zu, lattice.condexp_and_z(2, u)[1])
+
+
+@given(anti=st.booleans(), dim=st.sampled_from([1, 3]), qr=st.booleans(),
+       step=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+       sizes=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+       scale=st.floats(0.1, 10.0))
+@settings(max_examples=60, deadline=None)
+def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, sizes, scale):
+    # b_0/N and |W^T b|^2/N are the mean and mean square of the fitted row,
+    # for any targets: a smooth function, pure noise and a square of the
+    # state, each at a random magnitude, on antithetic or plain ensembles, at
+    # step 0, where the fit is the mean, and on a design past GRAM_COND_MAX,
+    # which takes the QR branch: states shifted by 1.5, whose Gram condition
+    # numbers are about 1e2 to 1e4, against the threshold lowered to 10 (both
+    # sides lose rounding with the condition: at 1e5 to 3e7, states shifted
+    # by 10, they agree to 4e-12 of the row's scale)
+    grid = make_grid(1.0, 4)
+    ens = sample_ensemble(grid, 300 if anti else 600, dim, seed)
+    ens = antithetic(ens) if anti else ens
+    if qr:
+        ens = replace(ens, states=(ens.states.transpose(1, 2, 0) + 1.5).transpose(2, 0, 1))
+    backend = RegressionBackend(ens, degree=2)
+    nxt, rng = backend.state(step + 1), np.random.default_rng(seed)
+    targets = np.vstack([np.sin(3.0 * nxt[:, 0]) + 1.0, rng.normal(size=ens.N),
+                         nxt[:, -1] ** 2]) * (10.0 ** np.array(sizes))[:, None]
+    row_scale = np.array([1.0, scale, 1.0 / scale])
+    with mock.patch.object(condexp, "GRAM_COND_MAX", 10.0 if qr else condexp.GRAM_COND_MAX), \
+            mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr_calls:
+        fit, mean, sq = backend._project(step, targets, row_scale)
+        assert qr_calls.called == (qr and step > 0)
+    # 1e-12 relative, with a floor of 1e-12 of the row's largest |entry|
+    for f, m, q in zip(fit, mean, sq, strict=True):
+        m_ref, q_ref, top = backend.mean(step, f), backend.mean(step, f * f), np.max(np.abs(f))
+        assert abs(m - m_ref) <= 1e-12 * (abs(m_ref) + top)
+        assert abs(q - q_ref) <= 1e-12 * (q_ref + top * top)
+    # through condexp_and_z: E[z] and E|z|^2 sq_scale, the d z rows summed
+    v, u = targets[0], targets[2]
+    y, z_v, z_u, mean_z, sq_z = backend.condexp_and_z(step, v, v, u, fit=3, sq_scale=scale)
+    for zm, zq, z in zip(mean_z, sq_z, (z_v, z_u), strict=True):
+        cols = np.max(np.abs(z), axis=0)
+        for m, m_ref, col in zip(zm, backend.mean(step, z), cols, strict=True):
+            assert abs(m - m_ref) <= 1e-12 * (abs(m_ref) + col)
+        sq_ref = backend.mean(step, np.sum(z * z, axis=1)) * scale
+        assert abs(zq - sq_ref) <= 1e-12 * (sq_ref + scale * np.sum(cols * cols))
+    # fitting the value row only moves it by rounding, and the moments not at all
+    y1, mean_1, sq_1 = backend.condexp_and_z(step, v, v, u, fit=1, sq_scale=scale)
+    assert np.max(np.abs(y1 - y)) <= 1e-12 * np.max(np.abs(y))
+    assert np.array_equal(mean_1, mean_z) and np.array_equal(sq_1, sq_z)
+
+
+def test_lattice_moments_are_the_means_of_the_slopes():
+    lattice = LatticeBackend(make_grid(1.0, 6))
+    for i in range(6):
+        v, u = np.cos(lattice.state(i + 1)[:, 0]), lattice.state(i + 1)[:, 0] ** 3
+        y, z_v, z_u, mean_z, sq_z = lattice.condexp_and_z(i, v, v, u, fit=3, sq_scale=0.3)
+        assert np.array_equal(y, lattice.condexp(i, v))
+        for z, m, q in zip((z_v, z_u), mean_z, sq_z, strict=True):
+            assert np.array_equal(m, lattice.mean(i, z))
+            assert q == lattice.mean(i, z[:, 0] * z[:, 0] * 0.3)
+        mean_u, sq_u = lattice.condexp_and_z(i, v, u, fit=0)
+        assert np.array_equal(mean_u, mean_z[1:])
+        assert sq_u[0] == lattice.mean(i, z_u[:, 0] * z_u[:, 0])
 
 
 @pytest.fixture

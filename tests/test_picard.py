@@ -547,7 +547,7 @@ def _count_projections(backend) -> list:
     """The steps of every projection the backend makes, whatever its rows."""
     calls = []
     project = backend._project
-    backend._project = lambda i, targets: (calls.append(i), project(i, targets))[1]
+    backend._project = lambda i, *args: (calls.append(i), project(i, *args))[1]
     return calls
 
 

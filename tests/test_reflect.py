@@ -282,6 +282,17 @@ def test_empirical_norms_examples():
     assert np.array_equal(post["mean_z"][:, 0], [1.0, 1.0, 1.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+def test_s_inf_is_the_largest_sup_of_the_s2_pass(kind, regression_backend):
+    # the largest per-particle (per-path) sup is the largest |y| at any node,
+    # bitwise: every lattice node lies on some path
+    grid, backend = lattice(1.0, 8) if kind == "lattice" else regression_backend(
+        1.0, 8, N=2000, seed=5)
+    sol = first_sweep(get("A_sine_constraint").spec, grid, backend)
+    s_inf = empirical_norms(sol, grid, backend)["norms"]["s_inf"]
+    assert s_inf == max(max(float(np.max(y)), -float(np.min(y))) for y in sol.y)
+
+
 def test_norms_scenario_a_reflection_sup():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
