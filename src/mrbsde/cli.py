@@ -192,6 +192,8 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
     if not isinstance(cfg.antithetic, bool):
         raise ConfigError("cli: ensemble.antithetic must be true or false, "
                           f"got {cfg.antithetic!r}")
+    if not 0 <= cfg.seed < 2 ** 64:   # the Philox key and the terminal draws' seed
+        raise ConfigError("cli: ensemble.seed must be in [0, 2**64)")
     if cfg.degree < 0:
         raise ConfigError("cli: backend.degree must be >= 0")
     if cfg.picard_max_iter < 1:

@@ -126,7 +126,8 @@ class RegressionBackend:
         return self.ensemble.N
 
     def state(self, i: int) -> np.ndarray:
-        return self.ensemble.states[:, i, :]
+        """(N, d) states at step i, the transpose of the ensemble's rows."""
+        return self.ensemble.step(i).T
 
     def _orthonormalizer(self, i: int, phi: np.ndarray) -> np.ndarray:
         """The p x p map W = R⁻¹/s with phi @ W orthonormal, factored once per
@@ -205,7 +206,7 @@ class RegressionBackend:
         targets = np.empty((1 + d * len(us), n))
         targets[0] = v
         blocks = targets[1:].reshape(len(us), d, -1)
-        np.subtract(self.state(i + 1).T, self.state(i).T, out=blocks)
+        self.ensemble.increment(i, blocks)
         for block, u in zip(blocks, us):
             block *= u
         scale = np.repeat([1.0, 1.0 / self.grid.dt], [1, d * len(us)])

@@ -233,6 +233,10 @@ CASES = [
         "driver": {"kind": "linear_mean", "params": {"a": 1e-300}},
         "loss": {"kind": "linear_shift"}}, "grid": {"n": 8}, "backend": LATTICE},
         id="solve-tiny-lambda"),
+    # one sampled path and its negation: the default antithetic pairing at N = 2
+    configured("test_command_exits_0", "solve", {
+        **A_REGRESSION, "ensemble": {"N": 2, "seed": 1},
+        "backend": {"kind": "regression", "degree": 0}}, id="solve-antithetic-N2-degree0"),
     # -- exit 0, and a second run writes the same bytes --------------------------
     configured("test_rerun_is_byte_identical", "solve", {
         "scenario": "A_sine_constraint", "grid": {"n": 8}, "backend": LATTICE},
@@ -321,6 +325,11 @@ CASES = [
         **A_REGRESSION, "scenario": {**inline(), "d": 2},
         "backend": {"kind": "regression", "degree": 10 ** 2500}}, 3,
         has="cli: " + _FEATURES + "200", id="backend-degree-10**2500-d2"),
+    # the Philox key is 64 bits: a wider seed would alias, a negative one is no key
+    *(configured("test_seed_out_of_range_exits_3_without_files", command, {
+        **A_REGRESSION, "ensemble": {"N": 200, "seed": seed}}, 3,
+        starts="cli: ensemble.seed must be in [0, 2**64)\n", id=f"{command}-{seed}")
+      for command in ("solve", "verify") for seed in (-1, 2 ** 64)),
     configured("test_integer_beyond_the_float_range_exits_3", "solve", {"scenario": {
         "T": 1.0, "terminal": {"kind": "brownian"}, "driver": {"kind": "zero"},
         "loss": {"kind": "linear_shift", "params": {"c0": 10 ** 400}}},

@@ -3,13 +3,14 @@ import importlib
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cli_cases import A_LATTICE, BINDING_LINEAR_Y, case, check, inline, make_tests
-from mrbsde import cli, picard, scenarios
+from mrbsde import cli, paths, picard, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
 from mrbsde.reflect import ScalarSweeps
@@ -333,6 +334,25 @@ def test_compare_oracle_refuses_before_sampling(tmp_path, capsys, monkeypatch):
     assert captured.err == "oracle: exact solve capped at n <= 12\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_antithetic_backend_holds_the_sampled_paths_and_one_draw_buffer():
+    # an antithetic backend stores the N/2 sampled paths only; building the
+    # N interleaved states would add twice their bytes to the peak
+    cfg = parse_config({"scenario": "A_sine_constraint", "grid": {"n": 16},
+                        "ensemble": {"N": 6 * paths._BLOCK, "seed": 3}})
+    grid = make_grid(cfg.scenario.horizon, cfg.n)
+    cli.build_backend(cfg, grid)                       # the first draw imports modules
+    tracemalloc.start()
+    try:
+        backend = cli.build_backend(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = backend.ensemble.paths.nbytes
+    assert backend.ensemble.antithetic and stored == (cfg.n + 1) * cfg.N // 2 * 8
+    draw_buffer = cfg.n * paths._BLOCK * 8
+    assert peak <= stored + draw_buffer + 2 ** 16, f"{peak / stored:.2f} stored paths"
 
 
 def test_grid_horizon_override(tmp_path):

@@ -152,7 +152,7 @@ def test_regression_rank_deficiency_reported():
     grid = make_grid(1.0, 4)
     base = sample_ensemble(grid, 100, 1, seed=4)
     frozen = ParticleEnsemble(grid=grid, N=100, d=1, seed=4,
-                              states=np.zeros_like(base.states))
+                              paths=np.zeros_like(base.paths))
     backend = RegressionBackend(frozen, degree=3)
     with pytest.raises(RegressionError, match="step 2.*degree 3"):
         backend.condexp(2, np.ones(100))
@@ -281,21 +281,23 @@ def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, si
     # for any targets: a smooth function, pure noise and a square of the
     # state, each at a random magnitude, on antithetic or plain ensembles, at
     # step 0, where the fit is the mean, and on a design past GRAM_COND_MAX,
-    # which takes the QR branch: states shifted by 1.5, whose Gram condition
-    # numbers are about 1e2 to 1e4, against the threshold lowered to 10 (both
-    # sides lose rounding with the condition: at 1e5 to 3e7, states shifted
-    # by 10, they agree to 4e-12 of the row's scale)
+    # which takes the QR branch: plain states shifted by 1.5, whose Gram
+    # condition numbers are about 1e2 to 1e4, against the threshold lowered to
+    # 10 (both sides lose rounding with the condition: at 1e5 to 3e7, states
+    # shifted by 10, they agree to 4e-12 of the row's scale), and antithetic
+    # states, which a shift would unpair, against the threshold lowered to 1
     grid = make_grid(1.0, 4)
     ens = sample_ensemble(grid, 300 if anti else 600, dim, seed)
     ens = antithetic(ens) if anti else ens
-    if qr:
-        ens = replace(ens, states=(ens.states.transpose(1, 2, 0) + 1.5).transpose(2, 0, 1))
+    if qr and not anti:
+        ens = replace(ens, paths=ens.paths + 1.5)
+    gram_cond_max = (1.0 if anti else 10.0) if qr else condexp.GRAM_COND_MAX
     backend = RegressionBackend(ens, degree=2)
     nxt, rng = backend.state(step + 1), np.random.default_rng(seed)
     targets = np.vstack([np.sin(3.0 * nxt[:, 0]) + 1.0, rng.normal(size=ens.N),
                          nxt[:, -1] ** 2]) * (10.0 ** np.array(sizes))[:, None]
     row_scale = np.array([1.0, scale, 1.0 / scale])
-    with mock.patch.object(condexp, "GRAM_COND_MAX", 10.0 if qr else condexp.GRAM_COND_MAX), \
+    with mock.patch.object(condexp, "GRAM_COND_MAX", gram_cond_max), \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr_calls:
         fit, mean, sq = backend._project(step, targets, row_scale)
         assert qr_calls.called == (qr and step > 0)
@@ -388,13 +390,13 @@ def test_ill_conditioned_design_takes_qr_and_overflow_is_refused(factors):
     grid = make_grid(1.0, 4)
     base = sample_ensemble(grid, 2000, 1, seed=14)
 
-    def backend(states, degree):
+    def backend(paths, degree):
         return RegressionBackend(ParticleEnsemble(
-            grid=grid, N=2000, d=1, seed=14, states=states), degree)
+            grid=grid, N=2000, d=1, seed=14, paths=paths), degree)
 
     # offset 10 at degree 3: the equilibrated Gram matrix reads cond 8e7,
     # past GRAM_COND_MAX, and the design 9e3, which QR resolves
-    shifted = backend(base.states + 10.0, 3)
+    shifted = backend(base.paths + 10.0, 3)
     v = np.sin(shifted.state(3)[:, 0])
     phi = reference_design(shifted.basis, shifted.state(2))
     phi /= np.max(np.abs(phi), axis=0)
@@ -405,7 +407,7 @@ def test_ill_conditioned_design_takes_qr_and_overflow_is_refused(factors):
     # powers that overflow, in the Gram matrix (1e80 squared at degree 2) or
     # in the design itself (1e100 at degree 4), are refused before a factor
     for scale, degree in ((1e80, 2), (1e100, 4)):
-        huge = backend(base.states * scale, degree)
+        huge = backend(base.paths * scale, degree)
         with np.errstate(over="ignore"), pytest.raises(
                 RegressionError, match="non-finite design matrix at step 2"):
             huge.condexp(2, np.ones(2000))
@@ -461,13 +463,58 @@ def test_lattice_sup_sq_mean_streams_bit_for_bit():
     assert backend.sup_sq_mean(reversed(list(enumerate(cols, lo)))) == ref
 
 
+def interleaved_reference(ens):
+    """The (n+1, d, N) states of an antithetic ensemble as they were stored:
+    the sampled paths in the even slots and `0.0 - x` in the odd ones."""
+    src = ens.paths
+    ref = np.empty(src.shape[:2] + (2 * src.shape[2],))
+    ref[..., 0::2] = src
+    np.subtract(0.0, src, out=ref[..., 1::2])
+    return ref
+
+
 def test_step_rows_are_contiguous_views():
+    # a plain ensemble's step rows are views of its paths; an antithetic
+    # ensemble's are built on read, contiguous and equal to the interleaved rows
     grid = make_grid(1.0, 5)
-    ens = antithetic(sample_ensemble(grid, 300, 3, seed=5))
-    backend = RegressionBackend(ens, degree=2)
-    for i in range(grid.n + 1):
-        rows = backend.state(i).T
-        assert rows.flags.c_contiguous and np.shares_memory(rows, ens.states)
+    plain = sample_ensemble(grid, 300, 3, seed=5)
+    anti = antithetic(plain)
+    ref = interleaved_reference(anti)
+    for ens in (plain, anti):
+        backend = RegressionBackend(ens, degree=2)
+        for i in range(grid.n + 1):
+            rows = backend.state(i).T
+            assert rows.flags.c_contiguous
+            assert np.shares_memory(rows, ens.paths) == (ens is plain)
+            if ens is anti:
+                assert rows.tobytes() == ref[i].tobytes()
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("degree", [0, 1, 3])
+@pytest.mark.parametrize("d", [1, 3])
+def test_step_reads_match_the_interleaved_reference(d, degree, anti):
+    # state(i), the design and the dB rows that condexp_and_z forms are
+    # bitwise those of the stored interleaved states, at the first and last
+    # steps; the dB rows' odd slots are h_i - h_{i+1}, +0.0 where equal
+    grid = make_grid(1.0, 4)
+    ens = sample_ensemble(grid, 150, d, seed=23 + d)
+    ens = replace(ens, paths=ens.paths.copy())
+    ens.paths[2:, :, 7] = ens.paths[1, :, 7]            # zero increments at i >= 1
+    ens = antithetic(ens) if anti else ens
+    ref = interleaved_reference(ens) if anti else ens.paths
+    backend = RegressionBackend(ens, degree=degree)
+    for i in (0, grid.n):
+        assert backend.state(i).tobytes() == ref[i].T.tobytes()
+        assert (backend.basis.design(backend.state(i)).tobytes()
+                == backend.basis.design(ref[i].T).tobytes())
+    with mock.patch.object(backend, "_project", wraps=backend._project) as project:
+        for i in (0, grid.n - 1):
+            backend.condexp_and_z(i, np.ones(ens.N), np.ones(ens.N))
+            targets = project.call_args.args[1]
+            assert targets[1:].tobytes() == (ref[i + 1] - ref[i]).tobytes()
+    assert ens.states.tobytes() == ref.transpose(2, 0, 1).tobytes()
+    assert ens.increments.tobytes() == np.diff(ref.transpose(2, 0, 1), axis=1).tobytes()
 
 
 def test_projection_holds_only_design_targets_and_fit():

@@ -54,9 +54,11 @@ def test_ensemble_streams_are_count_independent():
 
 
 def test_ensemble_rejects_tiny():
+    # one path is an ensemble: paired with its negation it makes two particles
     g = make_grid(1.0, 4)
     with pytest.raises(ValueError):
-        sample_ensemble(g, 1, 1, seed=0)
+        sample_ensemble(g, 0, 1, seed=0)
+    assert antithetic(sample_ensemble(g, 1, 1, seed=0)).N == 2
 
 
 def test_terminal_moments_large_ensemble():
@@ -129,8 +131,9 @@ def test_step_major_ensemble_matches_particle_major_reference():
 
 
 def test_antithetic_sampling_holds_only_the_states_and_one_block():
-    # no increments array: the peak is the half and the full states plus
-    # one block of draws, where an (n, d, N/2) increments array is 3 blocks
+    # no increments array and no negated copy: the peak is the sampled paths
+    # plus one block of draws, where an (n, d, N/2) increments array is 3
+    # blocks and the interleaved states 2 times the paths
     g = make_grid(1.0, 16)
     half, d = 3 * paths._BLOCK, 1
     state_bytes = (g.n + 1) * d * half * 8
@@ -143,7 +146,7 @@ def test_antithetic_sampling_holds_only_the_states_and_one_block():
     finally:
         tracemalloc.stop()
     assert ens.N == 2 * half
-    assert peak <= 3 * state_bytes + block_bytes, f"{peak / block_bytes:.2f} blocks"
+    assert peak <= state_bytes + block_bytes + 2 ** 16, f"{peak / block_bytes:.2f} blocks"
 
 
 def test_no_src_module_reads_the_derived_increments():
@@ -151,3 +154,18 @@ def test_no_src_module_reads_the_derived_increments():
     readers = [f.name for f in sorted(src.glob("*.py"))
                if re.search(r"\.increments\b", f.read_text())]
     assert readers == []
+
+
+def test_antithetic_stores_only_the_sampled_paths():
+    g = make_grid(1.0, 6)
+    src = sample_ensemble(g, 250, 3, seed=4)
+    anti = antithetic(src)
+    assert anti.N == 500 and anti.paths.size == (g.n + 1) * 3 * anti.N // 2
+    assert anti.paths is src.paths
+
+
+def test_antithetic_refuses_an_antithetic_ensemble():
+    # pairing twice would double N with no new paths
+    ens = antithetic(sample_ensemble(make_grid(1.0, 4), 10, 1, seed=1))
+    with pytest.raises(ValueError, match="antithetic already"):
+        antithetic(ens)
