@@ -344,10 +344,6 @@ def summarize(result: RunResult) -> dict:
         contraction = {"max_ratio": est.max_ratio, "bound": est.bound,
                        "metric": est.metric}
     defaults = default_tolerances(sol, result.grid)
-    if len(result.histories) == 1:
-        distances = result.histories[0].distances
-    else:
-        distances = [h.distances for h in result.histories]
     resolved = {
         "scenario": result.cfg.scenario_cfg,
         "grid": {"T": result.grid.T, "n": result.grid.n},
@@ -367,7 +363,6 @@ def summarize(result: RunResult) -> dict:
         "flatness_residual": sol.diagnostics["flatness_right"],
         "flatness_residual_left": sol.diagnostics["flatness_left"],
         "min_constraint": sol.diagnostics["min_constraint"],
-        "picard_distances": distances,
         "picard_history": [h.to_dict() for h in result.histories],
         "contraction_ratio": contraction,
         "norms": result.post_pass["norms"],

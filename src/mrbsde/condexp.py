@@ -196,25 +196,28 @@ class RegressionBackend:
         return self._project(i, v[None, :])[0][0]
 
     def condexp_and_z(self, i: int, next_values, *z_of, fit=None, sq_scale=1.0) -> tuple:
-        """One decomposition for E_{t_i}[V] and, for U = V or each U of `z_of`,
-        z_U = E_{t_i}[U dB_i]/dt (N x d); the targets are [V; U dB_i; ...], with
-        dB_i = B_{i+1} - B_i formed in their rows and 1/dt in the coefficients.
-        With `fit` set, only the first `fit` of these are formed, followed by
-        E[z_U] (a row per U) and E|z_U|^2 * sq_scale, off the coefficients."""
+        """One decomposition for E_{t_i}[V], V one row or, with `z_of`, a (k, N)
+        stack, and for U = V or each U of `z_of`, z_U = E_{t_i}[U dB_i]/dt
+        (N x d); the targets are [V; U dB_i; ...], with dB_i = B_{i+1} - B_i
+        formed in their rows and 1/dt in the coefficients. With `fit` set, only
+        the first `fit` outputs are formed, followed by E[z_U] (a row per U)
+        and E|z_U|^2 * sq_scale, off the coefficients."""
         v = np.asarray(next_values, dtype=float)
-        us, d, n = z_of or (v,), self.d, v.shape[0]
-        targets = np.empty((1 + d * len(us), n))
-        targets[0] = v
-        blocks = targets[1:].reshape(len(us), d, -1)
+        us, d, n = z_of or (v,), self.d, v.shape[-1]
+        k = len(v) if v.ndim > 1 else 1
+        targets = np.empty((k + d * len(us), n))
+        targets[:k] = v
+        blocks = targets[k:].reshape(len(us), d, -1)
         self.ensemble.increment(i, blocks)
         for block, u in zip(blocks, us):
             block *= u
-        scale = np.repeat([1.0, 1.0 / self.grid.dt], [1, d * len(us)])
-        rows = None if fit is None else 1 + d * (fit - 1) if fit else 0
+        scale = np.repeat([1.0, 1.0 / self.grid.dt], [k, d * len(us)])
+        rows = None if fit is None else k + d * (fit - 1) if fit else 0
         out, mean, sq = self._project(i, targets, scale, rows)
-        moments = () if fit is None else (mean[1:].reshape(-1, d),
-                                          sq[1:].reshape(-1, d).sum(axis=1) * sq_scale)
-        return (*out[:1], *(block.T for block in out[1:].reshape(-1, d, n)), *moments)
+        moments = () if fit is None else (mean[k:].reshape(-1, d),
+                                          sq[k:].reshape(-1, d).sum(axis=1) * sq_scale)
+        fits = out[:k].reshape(-1, *v.shape)   # V's fit, or none when no row is formed
+        return (*fits, *(block.T for block in out[k:].reshape(-1, d, n)), *moments)
 
     def mean(self, i: int, values):
         res = particle_mean(values, self.ensemble.antithetic)
@@ -278,17 +281,18 @@ class LatticeBackend:
     def condexp_and_z(self, i: int, next_values, *z_of, fit=None, sq_scale=1.0) -> tuple:
         """Exact one-step E_{t_i}[V] and, for U = V or each U of `z_of`,
         E_{t_i}[U dB_i]/dt: the average of V's two successor nodes
-        (probabilities 1/2, 1/2) and the slope of U's. `fit` is as in
-        `RegressionBackend.condexp_and_z`, the moments each slope's `mean`."""
+        (probabilities 1/2, 1/2), row by row of a stack, and the slope of U's.
+        `fit` is as in `RegressionBackend.condexp_and_z`, the moments each
+        slope's `mean`."""
         v = np.asarray(next_values, dtype=float)
-        if v.shape[0] != i + 2:
-            raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[0]}")
+        if v.shape[-1] != i + 2:
+            raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[-1]}")
         us = [np.asarray(u, dtype=float) for u in z_of] or [v]
         slopes = [((u[1:] - u[:-1]) / (2.0 * math.sqrt(self.grid.dt)))[:, None] for u in us]
         moments = () if fit is None else (
             np.array([self.mean(i, z) for z in slopes]),
             np.array([self.mean(i, z[:, 0] * z[:, 0] * sq_scale) for z in slopes]))
-        return (0.5 * (v[:-1] + v[1:]), *slopes)[:fit] + moments
+        return (0.5 * (v[..., :-1] + v[..., 1:]), *slopes)[:fit] + moments
 
     def mean(self, i: int, values):
         res = np.dot(self.probs(i), values)

@@ -344,16 +344,17 @@ class ScenarioSpec:
 def validate_assumptions(spec: ScenarioSpec, seed: int) -> float:
     """The margin of the terminal constraint E[l(T, xi)] >= 0 that the mean
     reflection starts from: max(0, -mean) / (3 se + 1e-12) of l(T, xi) on
-    `TERMINAL_DRAWS` fresh draws of B_T from `default_rng(seed)`. A ratio of
-    at most `PASS_RATIO` passes.
+    `TERMINAL_DRAWS` draws of B_T from `default_rng(seed)`, in antithetic
+    pairs (x, 0.0 - x), so that an odd l(T, xi) reads its zero mean up to
+    rounding. A ratio of at most `PASS_RATIO` passes.
 
     The other standing assumptions (the generator's growth, the Lipschitz
     resistance, the bi-Lipschitz loss with linear growth, the bounded
     terminal in quadratic mode) are formulas of each spec's kind and
     parameters, so a spec that builds meets them.
     """
-    rng = np.random.default_rng(seed)
-    b_T = rng.standard_normal((TERMINAL_DRAWS, spec.brownian_dim)) * math.sqrt(spec.horizon)
+    x = np.random.default_rng(seed).standard_normal((TERMINAL_DRAWS // 2, spec.brownian_dim))
+    b_T = np.concatenate([x, 0.0 - x]) * math.sqrt(spec.horizon)
     lvals = spec.loss.evaluate(spec.horizon, spec.terminal.evaluate(b_T))
     se = float(np.std(lvals)) / math.sqrt(TERMINAL_DRAWS)
     return max(0.0, -float(np.mean(lvals))) / (3.0 * se + 1e-12)

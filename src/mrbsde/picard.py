@@ -199,7 +199,6 @@ class PicardHistory:
     distances: list[float] = field(default_factory=list)
     stop_reason: str = ""
     warnings: list[str] = field(default_factory=list)
-    ball_radius: float | None = None
     ball_records: list[dict] = field(default_factory=list)
 
     @property
@@ -219,8 +218,7 @@ class PicardHistory:
             "distances": self.distances,
             "ratios": [None if math.isnan(r) else r for r in self.ratios],
             "converged": self.converged, "stop_reason": self.stop_reason,
-            "warnings": self.warnings, "ball_radius": self.ball_radius,
-            "ball_records": self.ball_records,
+            "warnings": self.warnings, "ball_records": self.ball_records,
         }
 
 
@@ -258,14 +256,6 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
     return sup_norm(dy) + bmo_proxy(dy, dc, grid, backend, lo) + dk
 
 
-def _ball_record(sol: ReflectedSolution, grid, backend, radius: float) -> dict:
-    s_inf = sup_norm(sol.y)
-    bmo = bmo_proxy(sol.y, sol.step_offsets, grid, backend, sol.lo)
-    k_sup = float(np.max(np.abs(sol.k)))
-    return {"s_inf": s_inf, "bmo": bmo, "k_sup": k_sup,
-            "inside": bool(s_inf <= radius and bmo <= radius and k_sup <= radius)}
-
-
 def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                  tol: float | None = None, max_iter: int = DEFAULT_MAX_ITER,
                  lo: int = 0, hi: int | None = None, terminal_values=None,
@@ -294,8 +284,6 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     constants = scenario_constants(scenario) if constants is None else constants
     metric = "rss(S2,H2,supK)" if mode == LIPSCHITZ else "sum(Sinf,BMO,supK)"
     history = PicardHistory(mode=mode, metric=metric, tolerance=tol)
-    if mode == QUADRATIC:
-        history.ball_radius = constants.radius
 
     window_T = (hi - lo) * grid.dt
     delta = contraction_horizon(constants, mode)
@@ -317,7 +305,8 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
             dist = later.sweep()
         history.distances.append(dist)
         if mode == QUADRATIC:
-            record = _ball_record(solution, grid, backend, constants.radius)
+            record = {**solution.ball,
+                      "inside": all(v <= constants.radius for v in solution.ball.values())}
             history.ball_records.append(record)
             if not record["inside"]:
                 history.warnings.append(

@@ -43,13 +43,14 @@ def _node_blocks(backend, lo: int, hi: int, *inner) -> list:
 def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     prev: ReflectedSolution, terminal_values):
     """Backward Euler for the deflated (unconstrained) equation on `prev`'s
-    window, one node at a time: yields (j, ybar_j, z_j, dz_j, moments) for
-    j = m, m-1, ..., 0, all but ybar_j None at the terminal node. Step j
-    projects ybar_(j+1) and, in the same projection, dz_j, the z of ybar_(j+1)
-    less the value `prev`'s step j projected, which is read before node j+1
-    is yielded, so the caller may then write over it; in quadratic mode, whose
-    driver reads it, also z_j, the z of ybar_(j+1). `moments` is their (E[z],
-    E|z|^2); Lipschitz mode forms only ybar_j, leaving z_j and dz_j None.
+    window, one node at a time: yields (j, ybar_j, terms) for j = m, ..., 0,
+    terms None at the terminal node. Step j projects ybar_(j+1) and, in the
+    same projection, dz_j, the z of ybar_(j+1) less the value `prev`'s step j
+    projected, which is read before node j+1 is yielded, so the caller may
+    then write over it: terms is E|dz_j|^2. Quadratic mode also fits z_j, the
+    z of ybar_(j+1) that its driver reads, and the value rows of two BMO
+    recursions r_j = E_j[r_(j+1)] + |w_j|^2 dt (r_m = 0), for w = dz and w = z:
+    terms is (E[z_j], max r^dz_j, max r^z_j).
 
     The generator's frozen inputs come from the previous iterate `prev`: the
     mean of its y (and its `mean_z` in quadratic mode), the resistance of its
@@ -75,12 +76,19 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     mean_y = prev.mean_y_path(backend)
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
 
-    def step(j, ybar_next, dybar_next):
+    def step(j, ybar_next, dybar_next, r):
         # the step's temporaries die on return, before the next projection
         i = lo + j
-        z_of = (dybar_next,) if implicit else (ybar_next, dybar_next)
-        base, *zs = backend.condexp_and_z(i, ybar_next, *z_of, fit=1 if implicit else 3)
-        z_i, dz_i = zs[:-2] or (None, None)
+        if implicit:
+            base, _, sq = backend.condexp_and_z(i, ybar_next, dybar_next, fit=1)
+            z_i, terms = None, float(sq[-1])
+        else:
+            fits, z_i, dz_i, mean, _ = backend.condexp_and_z(
+                i, np.concatenate([ybar_next[None], r]), ybar_next, dybar_next, fit=3)
+            base, r = fits[0], fits[1:]
+            r[0] += sq_norms(dz_i) * dt
+            r[1] += sq_norms(z_i) * dt
+            terms = (mean[0], float(np.max(r[0])), float(np.max(r[1])))
         if drv.particle_free:
             f = drv.scalar(grid.nodes[i], float(mean_y[j]), float(resistance[j]))
         else:
@@ -89,17 +97,17 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 prev.y[j], prev.mean_z[j])
             f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
                              float(resistance[j]))
-        return base + (f / denom) * dt, z_i, dz_i, zs[-2:]
+        return base + (f / denom) * dt, r, terms
 
-    ybar, z, dz, moments = np.asarray(terminal_values, dtype=float), None, None, None
+    ybar, terms = np.asarray(terminal_values, dtype=float), None
+    r = None if implicit else np.zeros((2, backend.count(hi)))   # [r^dz; r^z]
     for j in range(m, -1, -1):
         if j < m:
-            ybar, z, dz, moments = step(j, ybar, dybar)
+            ybar, r, terms = step(j, ybar, dybar, r)
         if j > 0:   # what step j - 1 fits dz from
             dybar = prev.y[j] - prev.step_offsets[j - 1]
             np.subtract(ybar, dybar, out=dybar)
-        yield j, ybar, z, dz, moments
-        z = dz = None   # the fit is freed before the next projection
+        yield j, ybar, terms
 
 
 def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
@@ -115,7 +123,7 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     ybar, zs = _node_blocks(backend, lo, hi), _node_blocks(backend, lo, hi, backend.d)
-    for j, y, *_ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
+    for j, y, _ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
         ybar[j][...] = y
     for j, z in enumerate(zs[:-1]):
         z[...] = backend.condexp_and_z(lo + j, ybar[j + 1])[1]
@@ -269,7 +277,7 @@ class ReflectedSolution:
     remaining reflection k_m - k_j). z is not stored: z_j is the z-fit of
     y_(j+1) - step_offsets[j], the value step j projected (on one window
     tail[1:]). Also kept: the sweep's minimal shifts, if any, and in
-    quadratic mode the means E[z_j] its driver reads next sweep."""
+    quadratic mode the means E[z_j] its driver reads next and its ball record."""
 
     lo: int
     hi: int
@@ -279,6 +287,7 @@ class ReflectedSolution:
     step_offsets: np.ndarray
     shifts: np.ndarray | None = None
     mean_z: np.ndarray | None = None
+    ball: dict | None = None
     diagnostics: dict = field(default_factory=dict)
     mean_y: np.ndarray | None = None   # E[y_j], if known without a pass over y
 
@@ -316,8 +325,9 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     its distance from `prev`: in Lipschitz mode the root-sum-square of
     (sample S2, sample H2, sup-k), with a per-particle running sup of |dy| and
     the per-node H2 means, read off the projections, summed at the end; in
-    quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), the BMO
-    recursion run on dz node by node.
+    quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), and the new
+    iterate carries its ball record: max |y_j| as node j is written, the BMO
+    proxy of its z and sup|k|, both BMO recursions run in the steps' projections.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
@@ -326,14 +336,12 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     lipschitz = scenario.mode == LIPSCHITZ
     rho, s, tail = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
-    # variation of dz from node j on (quadratic)
-    z_terms = [0.0] * m
+    # variation of dz from node j on (quadratic), and of z for the ball record
+    z_terms, bmo_terms, y_sup = [0.0] * m, [0.0] * m, [0.0] * (m + 1)
     mean_z = None if lipschitz else np.empty((m, backend.d))
 
     def node_differences():
-        r = None if lipschitz else np.zeros(backend.count(hi))   # BMO recursion on dz
-        for j, ybar_j, z_j, dz_j, moments in _deflated_nodes(scenario, grid, backend, prev,
-                                                             terminal_values):
+        for j, ybar_j, terms in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
             i = lo + j
             rho[j] = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
@@ -342,25 +350,27 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             dy = ybar_j + tail[j]
             dy -= prev.y[j]
             if j < m and lipschitz:
-                z_terms[j] = float(moments[1][-1])
+                z_terms[j] = terms
             elif j < m:
-                r = backend.condexp(i, r) + sq_norms(dz_j) * grid.dt
-                z_terms[j] = float(np.max(r))
-                mean_z[j] = moments[0][0]
+                mean_z[j], z_terms[j], bmo_terms[j] = terms
             np.add(ybar_j, tail[j], out=prev.y[j])
+            if not lipschitz:
+                y_sup[j] = float(np.max(np.abs(prev.y[j])))
             yield i, dy
-            dy = z_j = dz_j = None   # freed before the next projection
+            dy = None   # freed before the next projection
 
     nodes = node_differences()
     y_term = backend.sup_sq_mean(nodes) if lipschitz else sup_norm(dy for _, dy in nodes)
     k = s[0] - s
     dk = float(np.max(np.abs(k - prev.k)))
     if lipschitz:
-        dist = math.sqrt(y_term + sum(z_terms) * grid.dt + dk * dk)
+        dist, ball = math.sqrt(y_term + sum(z_terms) * grid.dt + dk * dk), None
     else:
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
+        ball = {"s_inf": max(y_sup), "bmo": float(np.sqrt(max([0.0, *bmo_terms]))),
+                "k_sup": float(np.max(np.abs(k)))}
     return ReflectedSolution(lo=lo, hi=hi, y=prev.y, k=k, tail=tail, step_offsets=tail[1:],
-                             shifts=rho, mean_z=mean_z), dist
+                             shifts=rho, mean_z=mean_z, ball=ball), dist
 
 
 class ScalarSweeps:

@@ -233,6 +233,12 @@ CASES = [
         "driver": {"kind": "linear_mean", "params": {"a": 1e-300}},
         "loss": {"kind": "linear_shift"}}, "grid": {"n": 8}, "backend": LATTICE},
         id="solve-tiny-lambda"),
+    # A meets its terminal constraint with equality: the assumption check's
+    # antithetic draws read that mean at every seed
+    configured("test_command_exits_0", "verify", {
+        "scenario": "A_sine_constraint", **_REGRESSION_16,
+        "ensemble": {"N": 4000, "seed": 565}}, out=False, quiet=False,
+        id="verify-regression-A-seed-565"),
     # one sampled path and its negation: the default antithetic pairing at N = 2
     configured("test_command_exits_0", "solve", {
         **A_REGRESSION, "ensemble": {"N": 2, "seed": 1},

@@ -145,7 +145,7 @@ def test_criterion_6_quadratic_ball_and_bound():
     assert spec.horizon <= constants.delta_contraction
     grid, backend = mc_backend(spec, n=32, N=20_000)
     sol, hist = picard_solve(spec, grid, backend)
-    radius = hist.ball_radius
+    radius = constants.radius
     inside = all(rec["inside"] for rec in hist.ball_records)
     s_inf = max(float(np.max(np.abs(v))) for v in sol.y)
     _, _, y_bound = uniform_y_bound(constants.hl_const, constants.bound,

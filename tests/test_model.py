@@ -13,7 +13,7 @@ from mrbsde.model import (DRIVER_KINDS, LOSS_KINDS, PASS_RATIO, RESISTANCE_KINDS
                           scaled_tanh_terminal, sine_perturbed_loss,
                           validate_assumptions, zero_driver)
 from mrbsde.paths import make_grid
-from mrbsde.scenarios import registry
+from mrbsde.scenarios import get, registry
 
 
 def _plain_scenario(driver, loss=None):
@@ -134,6 +134,13 @@ def test_scenario_spec_guards():
 def test_every_builtin_scenario_validates(entry):
     # each built-in terminal meets E[l(T, xi)] >= 0, A's with equality
     assert validate_assumptions(entry.spec, seed=0) <= PASS_RATIO
+
+
+@pytest.mark.parametrize("seed", [566, 716])
+def test_terminal_met_with_equality_validates_at_every_seed(seed):
+    # A's terminal-and-loss pair is odd in B_T: on independent draws its
+    # sample mean falls 3 standard errors below 0 at these seeds
+    assert validate_assumptions(get("A_sine_constraint").spec, seed) <= PASS_RATIO
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])

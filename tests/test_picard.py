@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -14,14 +15,15 @@ from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, DriverSpec, ResistanceSpe
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
 from mrbsde import cli, picard
 from mrbsde.cli import main
-from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory, _ball_record,
+from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory,
                            constants_report, contraction_estimate,
                            iterate_distance, lipschitz_horizon, picard_solve,
                            quadratic_ball_floor, quadratic_contraction_coeff,
                            quadratic_contraction_horizon,
-                           quadratic_stability_horizon, uniform_y_bound)
-from mrbsde.reflect import (ReflectedSolution, ScalarSweeps, build_k, solve_deflated,
-                            solve_interval, zero_solution)
+                           quadratic_stability_horizon, scenario_constants,
+                           uniform_y_bound)
+from mrbsde.reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, build_k,
+                            solve_deflated, solve_interval, sup_norm, zero_solution)
 from mrbsde.scenarios import get
 from mrbsde.stitch import plan_intervals, solve_global, stitch_constants
 
@@ -257,9 +259,33 @@ def test_quadratic_iterates_stay_in_ball():
     d = get("D_quadratic").spec
     grid, backend = lattice(d.horizon, 8)
     sol, hist = picard_solve(d, grid, backend)
-    assert hist.ball_radius is not None
+    assert scenario_constants(d).radius is not None
     assert hist.ball_records
     assert all(rec["inside"] for rec in hist.ball_records)
+
+
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+def test_iterates_outside_a_smaller_ball_are_flagged(kind, regression_backend):
+    # a radius below S-inf and the BMO proxy of every iterate, then one
+    # between the two: every record is outside, with one warning per sweep
+    d = get("D_quadratic").spec
+    if kind == "lattice":
+        grid, backend = lattice(d.horizon, 8)
+    else:
+        grid, backend = regression_backend(d.horizon, 8, N=2000, seed=7, degree=2)
+    _, hist = picard_solve(d, grid, backend)
+    records = hist.ball_records
+    s_inf, bmo = min(r["s_inf"] for r in records), max(r["bmo"] for r in records)
+    low = 0.5 * min(r["bmo"] for r in records)
+    assert 0.0 < low and bmo < s_inf
+    for radius in (low, 0.5 * (bmo + s_inf)):
+        constants = dataclasses.replace(scenario_constants(d), radius=radius)
+        _, small = picard_solve(d, grid, backend, constants=constants)
+        assert small.distances == hist.distances
+        assert [{**r, "inside": False} for r in records] == small.ball_records
+        left = [w for w in small.warnings if "left the radius" in w]
+        assert len(left) == len(records)
+        assert all(f"radius-{radius:g} ball" in w for w in left)
 
 
 def test_picard_deterministic():
@@ -393,7 +419,8 @@ def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     """The sweep as three passes over two iterates: deflate, build_k on the
     deflated values, then iterate_distance; `prev` is left as it was. The
     means E[z_j] that a quadratic driver reads next come from the deflate
-    pass's z block."""
+    pass's z block, and a quadratic iterate's ball record from passes over
+    the new iterate: `sup_norm`, `bmo_proxy` and sup|k|."""
     lo, hi = prev.lo, prev.hi
     ybar, z = solve_deflated(scenario, grid, backend, prev, terminal_values)
     k, rho = build_k(scenario.loss, grid, backend, ybar, lo)
@@ -401,6 +428,10 @@ def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     mean_z = np.array([backend.mean(lo + j, z[j]) for j in range(hi - lo)])
     new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], k=k,
                             tail=tail, step_offsets=tail[1:], shifts=rho, mean_z=mean_z)
+    if scenario.mode != LIPSCHITZ:
+        new.ball = {"s_inf": sup_norm(new.y),
+                    "bmo": bmo_proxy(new.y, new.step_offsets, grid, backend, lo),
+                    "k_sup": float(np.max(np.abs(k)))}
     return new, iterate_distance(prev, new, grid, backend, scenario.mode)
 
 
@@ -420,22 +451,33 @@ def _binding_resistance():
                         loss=linear_shift_loss(c0=0.2, amp=-0.2, omega=math.pi / (2 * T)))
 
 
-@pytest.mark.parametrize("kind", ["lattice", "regression"])
-@pytest.mark.parametrize("make_spec", [
-    lambda: get("A_sine_constraint").spec, _binding_resistance, _binding_linear_y,
-    lambda: get("D_quadratic").spec], ids=["A", "resistance", "linear_y", "D"])
-def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regression_backend):
+def _quadratic_d2():
+    # D's driver, terminal and loss on two-dimensional noise: each z block of
+    # the quadratic step's projection has two rows
+    return dataclasses.replace(get("D_quadratic").spec, name="D-d2", brownian_dim=2)
+
+
+SWEEP_SPECS = {"A": lambda: get("A_sine_constraint").spec, "resistance": _binding_resistance,
+               "linear_y": _binding_linear_y, "D": lambda: get("D_quadratic").spec,
+               "D-d2": _quadratic_d2}
+
+
+@pytest.mark.parametrize("name, kind", [
+    pytest.param(name, kind, id=f"{name}-{kind}") for name in SWEEP_SPECS
+    for kind in ("lattice", "regression") if name != "D-d2" or kind == "regression"])
+def test_sweep_matches_two_pass_reference(name, kind, monkeypatch, regression_backend):
     # every `solve_interval` sweep of a solve, run also as the two-pass
     # reference on a kept copy of the previous iterate: the first sweep of a
     # particle-free driver (A, resistance), every sweep of the others
-    spec = make_spec()
+    spec = SWEEP_SPECS[name]()
     n = 8
 
     def setup():
         if kind == "lattice":
             grid, backend = lattice(spec.horizon, n)
             return grid, backend, 1e-12
-        grid, backend = regression_backend(spec.horizon, n, N=2000, seed=7, degree=2)
+        grid, backend = regression_backend(spec.horizon, n, N=2000, seed=7, degree=2,
+                                           d=spec.brownian_dim)
         return grid, backend, 1e-9
 
     sweeps = []
@@ -452,9 +494,9 @@ def test_sweep_matches_two_pass_reference(kind, make_spec, monkeypatch, regressi
         # to one ulp of Y, which a distance near the stopping floor can see
         assert abs(dist - ref_dist) <= 1e-12 * ref_dist + np.spacing(y_scale)
         if scenario.mode != LIPSCHITZ:
-            rec, ref_rec = (_ball_record(sol, grid, backend, 1.0) for sol in (new, ref))
-            for key in ("s_inf", "bmo", "k_sup"):
-                assert rec[key] == pytest.approx(ref_rec[key], rel=1e-12, abs=0.0), key
+            assert list(new.ball) == list(ref.ball) == ["s_inf", "bmo", "k_sup"]
+            for key, value in ref.ball.items():
+                assert new.ball[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
             z_scale = float(np.max(np.abs(ref.mean_z)))
             assert np.max(np.abs(new.mean_z - ref.mean_z)) <= 1e-12 * z_scale
         sweeps.append(dist)
@@ -544,30 +586,36 @@ def test_stitched_scalar_sweeps_match_the_general_sweep(loss, monkeypatch,
 
 
 def _count_projections(backend) -> list:
-    """The steps of every projection the backend makes, whatever its rows."""
+    """The steps of every projection the backend makes, whatever its rows: a
+    regression `_project`, or a lattice `condexp_and_z`, which `condexp` calls."""
     calls = []
-    project = backend._project
-    backend._project = lambda i, *args: (calls.append(i), project(i, *args))[1]
+    name = "_project" if isinstance(backend, RegressionBackend) else "condexp_and_z"
+    project = getattr(backend, name)
+    setattr(backend, name, lambda i, *args, **kw: (calls.append(i), project(i, *args, **kw))[1])
     return calls
 
 
-@pytest.mark.parametrize("name", ["B_meanfield_linear", "linear_y", "D_quadratic"])
+@pytest.mark.parametrize("name", ["B_meanfield_linear", "linear_y", "D_quadratic",
+                                  "D_quadratic-lattice"])
 def test_projections_per_window(name, regression_backend):
     # a particle-free solve projects in its first sweep and in one pass for
     # E|zeta|^2, at most 2m whatever its sweep count (the write-back adds to
     # y only); a driver that reads particles projects m times in every sweep,
-    # and in quadratic mode also m for the BMO on dz and m for the ball
-    # record's BMO, which refits z in its projections
-    spec = _binding_linear_y() if name == "linear_y" else get(name).spec
-    m = 16
-    grid, backend = regression_backend(spec.horizon, m, N=4000, seed=7)
+    # in quadratic mode too, whose BMO recursions on dz and on z (the ball
+    # record's) are rows of the step projections
+    spec = _binding_linear_y() if name == "linear_y" else get(name.split("-")[0]).spec
+    if name.endswith("-lattice"):
+        m = 8
+        grid, backend = lattice(spec.horizon, m)
+    else:
+        m = 16
+        grid, backend = regression_backend(spec.horizon, m, N=4000, seed=7)
     calls = _count_projections(backend)
     _, hist = picard_solve(spec, grid, backend)
     if spec.driver.particle_free:
         assert len(hist.distances) == 6 and m < len(calls) <= 2 * m
     else:
-        per_sweep = m if spec.mode == LIPSCHITZ else 3 * m
-        assert len(hist.distances) >= 2 and len(calls) == per_sweep * len(hist.distances)
+        assert len(hist.distances) >= 2 and len(calls) == m * len(hist.distances)
 
 
 def test_picard_solve_needs_one_sweep():
