@@ -24,6 +24,6 @@ from .picard import (ConstantsReport, ContractionEstimate, ConvergenceError,
 from .reflect import (ReflectedSolution, build_k, constraint_diagnostics, empirical_norms,
                       flatness_residual, solve_deflated, solve_interval, x_process)
 from .scenarios import NamedScenario, get, registry, scenario_from_dict
-from .stitch import IntervalPlan, plan_intervals, solve_global, stitch_constants
+from .stitch import plan_intervals, solve_global, stitch_constants
 
 __version__ = "0.1.0"

@@ -71,7 +71,6 @@ class RunConfig:
     default."""
 
     scenario: ScenarioSpec
-    scenario_cfg: dict
     n: int
     N: int
     seed: int
@@ -170,7 +169,6 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
 
     cfg = RunConfig(
         scenario=spec,
-        scenario_cfg=scenarios.scenario_to_dict(spec),
         n=n,
         N=_number("ensemble", ens_cfg, "N", 20000, integer=True),
         seed=_number("ensemble", ens_cfg, "seed", 0, integer=True),
@@ -226,6 +224,9 @@ def parse_config(raw: dict, backend_override: str | None = None) -> RunConfig:
         if features >= cfg.N:
             raise ConfigError("cli: ensemble.N must exceed the regression features "
                               f"of backend.degree, got N = {cfg.N}")
+    # after the size refusals: T / n overflows for an n past the float range
+    if spec.horizon / n == 0.0:
+        raise ConfigError("cli: the grid step T / grid.n underflows to 0")
     return cfg
 
 
@@ -260,7 +261,7 @@ class RunResult:
     solution: ReflectedSolution
     histories: list
     constants: object
-    stitch_report: object = None
+    breaks: list[int] | None = None     # a stitched run's interval breakpoints
     runtime_ms: float = 0.0
 
     @cached_property
@@ -278,15 +279,13 @@ def execute(cfg: RunConfig) -> RunResult:
         raise ConfigError(f"cli: {exc}") from exc
     grid = make_grid(cfg.scenario.horizon, cfg.n)
     backend = build_backend(cfg, grid)
-    stitch_report = None
+    breaks = None
     if cfg.stitched:
-        plan = plan_intervals(cfg.scenario, grid, constants,
-                              intervals=cfg.stitch_intervals)
-        solution, report = solve_global(cfg.scenario, grid, backend, plan,
-                                        tol=cfg.picard_tol,
-                                        max_iter=cfg.picard_max_iter)
-        histories = report.histories
-        stitch_report = report
+        breaks = plan_intervals(cfg.scenario, grid, constants,
+                                intervals=cfg.stitch_intervals)
+        solution, histories = solve_global(cfg.scenario, grid, backend, breaks,
+                                           constants, tol=cfg.picard_tol,
+                                           max_iter=cfg.picard_max_iter)
     else:
         solution, history = picard_solve(cfg.scenario, grid, backend,
                                          tol=cfg.picard_tol,
@@ -300,7 +299,7 @@ def execute(cfg: RunConfig) -> RunResult:
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RunResult(cfg=cfg, grid=grid, backend=backend, solution=solution,
                      histories=histories, constants=constants,
-                     stitch_report=stitch_report, runtime_ms=runtime_ms)
+                     breaks=breaks, runtime_ms=runtime_ms)
 
 
 def shift_at_zero_max(scenario, grid) -> float:
@@ -344,13 +343,13 @@ def summarize(result: RunResult) -> dict:
         contraction = {"max_ratio": est.max_ratio, "bound": est.bound,
                        "metric": est.metric}
     defaults = default_tolerances(sol, result.grid)
+    scenario_cfg = scenarios.scenario_to_dict(result.cfg.scenario)
     resolved = {
-        "scenario": result.cfg.scenario_cfg,
+        "scenario": scenario_cfg,
         "grid": {"T": result.grid.T, "n": result.grid.n},
         "ensemble": {"N": result.cfg.N, "seed": result.cfg.seed,
                      "antithetic": result.cfg.antithetic},
         "backend": {"kind": result.cfg.backend_kind, "degree": result.cfg.degree},
-        "mode": result.cfg.scenario.mode,
         "picard": {"tol": result.cfg.picard_tol,
                    "max_iter": result.cfg.picard_max_iter},
     }
@@ -358,8 +357,7 @@ def summarize(result: RunResult) -> dict:
         "config": result.cfg.raw,
         "resolved_config": resolved,
         "scenario_hash": hashlib.sha256(json.dumps(
-            result.cfg.scenario_cfg, sort_keys=True).encode()).hexdigest(),
-        "seed": result.cfg.seed,
+            scenario_cfg, sort_keys=True).encode()).hexdigest(),
         "flatness_residual": sol.diagnostics["flatness_right"],
         "flatness_residual_left": sol.diagnostics["flatness_left"],
         "min_constraint": sol.diagnostics["min_constraint"],
@@ -371,23 +369,21 @@ def summarize(result: RunResult) -> dict:
             "shift_at_zero_max": shift_at_zero_max(result.cfg.scenario, result.grid),
         },
         "default_tolerances": defaults,
-        "warnings": [w for h in result.histories for w in h.warnings],
-        "converged": all(h.converged for h in result.histories),
         "sweeps": sum(len(h.distances) for h in result.histories),
         "runtime_ms": result.runtime_ms,
     }
-    if result.stitch_report is not None:
+    if result.breaks is not None:
         summary["stitch"] = {
-            "breaks": result.stitch_report.plan.breaks,
-            "seam_constraints": result.stitch_report.seam_constraints,
+            "breaks": result.breaks,
+            "seam_constraints": [float(sol.diagnostics["constraint"][b])
+                                 for b in result.breaks[1:-1]],
         }
     return summary
 
 
 def summary_text(summary: dict) -> str:
     """The summary as JSON text; raises ValueError on a non-finite number."""
-    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default) + "\n"
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def solve_and_summarize(cfg: RunConfig) -> tuple[RunResult, dict, str]:
@@ -416,14 +412,6 @@ def _overflows(exc: Exception) -> ConfigError:
 
 def write_summary(path: Path, summary: dict):
     path.write_text(summary_text(summary))
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def cmd_solve(args) -> int:
@@ -506,10 +494,10 @@ def cmd_verify(args) -> int:
     report = {
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
-        "warnings": summary["warnings"],
+        "warnings": [w for h in result.histories for w in h.warnings],
         "scenario_hash": summary["scenario_hash"],
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -556,7 +544,7 @@ def cmd_compare_oracle(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_comparison_csv(out / "comparison.csv", report)
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    print(json.dumps(report, indent=2, sort_keys=True))
     ok = report["lattice"]["within"] and report["regression"]["within"]
     return 0 if ok else 1
 

@@ -40,6 +40,8 @@ def make_grid(T: float, n: int) -> TimeGrid:
         raise ValueError("T must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if T / n == 0.0:
+        raise ValueError("the grid step T / n underflows to 0")
     nodes = np.arange(n + 1) * (T / n)
     nodes[-1] = T
     return TimeGrid(T=float(T), n=int(n), nodes=nodes, dt=T / n)

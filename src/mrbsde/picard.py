@@ -194,12 +194,15 @@ def contraction_horizon(constants: ConstantsReport, mode: str) -> float | None:
 @dataclass(eq=False)
 class PicardHistory:
     mode: str
-    metric: str
     tolerance: float
     distances: list[float] = field(default_factory=list)
     stop_reason: str = ""
     warnings: list[str] = field(default_factory=list)
     ball_records: list[dict] = field(default_factory=list)
+
+    @property
+    def metric(self) -> str:
+        return "rss(S2,H2,supK)" if self.mode == LIPSCHITZ else "sum(Sinf,BMO,supK)"
 
     @property
     def converged(self) -> bool:
@@ -282,8 +285,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     hi = grid.n if hi is None else hi
     tol = backend.picard_tol if tol is None else tol
     constants = scenario_constants(scenario) if constants is None else constants
-    metric = "rss(S2,H2,supK)" if mode == LIPSCHITZ else "sum(Sinf,BMO,supK)"
-    history = PicardHistory(mode=mode, metric=metric, tolerance=tol)
+    history = PicardHistory(mode=mode, tolerance=tol)
 
     window_T = (hi - lo) * grid.dt
     delta = contraction_horizon(constants, mode)

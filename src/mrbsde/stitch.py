@@ -6,7 +6,6 @@ offsets that keep the global path continuous."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +21,6 @@ class PlanError(SolverError):
     """The requested partition is not admissible."""
 
     exit_code = 3
-
-
-@dataclass(eq=False)
-class IntervalPlan:
-    """Breakpoints as grid-node indices, ascending from 0 to n."""
-
-    breaks: list[int]
-    constants: ConstantsReport
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.breaks) - 1
-
-    def lengths(self, grid: TimeGrid) -> list[float]:
-        return [(b - a) * grid.dt for a, b in zip(self.breaks, self.breaks[1:])]
 
 
 def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
@@ -58,8 +42,9 @@ def stitch_constants(scenario: ScenarioSpec) -> ConstantsReport:
 
 def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
                    constants: ConstantsReport,
-                   intervals: int | None = None) -> IntervalPlan:
-    """Partition [0, T] into sub-intervals snapped to grid nodes.
+                   intervals: int | None = None) -> list[int]:
+    """Partition [0, T] into sub-intervals snapped to grid nodes: the
+    breakpoints as grid-node indices, ascending from 0 to n.
 
     Without an explicit count the partition is the balanced one with every
     length at most the contraction horizon. An explicit count overrides the
@@ -73,38 +58,29 @@ def plan_intervals(scenario: ScenarioSpec, grid: TimeGrid,
     if delta is None:
         raise PlanError("constants report lacks the applicable horizon")
     if intervals is None:
-        if not math.isfinite(delta):
+        steps = delta / grid.dt * (1.0 + 1e-12)   # inf for an infinite or huge horizon
+        if steps >= grid.n:
             m = 1
+        elif steps < 1.0:
+            raise PlanError(
+                f"contraction horizon {delta:g} is below one grid step "
+                f"{grid.dt:g}; use a finer grid")
         else:
-            max_steps = int(math.floor(delta / grid.dt * (1.0 + 1e-12)))
-            if max_steps < 1:
-                raise PlanError(
-                    f"contraction horizon {delta:g} is below one grid step "
-                    f"{grid.dt:g}; use a finer grid")
-            m = int(math.ceil(grid.n / max_steps))
+            m = int(math.ceil(grid.n / math.floor(steps)))
     else:
         if not 1 <= intervals <= grid.n:
             raise PlanError("interval count must lie in [1, n]")
         m = intervals
     base, extra = divmod(grid.n, m)
-    sizes = [base + (1 if j < extra else 0) for j in range(m)]
-    breaks = [0]
-    for s in sizes:
-        breaks.append(breaks[-1] + s)
-    return IntervalPlan(breaks=breaks, constants=constants)
+    return [j * base + min(j, extra) for j in range(m + 1)]
 
 
-@dataclass(eq=False)
-class StitchReport:
-    plan: IntervalPlan
-    histories: list[PicardHistory]
-    seam_constraints: list[float]
-
-
-def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
-                 plan: IntervalPlan, tol: float | None = None,
-                 max_iter: int = DEFAULT_MAX_ITER) -> tuple[ReflectedSolution, StitchReport]:
-    """Solve right-to-left and paste.
+def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[int],
+                 constants: ConstantsReport, tol: float | None = None,
+                 max_iter: int = DEFAULT_MAX_ITER
+                 ) -> tuple[ReflectedSolution, list[PicardHistory]]:
+    """Solve right-to-left over the intervals between `breaks` and paste;
+    returns the global solution and each interval's history, left to right.
 
     Each interval's terminal condition is the pasted solution value at its
     right edge (the same random variable on the shared ensemble); the
@@ -113,7 +89,6 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     """
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator")
-    breaks = plan.breaks
     if breaks[0] != 0 or breaks[-1] != grid.n or any(
             b >= c for b, c in zip(breaks, breaks[1:])):
         raise PlanError("plan breakpoints must ascend from 0 to n")
@@ -121,11 +96,11 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
     pieces: list[ReflectedSolution] = []
     histories: list[PicardHistory] = []
     terminal = None
-    for j in range(plan.n_intervals - 1, -1, -1):
+    for j in range(len(breaks) - 2, -1, -1):
         lo, hi = breaks[j], breaks[j + 1]
         sol, hist = picard_solve(scenario, grid, backend, tol=tol,
                                  max_iter=max_iter, lo=lo, hi=hi,
-                                 terminal_values=terminal, constants=plan.constants)
+                                 terminal_values=terminal, constants=constants)
         pieces.append(sol)
         histories.append(hist)
         terminal = sol.y[0]
@@ -160,8 +135,4 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend,
         lo=0, hi=n, y=y, k=k, tail=tail, step_offsets=offsets,
         diagnostics=diagnostics_record(constraint, constraint_se,
                                        flatness_residual(constraint, k)))
-    seam_constraints = [float(constraint[b]) for b in breaks[1:-1]]
-    report = StitchReport(plan=plan, histories=histories,
-                          seam_constraints=seam_constraints)
-    return solution, report
-
+    return solution, histories

@@ -239,6 +239,13 @@ CASES = [
         "scenario": "A_sine_constraint", **_REGRESSION_16,
         "ensemble": {"N": 4000, "seed": 565}}, out=False, quiet=False,
         id="verify-regression-A-seed-565"),
+    # delta / dt overflows to inf on a finite horizon: one interval, as for
+    # every ratio of at least n
+    configured("test_command_exits_0", "solve", {
+        "scenario": {**inline(), "T": 1e-160,
+                     "driver": {"kind": "linear_mean", "params": {"a": 1e-154}}},
+        "grid": {"n": 4}, "backend": LATTICE, "stitch": {}},
+        id="solve-stitched-horizon-ratio-overflows"),
     # one sampled path and its negation: the default antithetic pairing at N = 2
     configured("test_command_exits_0", "solve", {
         **A_REGRESSION, "ensemble": {"N": 2, "seed": 1},
@@ -326,6 +333,11 @@ CASES = [
                  has=f"cli: {text}", id=f"{section}-{key}-" + (
                      "10**400" if value == 10 ** 400 else f"{value}-{text}"))
       for section, key, value, text in _BAD_VALUES),
+    # T / n rounds to 0: no grid has that step, stitched or not
+    *(configured("test_zero_grid_step_exits_3_without_files", "solve", {
+        "scenario": {**inline(), "T": 5e-324}, "grid": {"n": 2}, "backend": LATTICE,
+        **extra}, 3, starts="cli: the grid step T / grid.n underflows to 0\n", id=tag)
+      for tag, extra in (("local", {}), ("stitched", {"stitch": {}}))),
     # C(10**2500 + 2, 2) has 5,000 digits: compared with N, never printed
     configured("test_bad_config_values_exit_3_without_files", "solve", {
         **A_REGRESSION, "scenario": {**inline(), "d": 2},

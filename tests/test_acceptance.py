@@ -162,15 +162,15 @@ def test_criterion_7_stitching_consistency():
     spec = get("B_meanfield_linear").spec
     grid, backend = mc_backend(spec, n=64, N=40_000)
     constants = stitch_constants(spec)
-    plan1 = plan_intervals(spec, grid, constants, intervals=1)
-    plan4 = plan_intervals(spec, grid, constants, intervals=4)
-    s1, _ = solve_global(spec, grid, backend, plan1, tol=1e-6)
-    s4, rep4 = solve_global(spec, grid, backend, plan4, tol=1e-6)
+    breaks1 = plan_intervals(spec, grid, constants, intervals=1)
+    breaks4 = plan_intervals(spec, grid, constants, intervals=4)
+    s1, _ = solve_global(spec, grid, backend, breaks1, constants, tol=1e-6)
+    s4, _ = solve_global(spec, grid, backend, breaks4, constants, tol=1e-6)
     mean_dev = float(np.max(np.abs(s1.mean_y_path(backend)
                                    - s4.mean_y_path(backend))))
     k_dev = float(np.max(np.abs(s1.k - s4.k)))
     eps = default_tolerances(s4, grid)["constraint"]
-    seam_min = min(rep4.seam_constraints)
+    seam_min = min(s4.diagnostics["constraint"][b] for b in breaks4[1:-1])
     ok = mean_dev <= 1e-3 and k_dev <= 1e-3 and seam_min >= -eps
     report("7", ok, f"1 vs 4 intervals: sup|dEY|={mean_dev:.3g} (tol 1e-3), "
            f"sup|dK|={k_dev:.3g} (tol 1e-3), min seam constraint "

@@ -55,7 +55,7 @@ def test_solve_lattice_exact_reflection_column(tmp_path):
     k_col = [float(r["K"]) for r in rows]
     assert np.allclose(k_col, [0.0, 0.0, 0.3], atol=1e-10)
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["converged"]
+    assert [h["converged"] for h in summary["picard_history"]] == [True]
     assert abs(summary["flatness_residual"]) <= 1e-12
     assert summary["constants_report"]["shift_at_zero_max"] == pytest.approx(
         0.3, abs=1e-9)
@@ -404,6 +404,22 @@ def test_stitched_solve_through_cli(tmp_path):
     assert seams[0] >= -summary["default_tolerances"]["constraint"]
 
 
+def test_seam_constraints_are_the_written_constraint_values(tmp_path):
+    # the seams describe the answer written, here the inflated one: they are
+    # results.csv's constraint values at the inner breaks
+    cfg = write_config(tmp_path, {
+        "scenario": "A_sine_constraint", "grid": {"n": 8}, "backend": {"kind": "lattice"},
+        "stitch": {"intervals": 2}, "debug": {"inflate_k": 0.05}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    _, rows = read_csv(out / "results.csv")
+    breaks = summary["stitch"]["breaks"]
+    assert breaks == [0, 4, 8]
+    assert summary["stitch"]["seam_constraints"] == [
+        float(rows[b]["constraint_value"]) for b in breaks[1:-1]]
+
+
 def test_stitch_plan_warning_reaches_the_outputs(tmp_path, capsys):
     # three intervals of 1/6 on B (T = 0.5) are far above its contraction
     # horizon: each interval's solve records it, in order
@@ -418,13 +434,11 @@ def test_stitch_plan_warning_reaches_the_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["warnings"] == [interval_warning] * 3
-    assert summary["warnings"] == [w for h in summary["picard_history"]
-                                   for w in h["warnings"]]
+    assert [h["warnings"] for h in summary["picard_history"]] == [[interval_warning]] * 3
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
-    assert report["warnings"] == summary["warnings"]
+    assert report["warnings"] == [interval_warning] * 3
 
 
 def test_stitched_contraction_ratio_covers_every_interval(tmp_path, capsys):
@@ -454,7 +468,7 @@ def test_empty_stitch_section_plans_from_the_horizon(tmp_path):
     # the contraction horizon of B is about 0.0021: three steps of 0.000625
     spec = dataclasses.replace(scenarios.get("B_meanfield_linear").spec, horizon=0.005)
     grid = make_grid(spec.horizon, 8)
-    expected = plan_intervals(spec, grid, stitch_constants(spec)).breaks
+    expected = plan_intervals(spec, grid, stitch_constants(spec))
     assert expected == [0, 3, 6, 8]
     cfg = write_config(tmp_path, {
         "scenario": "B_meanfield_linear",
@@ -467,6 +481,34 @@ def test_empty_stitch_section_plans_from_the_horizon(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["stitch"]["breaks"] == expected
     assert len(summary["picard_history"]) == len(expected) - 1
+
+
+@pytest.mark.parametrize("run", [
+    {"grid": {"n": 8}, "backend": {"kind": "lattice"}},
+    {"grid": {"n": 16}, "ensemble": {"N": 4000, "seed": 7}, "backend": {"kind": "regression"}}],
+    ids=["lattice", "regression"])
+def test_infinite_contraction_horizon_plans_one_interval(tmp_path, run):
+    # A's zero driver has lam = 0, so its contraction horizon is infinite: an
+    # empty stitch section plans [0, n] and solves as the unstitched run does
+    cfg = {"scenario": "A_sine_constraint", **run}
+    local, stitched = tmp_path / "local", tmp_path / "stitched"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(local)]) == 0
+    assert main(["solve", "--config", write_config(tmp_path, {**cfg, "stitch": {}}),
+                 "--out", str(stitched)]) == 0
+    summary = json.loads((stitched / "summary.json").read_text())
+    assert summary["stitch"] == {"breaks": [0, run["grid"]["n"]], "seam_constraints": []}
+    assert (local / "results.csv").read_bytes() == (stitched / "results.csv").read_bytes()
+
+
+def test_contraction_gate_without_two_sweeps(tmp_path, capsys):
+    # picard.tol 1e9 stops the solve after its first sweep: no ratio to estimate
+    cfg = write_config(tmp_path, {"scenario": "A_sine_constraint", "grid": {"n": 8},
+                                  "backend": {"kind": "lattice"}, "picard": {"tol": 1e9}})
+    assert main(["verify", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    gate = next(c for c in report["checks"] if c["name"] == "contraction_ratio")
+    assert gate == {"name": "contraction_ratio", "value": None, "threshold": None,
+                    "passed": True, "detail": "not enough sweeps to estimate"}
 
 
 def test_feature_count_too_large_to_print_exits_3_at_once(tmp_path, capsys):

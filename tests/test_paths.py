@@ -36,6 +36,8 @@ def test_make_grid_rejects_bad_inputs():
     for T in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             make_grid(T, 4)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        make_grid(5e-324, 2)            # the step T / n rounds to 0
 
 
 def test_ensemble_deterministic():

@@ -238,7 +238,7 @@ def test_stall_returns_unconverged(monkeypatch, tmp_path):
                                "backend": {"kind": "lattice"}}))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["converged"] is False
+    assert [h["converged"] for h in summary["picard_history"]] == [False]
     assert summary["picard_history"][0]["stop_reason"] == "stalled"
 
 
@@ -300,7 +300,7 @@ def test_picard_deterministic():
 
 
 def test_contraction_estimate_guards():
-    hist = PicardHistory(mode="lipschitz", metric="m", tolerance=1e-8)
+    hist = PicardHistory(mode="lipschitz", tolerance=1e-8)
     hist.distances = [1.0]
     with pytest.raises(ValueError):
         contraction_estimate(hist)
@@ -577,11 +577,12 @@ def test_stitched_scalar_sweeps_match_the_general_sweep(loss, monkeypatch,
                                                          regression_backend):
     grid, backend = regression_backend(0.5, 16, N=2000, seed=7, degree=2)
     spec = _particle_free_spec("linear_mean", "zero", loss)
-    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=2)
-    got_sol, got = solve_global(spec, grid, backend, plan)
+    constants = stitch_constants(spec)
+    breaks = plan_intervals(spec, grid, constants, intervals=2)
+    got_sol, got = solve_global(spec, grid, backend, breaks, constants)
     monkeypatch.setattr(DriverSpec, "particle_free", False)
-    ref_sol, ref = solve_global(spec, grid, backend, plan)
-    for hist, ref_hist in zip(got.histories, ref.histories):
+    ref_sol, ref = solve_global(spec, grid, backend, breaks, constants)
+    for hist, ref_hist in zip(got, ref):
         _assert_same_solve((got_sol, hist), (ref_sol, ref_hist), backend)
 
 

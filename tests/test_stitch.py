@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,21 +21,26 @@ def fake_constants(delta: float) -> ConstantsReport:
     return ConstantsReport(hl_const=1.0, lam=1.0, delta_lipschitz=delta)
 
 
+def lengths(breaks, grid) -> list[float]:
+    return [(b - a) * grid.dt for a, b in zip(breaks, breaks[1:])]
+
+
 def test_plan_single_interval_when_horizon_ample():
     spec = get("A_sine_constraint").spec
     grid = make_grid(1.0, 10)
-    plan = plan_intervals(spec, grid, fake_constants(2.0))
-    assert plan.breaks == [0, 10]
+    assert plan_intervals(spec, grid, fake_constants(2.0)) == [0, 10]
+    # a finite horizon whose ratio to the step overflows to inf is ample too
+    tiny = make_grid(1e-160, 4)
+    assert plan_intervals(spec, tiny, fake_constants(8e152)) == [0, 4]
 
 
 def test_plan_ceiling_arithmetic():
     # T = 0.5, delta* = 0.2 -> ceil(2.5) = 3 balanced intervals
     spec = get("A_sine_constraint").spec
     grid = make_grid(0.5, 10)
-    plan = plan_intervals(spec, grid, fake_constants(0.2))
-    assert plan.n_intervals == 3
-    assert plan.breaks == [0, 4, 7, 10]
-    assert max(plan.lengths(grid)) <= 0.2 + 1e-15
+    breaks = plan_intervals(spec, grid, fake_constants(0.2))
+    assert breaks == [0, 4, 7, 10]
+    assert max(lengths(breaks, grid)) <= 0.2 + 1e-15
 
 
 def test_plan_from_derived_horizon():
@@ -45,9 +48,9 @@ def test_plan_from_derived_horizon():
     spec = get("B_meanfield_linear").spec
     grid = make_grid(0.5, 64)
     constants = constants_report(3.0, None, 0.05)
-    plan = plan_intervals(spec, grid, constants)
-    assert plan.n_intervals == 7
-    assert max(plan.lengths(grid)) <= 0.078125 + 1e-15
+    breaks = plan_intervals(spec, grid, constants)
+    assert len(breaks) - 1 == 7
+    assert max(lengths(breaks, grid)) <= 0.078125 + 1e-15
 
 
 def test_plan_refuses_resistance():
@@ -67,40 +70,43 @@ def test_plan_refuses_subgrid_horizon():
 def test_plan_explicit_count_warns_past_horizon():
     spec = get("B_meanfield_linear").spec
     constants = stitch_constants(spec)
-    plan = plan_intervals(spec, make_grid(0.5, 64), constants, intervals=4)
-    assert plan.breaks == [0, 16, 32, 48, 64]
+    assert plan_intervals(spec, make_grid(0.5, 64), constants,
+                          intervals=4) == [0, 16, 32, 48, 64]
     # each interval of 1/8 is past the horizon 1/480, and its solve says so
     grid, backend = lattice(0.5, 8)
-    plan = plan_intervals(spec, grid, constants, intervals=4)
-    _, report = solve_global(spec, grid, backend, plan)
-    assert [h.warnings for h in report.histories] == [[
+    breaks = plan_intervals(spec, grid, constants, intervals=4)
+    _, histories = solve_global(spec, grid, backend, breaks, constants)
+    assert [h.warnings for h in histories] == [[
         "horizon 0.125 exceeds the contraction horizon 0.00208333 (advisory)"]] * 4
 
 
 def test_single_interval_plan_equals_local_solve():
     spec = get("A_sine_constraint").spec
     grid, backend = lattice(1.0, 8)
-    plan = plan_intervals(spec, grid, fake_constants(2.0))
-    stitched, report = solve_global(spec, grid, backend, plan, tol=1e-12)
+    constants = fake_constants(2.0)
+    breaks = plan_intervals(spec, grid, constants)
+    stitched, _ = solve_global(spec, grid, backend, breaks, constants, tol=1e-12)
     local, _ = picard_solve(spec, grid, backend, tol=1e-12)
     assert np.array_equal(stitched.k, local.k)
     for a, b in zip(stitched.y, local.y):
         assert np.array_equal(a, b)
-    assert report.seam_constraints == []
+    assert breaks == [0, 8]     # no seam
 
 
 def test_lattice_two_interval_reflection_unique():
     spec = get("A_sine_constraint").spec
     grid, backend = lattice(1.0, 8)
-    plan1 = plan_intervals(spec, grid, fake_constants(2.0), intervals=1)
-    plan2 = plan_intervals(spec, grid, fake_constants(2.0), intervals=2)
-    s1, _ = solve_global(spec, grid, backend, plan1, tol=1e-12)
-    s2, r2 = solve_global(spec, grid, backend, plan2, tol=1e-12)
+    constants = fake_constants(2.0)
+    breaks1 = plan_intervals(spec, grid, constants, intervals=1)
+    breaks2 = plan_intervals(spec, grid, constants, intervals=2)
+    s1, _ = solve_global(spec, grid, backend, breaks1, constants, tol=1e-12)
+    s2, _ = solve_global(spec, grid, backend, breaks2, constants, tol=1e-12)
     assert np.max(np.abs(s1.k - s2.k)) <= 1e-10
-    assert all(c >= -1e-10 for c in r2.seam_constraints)
+    seams = [s2.diagnostics["constraint"][b] for b in breaks2[1:-1]]
+    assert all(c >= -1e-10 for c in seams)
     # the seam constraint is the one-interval solve's constraint at that node
-    assert len(r2.seam_constraints) == 1
-    assert abs(r2.seam_constraints[0] - s1.diagnostics["constraint"][4]) <= 1e-10
+    assert len(seams) == 1
+    assert abs(seams[0] - s1.diagnostics["constraint"][4]) <= 1e-10
     # so is Y at the seam node, the terminal value of the left interval
     assert np.max(np.abs(s2.y[4] - s1.y[4])) <= 1e-10
 
@@ -110,21 +116,20 @@ def test_global_reflection_contract():
     grid = make_grid(spec.horizon, 32)
     ens = antithetic(sample_ensemble(grid, 2000, 1, seed=1))
     backend = RegressionBackend(ens, degree=2)
-    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=4)
-    sol, report = solve_global(spec, grid, backend, plan, tol=1e-6)
+    constants = stitch_constants(spec)
+    breaks = plan_intervals(spec, grid, constants, intervals=4)
+    sol, histories = solve_global(spec, grid, backend, breaks, constants, tol=1e-6)
     assert sol.k[0] == 0.0
     assert np.all(np.diff(sol.k) >= 0.0)
     assert sol.diagnostics["min_constraint"] >= 0.0    # slack constraint
-    assert len(report.histories) == 4
+    assert len(histories) == 4
 
 
 def test_solve_global_rejects_bad_plan():
     spec = get("A_sine_constraint").spec
     grid, backend = lattice(1.0, 8)
-    plan = plan_intervals(spec, grid, fake_constants(2.0))
-    bad = dataclasses.replace(plan, breaks=[0, 3, 2, 8])
     with pytest.raises(PlanError):
-        solve_global(spec, grid, backend, bad)
+        solve_global(spec, grid, backend, [0, 3, 2, 8], fake_constants(2.0))
 
 
 def bounded_zero_scenario():
@@ -145,8 +150,8 @@ def test_stitched_quadratic_martingale_stays_bounded():
     constants = stitch_constants(spec)
     # the derived quadratic horizon is far below desk-scale grids; an explicit
     # interval count exercises the pasting with the horizon warning recorded
-    plan = plan_intervals(spec, grid, constants, intervals=2)
-    sol, _ = solve_global(spec, grid, backend, plan)
+    breaks = plan_intervals(spec, grid, constants, intervals=2)
+    sol, _ = solve_global(spec, grid, backend, breaks, constants)
     assert sup_norm(sol.y) <= 1.0 + 1e-12 < constants.y_bound
 
 
@@ -161,8 +166,9 @@ def test_stitched_y_is_each_pieces_y(monkeypatch):
     monkeypatch.setattr(stitch, "picard_solve", keep)
     grid, backend = lattice(1.0, 9)
     spec = get("A_sine_constraint").spec
-    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=3)
-    sol, _ = solve_global(spec, grid, backend, plan)
+    constants = stitch_constants(spec)
+    sol, _ = solve_global(spec, grid, backend,
+                          plan_intervals(spec, grid, constants, intervals=3), constants)
     assert [(p.lo, p.hi) for p in pieces] == [(6, 9), (3, 6), (0, 3)]
     # every node of every piece, both sides of each seam included
     for piece in pieces:
@@ -182,10 +188,11 @@ def test_stitched_refit_z_matches_the_stored_z(intervals, regression_backend):
     # seam value itself, whatever the global tail there
     spec = get("A_sine_constraint").spec
     grid, backend = regression_backend(spec.horizon, 16, N=2000, seed=7)
-    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=intervals)
-    sol, _ = solve_global(spec, grid, backend, plan)
+    constants = stitch_constants(spec)
+    breaks = plan_intervals(spec, grid, constants, intervals=intervals)
+    sol, _ = solve_global(spec, grid, backend, breaks, constants)
     stored = []
-    for lo, hi in zip(plan.breaks, plan.breaks[1:]):
+    for lo, hi in zip(breaks, breaks[1:]):
         _, z = solve_deflated(spec, grid, backend, zero_solution(backend, lo, hi), sol.y[hi])
         stored += z[:-1]
     refit = [backend.condexp_and_z(i, sol.y[i + 1] - c)[1]
@@ -195,7 +202,7 @@ def test_stitched_refit_z_matches_the_stored_z(intervals, regression_backend):
     for i, (got, want) in enumerate(zip(refit, stored)):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"step {i}"
     # K binds after a seam, so the global tail there is not the step's offset
-    assert max(sol.tail[b] for b in plan.breaks[1:-1]) > 0.05
+    assert max(sol.tail[b] for b in breaks[1:-1]) > 0.05
 
 
 @pytest.mark.parametrize("name,kind,n", [
@@ -210,8 +217,9 @@ def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
         backend = LatticeBackend(grid)
     else:
         backend = RegressionBackend(antithetic(sample_ensemble(grid, 500, 1, seed=5)))
-    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=3)
-    sol, _ = solve_global(spec, grid, backend, plan)
+    constants = stitch_constants(spec)
+    sol, _ = solve_global(spec, grid, backend,
+                          plan_intervals(spec, grid, constants, intervals=3), constants)
     fresh = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k)
     assert sol.diagnostics.keys() == fresh.keys()
     for key, value in fresh.items():
@@ -241,6 +249,7 @@ def test_one_constraint_pass_per_solve(monkeypatch):
     assert calls[0][4] is sol.k        # the pass ran on the returned iterate
 
     calls.clear()
-    plan = plan_intervals(spec, grid, stitch_constants(spec), intervals=3)
-    sol, report = solve_global(spec, grid, backend, plan)
-    assert sum(len(h.distances) for h in report.histories) > 3 and len(calls) == 3
+    constants = stitch_constants(spec)
+    sol, histories = solve_global(spec, grid, backend,
+                                  plan_intervals(spec, grid, constants, intervals=3), constants)
+    assert sum(len(h.distances) for h in histories) > 3 and len(calls) == 3
