@@ -83,17 +83,23 @@ class RegressionBasis:
                 return cap + 1
         return count
 
-    def design(self, states) -> np.ndarray:
+    def design(self, states, out=None) -> np.ndarray:
         """(N, p) features of (N, d) states; each monomial is its parent times
         one coordinate. Built feature-major from the coordinate rows of
         `states.T`, which on a step-major ensemble are contiguous and read
-        without a copy, and returned as its (N, p) transpose."""
+        without a copy, and returned as its (N, p) transpose.
+
+        With `out`, a (p, N) design whose row 0 holds ones and whose degree-1
+        rows are `states.T` already, only the monomials of degree >= 2 are
+        written: a degree-1 monomial is `1.0 * x`, which is `x` bitwise."""
         x = np.asarray(states, dtype=float).T
-        phi = np.empty((self.n_features, x.shape[1]))
-        phi[0] = 1.0
-        for row, (parent, j) in enumerate(self._table[1], start=1):
-            np.multiply(phi[parent], x[j], out=phi[row])
-        return phi.T
+        first = 0 if out is None else self.dim
+        if out is None:
+            out = np.empty((self.n_features, x.shape[1]))
+            out[0] = 1.0
+        for row, (parent, j) in enumerate(self._table[1][first:], start=first + 1):
+            np.multiply(out[parent], x[j], out=out[row])
+        return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,12 @@ class RegressionBackend:
         self._factors: dict[int, np.ndarray] = {}
         if ensemble.N <= self.basis.features_up_to(ensemble.N):
             raise ValueError("need more particles than basis features")
+        self._targets = np.empty((0, ensemble.N))   # the widest (k, N) targets yet
+
+    @cached_property
+    def _design(self) -> np.ndarray:
+        """The (p, N) feature-major design every projection refills; row 0 is ones."""
+        return np.ones((self.basis.n_features, self.ensemble.N))
 
     @property
     def d(self) -> int:
@@ -174,19 +186,24 @@ class RegressionBackend:
 
         In coefficient form, `b = phi_fm targetsᵀ`, `a = Wᵀ b` (scaled) and
         `fit = (W a)ᵀ phi_fm`, with `phi_fm` the (p, N) feature-major design:
-        two passes over the design, which is rebuilt on each call (storing it
-        would cost N x p per step), and no N x p orthonormal basis; only the
-        p x p factor W is kept per step. phi's first feature is the constant
-        and phi W is orthonormal, so a fit's mean is b_0/N and its mean square
-        |a|^2/N. At step 0 the fit is the particle mean m: the pair is (m, m^2).
+        two passes over the design, and no N x p orthonormal basis; only the
+        p x p factor W is kept per step. The backend keeps one design and
+        refills it on each call: the step's states go straight into its
+        degree-1 rows (degree 0 has none and reads no step), then `design`
+        forms the higher monomials, so a call allocates only its fit. phi's
+        first feature is the constant and phi W is orthonormal, so a fit's
+        mean is b_0/N and its mean square |a|^2/N. At step 0 the fit is the
+        particle mean m: the pair is (m, m^2).
         """
         n = targets.shape[1]
         if i == 0:
             means = particle_mean(targets.T, self.ensemble.antithetic) * scale
             return np.repeat(means[:rows, None], n, axis=1), means, means * means
-        phi = self.basis.design(self.state(i))
-        w = self._orthonormalizer(i, phi)
-        phi_fm = phi.T
+        phi_fm = self._design
+        x = phi_fm[1:1 + self.d]   # the degree-1 rows: (0, N) at degree 0
+        if self.basis.degree:
+            self.ensemble.step(i, out=x)
+        w = self._orthonormalizer(i, self.basis.design(x.T, out=phi_fm))
         b = phi_fm @ targets.T
         a = (w.T @ b) * scale
         return (w @ a[:, :rows]).T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n
@@ -205,7 +222,10 @@ class RegressionBackend:
         v = np.asarray(next_values, dtype=float)
         us, d, n = z_of or (v,), self.d, v.shape[-1]
         k = len(v) if v.ndim > 1 else 1
-        targets = np.empty((k + d * len(us), n))
+        width = k + d * len(us)
+        if len(self._targets) < width:
+            self._targets = np.empty((width, n))
+        targets = self._targets[:width]   # contiguous, as a fresh array would be
         targets[:k] = v
         blocks = targets[k:].reshape(len(us), d, -1)
         self.ensemble.increment(i, blocks)

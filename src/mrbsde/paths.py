@@ -69,9 +69,12 @@ class ParticleEnsemble:
         np.subtract(b, a, out=out[..., 1::2])
         return out
 
-    def step(self, i: int) -> np.ndarray:
-        """(d, N) rows at step i; a view of the paths unless antithetic."""
-        return self._pairs(self.paths[i]) if self.antithetic else self.paths[i]
+    def step(self, i: int, out=None) -> np.ndarray:
+        """(d, N) rows at step i, written into `out` if given (x - 0.0 is x);
+        without it a view of the paths unless antithetic."""
+        if self.antithetic or out is not None:
+            return self._pairs(self.paths[i], out=out)
+        return self.paths[i]
 
     def increment(self, i: int, out) -> np.ndarray:
         """dB_i = B_{i+1} - B_i written into `out`'s (..., d, N) rows."""

@@ -427,10 +427,15 @@ class ScalarSweeps:
         return math.sqrt(float(np.max(dy * dy)) + z_term * dt + dk * dk)
 
     def write_back(self) -> ReflectedSolution:
-        """The last sweep's iterate, its y written into the block."""
+        """The last sweep's iterate, its y written into the block. A node whose
+        shift is 0.0 is skipped, not changed: a sweep writes y_j = ybar_j +
+        tail_j, and tail_j = s_j - s_m is never -0.0, so y never holds -0.0
+        and y + 0.0 is y."""
         first, delta = self.first, self.delta
         for j, y in enumerate(first.y):
-            y += (delta[j] + self.last.tail[j]) - first.tail[j]
+            shift = (delta[j] + self.last.tail[j]) - first.tail[j]
+            if shift != 0.0:
+                y += shift
         return self.last
 
 

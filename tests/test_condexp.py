@@ -491,12 +491,16 @@ def test_step_rows_are_contiguous_views():
 
 
 @pytest.mark.parametrize("anti", [False, True])
-@pytest.mark.parametrize("degree", [0, 1, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
 @pytest.mark.parametrize("d", [1, 3])
 def test_step_reads_match_the_interleaved_reference(d, degree, anti):
     # state(i), the design and the dB rows that condexp_and_z forms are
     # bitwise those of the stored interleaved states, at the first and last
-    # steps; the dB rows' odd slots are h_i - h_{i+1}, +0.0 where equal
+    # steps; the dB rows' odd slots are h_i - h_{i+1}, +0.0 where equal. So
+    # is the design filled in place, the step's rows written into the
+    # degree-1 rows of a design whose row 0 holds ones and the higher
+    # monomials formed over them, also as a projection leaves it in the
+    # backend; at degree 0, with no state rows, a projection reads no step
     grid = make_grid(1.0, 4)
     ens = sample_ensemble(grid, 150, d, seed=23 + d)
     ens = replace(ens, paths=ens.paths.copy())
@@ -504,10 +508,21 @@ def test_step_reads_match_the_interleaved_reference(d, degree, anti):
     ens = antithetic(ens) if anti else ens
     ref = interleaved_reference(ens) if anti else ens.paths
     backend = RegressionBackend(ens, degree=degree)
+    basis = backend.basis
     for i in (0, grid.n):
+        fresh = basis.design(ref[i].T).tobytes()
         assert backend.state(i).tobytes() == ref[i].T.tobytes()
-        assert (backend.basis.design(backend.state(i)).tobytes()
-                == backend.basis.design(ref[i].T).tobytes())
+        assert basis.design(backend.state(i)).tobytes() == fresh
+        phi = np.ones((basis.n_features, ens.N))
+        if degree:
+            ens.step(i, out=phi[1:1 + d])
+        assert basis.design(phi[1:1 + d].T, out=phi).tobytes() == fresh
+    for i in (1, grid.n):
+        with mock.patch.object(ParticleEnsemble, "step", autospec=True,
+                               side_effect=ParticleEnsemble.step) as step:
+            backend._project(i, np.ones((1, ens.N)))
+        assert step.call_count == (1 if degree else 0)
+        assert backend._design.T.tobytes() == basis.design(ref[i].T).tobytes()
     with mock.patch.object(backend, "_project", wraps=backend._project) as project:
         for i in (0, grid.n - 1):
             backend.condexp_and_z(i, np.ones(ens.N), np.ones(ens.N))
@@ -534,3 +549,49 @@ def test_projection_holds_only_design_targets_and_fit():
     finally:
         tracemalloc.stop()
     assert extra <= (p + 2 * (1 + d) + 2) * N * 8, f"{extra / (N * 8):.1f} node vectors"
+
+
+def test_projection_outputs_own_their_memory():
+    # no output of a projection is a view of the backend's design or targets:
+    # each keeps its bytes through later projections at other steps and other
+    # row counts, and two backends on one ensemble share no buffer; state(i),
+    # which terminal evaluation reads, is the caller's too
+    grid = make_grid(1.0, 4)
+    ens = antithetic(sample_ensemble(grid, 300, 2, seed=41))
+    backend, other = RegressionBackend(ens, degree=2), RegressionBackend(ens, degree=2)
+    v, u = np.sin(ens.states[:, 3, 0]), ens.states[:, 3, 1] ** 2
+    outputs = [backend.condexp(2, v), *backend.condexp_and_z(2, v),
+               *backend.condexp_and_z(2, v, v, u, fit=2), *backend.condexp_and_z(2, v, u, fit=0),
+               backend.state(4)]
+    kept = [x.tobytes() for x in outputs]
+    w = np.cos(ens.states[:, 2, 1])
+    backend.condexp_and_z(1, w, w, u)                   # as wide as the widest yet
+    backend.condexp_and_z(3, np.ones(ens.N))
+    backend.condexp(1, w)
+    backend.condexp_and_z(1, w, w, w, w)                # wider targets
+    backend.condexp_and_z(3, w, w, w, w)
+    other.condexp_and_z(2, v, v, u)
+    assert [x.tobytes() for x in outputs] == kept
+    buffers = (backend._design, backend._targets, other._design, other._targets)
+    for x in outputs:
+        assert not any(np.shares_memory(x, buf) for buf in buffers)
+    assert not any(np.shares_memory(a, b) for a in buffers[:2] for b in buffers[2:])
+
+
+def test_repeated_projections_allocate_only_their_fit():
+    # after one call has factored the step and made the workspace, a call
+    # allocates its fit, the (1 + d) rows of y and z, and no design or targets
+    N, d = 20000, 3
+    grid = make_grid(1.0, 8)
+    ens = antithetic(sample_ensemble(grid, N // 2, d, seed=21))
+    backend = RegressionBackend(ens, degree=2)
+    v = np.sin(ens.states[:, 5, 0]) * ens.states[:, 5, 2]
+    backend.condexp_and_z(4, v)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            backend.condexp_and_z(4, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 + d + 1) * N * 8, f"{peak / (N * 8):.2f} node vectors"
