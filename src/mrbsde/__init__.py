@@ -15,12 +15,11 @@ from .model import (DriverSpec, LossSpec, ResistanceSpec, ScenarioSpec,
 from .oracle import LatticeSolution, exact_solve, oracle_compare
 from .paths import (ParticleEnsemble, TimeGrid, antithetic, make_grid,
                     particle_mean, sample_ensemble)
-from .picard import (ConstantsReport, ContractionEstimate, ConvergenceError,
-                     PicardHistory, constants_report, contraction_estimate,
-                     contraction_horizon, lipschitz_horizon, picard_solve,
-                     quadratic_ball_floor, quadratic_contraction_coeff,
-                     quadratic_contraction_horizon, quadratic_stability_horizon,
-                     scenario_constants, uniform_y_bound)
+from .picard import (ConstantsReport, ConvergenceError, PicardHistory,
+                     constants_report, contraction_estimate, contraction_horizon,
+                     lipschitz_horizon, picard_solve, quadratic_ball_floor,
+                     quadratic_contraction_coeff, quadratic_contraction_horizon,
+                     quadratic_stability_horizon, scenario_constants, uniform_y_bound)
 from .reflect import (ReflectedSolution, build_k, constraint_diagnostics, empirical_norms,
                       flatness_residual, solve_deflated, solve_interval, x_process)
 from .scenarios import NamedScenario, get, registry, scenario_from_dict

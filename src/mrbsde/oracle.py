@@ -26,8 +26,10 @@ _IMPLICIT_TOL = 1e-12
 _IMPLICIT_MAX_ITER = 50
 
 
-class OracleError(ValueError):
+class OracleError(SolverError):
     """Scenario cannot be represented exactly on the small lattice."""
+
+    exit_code = 3
 
 
 @dataclass(eq=False)

@@ -225,14 +225,6 @@ class PicardHistory:
         }
 
 
-@dataclass(frozen=True)
-class ContractionEstimate:
-    max_ratio: float
-    bound: float
-    metric: str
-    n_ratios: int
-
-
 def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
                      grid: TimeGrid, backend, mode: str) -> float:
     """Distance between two complete iterates on the shared ensemble.
@@ -338,14 +330,13 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     return solution, history
 
 
-def contraction_estimate(history: PicardHistory) -> ContractionEstimate:
-    """Largest consecutive-distance ratio, labeled with the mode's bound."""
-    if len(history.distances) < 2:
-        raise ValueError("need at least two sweeps to estimate contraction")
-    ratios = [r for r in history.ratios if not math.isnan(r)]
+def contraction_estimate(histories: list[PicardHistory]) -> dict | None:
+    """The largest consecutive-distance ratio over every history's sweeps,
+    with the mode's bound and metric; None when no history has a ratio. The
+    histories are one scenario's intervals, so they share its mode."""
+    ratios = [r for h in histories for r in h.ratios if not math.isnan(r)]
     if not ratios:
-        raise ValueError("no nonzero distances to form ratios")
-    bound = (LIPSCHITZ_RATIO_BOUND if history.mode == LIPSCHITZ
-             else QUADRATIC_RATIO_BOUND)
-    return ContractionEstimate(max_ratio=max(ratios), bound=bound,
-                               metric=history.metric, n_ratios=len(ratios))
+        return None
+    first = histories[0]
+    bound = LIPSCHITZ_RATIO_BOUND if first.mode == LIPSCHITZ else QUADRATIC_RATIO_BOUND
+    return {"max_ratio": max(ratios), "bound": bound, "metric": first.metric}

@@ -201,6 +201,52 @@ _BAD_CONSTANTS = [{flag: value} for flag, value in (
     {"--L": "1e-300", "--lambda": "1e-300"}, {"--L": "1e-200", "--lambda": "1e-170"}]
 _REGRESSION_16 = {"grid": {"n": 16}, "ensemble": {"N": 4000, "seed": 7},
                   "backend": {"kind": "regression"}}
+# a = 6 on the lattice at n = 12 does not converge in 4 sweeps: exit 2 if solved
+_NO_CONVERGENCE = {
+    "scenario": {**inline(), "driver": {"kind": "linear_mean", "params": {"a": 6.0}}},
+    "grid": {"n": 12}, "backend": LATTICE, "picard": {"max_iter": 4}}
+_SCENARIO_TYPE = "cli: scenario must be a name or an inline object"
+_INTERVALS = "stitch: interval count must lie in [1, n]"
+# one row for each refusal that no other row reaches
+_REFUSALS = [
+    ("array", [A_LATTICE], "cli: config must be a JSON object"),
+    ("no-scenario", {"grid": {"n": 2}, "backend": LATTICE}, _SCENARIO_TYPE),
+    ("scenario-3", {**A_LATTICE, "scenario": 3}, _SCENARIO_TYPE),
+    ("no-grid-n", {**A_LATTICE, "grid": {}}, "cli: grid.n is required"),
+    ("grid-n-0", {**A_LATTICE, "grid": {"n": 0}}, "cli: grid.n must be >= 1"),
+    ("grid-T--1", {**A_LATTICE, "grid": {"n": 2, "T": -1}},
+     "cli: grid.T must be positive and finite"),
+    ("backend-gpu", {**A_LATTICE, "backend": {"kind": "gpu"}},
+     "cli: unknown backend kind 'gpu'"),
+    ("lattice-d2", {**A_LATTICE, "scenario": {**inline(), "d": 2}},
+     "cli: the lattice backend is one-dimensional"),
+    ("lattice-n13", {**A_LATTICE, "grid": {"n": 13}},
+     "cli: the lattice backend supports n <= 12"),
+    ("ensemble-N-1", {**A_REGRESSION, "ensemble": {"N": 1}}, "cli: ensemble.N must be >= 2"),
+    ("ensemble-N-odd", {**A_REGRESSION, "ensemble": {"N": 201}},
+     "cli: antithetic ensembles need an even N"),
+    ("stitch-intervals-0", {**A_LATTICE, "stitch": {"intervals": 0}}, _INTERVALS),
+    ("stitch-intervals-n+1", {**A_LATTICE, "stitch": {"intervals": 3}}, _INTERVALS),
+    # B's contraction horizon is about 0.0021, below its step of 0.125
+    ("stitch-planned-below-one-step", {
+        "scenario": "B_meanfield_linear", "grid": {"n": 4}, "backend": LATTICE, "stitch": {}},
+     "stitch: contraction horizon 0.00208333 is below one grid step 0.125; "
+     "use a finer grid"),
+    ("terminal-unknown-key", {**A_LATTICE, "scenario": {**inline(), "terminal": {
+        "kind": "brownian", "bogus": 1}}},
+     "cli: bad scenario: terminal: unknown keys ['bogus']"),
+    ("resistance-unknown-key", {**A_LATTICE, "scenario": {**inline(), "resistance": {
+        "kind": "zero", "bogus": 1}}},
+     "cli: bad scenario: resistance: unknown keys ['bogus']"),
+    ("inline-without-T", {**A_LATTICE, "scenario": {
+        k: v for k, v in inline().items() if k != "T"}},
+     "cli: bad scenario: scenario config missing key 'T'"),
+]
+# each command checks --out before its solve, which would exit 2 or 1 here
+_OUT_COMMANDS = (("solve", _NO_CONVERGENCE), ("verify", _NO_CONVERGENCE),
+                 ("compare-oracle", {"scenario": "A_sine_constraint", "grid": {"n": 3},
+                                     "ensemble": {"N": 2000, "seed": 3},
+                                     "compare": {"mc_budget": 1e-18}}))
 
 CASES = [
     # -- exit 0 ------------------------------------------------------------------
@@ -285,10 +331,8 @@ CASES = [
         "backend": {"kind": "regression", "degree": 30}}, 1,
         has="rank-deficient design matrix"),
     # -- exit 2: no convergence --------------------------------------------------
-    *(configured(test, "solve", {
-        "scenario": {**inline(), "driver": {"kind": "linear_mean", "params": {"a": 6.0}}},
-        "grid": {"n": 12}, "backend": LATTICE, "picard": {"max_iter": 4}}, 2,
-        starts="picard: no convergence after 4 sweeps (last distance ")
+    *(configured(test, "solve", _NO_CONVERGENCE, 2,
+                 starts="picard: no convergence after 4 sweeps (last distance ")
       for test in ("test_nonconvergence_exits_2_without_files",
                    "test_nonconvergence_prints_one_line_with_one_prefix")),
     # the shift needed, 1e30, is past the bracket cap of 2**60
@@ -313,6 +357,16 @@ CASES = [
     # -- exit 3: the config ------------------------------------------------------
     configured("test_missing_config_file", "solve", None, 3,
                starts="cli: cannot read config: "),
+    # an existing file at --out, or above it, cannot be made the directory
+    *(Case("test_unwritable_out_exits_3_before_the_solve",
+           (command, "--config", "{config}", "--out", out), 3,
+           starts="cli: cannot write --out ", has="config.json is not a directory",
+           config=cfg, id=f"{command}-{shape}")
+      for command, cfg in _OUT_COMMANDS
+      for shape, out in (("file", "{config}"), ("under-a-file", "{config}/out"))),
+    *(configured("test_config_refusal_exits_3_with_one_line", "solve", cfg, 3,
+                 starts=message + "\n", id=tag)
+      for tag, cfg, message in _REFUSALS),
     # the scenario's driver fixes the mode: no config value may override it
     *(configured("test_invalid_mode_exits_3_without_files", "solve", {**A_LATTICE, "mode": mode},
                  3, has="unknown keys in config: ['mode']")
@@ -356,9 +410,11 @@ CASES = [
     # json.loads raises a plain ValueError for more than 4,300 digits
     configured("test_integer_past_the_digit_limit_exits_3", "solve",
                '{"scenario": "A_sine_constraint", "grid": {"n": 4}, '
-               '"ensemble": {"N": 1' + "0" * 5000 + '}}', 3, starts="cli: "),
-    *(configured("test_non_finite_config_numbers_exit_3", "solve", text, 3, starts="cli: ",
-                 id=text) for text in _NON_FINITE),
+               '"ensemble": {"N": 1' + "0" * 5000 + '}}', 3,
+               starts="cli: cannot read config as JSON: "),
+    *(configured("test_non_finite_config_numbers_exit_3", "solve", text, 3,
+                 starts="cli: config holds the non-finite number ", id=text)
+      for text in _NON_FINITE),
     *(configured("test_negative_gate_exits_3_without_files", command, {
         "scenario": "A_sine_constraint", "grid": {"n": 2},
         "ensemble": {"N": 200, "seed": 1}, section: {key: -1e-3}}, 3,
@@ -379,7 +435,9 @@ CASES = [
         "grid": {"n": 8}, "backend": LATTICE}, 3, has="lam*dt = 2.5"),
     configured("test_plan_error_exits_3_with_one_line", "solve", {
         "scenario": "C_resistance_lipschitz", "grid": {"n": 4}, "backend": LATTICE,
-        "stitch": {"intervals": 2}}, 3, has="stitch: global stitching requires"),
+        "stitch": {"intervals": 2}}, 3,
+        starts="stitch: global stitching requires a resistance-free generator "
+               "(the local solver remains available)\n"),
     configured("test_unknown_builder_param_exits_3_with_one_line", "solve", {
         "scenario": {**inline(), "driver": {"kind": "constant", "params": {
             "value": 1, "bogus": 3}}}, "grid": {"n": 4}, "backend": LATTICE}, 3,

@@ -105,11 +105,11 @@ def test_criterion_4_contraction_bound(kind):
     spec = _criterion_4_variant(kind)
     grid, backend = lat_backend(spec, 8)
     sol, hist = picard_solve(spec, grid, backend, tol=1e-12)
-    est = contraction_estimate(hist)
+    max_ratio = contraction_estimate([hist])["max_ratio"]
     bound = 1.0 / math.sqrt(2.0) + 0.1
-    report(f"4 ({kind})", est.max_ratio <= bound,
-           f"T={horizon}: max ratio {est.max_ratio:.3g} "
-           f"(bound 1/sqrt(2)+0.1={bound:.4f}) over {est.n_ratios} sweeps")
+    report(f"4 ({kind})", max_ratio <= bound,
+           f"T={horizon}: max ratio {max_ratio:.3g} "
+           f"(bound 1/sqrt(2)+0.1={bound:.4f}) over {len(hist.distances)} sweeps")
 
 
 def test_criterion_5_constants_regression():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cli_cases import A_LATTICE, BINDING_LINEAR_Y, case, check, inline, make_tests
+from cli_cases import A_LATTICE, BINDING_LINEAR_Y, LATTICE, case, check, inline, make_tests
 from mrbsde import cli, paths, picard, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
@@ -102,7 +102,7 @@ def test_verify_passes_and_reports_warning(tmp_path, capsys):
     assert report["passed"]
     assert any("contraction horizon" in w for w in report["warnings"])
     names = [c["name"] for c in report["checks"]]
-    assert names == ["constraint_profile", "flatness", "k_monotone", "converged",
+    assert names == ["constraint_profile", "flatness", "converged",
                      "contraction_ratio", "hl_probe", "assumptions"]
 
 
@@ -145,6 +145,32 @@ def test_verify_negative_control_fails_flatness(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert failed == ["flatness"]
+
+
+_RUNS = {"lattice": {"grid": {"n": 8}, "backend": LATTICE},
+         "regression": {"grid": {"n": 8}, "ensemble": {"N": 2000, "seed": 7},
+                        "backend": {"kind": "regression"}}}
+_MONOTONE_K = [
+    *((f"{s[0]}-{kind}", {"scenario": s, **run})
+      for s in ("A_sine_constraint", "B_meanfield_linear", "C_resistance_lipschitz",
+                "D_quadratic") for kind, run in _RUNS.items()),
+    *((f"{s[0]}-{kind}-stitched-{m}", {"scenario": s, **run, "stitch": {"intervals": m}})
+      for s in ("A_sine_constraint", "B_meanfield_linear", "D_quadratic")
+      for kind, run in _RUNS.items() for m in (2, 3)),
+    *((f"A-{kind}-inflate-k", {"scenario": "A_sine_constraint", **run,
+                               "debug": {"inflate_k": 0.05}})
+      for kind, run in _RUNS.items()),
+]
+
+
+@pytest.mark.parametrize("cfg", [c for _, c in _MONOTONE_K], ids=[i for i, _ in _MONOTONE_K])
+def test_reflection_starts_at_zero_and_never_decreases(cfg):
+    # K = s_0 - s for a backward running maximum s; stitching adds each later
+    # interval's K on top of the earlier intervals' total, and the negative
+    # control adds a nonnegative terminal jump
+    k = cli.execute(parse_config(cfg)).solution.k
+    assert k[0] == 0.0
+    assert np.all(np.diff(k) >= 0.0), np.diff(k)
 
 
 @pytest.mark.parametrize("stitch", [None, {"intervals": 2}])
@@ -248,6 +274,18 @@ def test_verify_writes_report(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     assert (out / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("command, name", [("solve", "summary.json"),
+                                           ("verify", "verify_report.json")])
+def test_oserror_writing_out_exits_3_with_one_line(tmp_path, capsys, command, name):
+    # --out passes its check, but a directory stands where an output goes
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code, stdout, stderr = run_main(
+        [command, "--config", write_config(tmp_path, A_LATTICE), "--out", str(out)], capsys)
+    assert code == 3 and stdout == ""
+    assert stderr.startswith(f"cli: cannot write --out {out}: ") and stderr.count("\n") == 1
 
 
 def test_console_script_entry_point_is_cli_main():

@@ -157,8 +157,7 @@ def test_driver_ignoring_iterate_fixes_in_one_sweep():
     spec = get("A_sine_constraint").spec
     sol, hist = picard_solve(spec, grid, backend)
     assert hist.distances[1] == 0.0
-    est = contraction_estimate(hist)
-    assert est.max_ratio == 0.0
+    assert contraction_estimate([hist])["max_ratio"] == 0.0
 
 
 def test_scenario_b_matches_scalar_recursion():
@@ -300,17 +299,23 @@ def test_picard_deterministic():
 
 
 def test_contraction_estimate_guards():
+    # one sweep, or only zero distances, leave no ratio to estimate
     hist = PicardHistory(mode="lipschitz", tolerance=1e-8)
     hist.distances = [1.0]
-    with pytest.raises(ValueError):
-        contraction_estimate(hist)
+    assert contraction_estimate([hist]) is None
     hist.distances = [0.0, 0.0]
-    with pytest.raises(ValueError):
-        contraction_estimate(hist)
+    assert contraction_estimate([hist]) is None
+    assert contraction_estimate([]) is None
     hist.distances = [1.0, 0.25, 0.05]
-    est = contraction_estimate(hist)
-    assert est.max_ratio == pytest.approx(0.25)
-    assert est.bound == pytest.approx(1.0 / math.sqrt(2.0))
+    assert contraction_estimate([hist]) == {
+        "max_ratio": 0.25, "bound": 1.0 / math.sqrt(2.0), "metric": "rss(S2,H2,supK)"}
+    # intervals without a ratio are passed over; the largest over the rest counts
+    later = PicardHistory(mode="lipschitz", tolerance=1e-8, distances=[1.0, 0.5])
+    none = PicardHistory(mode="lipschitz", tolerance=1e-8, distances=[2.0])
+    assert contraction_estimate([none, hist, later])["max_ratio"] == 0.5
+    quadratic = PicardHistory(mode="quadratic", tolerance=1e-8, distances=[1.0, 0.1])
+    assert contraction_estimate([quadratic]) == {
+        "max_ratio": 0.1, "bound": 0.5, "metric": "sum(Sinf,BMO,supK)"}
 
 
 def _projection_bytes(ensemble, i) -> int:
