@@ -401,9 +401,11 @@ def write_summary(path: Path, summary: dict):
 
 
 def _out_dir(path: str) -> Path:
-    """The `--out` directory, refused before the solve when an existing file
-    is at or above it. Only `_write_outputs` makes it, so a run refused on
-    the way leaves none."""
+    """The `--out` directory, refused before the solve when it is empty or an
+    existing file is at or above it. Only `_write_outputs` makes it, so a run
+    refused on the way leaves none."""
+    if not path:
+        raise ConfigError("cli: --out must name a directory, not an empty string")
     out = Path(path)
     found = next(p for p in (out, *out.parents) if p.exists())
     if not found.is_dir():
@@ -498,7 +500,7 @@ def hl_probe_worst(result: RunResult) -> float:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.backend)
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out) if args.out is not None else None
     result, summary, _ = solve_and_summarize(cfg)
     checks = verify_checks(result, summary)
     report = {
@@ -541,7 +543,7 @@ def cmd_compare_oracle(args) -> int:
         raise ConfigError(f"cli: compare-oracle does not use {', '.join(unused)}")
     # refuse before sampling the ensemble the comparison would need
     require_exact(cfg.scenario, cfg.n)
-    out = _out_dir(args.out) if args.out else None
+    out = _out_dir(args.out) if args.out is not None else None
     backend = build_backend(cfg, make_grid(cfg.scenario.horizon, cfg.n))
     report = oracle_compare(cfg.scenario, backend, cfg.picard_tol,
                             cfg.lattice_budget, cfg.mc_budget)

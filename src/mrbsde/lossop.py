@@ -28,7 +28,7 @@ class EmpiricalLaw:
     """Finite-support law: atoms with optional weights (uniform when None).
 
     The moments E[X], E[sin X] and E[cos X] are computed on first use and kept
-    as scalars on the law, never the mapped atoms."""
+    as scalars on the law, and their np.sin and np.cos arrays only by a held law."""
 
     atoms: np.ndarray
     weights: np.ndarray | None = None
@@ -57,17 +57,26 @@ class EmpiricalLaw:
 
     @cached_property
     def mean_sin(self) -> float:
-        return self.mean(np.sin(self.atoms))
+        return self.mean(self._formed("sin", np.sin(self.atoms)))
 
     @cached_property
     def mean_cos(self) -> float:
-        return self.mean(np.cos(self.atoms))
+        return self.mean(self._formed("cos", np.cos(self.atoms)))
 
     def sin_atoms(self) -> np.ndarray:
         """np.sin of the atoms for a caller that needs the array; its mean is
         kept as `mean_sin`, which then costs no second pass."""
-        values = np.sin(self.atoms)
+        values = self._formed("sin", np.sin(self.atoms))
         self.__dict__.setdefault("mean_sin", self.mean(values))
+        return values
+
+    def hold(self) -> EmpiricalLaw:
+        """Keep the np.sin and np.cos arrays of later passes for `release_loss`."""
+        self.__dict__["held"] = {}
+        return self
+
+    def _formed(self, name: str, values: np.ndarray) -> np.ndarray:
+        self.__dict__.get("held", {})[name] = values     # kept by a held law only
         return values
 
 
@@ -86,6 +95,23 @@ def expected_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> floa
     if loss.kind == "linear_shift":
         return law.mean(loss.evaluate(t, law.atoms))
     return law.mean(loss.evaluate(t, law.atoms, law.sin_atoms()))
+
+
+def release_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> np.ndarray:
+    """l(t, X + x) at each atom X of a held law, which gives its arrays up: for
+    the sine family formed in place in np.sin X (past x = 0 by the addition
+    formula with np.cos X, one rounding from np.sin(X + x)), else evaluated."""
+    sin, cos = map(law.__dict__.pop("held", {}).get, ("sin", "cos"))
+    if sin is None or (x != 0.0 and cos is None):
+        sin = None            # freed before the direct pass forms its own
+        return loss.evaluate(t, law.atoms + x)
+    if x != 0.0:
+        sin *= np.cos(x)
+        cos *= np.sin(x)
+        sin += cos
+    sin *= loss.params[0]
+    sin += law.atoms if x == 0.0 else np.add(law.atoms, x, out=cos)
+    return sin      # y + beta sin y, added in the order LossSpec.evaluate adds them
 
 
 def _from_bits(bits: int) -> float:

@@ -105,8 +105,9 @@ class LossSpec:
         y = np.asarray(y, dtype=float)
         if self.kind == "linear_shift":
             return y - self.shift(t)
-        beta = self.params[0]
-        return y + beta * (np.sin(y) if sin_y is None else sin_y)
+        out = self.params[0] * (np.sin(y) if sin_y is None else sin_y)
+        out += y     # y + beta sin y, formed in one array
+        return out
 
     def shifted_mean(self, t: float, x: float, law) -> float:
         """E[l(t, x + X)] from the moments of the law of X, exactly for both

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lossop import loss_operator
+from .lossop import loss_operator, release_loss
 from .model import LIPSCHITZ, LossSpec, ScenarioSpec, SolverError
 from .paths import TimeGrid
 
@@ -183,7 +183,8 @@ def flatness_residual(constraint, k) -> tuple[float, float]:
 def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
                            lo: int = 0) -> dict:
     """One pass of the loss over the nodes: the mean and standard error of
-    l(t_j, y_j) at each node, their minimum and the flatness residuals."""
+    l(t_j, y_j) at each node, their minimum and the flatness residuals (a
+    particle-free driver's sweep records these as it goes)."""
     m = len(y_values) - 1
     constraint = np.empty(m + 1)
     constraint_se = np.empty(m + 1)
@@ -321,8 +322,9 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     this sweep for the first sweep of a particle-free driver, and for every
     sweep of the others.
 
-    Returns the new iterate, which carries its shifts but no diagnostics, and
-    its distance from `prev`: in Lipschitz mode the root-sum-square of
+    Returns the new iterate, which carries its shifts and, if its driver is
+    particle-free, the `diagnostics` of its y, read off each node's search
+    arrays, and its distance from `prev`: in Lipschitz mode the root-sum-square of
     (sample S2, sample H2, sup-k), with a per-particle running sup of |dy| and
     the per-node H2 means, read off the projections, summed at the end; in
     quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), and the new
@@ -334,7 +336,8 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     lipschitz = scenario.mode == LIPSCHITZ
-    rho, s, tail = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    rho, s, tail, constraint, constraint_se = np.empty((5, m + 1))
+    recording = scenario.driver.particle_free   # no later general sweep writes over its y
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
     # variation of dz from node j on (quadratic), and of z for the ball record
     z_terms, bmo_terms, y_sup = [0.0] * m, [0.0] * m, [0.0] * (m + 1)
@@ -343,9 +346,13 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     def node_differences():
         for j, ybar_j, terms in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
             i = lo + j
-            rho[j] = loss_operator(scenario.loss, grid.nodes[i], backend.law(i, ybar_j))
+            law = backend.law(i, ybar_j)
+            rho[j] = loss_operator(scenario.loss, grid.nodes[i], law.hold() if recording else law)
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
             tail[j] = s[j] - s[m]
+            if recording:   # l(t_i, y_j) from the search's arrays, which die before dy
+                constraint[j], constraint_se[j] = backend.mean_se(
+                    i, release_loss(scenario.loss, grid.nodes[i], law, tail[j]))
             # one temporary: y_j is formed again straight into the block
             dy = ybar_j + tail[j]
             dy -= prev.y[j]
@@ -369,8 +376,10 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
         ball = {"s_inf": max(y_sup), "bmo": float(np.sqrt(max([0.0, *bmo_terms]))),
                 "k_sup": float(np.max(np.abs(k)))}
+    diagnostics = diagnostics_record(constraint, constraint_se, flatness_residual(
+        constraint, k)) if recording else {}
     return ReflectedSolution(lo=lo, hi=hi, y=prev.y, k=k, tail=tail, step_offsets=tail[1:],
-                             shifts=rho, mean_z=mean_z, ball=ball), dist
+                             shifts=rho, mean_z=mean_z, ball=ball, diagnostics=diagnostics), dist
 
 
 class ScalarSweeps:
@@ -428,14 +437,20 @@ class ScalarSweeps:
 
     def write_back(self) -> ReflectedSolution:
         """The last sweep's iterate, its y written into the block. A node whose
-        shift is 0.0 is skipped, not changed: a sweep writes y_j = ybar_j +
-        tail_j, and tail_j = s_j - s_m is never -0.0, so y never holds -0.0
-        and y + 0.0 is y."""
-        first, delta = self.first, self.delta
+        shift is 0.0 is skipped, not changed, and keeps the first sweep's record:
+        y_j = ybar_j + tail_j and tail_j = s_j - s_m is never -0.0, so y + 0.0
+        is y. A moved node's loss is evaluated again, as a fresh pass would."""
+        first, delta, record = self.first, self.delta, self.first.diagnostics
+        c, se = record.get("constraint"), record.get("constraint_se")
         for j, y in enumerate(first.y):
             shift = (delta[j] + self.last.tail[j]) - first.tail[j]
             if shift != 0.0:
                 y += shift
+                if record:
+                    c[j], se[j] = self.backend.mean_se(
+                        first.lo + j, self.scenario.loss.evaluate(self.times[j], y))
+        if record:
+            self.last.diagnostics = diagnostics_record(c, se, flatness_residual(c, self.last.k))
         return self.last
 
 

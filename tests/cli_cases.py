@@ -364,6 +364,12 @@ CASES = [
            config=cfg, id=f"{command}-{shape}")
       for command, cfg in _OUT_COMMANDS
       for shape, out in (("file", "{config}"), ("under-a-file", "{config}/out"))),
+    # an empty --out names no directory: `solve` would write into the working one
+    *(Case("test_empty_out_exits_3_before_the_solve",
+           (command, "--config", "{config}", "--out", ""), 3,
+           starts="cli: --out must name a directory, not an empty string\n",
+           config=cfg, id=command)
+      for command, cfg in _OUT_COMMANDS),
     *(configured("test_config_refusal_exits_3_with_one_line", "solve", cfg, 3,
                  starts=message + "\n", id=tag)
       for tag, cfg, message in _REFUSALS),

@@ -23,7 +23,8 @@ from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory,
                            quadratic_stability_horizon, scenario_constants,
                            uniform_y_bound)
 from mrbsde.reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, build_k,
-                            solve_deflated, solve_interval, sup_norm, zero_solution)
+                            constraint_diagnostics, solve_deflated, solve_interval, sup_norm,
+                            zero_solution)
 from mrbsde.scenarios import get
 from mrbsde.stitch import plan_intervals, solve_global, stitch_constants
 
@@ -589,6 +590,103 @@ def test_stitched_scalar_sweeps_match_the_general_sweep(loss, monkeypatch,
     ref_sol, ref = solve_global(spec, grid, backend, breaks, constants)
     for hist, ref_hist in zip(got, ref):
         _assert_same_solve((got_sol, hist), (ref_sol, ref_hist), backend)
+
+
+def _record_case(name, kind, regression_backend):
+    """(answer, spec, grid, backend) of one carried-record case, n = 8."""
+    if name == "sine-direct":
+        spec = ScenarioSpec(name="dip", horizon=0.5, brownian_dim=1,
+                            terminal=brownian_shift_terminal(0.05), driver=linear_mean_driver(1.0),
+                            resistance=ResistanceSpec("zero"), loss=sine_perturbed_loss(0.5))
+    elif name == "sine-binding":     # K > 0: the reflection absorbs the later sweeps' offsets
+        spec = _particle_free_spec("linear_mean", "zero", "sine")
+    elif name == "sine-moving":      # K = 0: the later sweeps move y_0, ..., y_7 by up to 0.03
+        spec = dataclasses.replace(_particle_free_spec("linear_mean", "zero", "sine"),
+                                   driver=linear_mean_driver(-0.7))
+    else:
+        spec = get(name.split("-")[0]).spec
+    if kind == "lattice":
+        grid, backend = lattice(spec.horizon, 8)
+    else:
+        grid, backend = regression_backend(spec.horizon, 8, N=2000, seed=7, degree=2)
+    if name == "sine-direct":
+        # linear_mean reads the previous iterate's mean: one that dips the
+        # deflated mean below 0 at nodes 4-7 and lifts it back above at
+        # nodes 0-3, which bind nowhere (shift 0) and still carry a tail
+        prev = zero_solution(backend, 0, grid.n)
+        for y, value in zip(prev.y, [4.0, 4.0, 4.0, 4.0, 4.0, -2.0, -2.0, -2.0, 0.0]):
+            y[...] = value
+        sol, _ = solve_interval(spec, grid, backend, prev)
+        assert np.all((sol.shifts[:4] == 0.0) & (sol.tail[:4] > 0.0))
+        assert np.all(sol.shifts[4:8] > 0.0)
+    elif name.endswith("-stitched"):
+        constants = stitch_constants(spec)
+        sol, _ = solve_global(spec, grid, backend,
+                              plan_intervals(spec, grid, constants, intervals=3), constants)
+    else:
+        sol, hist = picard_solve(spec, grid, backend)
+        if name.startswith("sine-"):     # scalar sweeps ran: write_back evaluates moved nodes
+            assert len(hist.distances) > 2 and (sol.k[-1] > 0.0) == (name == "sine-binding")
+    return sol, spec, grid, backend
+
+
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+@pytest.mark.parametrize("name", ["A_sine_constraint", "B_meanfield_linear",
+                                  "C_resistance_lipschitz", "D_quadratic",
+                                  "A_sine_constraint-stitched", "sine-direct",
+                                  "sine-binding", "sine-moving"])
+def test_carried_record_matches_a_fresh_pass(name, kind, regression_backend):
+    # the record a particle-free sweep reads off each node's shift search (and
+    # write_back evaluates again where later sweeps moved y) against one loss
+    # pass over the answer: the same bits where the loss is linear or y_j is
+    # ybar_j (tail 0.0); within 1e-15 where the sine family's addition formula
+    # forms l(t, ybar_j + tail_j) from sin and cos of ybar_j
+    sol, spec, grid, backend = _record_case(name, kind, regression_backend)
+    fresh = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k, sol.lo)
+    assert sol.diagnostics.keys() == fresh.keys()
+    exact = sol.tail == 0.0 if spec.loss.kind == "sine_perturbed" else np.full(len(sol.y), True)
+    for key in ("constraint", "constraint_se"):
+        got, want = sol.diagnostics[key], fresh[key]
+        assert np.array_equal(got[exact], want[exact]), key
+        assert np.max(np.abs(got - want)) <= 1e-15, key
+    if name in ("sine-direct", "sine-binding"):
+        assert np.any(sol.tail == 0.0) and np.any(sol.tail > 0.0)
+
+
+def test_sweep_drops_the_search_arrays_before_dy():
+    # a particle-free sweep records l(t_j, y_j) in the np.sin and np.cos
+    # arrays of node j's search and drops them before it forms dy_j, so its
+    # peak beyond one projection's working set is the search's own two node
+    # vectors beside ybar_j, dybar_j and the sweep's running sup: 4.05 node
+    # vectors here. Holding them until y_j is written reads 5.06, and an x = 0
+    # evaluation that forms y + beta sin y from three arrays reads 5.04. The
+    # laws the scalar sweeps keep hold their atoms and moments only
+    n, N = 16, 20000
+    node = N * 8
+    spec = _particle_free_spec("linear_mean", "zero", "sine")
+    grid = make_grid(spec.horizon, n)
+    ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
+    projection = _projection_bytes(ensemble, n // 2)
+    backend = RegressionBackend(ensemble)
+    prev = zero_solution(backend, 0, n)
+    terminal = spec.terminal.evaluate(backend.state(n))
+    tracemalloc.start()
+    try:
+        first, _ = solve_interval(spec, grid, backend, prev, terminal)
+        extra = (tracemalloc.get_traced_memory()[1] - projection) / node
+    finally:
+        tracemalloc.stop()
+    assert np.all(first.shifts > 0.0)          # every node searched past x = 0
+    assert extra <= 4.5, f"{extra:.2f} node vectors beyond one projection"
+
+    later = ScalarSweeps(spec, grid, backend, first)
+    for _ in range(3):
+        later.sweep()
+    kept = [law for law in later.laws if law is not None]
+    assert kept and all("mean_cos" in vars(law) for law in kept)
+    for law in kept:
+        arrays = [key for key, value in vars(law).items() if isinstance(value, (np.ndarray, dict))]
+        assert arrays == ["atoms"], arrays
 
 
 def _count_projections(backend) -> list:

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from mrbsde import stitch
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (ResistanceSpec, ScenarioSpec, linear_shift_loss,
-                          quadratic_z_driver, scaled_tanh_terminal)
+from mrbsde.model import (LossSpec, ResistanceSpec, ScenarioSpec, brownian_terminal,
+                          linear_shift_loss, linear_y_driver, quadratic_z_driver,
+                          scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import ConstantsReport, constants_report, picard_solve
 from mrbsde.reflect import constraint_diagnostics, solve_deflated, sup_norm, zero_solution
@@ -227,12 +230,14 @@ def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
 
 
 def test_one_constraint_pass_per_solve(monkeypatch):
-    # the diagnostics describe the answer, so a solve makes one loss pass over
-    # the nodes however many sweeps it takes, and a stitched solve one per interval
+    # a particle-free solve records the constraint in its first sweep, from
+    # the arrays of each node's shift search, so it makes no separate loss
+    # pass; a driver that reads particles makes one pass over each window's
+    # answer, and its sweeps evaluate the loss once per node, at x = 0
     from mrbsde import cli, picard, reflect
 
     original = reflect.constraint_diagnostics
-    calls = []
+    calls, evaluations = [], []
 
     def count(*args, **kwargs):
         calls.append(args)
@@ -241,15 +246,36 @@ def test_one_constraint_pass_per_solve(monkeypatch):
     for module in (reflect, picard, stitch, cli):
         if getattr(module, "constraint_diagnostics", None) is original:
             monkeypatch.setattr(module, "constraint_diagnostics", count)
-    spec = get("A_sine_constraint").spec
-    grid, backend = lattice(1.0, 9)
-
-    sol, history = picard_solve(spec, grid, backend)
-    assert len(history.distances) > 1 and len(calls) == 1
-    assert calls[0][4] is sol.k        # the pass ran on the returned iterate
-
-    calls.clear()
-    constants = stitch_constants(spec)
-    sol, histories = solve_global(spec, grid, backend,
-                                  plan_intervals(spec, grid, constants, intervals=3), constants)
-    assert sum(len(h.distances) for h in histories) > 3 and len(calls) == 3
+    evaluate = LossSpec.evaluate
+    monkeypatch.setattr(LossSpec, "evaluate",
+                        lambda *args, **kw: (evaluations.append(1), evaluate(*args, **kw))[1])
+    linear_y = ScenarioSpec(name="ylin", horizon=0.5, brownian_dim=1,
+                            terminal=brownian_terminal(), driver=linear_y_driver(0.8),
+                            resistance=ResistanceSpec("zero"),
+                            loss=linear_shift_loss(c0=0.2, amp=-0.2, omega=math.pi))
+    for spec in (get("A_sine_constraint").spec, linear_y, get("D_quadratic").spec):
+        grid, backend = lattice(spec.horizon, 9)
+        constants = stitch_constants(spec)
+        for breaks in ([0, grid.n], plan_intervals(spec, grid, constants, intervals=3)):
+            calls.clear()
+            evaluations.clear()
+            if len(breaks) == 2:
+                sol, history = picard_solve(spec, grid, backend)
+                histories = [history]
+            else:
+                sol, histories = solve_global(spec, grid, backend, breaks, constants)
+            nodes = np.diff(breaks) + 1
+            sweeps = np.array([len(h.distances) for h in histories])
+            assert np.all(sweeps > 1)
+            if spec.driver.particle_free:
+                # x = 0 at each node of the first sweep, and the record's
+                # direct evaluation of the linear loss there: two per node,
+                # as one sweep and one pass over the answer made before
+                assert not calls and len(evaluations) == 2 * nodes.sum()
+            else:
+                assert len(calls) == len(histories)
+                assert len(evaluations) == np.sum((sweeps + 1) * nodes)
+            if len(breaks) == 2:
+                assert sol.diagnostics["constraint"].shape == (grid.n + 1,)
+                if calls:
+                    assert calls[0][4] is sol.k    # the pass ran on the returned iterate
