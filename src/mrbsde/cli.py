@@ -248,7 +248,7 @@ def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
     offsets[:-1] += amount   # the steps into the shifted nodes: z is unchanged
     y = [y_j + amount for y_j in solution.y[:-1]] + [solution.y[-1]]
     return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, k=k, tail=tail,
-                             step_offsets=offsets)
+                             step_offsets=offsets, z_record=solution.z_record)
 
 
 @dataclass(eq=False)
@@ -264,9 +264,10 @@ class RunResult:
 
     @cached_property
     def post_pass(self) -> dict:
-        """The norms and the means of z, from one pass over the solution that
-        `summarize` and `write_results_csv` share."""
-        return empirical_norms(self.solution, self.grid, self.backend)
+        """The norms and the means of z that `summarize` and
+        `write_results_csv` share: one sup pass over Y and the z record,
+        with no projection, and in quadratic mode the BMO proxy's refit."""
+        return empirical_norms(self.solution, self.grid, self.backend, self.cfg.scenario.mode)
 
 
 def execute(cfg: RunConfig) -> RunResult:

@@ -181,8 +181,9 @@ class RegressionBackend:
 
     def _project(self, i: int, targets: np.ndarray, scale=1.0, rows=None):
         """Fit the first `rows` (default all) of the (k, N) targets, each row
-        times its `scale`, on the step-i features; returns that fit and every
-        scaled row's fitted mean and fitted mean square, (k,) each.
+        times its `scale`, on the step-i features; returns that fit, every
+        scaled row's fitted mean and fitted mean square, (k,) each, and its
+        coefficients `a/√N`, whose squares sum to the mean square.
 
         In coefficient form, `b = phi_fm targetsᵀ`, `a = Wᵀ b` (scaled) and
         `fit = (W a)ᵀ phi_fm`, with `phi_fm` the (p, N) feature-major design:
@@ -193,12 +194,12 @@ class RegressionBackend:
         forms the higher monomials, so a call allocates only its fit. phi's
         first feature is the constant and phi W is orthonormal, so a fit's
         mean is b_0/N and its mean square |a|^2/N. At step 0 the fit is the
-        particle mean m: the pair is (m, m^2).
+        particle mean m: the moments are (m, m^2, m).
         """
         n = targets.shape[1]
         if i == 0:
             means = particle_mean(targets.T, self.ensemble.antithetic) * scale
-            return np.repeat(means[:rows, None], n, axis=1), means, means * means
+            return np.repeat(means[:rows, None], n, axis=1), means, means * means, means[None]
         phi_fm = self._design
         x = phi_fm[1:1 + self.d]   # the degree-1 rows: (0, N) at degree 0
         if self.basis.degree:
@@ -206,19 +207,21 @@ class RegressionBackend:
         w = self._orthonormalizer(i, self.basis.design(x.T, out=phi_fm))
         b = phi_fm @ targets.T
         a = (w.T @ b) * scale
-        return (w @ a[:, :rows]).T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n
+        return ((w @ a[:, :rows]).T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n,
+                a / math.sqrt(n))
 
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)
         return self._project(i, v[None, :])[0][0]
 
-    def condexp_and_z(self, i: int, next_values, *z_of, fit=None, sq_scale=1.0) -> tuple:
+    def condexp_and_z(self, i: int, next_values, *z_of, fit=None) -> tuple:
         """One decomposition for E_{t_i}[V], V one row or, with `z_of`, a (k, N)
         stack, and for U = V or each U of `z_of`, z_U = E_{t_i}[U dB_i]/dt
         (N x d); the targets are [V; U dB_i; ...], with dB_i = B_{i+1} - B_i
         formed in their rows and 1/dt in the coefficients. With `fit` set, only
-        the first `fit` outputs are formed, followed by E[z_U] (a row per U)
-        and E|z_U|^2 * sq_scale, off the coefficients."""
+        the first `fit` outputs are formed, followed by two moments off the
+        coefficients, a row per U: z_U's record (E[z_U], then its coefficients
+        `a/√N`, whose squares sum to E|z_U|^2; linear in U) and E|z_U|^2."""
         v = np.asarray(next_values, dtype=float)
         us, d, n = z_of or (v,), self.d, v.shape[-1]
         k = len(v) if v.ndim > 1 else 1
@@ -233,9 +236,11 @@ class RegressionBackend:
             block *= u
         scale = np.repeat([1.0, 1.0 / self.grid.dt], [k, d * len(us)])
         rows = None if fit is None else k + d * (fit - 1) if fit else 0
-        out, mean, sq = self._project(i, targets, scale, rows)
-        moments = () if fit is None else (mean[k:].reshape(-1, d),
-                                          sq[k:].reshape(-1, d).sum(axis=1) * sq_scale)
+        out, mean, sq, coef = self._project(i, targets, scale, rows)
+        moments = () if fit is None else (
+            np.concatenate([mean[k:].reshape(-1, 1, d),
+                            coef[:, k:].reshape(len(coef), -1, d).swapaxes(0, 1)], axis=1),
+            sq[k:].reshape(-1, d).sum(axis=1))
         fits = out[:k].reshape(-1, *v.shape)   # V's fit, or none when no row is formed
         return (*fits, *(block.T for block in out[k:].reshape(-1, d, n)), *moments)
 
@@ -298,20 +303,21 @@ class LatticeBackend:
     def condexp(self, i: int, next_values) -> np.ndarray:
         return self.condexp_and_z(i, next_values)[0]
 
-    def condexp_and_z(self, i: int, next_values, *z_of, fit=None, sq_scale=1.0) -> tuple:
+    def condexp_and_z(self, i: int, next_values, *z_of, fit=None) -> tuple:
         """Exact one-step E_{t_i}[V] and, for U = V or each U of `z_of`,
         E_{t_i}[U dB_i]/dt: the average of V's two successor nodes
         (probabilities 1/2, 1/2), row by row of a stack, and the slope of U's.
-        `fit` is as in `RegressionBackend.condexp_and_z`, the moments each
-        slope's `mean`."""
+        `fit` is as in `RegressionBackend.condexp_and_z`: each slope's record
+        is its `mean`, then the slope times √prob, and E|z|^2 its squares' `mean`."""
         v = np.asarray(next_values, dtype=float)
         if v.shape[-1] != i + 2:
             raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[-1]}")
         us = [np.asarray(u, dtype=float) for u in z_of] or [v]
         slopes = [((u[1:] - u[:-1]) / (2.0 * math.sqrt(self.grid.dt)))[:, None] for u in us]
         moments = () if fit is None else (
-            np.array([self.mean(i, z) for z in slopes]),
-            np.array([self.mean(i, z[:, 0] * z[:, 0] * sq_scale) for z in slopes]))
+            np.array([np.vstack([self.mean(i, z), np.sqrt(self.probs(i))[:, None] * z])
+                      for z in slopes]),
+            np.array([self.mean(i, z[:, 0] * z[:, 0]) for z in slopes]))
         return (0.5 * (v[..., :-1] + v[..., 1:]), *slopes)[:fit] + moments
 
     def mean(self, i: int, values):

@@ -97,14 +97,15 @@ def expected_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> floa
     return law.mean(loss.evaluate(t, law.atoms, law.sin_atoms()))
 
 
-def release_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> np.ndarray:
-    """l(t, X + x) at each atom X of a held law, which gives its arrays up: for
-    the sine family formed in place in np.sin X (past x = 0 by the addition
-    formula with np.cos X, one rounding from np.sin(X + x)), else evaluated."""
+def release_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> np.ndarray | None:
+    """l(t, X + x) at each atom X of a held law, which gives its arrays up,
+    formed in place in its np.sin X (past x = 0 by the addition formula with
+    np.cos X, one rounding from np.sin(X + x)); None, and the arrays dropped,
+    when the law holds no np.sin X or, past x = 0, no np.cos X (the linear
+    family, or a search that stopped at x = 0)."""
     sin, cos = map(law.__dict__.pop("held", {}).get, ("sin", "cos"))
     if sin is None or (x != 0.0 and cos is None):
-        sin = None            # freed before the direct pass forms its own
-        return loss.evaluate(t, law.atoms + x)
+        return None
     if x != 0.0:
         sin *= np.cos(x)
         cos *= np.sin(x)

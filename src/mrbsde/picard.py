@@ -265,7 +265,9 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     write y once, when the iteration stops. A stall returns the last
     iterate with `stop_reason="stalled"`, so `converged` is False; running out
     of `max_iter` raises `ConvergenceError`. The returned iterate carries the
-    diagnostics: a particle-free driver's sweeps record them, others take a pass.
+    diagnostics: one `constraint_diagnostics` pass over the answer evaluates
+    the nodes that a particle-free driver's sweeps did not record (all nodes
+    of any other driver).
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
     gives the quadratic ball radius and the contraction horizon, which is
@@ -325,9 +327,8 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
             f"(last distance {history.distances[-1]:.3g})", history=history)
     if later is not None:
         solution = later.write_back()
-    if not solution.diagnostics:
-        solution.diagnostics = constraint_diagnostics(scenario.loss, grid, backend,
-                                                      solution.y, solution.k, lo)
+    solution.diagnostics = constraint_diagnostics(scenario.loss, grid, backend, solution.y,
+                                                  solution.k, lo, **solution._recorded)
     return solution, history
 
 

@@ -3,8 +3,10 @@ mode y slot implicit, solved per node in closed form): one backward pass that
 deflates, builds the reflection path as a backward running supremum of minimal
 shifts of the deflated process's laws, and measures the distance from the
 previous iterate while writing over it; the flatness / constraint
-diagnostics, and the sample norms. An iterate stores y only: z is refit
-where it is read, as extra rows of a projection the reader makes anyway."""
+diagnostics, and the sample norms. An iterate stores y and, per step, the
+record of its z: E[z_j] and z_j's projection coefficients, which every sweep
+writes from the rows its projections fit anyway, so the norms and means of z
+need no projection after the solve."""
 
 from __future__ import annotations
 
@@ -47,13 +49,13 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     terms None at the terminal node. Step j projects ybar_(j+1) and, in the
     same projection, dz_j, the z of ybar_(j+1) less the value `prev`'s step j
     projected, which is read before node j+1 is yielded, so the caller may
-    then write over it: terms is E|dz_j|^2. Quadratic mode also fits z_j, the
-    z of ybar_(j+1) that its driver reads, and the value rows of two BMO
-    recursions r_j = E_j[r_(j+1)] + |w_j|^2 dt (r_m = 0), for w = dz and w = z:
-    terms is (E[z_j], max r^dz_j, max r^z_j).
+    then write over it: terms is (E|dz_j|^2, dz_j's record). Quadratic mode
+    also fits z_j, the z of ybar_(j+1) that its driver reads, and the value
+    rows of two BMO recursions r_j = E_j[r_(j+1)] + |w_j|^2 dt (r_m = 0), for
+    w = dz and w = z: terms is (z_j's record, max r^dz_j, max r^z_j).
 
     The generator's frozen inputs come from the previous iterate `prev`: the
-    mean of its y (and its `mean_z` in quadratic mode), the resistance of its
+    mean of its y (and of its z in quadratic mode), the resistance of its
     k, and its reflection tail, all read before the first node is yielded. The
     scenario's mode picks the generator's y slot. In Lipschitz mode it is the
     current unknown plus `prev`'s tail: the node equation v = base + f(t, v +
@@ -80,21 +82,21 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
         # the step's temporaries die on return, before the next projection
         i = lo + j
         if implicit:
-            base, _, sq = backend.condexp_and_z(i, ybar_next, dybar_next, fit=1)
-            z_i, terms = None, float(sq[-1])
+            base, rec, sq = backend.condexp_and_z(i, ybar_next, dybar_next, fit=1)
+            z_i, terms = None, (float(sq[-1]), rec[-1])
         else:
-            fits, z_i, dz_i, mean, _ = backend.condexp_and_z(
+            fits, z_i, dz_i, rec, _ = backend.condexp_and_z(
                 i, np.concatenate([ybar_next[None], r]), ybar_next, dybar_next, fit=3)
             base, r = fits[0], fits[1:]
             r[0] += sq_norms(dz_i) * dt
             r[1] += sq_norms(z_i) * dt
-            terms = (mean[0], float(np.max(r[0])), float(np.max(r[1])))
+            terms = (rec[0], float(np.max(r[0])), float(np.max(r[1])))
         if drv.particle_free:
             f = drv.scalar(grid.nodes[i], float(mean_y[j]), float(resistance[j]))
         else:
             # zbar is read by quadratic_z only, the one quadratic-mode driver
             y_slot, zbar = (base + float(prev.tail[j]), None) if implicit else (
-                prev.y[j], prev.mean_z[j])
+                prev.y[j], prev.z_record[j][0])
             f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
                              float(resistance[j]))
         return base + (f / denom) * dt, r, terms
@@ -181,14 +183,15 @@ def flatness_residual(constraint, k) -> tuple[float, float]:
 
 
 def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
-                           lo: int = 0) -> dict:
+                           lo: int = 0, constraint=None, constraint_se=None) -> dict:
     """One pass of the loss over the nodes: the mean and standard error of
-    l(t_j, y_j) at each node, their minimum and the flatness residuals (a
-    particle-free driver's sweep records these as it goes)."""
-    m = len(y_values) - 1
-    constraint = np.empty(m + 1)
-    constraint_se = np.empty(m + 1)
-    for j in range(m + 1):
+    l(t_j, y_j) at each node, their minimum and the flatness residuals. A
+    particle-free driver's sweep records some nodes as it goes: given its
+    partial `constraint` and `constraint_se`, the pass fills their NaN nodes
+    in place and evaluates no other."""
+    if constraint is None:
+        constraint, constraint_se = np.full((2, len(y_values)), np.nan)
+    for j in np.flatnonzero(np.isnan(constraint)):
         vals = loss.evaluate(grid.nodes[lo + j], y_values[j])
         constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
     return diagnostics_record(constraint, constraint_se, flatness_residual(constraint, k))
@@ -216,29 +219,22 @@ def sq_norms(z) -> np.ndarray:
     return out
 
 
-def _bmo_steps(y_values, offsets, grid: TimeGrid, backend, lo: int = 0):
-    """Yields (E[z_j], E|z_j|^2 dt, r_j) for j = m-1, ..., 0 from one projection
-    each, which forms [r_j; z_j] and gives the moments: z_j, the z-fit of
-    y_(j+1) - offsets[j], and r_j = E_j[r_(j+1)] + |z_j|^2 dt (r_m = 0), the
-    remaining quadratic variation of z."""
-    m = len(y_values) - 1
+def bmo_proxy(y_values, offsets, grid: TimeGrid, backend, lo: int = 0) -> float:
+    """Crude BMO estimate: the largest conditional remaining quadratic
+    variation r_j = E_j[r_(j+1)] + |z_j|^2 dt (r_m = 0) over all nodes and
+    particles, square-rooted, with z_j refit as the z-fit of y_(j+1) -
+    offsets[j]: one projection per step forms [r_j; z_j]."""
+    m, worst = len(y_values) - 1, 0.0
     r = np.zeros(backend.count(lo + m))
     for j in range(m - 1, -1, -1):
         # y - 0.0 is y: the subtraction is skipped, not changed
         u = y_values[j + 1] - offsets[j] if offsets[j] else y_values[j + 1]
-        r, z, mean_z, sq_dt = backend.condexp_and_z(lo + j, r, u, fit=2, sq_scale=grid.dt)
+        r, z = backend.condexp_and_z(lo + j, r, u)
         zsq_dt = sq_norms(z)
         zsq_dt *= grid.dt
         r += zsq_dt
-        yield mean_z[0], sq_dt[0], r
-
-
-def bmo_proxy(y_values, offsets, grid: TimeGrid, backend, lo: int = 0) -> float:
-    """Crude BMO estimate: the largest conditional remaining quadratic
-    variation over all nodes and particles, square-rooted, of the z that
-    `_bmo_steps` refits from `y_values`."""
-    steps = _bmo_steps(y_values, offsets, grid, backend, lo)
-    return float(np.sqrt(max([0.0, *(float(np.max(r)) for _, _, r in steps)])))
+        worst = max(worst, float(np.max(r)))
+    return float(np.sqrt(worst))
 
 
 def sup_norm(values) -> float:
@@ -246,39 +242,36 @@ def sup_norm(values) -> float:
     return max(float(np.max(np.abs(v))) for v in values)
 
 
-def empirical_norms(sol: ReflectedSolution, grid: TimeGrid, backend) -> dict:
-    """One backward pass over the nodes, each read once, z_j refit by
-    `_bmo_steps` with its moments off the coefficients: the sample norms used
-    by the fixed-point analysis ("norms"; S-inf is the S2 pass's largest sup)
-    and the per-node means of z, "mean_z" (0 at the terminal node, which has
-    no step)."""
-    m, lo, ys = sol.hi - sol.lo, sol.lo, sol.y
-    mean_z, z_sq = np.zeros((m + 1, backend.d)), [0.0] * m   # z_sq[j] = E|z_j|^2 dt
-    steps = _bmo_steps(ys, sol.step_offsets, grid, backend, lo)
-    worst = 0.0
-
-    def nodes():
-        nonlocal worst
-        for j in range(m, -1, -1):
-            if j < m:
-                mean_z[j], z_sq[j], r = next(steps)
-                worst = max(worst, float(np.max(r)))
-            yield lo + j, ys[j]
-
-    s2_sq, s_inf = backend.sup_sq_mean(nodes(), return_max=True)
-    return {"norms": {"s2": float(np.sqrt(s2_sq)), "h2": float(np.sqrt(sum(z_sq))), "s_inf": s_inf,
-                      "k_sup": float(np.max(np.abs(sol.k))), "bmo": float(np.sqrt(worst))},
-            "mean_z": mean_z}
+def empirical_norms(sol: ReflectedSolution, grid: TimeGrid, backend, mode: str) -> dict:
+    """The sample norms used by the fixed-point analysis ("norms") and the
+    per-node means of z, "mean_z" (0 at the terminal node, which has no
+    step). S2 and S-inf, its largest sup, come from one pass over y, each
+    node read once; E[z_j] and E|z_j|^2, for H2, are read off the z record,
+    with no projection. Quadratic mode adds its own norm, `bmo_proxy`'s BMO
+    estimate, which refits z per particle."""
+    s2_sq, s_inf = backend.sup_sq_mean(enumerate(sol.y, sol.lo), return_max=True)
+    h2_sq = sum(float(np.sum(rec[1:] * rec[1:])) * grid.dt for rec in sol.z_record)
+    norms = {"s2": float(np.sqrt(s2_sq)), "h2": math.sqrt(h2_sq), "s_inf": s_inf,
+             "k_sup": float(np.max(np.abs(sol.k)))}
+    if mode != LIPSCHITZ:
+        norms["bmo"] = bmo_proxy(sol.y, sol.step_offsets, grid, backend, sol.lo)
+    return {"norms": norms, "mean_z": np.array([*(rec[0] for rec in sol.z_record),
+                                                 np.zeros(backend.d)])}
 
 
 @dataclass(eq=False)
 class ReflectedSolution:
     """Constrained triple on a node window, with the reflection offset tail_j
     that node j's y holds over the deflated value (on one interval the
-    remaining reflection k_m - k_j). z is not stored: z_j is the z-fit of
-    y_(j+1) - step_offsets[j], the value step j projected (on one window
-    tail[1:]). Also kept: the sweep's minimal shifts, if any, and in
-    quadratic mode the means E[z_j] its driver reads next and its ball record."""
+    remaining reflection k_m - k_j). z_j, the z-fit of y_(j+1) -
+    step_offsets[j], the value step j projected (on one window tail[1:]), is
+    kept as its record z_record[j]: row 0 is E[z_j], the rest its
+    coefficients over an orthonormal basis of step j (√prob-weighted slopes
+    on the lattice), whose sum of squares is E|z_j|^2; a quadratic driver
+    reads E[z_j] next. Also kept: the sweep's minimal shifts, if any, in
+    quadratic mode its ball record, and `diagnostics`, empty or complete (a
+    particle-free sweep's partial record, NaN at the nodes it did not
+    evaluate, is `_recorded`, for `picard_solve` to complete)."""
 
     lo: int
     hi: int
@@ -286,10 +279,11 @@ class ReflectedSolution:
     k: np.ndarray
     tail: np.ndarray
     step_offsets: np.ndarray
+    z_record: list | None = None
     shifts: np.ndarray | None = None
-    mean_z: np.ndarray | None = None
     ball: dict | None = None
     diagnostics: dict = field(default_factory=dict)
+    _recorded: dict = field(default_factory=dict)
     mean_y: np.ndarray | None = None   # E[y_j], if known without a pass over y
 
     def mean_y_path(self, backend) -> np.ndarray:
@@ -304,7 +298,7 @@ def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
     m = hi - lo
     return ReflectedSolution(lo=lo, hi=hi, y=_node_blocks(backend, lo, hi), k=np.zeros(m + 1),
                              tail=np.zeros(m + 1), step_offsets=np.zeros(m),
-                             mean_z=np.zeros((m, backend.d)))
+                             z_record=list(np.zeros((m, 1, backend.d))))
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
@@ -322,9 +316,13 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     this sweep for the first sweep of a particle-free driver, and for every
     sweep of the others.
 
-    Returns the new iterate, which carries its shifts and, if its driver is
-    particle-free, the `diagnostics` of its y, read off each node's search
-    arrays, and its distance from `prev`: in Lipschitz mode the root-sum-square of
+    Returns the new iterate, which carries its shifts, its z record (in
+    Lipschitz mode `prev`'s plus dz's, since z_j = prev's z_j + dz_j; in
+    quadratic mode z_j's own) and, if its driver is particle-free, the
+    constraint record of its y at the nodes whose search formed np.sin and
+    np.cos arrays, read off them, as `_recorded` (NaN elsewhere: `picard_solve`
+    fills those from the written y, once the window stops), and its distance
+    from `prev`: in Lipschitz mode the root-sum-square of
     (sample S2, sample H2, sup-k), with a per-particle running sup of |dy| and
     the per-node H2 means, read off the projections, summed at the end; in
     quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), and the new
@@ -336,12 +334,12 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     lipschitz = scenario.mode == LIPSCHITZ
-    rho, s, tail, constraint, constraint_se = np.empty((5, m + 1))
+    rho, s, tail = np.empty((3, m + 1))
+    constraint, constraint_se = np.full((2, m + 1), np.nan)
     recording = scenario.driver.particle_free   # no later general sweep writes over its y
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
     # variation of dz from node j on (quadratic), and of z for the ball record
-    z_terms, bmo_terms, y_sup = [0.0] * m, [0.0] * m, [0.0] * (m + 1)
-    mean_z = None if lipschitz else np.empty((m, backend.d))
+    z_terms, bmo_terms, y_sup, z_record = [0.0] * m, [0.0] * m, [0.0] * (m + 1), [None] * m
 
     def node_differences():
         for j, ybar_j, terms in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
@@ -350,16 +348,19 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             rho[j] = loss_operator(scenario.loss, grid.nodes[i], law.hold() if recording else law)
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
             tail[j] = s[j] - s[m]
-            if recording:   # l(t_i, y_j) from the search's arrays, which die before dy
-                constraint[j], constraint_se[j] = backend.mean_se(
-                    i, release_loss(scenario.loss, grid.nodes[i], law, tail[j]))
+            # l(t_i, y_j) from the search's arrays, which die before dy
+            vals = release_loss(scenario.loss, grid.nodes[i], law, tail[j]) if recording else None
+            if vals is not None:
+                constraint[j], constraint_se[j] = backend.mean_se(i, vals)
+            vals = None
             # one temporary: y_j is formed again straight into the block
             dy = ybar_j + tail[j]
             dy -= prev.y[j]
             if j < m and lipschitz:
-                z_terms[j] = terms
+                z_terms[j], rec = terms
+                z_record[j] = prev.z_record[j] + rec
             elif j < m:
-                mean_z[j], z_terms[j], bmo_terms[j] = terms
+                z_record[j], z_terms[j], bmo_terms[j] = terms
             np.add(ybar_j, tail[j], out=prev.y[j])
             if not lipschitz:
                 y_sup[j] = float(np.max(np.abs(prev.y[j])))
@@ -376,10 +377,10 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
         ball = {"s_inf": max(y_sup), "bmo": float(np.sqrt(max([0.0, *bmo_terms]))),
                 "k_sup": float(np.max(np.abs(k)))}
-    diagnostics = diagnostics_record(constraint, constraint_se, flatness_residual(
-        constraint, k)) if recording else {}
+    recorded = {"constraint": constraint, "constraint_se": constraint_se} if recording else {}
     return ReflectedSolution(lo=lo, hi=hi, y=prev.y, k=k, tail=tail, step_offsets=tail[1:],
-                             shifts=rho, mean_z=mean_z, ball=ball, diagnostics=diagnostics), dist
+                             z_record=z_record, shifts=rho, ball=ball,
+                             _recorded=recorded), dist
 
 
 class ScalarSweeps:
@@ -388,10 +389,11 @@ class ScalarSweeps:
     deflated value is the first one's plus the offset delta_j =
     sum_(l>=j) (f_l - f1_l) dt, and its z the first one's plus delta_(j+1)
     zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice), whose
-    E|zeta_j|^2 one pass reads off projection coefficients, fitting no row.
-    The block of `first`, the first sweep's iterate, holds its y until
-    `write_back` adds the last sweep's offsets to it; y_(j+1) - tail_(j+1)
-    is then ybar1_(j+1) + delta_(j+1), so the refit z needs no write."""
+    record and E|zeta_j|^2 one pass reads off projection coefficients,
+    fitting no row. The block of `first`, the first sweep's iterate, holds
+    its y until `write_back` adds the last sweep's offsets to it; y_(j+1) -
+    tail_(j+1) is then ybar1_(j+1) + delta_(j+1), and the z record, linear in
+    it, becomes first's plus delta_(j+1) times zeta_j's."""
 
     def __init__(self, scenario: ScenarioSpec, grid: TimeGrid, backend,
                  first: ReflectedSolution):
@@ -402,7 +404,7 @@ class ScalarSweeps:
         self.f1 = [scenario.driver.scalar(t, 0.0, 0.0) for t in self.times]
         self.mean_y1 = first.mean_y_path(backend)
         self.last, self.delta = first, np.zeros(len(self.times))
-        self.laws, self.zeta_sq = [None] * len(self.times), None
+        self.laws, self.zeta, self.zeta_sq = [None] * len(self.times), None, None
 
     def sweep(self) -> float:
         """One sweep; returns its distance from the last, the Lipschitz metric
@@ -426,31 +428,32 @@ class ScalarSweeps:
                                 step_offsets=tail[1:], shifts=rho)
         dy = (delta + new.tail) - (self.delta + last.tail)
         moved = (delta - self.delta)[1:]
-        if self.zeta_sq is None and np.any(moved != 0.0):
-            self.zeta_sq = np.array([self.backend.condexp_and_z(
-                i, np.ones(self.backend.count(i + 1)), fit=0)[1][0]
-                for i in range(first.lo, first.hi)])
+        if self.zeta is None and np.any(moved != 0.0):
+            self.zeta, sq = zip(*(self.backend.condexp_and_z(
+                i, np.ones(self.backend.count(i + 1)), fit=0) for i in range(first.lo, first.hi)))
+            self.zeta_sq = np.array([q[0] for q in sq])
         z_term = 0.0 if self.zeta_sq is None else float(np.sum(moved * moved * self.zeta_sq))
         dk = float(np.max(np.abs(new.k - last.k)))
         self.last, self.delta = new, delta
         return math.sqrt(float(np.max(dy * dy)) + z_term * dt + dk * dk)
 
     def write_back(self) -> ReflectedSolution:
-        """The last sweep's iterate, its y written into the block. A node whose
-        shift is 0.0 is skipped, not changed, and keeps the first sweep's record:
-        y_j = ybar_j + tail_j and tail_j = s_j - s_m is never -0.0, so y + 0.0
-        is y. A moved node's loss is evaluated again, as a fresh pass would."""
-        first, delta, record = self.first, self.delta, self.first.diagnostics
-        c, se = record.get("constraint"), record.get("constraint_se")
+        """The last sweep's iterate, its y written into the block and its z
+        record formed. A node whose shift is 0.0 is skipped, not changed, and
+        keeps the first sweep's constraint record: y_j = ybar_j + tail_j and
+        tail_j = s_j - s_m is never -0.0, so y + 0.0 is y. A moved node's
+        record is set to NaN, for `picard_solve`'s fill to evaluate from the
+        written y_j. A step whose delta_(j+1) is 0.0 keeps its z record."""
+        first, delta, record = self.first, self.delta, self.first._recorded
         for j, y in enumerate(first.y):
             shift = (delta[j] + self.last.tail[j]) - first.tail[j]
             if shift != 0.0:
                 y += shift
                 if record:
-                    c[j], se[j] = self.backend.mean_se(
-                        first.lo + j, self.scenario.loss.evaluate(self.times[j], y))
-        if record:
-            self.last.diagnostics = diagnostics_record(c, se, flatness_residual(c, self.last.k))
+                    record["constraint"][j] = np.nan
+        self.last.z_record = [rec if dj == 0.0 else rec + dj * self.zeta[j][0]
+                              for j, (rec, dj) in enumerate(zip(first.z_record, delta[1:]))]
+        self.last._recorded = record
         return self.last
 
 

@@ -109,6 +109,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
 
     n = grid.n
     y = [None] * (n + 1)
+    z_record = [rec for piece in pieces for rec in piece.z_record]
     tail, offsets = np.zeros(n + 1), np.zeros(n)
     k = np.zeros(n + 1)
     constraint = np.empty(n + 1)
@@ -132,7 +133,7 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
         offset += piece.k[-1]
 
     solution = ReflectedSolution(
-        lo=0, hi=n, y=y, k=k, tail=tail, step_offsets=offsets,
+        lo=0, hi=n, y=y, k=k, tail=tail, step_offsets=offsets, z_record=z_record,
         diagnostics=diagnostics_record(constraint, constraint_se,
                                        flatness_residual(constraint, k)))
     return solution, histories

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,25 @@ def mc_backend(T, n, N, seed, use_antithetic=True, degree=3, d=1):
 @pytest.fixture
 def regression_backend():
     return mc_backend
+
+
+def _refit_moments(sol, grid, backend):
+    """The reference for a solution's z record: z_j refit from its y at every
+    step, as the z-fit of y_(j+1) - step_offsets[j], with E[z_j] ("mean_z",
+    0 at the terminal node) and sqrt(sum_j E|z_j|^2 dt) ("h2") read off each
+    projection's coefficients."""
+    mean_z, h2_sq = np.zeros((len(sol.y), backend.d)), 0.0
+    for j, offset in enumerate(sol.step_offsets):
+        # y - 0.0 is y: the subtraction is skipped, not changed
+        u = sol.y[j + 1] - offset if offset else sol.y[j + 1]
+        rec, sq = backend.condexp_and_z(sol.lo + j, u, fit=0)
+        mean_z[j], h2_sq = rec[0][0], h2_sq + sq[0] * grid.dt
+    return {"mean_z": mean_z, "h2": math.sqrt(h2_sq)}
+
+
+@pytest.fixture
+def refit_moments():
+    return _refit_moments
 
 
 def assert_close(a, b, tol, msg=""):

@@ -278,7 +278,8 @@ def test_z_rows_from_other_targets(dim):
 @settings(max_examples=60, deadline=None)
 def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, sizes, scale):
     # b_0/N and |W^T b|^2/N are the mean and mean square of the fitted row,
-    # for any targets: a smooth function, pure noise and a square of the
+    # the latter also the sum of squares of the coefficients a/sqrt(N), for
+    # any targets: a smooth function, pure noise and a square of the
     # state, each at a random magnitude, on antithetic or plain ensembles, at
     # step 0, where the fit is the mean, and on a design past GRAM_COND_MAX,
     # which takes the QR branch: plain states shifted by 1.5, whose Gram
@@ -299,39 +300,44 @@ def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, si
     row_scale = np.array([1.0, scale, 1.0 / scale])
     with mock.patch.object(condexp, "GRAM_COND_MAX", gram_cond_max), \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr_calls:
-        fit, mean, sq = backend._project(step, targets, row_scale)
+        fit, mean, sq, coef = backend._project(step, targets, row_scale)
         assert qr_calls.called == (qr and step > 0)
     # 1e-12 relative, with a floor of 1e-12 of the row's largest |entry|
-    for f, m, q in zip(fit, mean, sq, strict=True):
+    for f, m, q, c in zip(fit, mean, sq, coef.T, strict=True):
         m_ref, q_ref, top = backend.mean(step, f), backend.mean(step, f * f), np.max(np.abs(f))
         assert abs(m - m_ref) <= 1e-12 * (abs(m_ref) + top)
         assert abs(q - q_ref) <= 1e-12 * (q_ref + top * top)
-    # through condexp_and_z: E[z] and E|z|^2 sq_scale, the d z rows summed
+        assert abs(np.sum(c * c) - q) <= 1e-12 * q
+    # through condexp_and_z: each z's record (E[z], then coefficients whose
+    # squares sum to E|z|^2) and E|z|^2, the d z rows summed
     v, u = targets[0], targets[2]
-    y, z_v, z_u, mean_z, sq_z = backend.condexp_and_z(step, v, v, u, fit=3, sq_scale=scale)
-    for zm, zq, z in zip(mean_z, sq_z, (z_v, z_u), strict=True):
+    y, z_v, z_u, rec, sq_z = backend.condexp_and_z(step, v, v, u, fit=3)
+    for zr, zq, z in zip(rec, sq_z, (z_v, z_u), strict=True):
         cols = np.max(np.abs(z), axis=0)
-        for m, m_ref, col in zip(zm, backend.mean(step, z), cols, strict=True):
+        for m, m_ref, col in zip(zr[0], backend.mean(step, z), cols, strict=True):
             assert abs(m - m_ref) <= 1e-12 * (abs(m_ref) + col)
-        sq_ref = backend.mean(step, np.sum(z * z, axis=1)) * scale
-        assert abs(zq - sq_ref) <= 1e-12 * (sq_ref + scale * np.sum(cols * cols))
+        sq_ref = backend.mean(step, np.sum(z * z, axis=1))
+        assert abs(zq - sq_ref) <= 1e-12 * (sq_ref + np.sum(cols * cols))
+        assert abs(np.sum(zr[1:] * zr[1:]) - zq) <= 1e-12 * zq
     # fitting the value row only moves it by rounding, and the moments not at all
-    y1, mean_1, sq_1 = backend.condexp_and_z(step, v, v, u, fit=1, sq_scale=scale)
+    y1, rec_1, sq_1 = backend.condexp_and_z(step, v, v, u, fit=1)
     assert np.max(np.abs(y1 - y)) <= 1e-12 * np.max(np.abs(y))
-    assert np.array_equal(mean_1, mean_z) and np.array_equal(sq_1, sq_z)
+    assert np.array_equal(rec_1, rec) and np.array_equal(sq_1, sq_z)
 
 
 def test_lattice_moments_are_the_means_of_the_slopes():
     lattice = LatticeBackend(make_grid(1.0, 6))
     for i in range(6):
         v, u = np.cos(lattice.state(i + 1)[:, 0]), lattice.state(i + 1)[:, 0] ** 3
-        y, z_v, z_u, mean_z, sq_z = lattice.condexp_and_z(i, v, v, u, fit=3, sq_scale=0.3)
+        y, z_v, z_u, rec, sq_z = lattice.condexp_and_z(i, v, v, u, fit=3)
         assert np.array_equal(y, lattice.condexp(i, v))
-        for z, m, q in zip((z_v, z_u), mean_z, sq_z, strict=True):
-            assert np.array_equal(m, lattice.mean(i, z))
-            assert q == lattice.mean(i, z[:, 0] * z[:, 0] * 0.3)
-        mean_u, sq_u = lattice.condexp_and_z(i, v, u, fit=0)
-        assert np.array_equal(mean_u, mean_z[1:])
+        for z, r, q in zip((z_v, z_u), rec, sq_z, strict=True):
+            assert np.array_equal(r[0], lattice.mean(i, z))
+            assert np.array_equal(r[1:], np.sqrt(lattice.probs(i))[:, None] * z)
+            assert q == lattice.mean(i, z[:, 0] * z[:, 0])
+            assert abs(np.sum(r[1:] * r[1:]) - q) <= 1e-15 * q
+        rec_u, sq_u = lattice.condexp_and_z(i, v, u, fit=0)
+        assert np.array_equal(rec_u, rec[1:])
         assert sq_u[0] == lattice.mean(i, z_u[:, 0] * z_u[:, 0])
 
 

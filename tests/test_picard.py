@@ -13,7 +13,7 @@ from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, DriverSpec, ResistanceSpe
                           linear_y_driver, mean_resist_driver, sine_perturbed_loss,
                           zero_driver)
 from mrbsde.paths import antithetic, make_grid, particle_mean, sample_ensemble
-from mrbsde import cli, picard
+from mrbsde import cli, picard, reflect
 from mrbsde.cli import main
 from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory,
                            constants_report, contraction_estimate,
@@ -395,45 +395,126 @@ def test_picard_solve_holds_one_iterate():
 
 
 def test_post_pass_holds_no_z_list(tmp_path):
-    # `summarize` and `write_results_csv` share one backward pass that refits
-    # z_j step by step: beyond one projection's working set it holds a few
-    # node vectors, where a list of z would hold n of them
+    # `summarize` and `write_results_csv` share one sup pass over y and read
+    # z off the answer's record, with no projection: their peak is 3.02 node
+    # vectors (the running sup, one |y_j| and `write_results_csv`'s
+    # deviations), where a list of z would hold n of them and a refit of z_j
+    # at each step, as the post pass made before, read 9.05
     n, N = 32, 20000
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "A_sine_constraint", "grid": {"n": n},
                                "ensemble": {"N": N, "seed": 11}}))
     result = cli.execute(cli.load_config(str(cfg)))
-    projection = _projection_bytes(result.backend.ensemble, n // 2)
     tracemalloc.start()
     try:
         cli.summarize(result)
         cli.write_results_csv(tmp_path / "results.csv", result)
-        extra = (tracemalloc.get_traced_memory()[1] - projection) / (N * 8)
+        peak = tracemalloc.get_traced_memory()[1] / (N * 8)
     finally:
         tracemalloc.stop()
-    assert extra <= 8, f"{extra:.1f} node vectors beyond one projection"
+    assert peak <= 3.25, f"{peak:.2f} node vectors"
+
+
+def _meanfield_d3():
+    # three-dimensional noise, a linear_mean driver: every later sweep moves
+    # each node by delta_j and z_j by delta_(j+1) zeta_j, with zeta_j the
+    # z-fit of the constant 1, which regression noise makes nonzero
+    return ScenarioSpec(name="meanfield_d3", horizon=0.5, brownian_dim=3,
+                        terminal=brownian_shift_terminal(1.0), driver=linear_mean_driver(0.5),
+                        resistance=ResistanceSpec("zero"), loss=linear_shift_loss())
+
+
+POST_PASS_SPECS = {
+    "A": lambda: get("A_sine_constraint").spec, "B": lambda: get("B_meanfield_linear").spec,
+    "C": lambda: get("C_resistance_lipschitz").spec, "D": lambda: get("D_quadratic").spec,
+    "d3": _meanfield_d3, "linear_y": lambda: dataclasses.replace(
+        get("A_sine_constraint").spec, driver=linear_y_driver(0.3)),
+    "linear_y-binding": lambda: _binding_linear_y(),
+    "resistance-binding": lambda: _binding_resistance(),
+    "A-stitched": lambda: get("A_sine_constraint").spec,
+    "B-stitched": lambda: get("B_meanfield_linear").spec,
+    "D-stitched": lambda: get("D_quadratic").spec,
+}
+POST_PASS_CASES = [pytest.param(name, kind, id=f"{name}-{kind}") for name in POST_PASS_SPECS
+                   for kind in ("lattice", "regression") if name != "d3" or kind == "regression"]
+
+
+def _post_pass_run(name, kind):
+    """`cli.execute` on one post-pass case: n = 8 on the lattice, n = 16 and
+    N = 4000 at seed 7 on regression, two intervals when stitched."""
+    raw = {"scenario": "A_sine_constraint", "grid": {"n": 8}, "backend": {"kind": "lattice"}}
+    if kind == "regression":
+        raw = {**raw, "grid": {"n": 16}, "ensemble": {"N": 4000, "seed": 7},
+               "backend": {"kind": "regression"}}
+    if name.endswith("-stitched"):
+        raw["stitch"] = {"intervals": 2}
+    cfg = dataclasses.replace(cli.parse_config(raw), scenario=POST_PASS_SPECS[name]())
+    return cli.execute(cfg)
+
+
+@pytest.mark.parametrize("name, kind", POST_PASS_CASES)
+def test_no_projection_after_the_solve(name, kind, tmp_path, monkeypatch):
+    # the norms and mean_Z come off the answer's z record: a Lipschitz
+    # answer is written out with no projection, and a quadratic one with
+    # one per step, all of them the BMO proxy's refit
+    result = _post_pass_run(name, kind)
+    calls, inside = _count_projections(result.backend), []
+    bmo_proxy = reflect.bmo_proxy
+
+    def counted(*args, **kwargs):
+        inside.append(len(calls))
+        value = bmo_proxy(*args, **kwargs)
+        inside.append(len(calls))
+        return value
+
+    monkeypatch.setattr(reflect, "bmo_proxy", counted)
+    cli.summarize(result)
+    cli.write_results_csv(tmp_path / "results.csv", result)
+    if result.cfg.scenario.mode == LIPSCHITZ:
+        assert calls == [] and inside == []
+    else:
+        assert len(calls) == result.grid.n and inside == [0, result.grid.n]
+
+
+@pytest.mark.parametrize("name, kind", POST_PASS_CASES)
+def test_z_record_matches_a_refit(name, kind, refit_moments):
+    # mean_Z and h2 read off the z record that the sweeps chain (dz's
+    # coefficients added to the previous iterate's, delta_(j+1) times
+    # zeta_j's added by the scalar sweeps' write-back, the pieces' pasted)
+    # against z_j refit from the answer's y at every step
+    result = _post_pass_run(name, kind)
+    got, ref = result.post_pass, refit_moments(result.solution, result.grid, result.backend)
+    tol = np.maximum(1e-12 * np.abs(ref["mean_z"]), 1e-15)
+    assert np.all(np.abs(got["mean_z"] - ref["mean_z"]) <= tol)
+    assert abs(got["norms"]["h2"] - ref["h2"]) <= max(1e-12 * ref["h2"], 1e-15)
+    if name == "d3":
+        # the scalar sweeps' delta zeta term moves h2 well past rounding here
+        first, _ = solve_interval(result.cfg.scenario, result.grid, result.backend,
+                                  zero_solution(result.backend, 0, result.grid.n))
+        h2_first = math.sqrt(sum(float(np.sum(r[1:] * r[1:])) for r in first.z_record)
+                             * result.grid.dt)
+        assert abs(h2_first - ref["h2"]) > 1e-4 * ref["h2"]
 
 
 def _kept_copy(sol: ReflectedSolution) -> ReflectedSolution:
     return ReflectedSolution(lo=sol.lo, hi=sol.hi, y=[y.copy() for y in sol.y],
                              k=sol.k.copy(), tail=sol.tail.copy(),
-                             step_offsets=sol.step_offsets.copy(),
-                             mean_z=None if sol.mean_z is None else sol.mean_z.copy())
+                             step_offsets=sol.step_offsets.copy(), z_record=sol.z_record)
 
 
 def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     """The sweep as three passes over two iterates: deflate, build_k on the
-    deflated values, then iterate_distance; `prev` is left as it was. The
-    means E[z_j] that a quadratic driver reads next come from the deflate
-    pass's z block, and a quadratic iterate's ball record from passes over
-    the new iterate: `sup_norm`, `bmo_proxy` and sup|k|."""
+    deflated values, then iterate_distance; `prev` is left as it was. The z
+    record, whose means E[z_j] a quadratic driver reads next, comes from a
+    projection of each deflated value, and a quadratic iterate's ball record
+    from passes over the new iterate: `sup_norm`, `bmo_proxy` and sup|k|."""
     lo, hi = prev.lo, prev.hi
-    ybar, z = solve_deflated(scenario, grid, backend, prev, terminal_values)
+    ybar, _ = solve_deflated(scenario, grid, backend, prev, terminal_values)
     k, rho = build_k(scenario.loss, grid, backend, ybar, lo)
     tail = k[-1] - k
-    mean_z = np.array([backend.mean(lo + j, z[j]) for j in range(hi - lo)])
+    z_record = [backend.condexp_and_z(lo + j, ybar[j + 1], fit=0)[0][0] for j in range(hi - lo)]
     new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], k=k,
-                            tail=tail, step_offsets=tail[1:], shifts=rho, mean_z=mean_z)
+                            tail=tail, step_offsets=tail[1:], z_record=z_record, shifts=rho)
     if scenario.mode != LIPSCHITZ:
         new.ball = {"s_inf": sup_norm(new.y),
                     "bmo": bmo_proxy(new.y, new.step_offsets, grid, backend, lo),
@@ -499,12 +580,15 @@ def test_sweep_matches_two_pass_reference(name, kind, monkeypatch, regression_ba
         # the tail s_j - s_m and the reference's k_m - k_j round apart by up
         # to one ulp of Y, which a distance near the stopping floor can see
         assert abs(dist - ref_dist) <= 1e-12 * ref_dist + np.spacing(y_scale)
+        # the z records agree to rounding, their means too in quadratic mode,
+        # where the driver reads them next
+        z_scale = max(float(np.max(np.abs(rec))) for rec in ref.z_record)
+        for got, want in zip(new.z_record, ref.z_record, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12 * z_scale
         if scenario.mode != LIPSCHITZ:
             assert list(new.ball) == list(ref.ball) == ["s_inf", "bmo", "k_sup"]
             for key, value in ref.ball.items():
                 assert new.ball[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
-            z_scale = float(np.max(np.abs(ref.mean_z)))
-            assert np.max(np.abs(new.mean_z - ref.mean_z)) <= 1e-12 * z_scale
         sweeps.append(dist)
         return new, dist
 
@@ -619,6 +703,12 @@ def _record_case(name, kind, regression_backend):
         sol, _ = solve_interval(spec, grid, backend, prev)
         assert np.all((sol.shifts[:4] == 0.0) & (sol.tail[:4] > 0.0))
         assert np.all(sol.shifts[4:8] > 0.0)
+        # their searches formed no np.cos: the sweep leaves them to the fill
+        # pass over the written y, which `picard_solve` runs
+        assert sol.diagnostics == {}
+        assert list(np.isnan(sol._recorded["constraint"])) == [True] * 4 + [False] * 5
+        sol.diagnostics = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k,
+                                                 **sol._recorded)
     elif name.endswith("-stitched"):
         constants = stitch_constants(spec)
         sol, _ = solve_global(spec, grid, backend,
@@ -636,9 +726,10 @@ def _record_case(name, kind, regression_backend):
                                   "A_sine_constraint-stitched", "sine-direct",
                                   "sine-binding", "sine-moving"])
 def test_carried_record_matches_a_fresh_pass(name, kind, regression_backend):
-    # the record a particle-free sweep reads off each node's shift search (and
-    # write_back evaluates again where later sweeps moved y) against one loss
-    # pass over the answer: the same bits where the loss is linear or y_j is
+    # the record a particle-free sweep reads off each node's shift search
+    # where it formed np.sin and np.cos arrays (the fill pass evaluates the
+    # others, and the nodes later sweeps moved, from the written y) against
+    # one loss pass over the answer: the same bits where the loss is linear or y_j is
     # ybar_j (tail 0.0); within 1e-15 where the sine family's addition formula
     # forms l(t, ybar_j + tail_j) from sin and cos of ybar_j
     sol, spec, grid, backend = _record_case(name, kind, regression_backend)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (LIPSCHITZ, DriverSpec, ResistanceSpec, ScenarioSpec,
+from mrbsde.model import (LIPSCHITZ, QUADRATIC, DriverSpec, ResistanceSpec, ScenarioSpec,
                           brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, zero_driver)
@@ -259,20 +259,30 @@ def test_flatness_zero_when_reflection_flat():
     assert right == 0.0 and left == 0.0
 
 
+def _with_z_record(grid, backend, y, **fields):
+    """A hand-built solution whose z record is each step's fit of y_(j+1) less
+    its step offset, as a sweep would write it."""
+    offsets = fields["step_offsets"]
+    return ReflectedSolution(0, grid.n, y=y, **fields, z_record=[
+        backend.condexp_and_z(j, y[j + 1] - offsets[j], fit=0)[0][0] for j in range(grid.n)])
+
+
 def test_empirical_norms_examples():
     grid, backend = lattice(1.0, 4)
     zeros = np.zeros(5)
-    # a constant y: its z is refit as 0
+    # a constant y: its z is 0; the BMO proxy only in quadratic mode
     y = [np.full(i + 1, -2.0) for i in range(5)]
-    sol = ReflectedSolution(0, 4, y=y, k=zeros, tail=zeros, step_offsets=zeros[1:])
-    post = empirical_norms(sol, grid, backend)
-    assert post["norms"] == {"s2": 2.0, "h2": 0.0, "s_inf": 2.0, "k_sup": 0.0, "bmo": 0.0}
+    sol = _with_z_record(grid, backend, y, k=zeros, tail=zeros, step_offsets=zeros[1:])
+    post = empirical_norms(sol, grid, backend, LIPSCHITZ)
+    assert post["norms"] == {"s2": 2.0, "h2": 0.0, "s_inf": 2.0, "k_sup": 0.0}
     assert np.array_equal(post["mean_z"], np.zeros((5, 1)))
+    assert empirical_norms(sol, grid, backend, QUADRATIC)["norms"]["bmo"] == 0.0
     # y = B + 1 less step offsets of 1: z = 1 at every step, so H2 and the
     # BMO proxy are sqrt(T) = 1; sup |B + 1| over the 16 paths of the walk
     y = [backend.state(i)[:, 0] + 1.0 for i in range(5)]
-    sol = ReflectedSolution(0, 4, y=y, k=np.arange(5.0), tail=zeros, step_offsets=np.ones(4))
-    post = empirical_norms(sol, grid, backend)
+    sol = _with_z_record(grid, backend, y, k=np.arange(5.0), tail=zeros,
+                         step_offsets=np.ones(4))
+    post = empirical_norms(sol, grid, backend, QUADRATIC)
     sups = [max(abs(1.0 + 0.5 * sum(steps[:i])) for i in range(5))
             for steps in itertools.product((-1, 1), repeat=4)]
     assert post["norms"]["s2"] == pytest.approx(math.sqrt(np.mean(np.square(sups))), rel=1e-15)
@@ -289,7 +299,7 @@ def test_s_inf_is_the_largest_sup_of_the_s2_pass(kind, regression_backend):
     grid, backend = lattice(1.0, 8) if kind == "lattice" else regression_backend(
         1.0, 8, N=2000, seed=5)
     sol = first_sweep(get("A_sine_constraint").spec, grid, backend)
-    s_inf = empirical_norms(sol, grid, backend)["norms"]["s_inf"]
+    s_inf = empirical_norms(sol, grid, backend, LIPSCHITZ)["norms"]["s_inf"]
     assert s_inf == max(max(float(np.max(y)), -float(np.min(y))) for y in sol.y)
 
 
@@ -297,7 +307,7 @@ def test_norms_scenario_a_reflection_sup():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
     sol = first_sweep(spec, grid, backend)
-    norms = empirical_norms(sol, grid, backend)["norms"]
+    norms = empirical_norms(sol, grid, backend, LIPSCHITZ)["norms"]
     assert norms["k_sup"] == pytest.approx(0.3, abs=1e-10)
 
 

@@ -230,10 +230,13 @@ def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
 
 
 def test_one_constraint_pass_per_solve(monkeypatch):
-    # a particle-free solve records the constraint in its first sweep, from
-    # the arrays of each node's shift search, so it makes no separate loss
-    # pass; a driver that reads particles makes one pass over each window's
-    # answer, and its sweeps evaluate the loss once per node, at x = 0
+    # a particle-free solve records the constraint in its first sweep at the
+    # nodes whose shift search formed np.sin and np.cos arrays; one pass over
+    # each window's answer evaluates every other node once, so the linear
+    # family (A) evaluates the loss twice per node, at x = 0 in the sweep and
+    # in the pass. A driver that reads particles makes the same one pass per
+    # window, which evaluates every node, and its sweeps evaluate the loss
+    # once per node, at x = 0
     from mrbsde import cli, picard, reflect
 
     original = reflect.constraint_diagnostics
@@ -267,15 +270,11 @@ def test_one_constraint_pass_per_solve(monkeypatch):
             nodes = np.diff(breaks) + 1
             sweeps = np.array([len(h.distances) for h in histories])
             assert np.all(sweeps > 1)
+            assert len(calls) == len(histories)
             if spec.driver.particle_free:
-                # x = 0 at each node of the first sweep, and the record's
-                # direct evaluation of the linear loss there: two per node,
-                # as one sweep and one pass over the answer made before
-                assert not calls and len(evaluations) == 2 * nodes.sum()
+                assert len(evaluations) == 2 * nodes.sum()
             else:
-                assert len(calls) == len(histories)
                 assert len(evaluations) == np.sum((sweeps + 1) * nodes)
             if len(breaks) == 2:
                 assert sol.diagnostics["constraint"].shape == (grid.n + 1,)
-                if calls:
-                    assert calls[0][4] is sol.k    # the pass ran on the returned iterate
+                assert calls[0][4] is sol.k    # the pass ran on the returned iterate
