@@ -30,8 +30,8 @@ from .paths import antithetic as make_antithetic
 from .paths import make_grid, sample_ensemble
 from .picard import (DEFAULT_MAX_ITER, contraction_estimate, picard_solve,
                      scenario_constants)
-from .reflect import (ReflectedSolution, constraint_diagnostics, default_tolerances,
-                      empirical_norms)
+from .reflect import (ReflectedSolution, complete_record, default_tolerances,
+                      empirical_norms, no_stats)
 from .stitch import plan_intervals, solve_global, stitch_constants
 
 HL_PROBE_PASS = 1.0 + 1e-6
@@ -238,17 +238,18 @@ def build_backend(cfg: RunConfig, grid):
     return RegressionBackend(ens, degree=cfg.degree)
 
 
-def _inflate(solution: ReflectedSolution, amount: float) -> ReflectedSolution:
+def _inflate(solution: ReflectedSolution, amount: float, backend) -> ReflectedSolution:
     """Negative control: add a spurious terminal jump to the reflection, which
     shifts every non-terminal value up and raises the flatness residual; the
-    default flatness threshold can still admit it."""
+    default flatness threshold can still admit it. It is a block, unrecorded."""
     k, tail, offsets = solution.k.copy(), solution.tail.copy(), solution.step_offsets.copy()
     k[-1] += amount
     tail[:-1] += amount
     offsets[:-1] += amount   # the steps into the shifted nodes: z is unchanged
-    y = [y_j + amount for y_j in solution.y[:-1]] + [solution.y[-1]]
-    return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=y, k=k, tail=tail,
-                             step_offsets=offsets, z_record=solution.z_record)
+    *y, y_m = solution.values(backend)
+    return ReflectedSolution(lo=solution.lo, hi=solution.hi, y=[v + amount for v in y] + [y_m],
+                             k=k, tail=tail, step_offsets=offsets, z_record=solution.z_record,
+                             stats=no_stats(len(y)))
 
 
 @dataclass(eq=False)
@@ -265,8 +266,8 @@ class RunResult:
     @cached_property
     def post_pass(self) -> dict:
         """The norms and the means of z that `summarize` and
-        `write_results_csv` share: one sup pass over Y and the z record,
-        with no projection, and in quadratic mode the BMO proxy's refit."""
+        `write_results_csv` share, off the answer's records with no pass over
+        Y and no projection, and in quadratic mode the BMO proxy's refit."""
         return empirical_norms(self.solution, self.grid, self.backend, self.cfg.scenario.mode)
 
 
@@ -292,9 +293,8 @@ def execute(cfg: RunConfig) -> RunResult:
                                          constants=constants)
         histories = [history]
     if cfg.inflate_k:
-        solution = _inflate(solution, cfg.inflate_k)
-        solution.diagnostics = constraint_diagnostics(
-            cfg.scenario.loss, grid, backend, solution.y, solution.k, solution.lo)
+        solution = _inflate(solution, cfg.inflate_k, backend)
+        complete_record(cfg.scenario.loss, grid, backend, solution)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return RunResult(cfg=cfg, grid=grid, backend=backend, solution=solution,
                      histories=histories, constants=constants,
@@ -312,17 +312,14 @@ def _fmt(v: float) -> str:
 
 
 def write_results_csv(path: Path, result: RunResult):
-    sol, backend, mean_z = result.solution, result.backend, result.post_pass["mean_z"]
-    cols = (["t", "mean_Y", "std_Y"] + [f"mean_Z_{j + 1}" for j in range(backend.d)]
+    sol, stats, mean_z = result.solution, result.solution.stats, result.post_pass["mean_z"]
+    cols = (["t", "mean_Y", "std_Y"] + [f"mean_Z_{j + 1}" for j in range(result.backend.d)]
             + ["K", "dK", "constraint_value"])
     lines = [",".join(cols)]
-    for j, y in enumerate(sol.y):
-        i = sol.lo + j
-        mean_y = backend.mean(i, y)
-        var_y = max(backend.mean(i, (y - mean_y) ** 2), 0.0)
+    for j in range(len(sol.y)):
         dk = sol.k[j] - sol.k[j - 1] if j else 0.0
-        row = [result.grid.nodes[i], mean_y, math.sqrt(var_y), *mean_z[j], sol.k[j], dk,
-               sol.diagnostics["constraint"][j]]
+        row = [result.grid.nodes[sol.lo + j], stats["mean_y"][j], stats["std_y"][j], *mean_z[j],
+               sol.k[j], dk, stats["constraint"][j]]
         lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
@@ -481,13 +478,13 @@ def verify_checks(result: RunResult, summary: dict) -> list[dict]:
 def hl_probe_worst(result: RunResult) -> float:
     """Probe the shift operator's mean-Lipschitz bound on coupled perturbations
     of the solved deflated-process laws (y less its offset), the laws the
-    reflection is read off."""
+    reflection is read off (node m // 2 formed again unless kept)."""
     sol, backend = result.solution, result.backend
     loss = result.cfg.scenario.loss
     m = sol.hi - sol.lo
     worst = 0.0
     for j in (0, m // 2, m):
-        law = backend.law(sol.lo + j, sol.y[j] - sol.tail[j])
+        law = backend.law(sol.lo + j, sol.node(j, backend) - sol.tail[j])
         atoms = law.atoms
         pairs = [
             (law, lossop.EmpiricalLaw(atoms + 0.25, law.weights)),

@@ -124,6 +124,7 @@ class RegressionBackend:
         if ensemble.N <= self.basis.features_up_to(ensemble.N):
             raise ValueError("need more particles than basis features")
         self._targets = np.empty((0, ensemble.N))   # the widest (k, N) targets yet
+        self._design_step = None                    # the step `_design` holds
 
     @cached_property
     def _design(self) -> np.ndarray:
@@ -179,11 +180,21 @@ class RegressionBackend:
         self._factors[i] = w
         return w
 
+    def _design_at(self, i: int) -> np.ndarray:
+        """The kept design refilled with step i's features."""
+        phi_fm = self._design
+        x = phi_fm[1:1 + self.d]   # the degree-1 rows: (0, N) at degree 0
+        if self.basis.degree:
+            self.ensemble.step(i, out=x)
+        self.basis.design(x.T, out=phi_fm)
+        self._design_step = i
+        return phi_fm
+
     def _project(self, i: int, targets: np.ndarray, scale=1.0, rows=None):
         """Fit the first `rows` (default all) of the (k, N) targets, each row
         times its `scale`, on the step-i features; returns that fit, every
-        scaled row's fitted mean and fitted mean square, (k,) each, and its
-        coefficients `a/√N`, whose squares sum to the mean square.
+        scaled row's fitted mean and fitted mean square, (k,) each, its
+        coefficients `a/√N`, whose squares sum to the mean square, and `W a`.
 
         In coefficient form, `b = phi_fm targetsᵀ`, `a = Wᵀ b` (scaled) and
         `fit = (W a)ᵀ phi_fm`, with `phi_fm` the (p, N) feature-major design:
@@ -194,21 +205,25 @@ class RegressionBackend:
         forms the higher monomials, so a call allocates only its fit. phi's
         first feature is the constant and phi W is orthonormal, so a fit's
         mean is b_0/N and its mean square |a|^2/N. At step 0 the fit is the
-        particle mean m: the moments are (m, m^2, m).
+        particle mean m: the moments are (m, m^2, m), and m replaces `W a`.
         """
         n = targets.shape[1]
         if i == 0:
             means = particle_mean(targets.T, self.ensemble.antithetic) * scale
-            return np.repeat(means[:rows, None], n, axis=1), means, means * means, means[None]
-        phi_fm = self._design
-        x = phi_fm[1:1 + self.d]   # the degree-1 rows: (0, N) at degree 0
-        if self.basis.degree:
-            self.ensemble.step(i, out=x)
-        w = self._orthonormalizer(i, self.basis.design(x.T, out=phi_fm))
+            c = means[None, :rows]
+            return self.replay(0, c), means, means * means, means[None], c
+        phi_fm = self._design_at(i)
+        w = self._orthonormalizer(i, phi_fm.T)
         b = phi_fm @ targets.T
         a = (w.T @ b) * scale
-        return ((w @ a[:, :rows]).T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n,
-                a / math.sqrt(n))
+        c = w @ a[:, :rows]
+        return c.T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n, a / math.sqrt(n), c
+
+    def replay(self, i: int, record) -> np.ndarray:
+        """A step-i fit again, bit for bit, from its record `W a` on the kept design."""
+        if i == 0:
+            return np.repeat(record.T, self.ensemble.N, axis=1)
+        return record.T @ (self._design if self._design_step == i else self._design_at(i))
 
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)
@@ -216,32 +231,35 @@ class RegressionBackend:
 
     def condexp_and_z(self, i: int, next_values, *z_of, fit=None) -> tuple:
         """One decomposition for E_{t_i}[V], V one row or, with `z_of`, a (k, N)
-        stack, and for U = V or each U of `z_of`, z_U = E_{t_i}[U dB_i]/dt
+        stack (an array, or a tuple of rows written straight into the kept
+        targets), and for U = V or each U of `z_of`, z_U = E_{t_i}[U dB_i]/dt
         (N x d); the targets are [V; U dB_i; ...], with dB_i = B_{i+1} - B_i
         formed in their rows and 1/dt in the coefficients. With `fit` set, only
         the first `fit` outputs are formed, followed by two moments off the
         coefficients, a row per U: z_U's record (E[z_U], then its coefficients
-        `a/√N`, whose squares sum to E|z_U|^2; linear in U) and E|z_U|^2."""
-        v = np.asarray(next_values, dtype=float)
-        us, d, n = z_of or (v,), self.d, v.shape[-1]
-        k = len(v) if v.ndim > 1 else 1
+        `a/√N`, whose squares sum to E|z_U|^2; linear in U) and E|z_U|^2, and
+        at `fit` >= 1 the formed rows' record, which `replay` forms again."""
+        v = next_values if type(next_values) is tuple else np.asarray(next_values, dtype=float)
+        vs = v if type(v) is tuple or v.ndim > 1 else (v,)   # V's rows
+        us, d, n, k = z_of or (v,), self.d, self.ensemble.N, len(vs)
         width = k + d * len(us)
         if len(self._targets) < width:
             self._targets = np.empty((width, n))
         targets = self._targets[:width]   # contiguous, as a fresh array would be
-        targets[:k] = v
+        for row, x in zip(targets, vs):
+            row[...] = x
         blocks = targets[k:].reshape(len(us), d, -1)
         self.ensemble.increment(i, blocks)
         for block, u in zip(blocks, us):
             block *= u
         scale = np.repeat([1.0, 1.0 / self.grid.dt], [k, d * len(us)])
         rows = None if fit is None else k + d * (fit - 1) if fit else 0
-        out, mean, sq, coef = self._project(i, targets, scale, rows)
+        out, mean, sq, coef, record = self._project(i, targets, scale, rows)
         moments = () if fit is None else (
             np.concatenate([mean[k:].reshape(-1, 1, d),
                             coef[:, k:].reshape(len(coef), -1, d).swapaxes(0, 1)], axis=1),
-            sq[k:].reshape(-1, d).sum(axis=1))
-        fits = out[:k].reshape(-1, *v.shape)   # V's fit, or none when no row is formed
+            sq[k:].reshape(-1, d).sum(axis=1), record)[:3 if fit else 2]
+        fits = out[:k].reshape(-1, *((k,) if vs is v else ()), n)   # V's fit, if formed
         return (*fits, *(block.T for block in out[k:].reshape(-1, d, n)), *moments)
 
     def mean(self, i: int, values):
@@ -254,12 +272,12 @@ class RegressionBackend:
     def law(self, i: int, values) -> EmpiricalLaw:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float))
 
-    def sup_sq_mean(self, nodes, return_max=False):
-        """E[ sup_i |V_i|^2 ] over an iterable of (grid node i, particle values
-        V_i) pairs, in any node order, and with `return_max` the largest sup."""
-        sup = _sup_abs(v for _, v in nodes)
-        mean = float(particle_mean(sup * sup, self.ensemble.antithetic))
-        return (mean, float(np.max(sup))) if return_max else mean
+    def sup_sq_mean(self, nodes, sup=None) -> tuple[float, np.ndarray]:
+        """E[ sup_i |V_i|^2 ] and the per-particle sup, over an iterable of
+        (grid node i, particle values V_i) pairs, in any node order, or of a
+        per-particle `sup` already taken."""
+        sup = _sup_abs(v for _, v in nodes) if sup is None else sup
+        return float(particle_mean(sup * sup, self.ensemble.antithetic)), sup
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +326,23 @@ class LatticeBackend:
         E_{t_i}[U dB_i]/dt: the average of V's two successor nodes
         (probabilities 1/2, 1/2), row by row of a stack, and the slope of U's.
         `fit` is as in `RegressionBackend.condexp_and_z`: each slope's record
-        is its `mean`, then the slope times √prob, and E|z|^2 its squares' `mean`."""
+        is its `mean`, then the slope times √prob, E|z|^2 its squares' `mean`,
+        and V's fit its own record."""
         v = np.asarray(next_values, dtype=float)
         if v.shape[-1] != i + 2:
             raise ValueError(f"expected {i + 2} node values at step {i + 1}, got {v.shape[-1]}")
         us = [np.asarray(u, dtype=float) for u in z_of] or [v]
         slopes = [((u[1:] - u[:-1]) / (2.0 * math.sqrt(self.grid.dt)))[:, None] for u in us]
+        fits = (0.5 * (v[..., :-1] + v[..., 1:]), *slopes)
         moments = () if fit is None else (
             np.array([np.vstack([self.mean(i, z), np.sqrt(self.probs(i))[:, None] * z])
                       for z in slopes]),
-            np.array([self.mean(i, z[:, 0] * z[:, 0]) for z in slopes]))
-        return (0.5 * (v[..., :-1] + v[..., 1:]), *slopes)[:fit] + moments
+            np.array([self.mean(i, z[:, 0] * z[:, 0]) for z in slopes]),
+            np.atleast_2d(fits[0]))[:3 if fit else 2]
+        return fits[:fit] + moments
+
+    def replay(self, i: int, record) -> np.ndarray:
+        return record
 
     def mean(self, i: int, values):
         res = np.dot(self.probs(i), values)
@@ -331,12 +355,10 @@ class LatticeBackend:
         return EmpiricalLaw(atoms=np.asarray(values, dtype=float),
                             weights=self.probs(i))
 
-    def sup_sq_mean(self, nodes, return_max=False):
+    def sup_sq_mean(self, nodes, sup=None) -> tuple[float, np.ndarray]:
         """Exact E[ sup |V|^2 ] by enumerating all 2^n equally likely paths,
-        over an iterable of (grid node i, node values V_i) pairs in any node
-        order; each path reads V_i at its node index at step i. `return_max`
-        adds the largest path sup: every node lies on some path."""
-        sup = _sup_abs(np.asarray(v, dtype=float)[self._paths[:, i]]
-                       for i, v in nodes)
-        mean = float(np.mean(sup * sup))
-        return (mean, float(np.max(sup))) if return_max else mean
+        and the per-path sup, as `RegressionBackend.sup_sq_mean`; each path
+        reads V_i at its node index at step i, and every node lies on one."""
+        if sup is None:
+            sup = _sup_abs(np.asarray(v, dtype=float)[self._paths[:, i]] for i, v in nodes)
+        return float(np.mean(sup * sup)), sup

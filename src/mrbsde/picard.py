@@ -12,7 +12,7 @@ import numpy as np
 from .model import (LIPSCHITZ, QUADRATIC, ScenarioSpec, SolverError, _require_finite,
                     hl_constant)
 from .paths import TimeGrid
-from .reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, constraint_diagnostics,
+from .reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, complete_record,
                       solve_interval, sq_norms, sup_norm, zero_solution)
 
 DEFAULT_MAX_ITER = 50
@@ -240,7 +240,7 @@ def iterate_distance(prev: ReflectedSolution, new: ReflectedSolution,
     dy = (new.y[j] - prev.y[j] for j in range(m + 1))
     dk = float(np.max(np.abs(new.k - prev.k)))
     if mode == LIPSCHITZ:
-        s2_sq = backend.sup_sq_mean(enumerate(dy, lo))
+        s2_sq = backend.sup_sq_mean(enumerate(dy, lo))[0]
         moved = ((new.y[j + 1] - new.step_offsets[j]) - (prev.y[j + 1] - prev.step_offsets[j])
                  for j in range(m))
         dz_sq = sum(backend.mean(lo + j, sq_norms(backend.condexp_and_z(lo + j, v)[1]))
@@ -260,14 +260,13 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
     Each sweep is one backward pass written over the previous iterate, so a
-    solve holds one iterate's y block, except that a particle-free driver's
-    sweeps after the first run on per-node scalars (`ScalarSweeps`), which
-    write y once, when the iteration stops. A stall returns the last
-    iterate with `stop_reason="stalled"`, so `converged` is False; running out
-    of `max_iter` raises `ConvergenceError`. The returned iterate carries the
-    diagnostics: one `constraint_diagnostics` pass over the answer evaluates
-    the nodes that a particle-free driver's sweeps did not record (all nodes
-    of any other driver).
+    solve holds at most one iterate's y block: a particle-free driver's first
+    sweep keeps node records, and its later sweeps run on per-node scalars
+    (`ScalarSweeps`), which write a block only if they move a node. A stall
+    returns the last iterate with `stop_reason="stalled"`, so `converged` is
+    False; running out of `max_iter` raises `ConvergenceError`. The returned
+    iterate carries its whole record and the diagnostics: `complete_record`
+    takes the nodes no sweep recorded from the block.
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
     gives the quadratic ball radius and the contraction horizon, which is
@@ -291,8 +290,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
 
-    prev = zero_solution(backend, lo, hi)
-    prev.mean_y = np.zeros(hi - lo + 1)   # no pass over the zero block
+    prev = zero_solution(backend, lo, hi, block=not scenario.driver.particle_free)
     solution = later = None
     for sweep in range(1, max_iter + 1):
         if later is None:
@@ -327,8 +325,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
             f"(last distance {history.distances[-1]:.3g})", history=history)
     if later is not None:
         solution = later.write_back()
-    solution.diagnostics = constraint_diagnostics(scenario.loss, grid, backend, solution.y,
-                                                  solution.k, lo, **solution._recorded)
+    complete_record(scenario.loss, grid, backend, solution)
     return solution, history
 
 

@@ -3,10 +3,10 @@ mode y slot implicit, solved per node in closed form): one backward pass that
 deflates, builds the reflection path as a backward running supremum of minimal
 shifts of the deflated process's laws, and measures the distance from the
 previous iterate while writing over it; the flatness / constraint
-diagnostics, and the sample norms. An iterate stores y and, per step, the
-record of its z: E[z_j] and z_j's projection coefficients, which every sweep
-writes from the rows its projections fit anyway, so the norms and means of z
-need no projection after the solve."""
+diagnostics, and the sample norms. An iterate stores per-node records: of
+its z (E[z_j] and projection coefficients) and of its y (E[y_j], std(y_j),
+the constraint's mean and standard error, and the per-particle sup), so no
+pass over y and no projection runs after a Lipschitz solve."""
 
 from __future__ import annotations
 
@@ -45,8 +45,9 @@ def _node_blocks(backend, lo: int, hi: int, *inner) -> list:
 def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     prev: ReflectedSolution, terminal_values):
     """Backward Euler for the deflated (unconstrained) equation on `prev`'s
-    window, one node at a time: yields (j, ybar_j, terms) for j = m, ..., 0,
-    terms None at the terminal node. Step j projects ybar_(j+1) and, in the
+    window, one node at a time: yields (j, ybar_j, terms, node) for j = m, ...,
+    0, terms None at the terminal node, node (fit record, constant added) at a
+    particle-free Lipschitz step. Step j projects ybar_(j+1) and, in the
     same projection, dz_j, the z of ybar_(j+1) less the value `prev`'s step j
     projected, which is read before node j+1 is yielded, so the caller may
     then write over it: terms is (E|dz_j|^2, dz_j's record). Quadratic mode
@@ -56,13 +57,14 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     The generator's frozen inputs come from the previous iterate `prev`: the
     mean of its y (and of its z in quadratic mode), the resistance of its
-    k, and its reflection tail, all read before the first node is yielded. The
-    scenario's mode picks the generator's y slot. In Lipschitz mode it is the
-    current unknown plus `prev`'s tail: the node equation v = base + f(t, v +
-    tail, ...) * dt is linear in v, because f is affine in y, so one
-    evaluation at v = base divided by 1 - y_slope * dt solves it (needs
-    lam * dt < 1). In quadratic mode the y slot is `prev.y[j]`, read before
-    node j is yielded, and the z slot is z_j.
+    k, and its reflection tail, all read before the first node is yielded
+    (no block reads as y = 0, and y - 0.0 is y). The scenario's mode picks
+    the generator's y slot. In Lipschitz mode it is the current unknown plus
+    `prev`'s tail: the node equation v = base + f(t, v + tail, ...) * dt is
+    linear in v, because f is affine in y, so one evaluation at v = base
+    divided by 1 - y_slope * dt solves it (needs lam * dt < 1). In quadratic
+    mode the y slot is `prev.y[j]`, read before node j is yielded, and the z
+    slot is z_j.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
@@ -75,18 +77,18 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
             "guaranteed solvable; use a finer grid")
     # division by 1.0 is exact, so drivers without a y term step explicitly
     denom = 1.0 - drv.y_slope * dt if implicit else 1.0
-    mean_y = prev.mean_y_path(backend)
+    mean_y = prev.stats["mean_y"]
     resistance = scenario.resistance.apply(window_grid(grid, lo, hi), prev.k)
 
     def step(j, ybar_next, dybar_next, r):
         # the step's temporaries die on return, before the next projection
         i = lo + j
         if implicit:
-            base, rec, sq = backend.condexp_and_z(i, ybar_next, dybar_next, fit=1)
+            base, rec, sq, record = backend.condexp_and_z(i, ybar_next, dybar_next, fit=1)
             z_i, terms = None, (float(sq[-1]), rec[-1])
         else:
-            fits, z_i, dz_i, rec, _ = backend.condexp_and_z(
-                i, np.concatenate([ybar_next[None], r]), ybar_next, dybar_next, fit=3)
+            fits, z_i, dz_i, rec, *_ = backend.condexp_and_z(
+                i, (ybar_next, *r), ybar_next, dybar_next, fit=3)
             base, r = fits[0], fits[1:]
             r[0] += sq_norms(dz_i) * dt
             r[1] += sq_norms(z_i) * dt
@@ -99,17 +101,20 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 prev.y[j], prev.z_record[j][0])
             f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
                              float(resistance[j]))
-        return base + (f / denom) * dt, r, terms
+        shift = (f / denom) * dt
+        return base + shift, r, terms, (record, shift) if implicit and drv.particle_free else None
 
-    ybar, terms = np.asarray(terminal_values, dtype=float), None
+    ybar, terms, node = np.asarray(terminal_values, dtype=float), None, None
     r = None if implicit else np.zeros((2, backend.count(hi)))   # [r^dz; r^z]
     for j in range(m, -1, -1):
         if j < m:
-            ybar, r, terms = step(j, ybar, dybar, r)
-        if j > 0:   # what step j - 1 fits dz from
+            ybar, r, terms, node = step(j, ybar, dybar, r)
+        if j > 0 and prev.y is None:
+            dybar = ybar
+        elif j > 0:   # what step j - 1 fits dz from
             dybar = prev.y[j] - prev.step_offsets[j - 1]
             np.subtract(ybar, dybar, out=dybar)
-        yield j, ybar, terms
+        yield j, ybar, terms, node
 
 
 def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
@@ -125,7 +130,7 @@ def solve_deflated(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     ybar, zs = _node_blocks(backend, lo, hi), _node_blocks(backend, lo, hi, backend.d)
-    for j, y, _ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
+    for j, y, *_ in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
         ybar[j][...] = y
     for j, z in enumerate(zs[:-1]):
         z[...] = backend.condexp_and_z(lo + j, ybar[j + 1])[1]
@@ -183,18 +188,40 @@ def flatness_residual(constraint, k) -> tuple[float, float]:
 
 
 def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
-                           lo: int = 0, constraint=None, constraint_se=None) -> dict:
+                           lo: int = 0) -> dict:
     """One pass of the loss over the nodes: the mean and standard error of
-    l(t_j, y_j) at each node, their minimum and the flatness residuals. A
-    particle-free driver's sweep records some nodes as it goes: given its
-    partial `constraint` and `constraint_se`, the pass fills their NaN nodes
-    in place and evaluates no other."""
-    if constraint is None:
-        constraint, constraint_se = np.full((2, len(y_values)), np.nan)
-    for j in np.flatnonzero(np.isnan(constraint)):
-        vals = loss.evaluate(grid.nodes[lo + j], y_values[j])
+    l(t_j, y_j) at each node, their minimum and the flatness residuals."""
+    constraint, constraint_se = np.empty((2, len(y_values)))
+    for j, y in enumerate(y_values):
+        vals = loss.evaluate(grid.nodes[lo + j], y)
         constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
     return diagnostics_record(constraint, constraint_se, flatness_residual(constraint, k))
+
+
+def _record_node(stats: dict, j: int, backend, i: int, y, loss: LossSpec, t, out=None):
+    """Node j's unrecorded statistics from its values y at grid node i; the
+    deviations for std(y_j) go into `out`, which may be y, if given."""
+    if np.isnan(stats["mean_y"][j]):
+        stats["mean_y"][j] = backend.mean(i, y)
+    if np.isnan(stats["constraint"][j]):
+        vals = loss.evaluate(t, y)
+        stats["constraint"][j], stats["constraint_se"][j] = backend.mean_se(i, vals)
+        out = vals if out is None else out
+    dev = np.subtract(y, stats["mean_y"][j], out=out)
+    dev *= dev
+    stats["std_y"][j] = math.sqrt(max(backend.mean(i, dev), 0.0))
+
+
+def complete_record(loss: LossSpec, grid: TimeGrid, backend, sol: ReflectedSolution):
+    """Record from `sol`'s block each node with no std(y_j) and, if none is
+    kept, the per-particle sup; then attach the diagnostics."""
+    stats = sol.stats
+    for j in np.flatnonzero(np.isnan(stats["std_y"])):
+        _record_node(stats, j, backend, sol.lo + j, sol.y[j], loss, grid.nodes[sol.lo + j])
+    if sol.sup is None:
+        sol.sup = backend.sup_sq_mean(enumerate(sol.y, sol.lo))[1]
+    sol.diagnostics = diagnostics_record(stats["constraint"], stats["constraint_se"],
+                                         flatness_residual(stats["constraint"], sol.k))
 
 
 def diagnostics_record(constraint, constraint_se, flatness) -> dict:
@@ -245,13 +272,13 @@ def sup_norm(values) -> float:
 def empirical_norms(sol: ReflectedSolution, grid: TimeGrid, backend, mode: str) -> dict:
     """The sample norms used by the fixed-point analysis ("norms") and the
     per-node means of z, "mean_z" (0 at the terminal node, which has no
-    step). S2 and S-inf, its largest sup, come from one pass over y, each
-    node read once; E[z_j] and E|z_j|^2, for H2, are read off the z record,
-    with no projection. Quadratic mode adds its own norm, `bmo_proxy`'s BMO
-    estimate, which refits z per particle."""
-    s2_sq, s_inf = backend.sup_sq_mean(enumerate(sol.y, sol.lo), return_max=True)
+    step). S2 and S-inf, its largest sup, come from the answer's recorded
+    per-particle sup; E[z_j] and E|z_j|^2, for H2, are read off the z
+    record, with no pass over y and no projection. Quadratic mode adds its
+    own norm, `bmo_proxy`'s BMO estimate, which refits z per particle."""
+    s2_sq, sup = backend.sup_sq_mean((), sol.sup)
     h2_sq = sum(float(np.sum(rec[1:] * rec[1:])) * grid.dt for rec in sol.z_record)
-    norms = {"s2": float(np.sqrt(s2_sq)), "h2": math.sqrt(h2_sq), "s_inf": s_inf,
+    norms = {"s2": float(np.sqrt(s2_sq)), "h2": math.sqrt(h2_sq), "s_inf": float(np.max(sup)),
              "k_sup": float(np.max(np.abs(sol.k)))}
     if mode != LIPSCHITZ:
         norms["bmo"] = bmo_proxy(sol.y, sol.step_offsets, grid, backend, sol.lo)
@@ -268,14 +295,17 @@ class ReflectedSolution:
     kept as its record z_record[j]: row 0 is E[z_j], the rest its
     coefficients over an orthonormal basis of step j (√prob-weighted slopes
     on the lattice), whose sum of squares is E|z_j|^2; a quadratic driver
-    reads E[z_j] next. Also kept: the sweep's minimal shifts, if any, in
-    quadratic mode its ball record, and `diagnostics`, empty or complete (a
-    particle-free sweep's partial record, NaN at the nodes it did not
-    evaluate, is `_recorded`, for `picard_solve` to complete)."""
+    reads E[z_j] next. y_j is kept, or as (fit record, constant, tail_j) at an
+    interior node of a particle-free driver's first sweep, which keeps no
+    block (`linear_y`'s y_j is no fit plus a constant, and a quadratic driver
+    reads y per particle). `stats` holds E[y_j] ("mean_y"), std(y_j),
+    "constraint" and "constraint_se", NaN where not recorded, and `sup` the
+    per-particle sup_j |y_j|. Also kept: the sweep's minimal shifts, if any,
+    in quadratic mode its ball record, and `diagnostics`, empty or complete."""
 
     lo: int
     hi: int
-    y: list
+    y: list | None
     k: np.ndarray
     tail: np.ndarray
     step_offsets: np.ndarray
@@ -283,22 +313,35 @@ class ReflectedSolution:
     shifts: np.ndarray | None = None
     ball: dict | None = None
     diagnostics: dict = field(default_factory=dict)
-    _recorded: dict = field(default_factory=dict)
-    mean_y: np.ndarray | None = None   # E[y_j], if known without a pass over y
+    stats: dict | None = None
+    sup: np.ndarray | None = None
 
-    def mean_y_path(self, backend) -> np.ndarray:
-        if self.mean_y is not None:
-            return self.mean_y
-        return np.array([backend.mean(self.lo + j, v) for j, v in enumerate(self.y)])
+    def node(self, j: int, backend) -> np.ndarray:
+        """Node j's values, kept or formed again from the record bit for bit."""
+        if type(self.y[j]) is not tuple:
+            return self.y[j]
+        record, shift, tail = self.y[j]
+        return (backend.replay(self.lo + j, record)[0] + shift) + tail
+
+    def values(self, backend) -> list:
+        """Every node's values, the recorded ones formed again."""
+        return [self.node(j, backend) for j in range(len(self.y))]
 
 
-def zero_solution(backend, lo: int, hi: int) -> ReflectedSolution:
-    """The (0, 0, 0) starting triple of the fixed-point iteration. Its y block
-    is the only iterate block of a solve: every sweep writes over it."""
+def no_stats(m: int) -> dict:
+    """A record of m + 1 nodes holding none."""
+    keys = ("mean_y", "std_y", "constraint", "constraint_se")
+    return dict(zip(keys, np.full((len(keys), m + 1), np.nan)))
+
+
+def zero_solution(backend, lo: int, hi: int, block: bool = True) -> ReflectedSolution:
+    """The (0, 0, 0) starting triple of the fixed-point iteration. Its y block,
+    if any, is the only iterate block of a solve: every sweep writes over it."""
     m = hi - lo
-    return ReflectedSolution(lo=lo, hi=hi, y=_node_blocks(backend, lo, hi), k=np.zeros(m + 1),
-                             tail=np.zeros(m + 1), step_offsets=np.zeros(m),
-                             z_record=list(np.zeros((m, 1, backend.d))))
+    return ReflectedSolution(lo=lo, hi=hi, y=_node_blocks(backend, lo, hi) if block else None,
+                             k=np.zeros(m + 1), tail=np.zeros(m + 1), step_offsets=np.zeros(m),
+                             z_record=list(np.zeros((m, 1, backend.d))),
+                             stats={"mean_y": np.zeros(m + 1)})
 
 
 def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
@@ -318,16 +361,17 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     Returns the new iterate, which carries its shifts, its z record (in
     Lipschitz mode `prev`'s plus dz's, since z_j = prev's z_j + dz_j; in
-    quadratic mode z_j's own) and, if its driver is particle-free, the
-    constraint record of its y at the nodes whose search formed np.sin and
-    np.cos arrays, read off them, as `_recorded` (NaN elsewhere: `picard_solve`
-    fills those from the written y, once the window stops), and its distance
-    from `prev`: in Lipschitz mode the root-sum-square of
-    (sample S2, sample H2, sup-k), with a per-particle running sup of |dy| and
-    the per-node H2 means, read off the projections, summed at the end; in
-    quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), and the new
-    iterate carries its ball record: max |y_j| as node j is written, the BMO
-    proxy of its z and sup|k|, both BMO recursions run in the steps' projections.
+    quadratic mode z_j's own), E[y_j] and, for a particle-free driver, each
+    node's whole record (l(t_j, y_j) off the search's np.sin and np.cos
+    arrays where it formed them); from a `prev` with no block, whose y is
+    0.0, it keeps y only as in `ReflectedSolution` and its sup of |dy| as
+    `sup`. It also returns its distance from `prev`: in Lipschitz mode the
+    root-sum-square of (sample S2, sample H2, sup-k), with a per-particle
+    running sup of |dy| and the per-node H2 means, read off the projections,
+    summed at the end; in quadratic mode the sum of (sample S-inf, BMO
+    proxy, sup-k), and the new iterate carries its ball record: max |y_j| as
+    node j is written, the BMO proxy of its z and sup|k|, both BMO
+    recursions run in the steps' projections.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
@@ -335,40 +379,49 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     lipschitz = scenario.mode == LIPSCHITZ
     rho, s, tail = np.empty((3, m + 1))
-    constraint, constraint_se = np.full((2, m + 1), np.nan)
+    stats, y = no_stats(m), [None] * (m + 1) if prev.y is None else prev.y
     recording = scenario.driver.particle_free   # no later general sweep writes over its y
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
     # variation of dz from node j on (quadratic), and of z for the ball record
     z_terms, bmo_terms, y_sup, z_record = [0.0] * m, [0.0] * m, [0.0] * (m + 1), [None] * m
 
     def node_differences():
-        for j, ybar_j, terms in _deflated_nodes(scenario, grid, backend, prev, terminal_values):
-            i = lo + j
+        for j, ybar_j, terms, node in _deflated_nodes(scenario, grid, backend, prev,
+                                                      terminal_values):
+            i, t = lo + j, grid.nodes[lo + j]
             law = backend.law(i, ybar_j)
-            rho[j] = loss_operator(scenario.loss, grid.nodes[i], law.hold() if recording else law)
+            rho[j] = loss_operator(scenario.loss, t, law.hold() if recording else law)
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
             tail[j] = s[j] - s[m]
             # l(t_i, y_j) from the search's arrays, which die before dy
-            vals = release_loss(scenario.loss, grid.nodes[i], law, tail[j]) if recording else None
+            vals = release_loss(scenario.loss, t, law, tail[j]) if recording else None
             if vals is not None:
-                constraint[j], constraint_se[j] = backend.mean_se(i, vals)
+                stats["constraint"][j], stats["constraint_se"][j] = backend.mean_se(i, vals)
             vals = None
-            # one temporary: y_j is formed again straight into the block
-            dy = ybar_j + tail[j]
-            dy -= prev.y[j]
+            # one temporary: y_j is formed again straight into a block, or it is dy
+            y_j = dy = ybar_j + tail[j]
+            if prev.y is None:
+                y[j] = dy if node is None or j == 0 else (*node, tail[j])
+            else:
+                dy -= prev.y[j]
+                y_j = np.add(ybar_j, tail[j], out=prev.y[j])
             if j < m and lipschitz:
                 z_terms[j], rec = terms
                 z_record[j] = prev.z_record[j] + rec
             elif j < m:
                 z_record[j], z_terms[j], bmo_terms[j] = terms
-            np.add(ybar_j, tail[j], out=prev.y[j])
+            stats["mean_y"][j] = backend.mean(i, y_j)
             if not lipschitz:
-                y_sup[j] = float(np.max(np.abs(prev.y[j])))
+                y_sup[j] = float(np.max(np.abs(y_j)))
             yield i, dy
-            dy = None   # freed before the next projection
+            if recording:   # past the sup pass, dy is spare unless it is y_j, kept
+                _record_node(stats, j, backend, i, y_j, scenario.loss, t,
+                             None if y[j] is dy else dy)
+            y_j = dy = None   # freed before the next projection
 
     nodes = node_differences()
-    y_term = backend.sup_sq_mean(nodes) if lipschitz else sup_norm(dy for _, dy in nodes)
+    y_term, sup = backend.sup_sq_mean(nodes) if lipschitz else (
+        sup_norm(dy for _, dy in nodes), None)
     k = s[0] - s
     dk = float(np.max(np.abs(k - prev.k)))
     if lipschitz:
@@ -377,10 +430,9 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
         dist = y_term + float(np.sqrt(max([0.0, *z_terms]))) + dk
         ball = {"s_inf": max(y_sup), "bmo": float(np.sqrt(max([0.0, *bmo_terms]))),
                 "k_sup": float(np.max(np.abs(k)))}
-    recorded = {"constraint": constraint, "constraint_se": constraint_se} if recording else {}
-    return ReflectedSolution(lo=lo, hi=hi, y=prev.y, k=k, tail=tail, step_offsets=tail[1:],
-                             z_record=z_record, shifts=rho, ball=ball,
-                             _recorded=recorded), dist
+    return ReflectedSolution(lo=lo, hi=hi, y=y, k=k, tail=tail, step_offsets=tail[1:],
+                             z_record=z_record, shifts=rho, ball=ball, stats=stats,
+                             sup=sup if prev.y is None else None), dist
 
 
 class ScalarSweeps:
@@ -390,10 +442,11 @@ class ScalarSweeps:
     sum_(l>=j) (f_l - f1_l) dt, and its z the first one's plus delta_(j+1)
     zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice), whose
     record and E|zeta_j|^2 one pass reads off projection coefficients,
-    fitting no row. The block of `first`, the first sweep's iterate, holds
-    its y until `write_back` adds the last sweep's offsets to it; y_(j+1) -
-    tail_(j+1) is then ybar1_(j+1) + delta_(j+1), and the z record, linear in
-    it, becomes first's plus delta_(j+1) times zeta_j's."""
+    fitting no row; run at the first search of a node's law, it also replays
+    `first`, the first sweep's iterate, into a block, which holds its y until
+    `write_back` adds the last sweep's offsets to it; y_(j+1) - tail_(j+1) is
+    then ybar1_(j+1) + delta_(j+1), and the z record, linear in it, becomes
+    first's plus delta_(j+1) times zeta_j's."""
 
     def __init__(self, scenario: ScenarioSpec, grid: TimeGrid, backend,
                  first: ReflectedSolution):
@@ -402,7 +455,6 @@ class ScalarSweeps:
         self.times = grid.nodes[first.lo:first.hi + 1]
         # the first sweep read the zero triple, whose mean and resistance are 0
         self.f1 = [scenario.driver.scalar(t, 0.0, 0.0) for t in self.times]
-        self.mean_y1 = first.mean_y_path(backend)
         self.last, self.delta = first, np.zeros(len(self.times))
         self.laws, self.zeta, self.zeta_sq = [None] * len(self.times), None, None
 
@@ -411,14 +463,14 @@ class ScalarSweeps:
         of `solve_interval` on dy_j and dz_j / zeta_j, the same on every particle."""
         first, last, m, dt = self.first, self.last, len(self.times) - 1, self.grid.dt
         g = self.scenario.resistance.apply(self.window, last.k)
-        mean_y = self.mean_y1 + ((self.delta + last.tail) - first.tail)
+        mean_y = first.stats["mean_y"] + ((self.delta + last.tail) - first.tail)
         delta, rho, s = np.zeros(m + 1), np.empty(m + 1), np.empty(m + 1)
         for j in range(m, -1, -1):
             if j < m:
                 f = self.scenario.driver.scalar(self.times[j], float(mean_y[j]), float(g[j]))
                 delta[j] = delta[j + 1] + (f - self.f1[j]) * dt
             if delta[j] != 0.0 and self.laws[j] is None:
-                self.laws[j] = self.backend.law(first.lo + j, first.y[j])
+                self.laws[j] = self.backend.law(first.lo + j, self._block()[j])
             # ybar1_j + delta_j is the block row y1_j plus delta_j - tail1_j
             rho[j] = first.shifts[j] if delta[j] == 0.0 else loss_operator(
                 self.scenario.loss, self.times[j], self.laws[j], delta[j] - first.tail[j])
@@ -427,34 +479,42 @@ class ScalarSweeps:
         new = ReflectedSolution(lo=first.lo, hi=first.hi, y=first.y, k=s[0] - s, tail=tail,
                                 step_offsets=tail[1:], shifts=rho)
         dy = (delta + new.tail) - (self.delta + last.tail)
-        moved = (delta - self.delta)[1:]
-        if self.zeta is None and np.any(moved != 0.0):
-            self.zeta, sq = zip(*(self.backend.condexp_and_z(
-                i, np.ones(self.backend.count(i + 1)), fit=0) for i in range(first.lo, first.hi)))
-            self.zeta_sq = np.array([q[0] for q in sq])
+        moved = (delta - self.delta)[1:]   # nonzero only once `_block` ran
         z_term = 0.0 if self.zeta_sq is None else float(np.sum(moved * moved * self.zeta_sq))
         dk = float(np.max(np.abs(new.k - last.k)))
         self.last, self.delta = new, delta
         return math.sqrt(float(np.max(dy * dy)) + z_term * dt + dk * dk)
 
+    def _block(self) -> list:
+        """first's y as a block, made by the zeta pass on its first call."""
+        first, backend, passes = self.first, self.backend, []
+        if self.zeta is None:
+            for j in range(len(first.y) - 1):
+                i = first.lo + j
+                passes.append(backend.condexp_and_z(i, np.ones(backend.count(i + 1)), fit=0))
+                first.y[j] = first.node(j, backend)
+            self.zeta, sq = zip(*passes)
+            self.zeta_sq = np.array([q[0] for q in sq])
+        return first.y
+
     def write_back(self) -> ReflectedSolution:
         """The last sweep's iterate, its y written into the block and its z
         record formed. A node whose shift is 0.0 is skipped, not changed, and
-        keeps the first sweep's constraint record: y_j = ybar_j + tail_j and
-        tail_j = s_j - s_m is never -0.0, so y + 0.0 is y. A moved node's
-        record is set to NaN, for `picard_solve`'s fill to evaluate from the
-        written y_j. A step whose delta_(j+1) is 0.0 keeps its z record."""
-        first, delta, record = self.first, self.delta, self.first._recorded
+        keeps the first sweep's record: y_j = ybar_j + tail_j and tail_j =
+        s_j - s_m is never -0.0, so y + 0.0 is y. A moved node's record and
+        the sup are dropped, for `complete_record`; only a sweep that ran
+        `_block` moves one. A step whose delta_(j+1) is 0.0 keeps its z record."""
+        first, delta, last = self.first, self.delta, self.last
+        last.stats, last.sup = first.stats, first.sup
         for j, y in enumerate(first.y):
-            shift = (delta[j] + self.last.tail[j]) - first.tail[j]
+            shift = (delta[j] + last.tail[j]) - first.tail[j]
             if shift != 0.0:
                 y += shift
-                if record:
-                    record["constraint"][j] = np.nan
-        self.last.z_record = [rec if dj == 0.0 else rec + dj * self.zeta[j][0]
-                              for j, (rec, dj) in enumerate(zip(first.z_record, delta[1:]))]
-        self.last._recorded = record
-        return self.last
+                last.stats["mean_y"][j] = last.stats["std_y"][j] = np.nan
+                last.stats["constraint"][j], last.sup = np.nan, None
+        last.z_record = [rec if dj == 0.0 else rec + dj * self.zeta[j][0]
+                         for j, (rec, dj) in enumerate(zip(first.z_record, delta[1:]))]
+        return last
 
 
 def default_tolerances(solution: ReflectedSolution, grid: TimeGrid) -> dict:

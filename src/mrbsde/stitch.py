@@ -6,6 +6,7 @@ offsets that keep the global path continuous."""
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .paths import TimeGrid
 from .picard import (DEFAULT_MAX_ITER, ConstantsReport, PicardHistory,
                      constants_report, contraction_horizon, picard_solve,
                      scenario_constants)
-from .reflect import ReflectedSolution, diagnostics_record, flatness_residual
+from .reflect import ReflectedSolution, diagnostics_record, flatness_residual, no_stats
 
 
 class PlanError(SolverError):
@@ -84,8 +85,8 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
 
     Each interval's terminal condition is the pasted solution value at its
     right edge (the same random variable on the shared ensemble); the
-    reflection offsets accumulate so the global path is continuous,
-    starts at zero, and stays nondecreasing.
+    reflection offsets accumulate so the global path is continuous, starts
+    at zero, and stays nondecreasing. The pieces' records are pasted.
     """
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator")
@@ -110,30 +111,28 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
     n = grid.n
     y = [None] * (n + 1)
     z_record = [rec for piece in pieces for rec in piece.z_record]
-    tail, offsets = np.zeros(n + 1), np.zeros(n)
-    k = np.zeros(n + 1)
-    constraint = np.empty(n + 1)
-    constraint_se = np.empty(n + 1)
+    tail, offsets, k = np.zeros(n + 1), np.zeros(n), np.zeros(n + 1)
+    stats = no_stats(n)
     offset = 0.0
     for j, piece in enumerate(pieces):
         lo, hi = breaks[j], breaks[j + 1]
-        own_hi = hi + 1 if j == len(pieces) - 1 else hi
-        for i in range(lo, own_hi):
-            idx = i - lo
-            y[i] = piece.y[idx]
-            # the piece's own tail: its y already holds the later reflection
-            tail[i] = piece.tail[idx]
-            # the pieces evaluated the loss on these same node values
-            constraint[i] = piece.diagnostics["constraint"][idx]
-            constraint_se[i] = piece.diagnostics["constraint_se"][idx]
+        own = hi + 1 - lo if j == len(pieces) - 1 else hi - lo
+        # the piece's own values, records and tail: its y already holds the
+        # later reflection, and its record is of these same node values
+        y[lo:lo + own] = piece.y[:own]
+        tail[lo:lo + own] = piece.tail[:own]
+        for key, values in stats.items():
+            values[lo:lo + own] = piece.stats[key][:own]
         # the piece's own step offsets: its last step projected the seam
         # value itself, at offset 0, whatever the global tail there
         offsets[lo:hi] = piece.step_offsets
         k[lo:hi + 1] = piece.k + offset
         offset += piece.k[-1]
 
+    constraint = stats["constraint"]
     solution = ReflectedSolution(
         lo=0, hi=n, y=y, k=k, tail=tail, step_offsets=offsets, z_record=z_record,
-        diagnostics=diagnostics_record(constraint, constraint_se,
+        stats=stats, sup=reduce(np.maximum, (piece.sup for piece in pieces)),
+        diagnostics=diagnostics_record(constraint, stats["constraint_se"],
                                        flatness_residual(constraint, k)))
     return solution, histories

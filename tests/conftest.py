@@ -31,11 +31,12 @@ def _refit_moments(sol, grid, backend):
     """The reference for a solution's z record: z_j refit from its y at every
     step, as the z-fit of y_(j+1) - step_offsets[j], with E[z_j] ("mean_z",
     0 at the terminal node) and sqrt(sum_j E|z_j|^2 dt) ("h2") read off each
-    projection's coefficients."""
+    projection's coefficients. A node kept as a record is formed again."""
     mean_z, h2_sq = np.zeros((len(sol.y), backend.d)), 0.0
     for j, offset in enumerate(sol.step_offsets):
         # y - 0.0 is y: the subtraction is skipped, not changed
-        u = sol.y[j + 1] - offset if offset else sol.y[j + 1]
+        y = sol.node(j + 1, backend)
+        u = y - offset if offset else y
         rec, sq = backend.condexp_and_z(sol.lo + j, u, fit=0)
         mean_z[j], h2_sq = rec[0][0], h2_sq + sq[0] * grid.dt
     return {"mean_z": mean_z, "h2": math.sqrt(h2_sq)}

@@ -62,7 +62,7 @@ def test_criterion_2_meanfield_fixed_point():
     entry = get("B_meanfield_linear")
     grid, backend = mc_backend(entry.spec, n=64, N=100_000)
     sol, hist = picard_solve(entry.spec, grid, backend)
-    mean_err = abs(sol.mean_y_path(backend)[0] - math.exp(0.25))
+    mean_err = abs(sol.stats["mean_y"][0] - math.exp(0.25))
     sup_k = float(np.max(sol.k))
     sweeps = len(hist.distances)
     ok = mean_err <= 5e-3 and sup_k <= 1e-3 and sweeps <= 10
@@ -76,7 +76,7 @@ def test_criterion_3_oracle_equivalence(name):
     exact = exact_solve(spec, 8)
     grid, backend = lat_backend(spec, 8)
     sol, _ = picard_solve(spec, grid, backend, tol=1e-12)
-    mean_dev = float(np.max(np.abs(sol.mean_y_path(backend) - exact.mean_y)))
+    mean_dev = float(np.max(np.abs(sol.stats["mean_y"] - exact.mean_y)))
     k_dev = float(np.max(np.abs(sol.k - exact.k)))
     flat_dev = abs(sol.diagnostics["flatness_right"] - exact.flatness_right)
     ok = mean_dev <= 1e-10 and k_dev <= 1e-10 and flat_dev <= 1e-10
@@ -166,8 +166,7 @@ def test_criterion_7_stitching_consistency():
     breaks4 = plan_intervals(spec, grid, constants, intervals=4)
     s1, _ = solve_global(spec, grid, backend, breaks1, constants, tol=1e-6)
     s4, _ = solve_global(spec, grid, backend, breaks4, constants, tol=1e-6)
-    mean_dev = float(np.max(np.abs(s1.mean_y_path(backend)
-                                   - s4.mean_y_path(backend))))
+    mean_dev = float(np.max(np.abs(s1.stats["mean_y"] - s4.stats["mean_y"])))
     k_dev = float(np.max(np.abs(s1.k - s4.k)))
     eps = default_tolerances(s4, grid)["constraint"]
     seam_min = min(s4.diagnostics["constraint"][b] for b in breaks4[1:-1])
@@ -181,7 +180,7 @@ def _hl_worst(sol, backend, grid, loss):
     worst = 0.0
     m = sol.hi - sol.lo
     for j in (0, m // 2, m):
-        law = backend.law(sol.lo + j, sol.y[j] - sol.tail[j])
+        law = backend.law(sol.lo + j, sol.node(j, backend) - sol.tail[j])
         pairs = [(law, EmpiricalLaw(law.atoms + 0.3, law.weights)),
                  (law, EmpiricalLaw(law.atoms * 1.1, law.weights)),
                  (law, EmpiricalLaw(law.atoms + 0.1 * np.sin(law.atoms),
@@ -210,7 +209,8 @@ def test_criterion_8_invariant_suite(entry, backend_kind):
     # reduction order; there is no worker-count knob to vary)
     sol2, hist2 = run()
     identical = (np.array_equal(sol.k, sol2.k)
-                 and all(np.array_equal(a, b) for a, b in zip(sol.y, sol2.y))
+                 and all(np.array_equal(a, b)
+                         for a, b in zip(sol.values(backend), sol2.values(backend)))
                  and hist.distances == hist2.distances)
     ok = (sol.k[0] == 0.0 and bool(np.all(np.diff(sol.k) >= 0.0))
           and sol.diagnostics["min_constraint"] >= -eps

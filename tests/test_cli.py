@@ -185,10 +185,10 @@ def test_inflate_k_leaves_the_refit_z_unchanged(tmp_path, stitch, refit_moments)
         cfg["stitch"] = stitch
     results = [cli.execute(cli.load_config(write_config(tmp_path, c)))
                for c in (cfg, {**cfg, "debug": {"inflate_k": 0.05}})]
+    backend, plain_sol = results[0].backend, results[0].solution
     assert all(np.allclose(a - b, 0.05) for a, b in zip(results[1].solution.y[:-1],
-                                                        results[0].solution.y[:-1]))
-    plain_sol = results[0].solution
-    assert cli._inflate(plain_sol, 0.05).z_record is plain_sol.z_record
+                                                        plain_sol.values(backend)[:-1]))
+    assert cli._inflate(plain_sol, 0.05, backend).z_record is plain_sol.z_record
     assert all(np.array_equal(a, b) for a, b in zip(results[1].solution.z_record,
                                                     plain_sol.z_record, strict=True))
     plain, inflated = (refit_moments(result.solution, result.grid, result.backend)

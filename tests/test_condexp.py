@@ -300,7 +300,8 @@ def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, si
     row_scale = np.array([1.0, scale, 1.0 / scale])
     with mock.patch.object(condexp, "GRAM_COND_MAX", gram_cond_max), \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr_calls:
-        fit, mean, sq, coef = backend._project(step, targets, row_scale)
+        fit, mean, sq, coef, record = backend._project(step, targets, row_scale)
+        assert np.array_equal(backend.replay(step, record), fit)
         assert qr_calls.called == (qr and step > 0)
     # 1e-12 relative, with a floor of 1e-12 of the row's largest |entry|
     for f, m, q, c in zip(fit, mean, sq, coef.T, strict=True):
@@ -311,7 +312,7 @@ def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, si
     # through condexp_and_z: each z's record (E[z], then coefficients whose
     # squares sum to E|z|^2) and E|z|^2, the d z rows summed
     v, u = targets[0], targets[2]
-    y, z_v, z_u, rec, sq_z = backend.condexp_and_z(step, v, v, u, fit=3)
+    y, z_v, z_u, rec, sq_z, _ = backend.condexp_and_z(step, v, v, u, fit=3)
     for zr, zq, z in zip(rec, sq_z, (z_v, z_u), strict=True):
         cols = np.max(np.abs(z), axis=0)
         for m, m_ref, col in zip(zr[0], backend.mean(step, z), cols, strict=True):
@@ -320,7 +321,7 @@ def test_coefficient_moments_match_the_fitted_rows(anti, dim, qr, step, seed, si
         assert abs(zq - sq_ref) <= 1e-12 * (sq_ref + np.sum(cols * cols))
         assert abs(np.sum(zr[1:] * zr[1:]) - zq) <= 1e-12 * zq
     # fitting the value row only moves it by rounding, and the moments not at all
-    y1, rec_1, sq_1 = backend.condexp_and_z(step, v, v, u, fit=1)
+    y1, rec_1, sq_1, _ = backend.condexp_and_z(step, v, v, u, fit=1)
     assert np.max(np.abs(y1 - y)) <= 1e-12 * np.max(np.abs(y))
     assert np.array_equal(rec_1, rec) and np.array_equal(sq_1, sq_z)
 
@@ -329,8 +330,9 @@ def test_lattice_moments_are_the_means_of_the_slopes():
     lattice = LatticeBackend(make_grid(1.0, 6))
     for i in range(6):
         v, u = np.cos(lattice.state(i + 1)[:, 0]), lattice.state(i + 1)[:, 0] ** 3
-        y, z_v, z_u, rec, sq_z = lattice.condexp_and_z(i, v, v, u, fit=3)
+        y, z_v, z_u, rec, sq_z, record = lattice.condexp_and_z(i, v, v, u, fit=3)
         assert np.array_equal(y, lattice.condexp(i, v))
+        assert np.array_equal(lattice.replay(i, record)[0], y)
         for z, r, q in zip((z_v, z_u), rec, sq_z, strict=True):
             assert np.array_equal(r[0], lattice.mean(i, z))
             assert np.array_equal(r[1:], np.sqrt(lattice.probs(i))[:, None] * z)
@@ -450,9 +452,12 @@ def test_regression_sup_sq_mean_streams_bit_for_bit():
     cols = [rng.normal(size=ens.N) for _ in range(7)]
     copies = [c.copy() for c in cols]
     ref = float(particle_mean(_stacked_sup_sq(cols), antithetic=True))
-    assert backend.sup_sq_mean(enumerate(cols)) == ref
+    mean, sup = backend.sup_sq_mean(enumerate(cols))
+    assert mean == ref
     # the sweep passes its nodes backward
-    assert backend.sup_sq_mean(reversed(list(enumerate(cols)))) == ref
+    assert backend.sup_sq_mean(reversed(list(enumerate(cols))))[0] == ref
+    # a kept per-particle sup gives the same mean
+    assert backend.sup_sq_mean((), sup)[0] == ref
     # the running max never writes into the caller's values
     assert all(np.array_equal(a, b) for a, b in zip(cols, copies))
 
@@ -464,9 +469,12 @@ def test_lattice_sup_sq_mean_streams_bit_for_bit():
     cols = [rng.normal(size=lo + j + 1) for j in range(5)]
     gathered = [c[backend._paths[:, lo + j]] for j, c in enumerate(cols)]
     ref = float(np.mean(_stacked_sup_sq(gathered)))
-    assert backend.sup_sq_mean(enumerate(cols, lo)) == ref
+    mean, sup = backend.sup_sq_mean(enumerate(cols, lo))
+    assert mean == ref and len(sup) == 2 ** 6
     # the sweep passes its nodes backward; each path still reads node lo + j
-    assert backend.sup_sq_mean(reversed(list(enumerate(cols, lo)))) == ref
+    assert backend.sup_sq_mean(reversed(list(enumerate(cols, lo))))[0] == ref
+    # a kept per-path sup gives the same mean
+    assert backend.sup_sq_mean((), sup)[0] == ref
 
 
 def interleaved_reference(ens):
@@ -601,3 +609,26 @@ def test_repeated_projections_allocate_only_their_fit():
     finally:
         tracemalloc.stop()
     assert peak <= (1 + d + 1) * N * 8, f"{peak / (N * 8):.2f} node vectors"
+
+
+@pytest.mark.parametrize("d, degree", [(1, 0), (1, 1), (1, 3), (3, 3)])
+def test_replay_is_bit_for_bit(d, degree):
+    # a step's value fit formed again from its record W a equals the fit the
+    # projection formed, byte for byte: on the kept design, which still
+    # holds the step, and on one rebuilt after a projection at another step;
+    # step 0, whose fit is the particle mean, included. Tier-1 runs this at
+    # the default BLAS thread count, and CI again at one thread
+    grid = make_grid(1.0, 4)
+    ens = antithetic(sample_ensemble(grid, 10_000, d, seed=3))
+    backend = RegressionBackend(ens, degree=degree)
+    for i in range(grid.n):
+        x = backend.state(i + 1)
+        v = np.sin(x[:, 0]) + x[:, -1] ** 2
+        fit, _, _, record = backend.condexp_and_z(i, v, v - 1.0, fit=1)
+        assert backend.replay(i, record)[0].tobytes() == fit.tobytes()
+        backend.condexp(2 if i == 1 else 1, v)        # the kept design: another step's
+        assert backend.replay(i, record)[0].tobytes() == fit.tobytes()
+    lattice = LatticeBackend(grid)
+    for i in range(grid.n):
+        fit, _, _, record = lattice.condexp_and_z(i, lattice.state(i + 1)[:, 0] ** 3, fit=1)
+        assert np.array_equal(lattice.replay(i, record)[0], fit)

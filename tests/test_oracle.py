@@ -109,7 +109,7 @@ def test_lattice_backend_matches_oracle_under_binding_resistance(n):
     exact = exact_solve(spec, n)
     backend = LatticeBackend(make_grid(BIND_T, n))
     sol, _ = picard_solve(spec, backend.grid, backend, tol=1e-12)
-    assert np.max(np.abs(sol.mean_y_path(backend) - exact.mean_y)) <= 1e-10
+    assert np.max(np.abs(sol.stats["mean_y"] - exact.mean_y)) <= 1e-10
     assert np.max(np.abs(sol.k - exact.k)) <= 1e-10
     assert abs(sol.diagnostics["flatness_right"] - exact.flatness_right) <= 1e-10
 
@@ -124,7 +124,7 @@ def test_lattice_backend_matches_oracle_linear_y(n):
     exact = exact_solve(spec, n)
     backend = LatticeBackend(make_grid(BIND_T, n))
     sol, _ = picard_solve(spec, backend.grid, backend, tol=1e-12)
-    assert np.max(np.abs(sol.mean_y_path(backend) - exact.mean_y)) <= 1e-10
+    assert np.max(np.abs(sol.stats["mean_y"] - exact.mean_y)) <= 1e-10
     assert np.max(np.abs(sol.k - exact.k)) <= 1e-10
     assert sol.k[-1] > 0.0
 

@@ -23,8 +23,8 @@ from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory,
                            quadratic_stability_horizon, scenario_constants,
                            uniform_y_bound)
 from mrbsde.reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, build_k,
-                            constraint_diagnostics, solve_deflated, solve_interval, sup_norm,
-                            zero_solution)
+                            complete_record, constraint_diagnostics, no_stats, solve_deflated,
+                            solve_interval, sup_norm, zero_solution)
 from mrbsde.scenarios import get
 from mrbsde.stitch import plan_intervals, solve_global, stitch_constants
 
@@ -167,7 +167,7 @@ def test_scenario_b_matches_scalar_recursion():
     grid, backend = lattice(b.horizon, 8)
     sol, hist = picard_solve(b, grid, backend, tol=1e-12)
     ref = (1.0 - 0.5 * grid.dt) ** -8
-    assert sol.mean_y_path(backend)[0] == pytest.approx(ref, abs=1e-10)
+    assert sol.stats["mean_y"][0] == pytest.approx(ref, abs=1e-10)
     assert np.array_equal(sol.k, np.zeros(9))
     assert any("exceeds the contraction horizon" in w for w in hist.warnings)
 
@@ -214,7 +214,7 @@ def test_implicit_y_fixed_point_matches_closed_form():
     grid, backend = lattice(0.25, n)
     imp, _ = picard_solve(spec, grid, backend, tol=1e-12)
     ref = (1.0 - 0.3 * grid.dt) ** -(n - np.arange(n + 1))
-    assert np.max(np.abs(imp.mean_y_path(backend) - ref)) <= 1e-15
+    assert np.max(np.abs(imp.stats["mean_y"] - ref)) <= 1e-15
 
 
 def test_stall_returns_unconverged(monkeypatch, tmp_path):
@@ -366,11 +366,13 @@ def test_iterate_distance_streams_within_eight_node_vectors():
 
 
 def test_picard_solve_holds_one_iterate():
-    # every sweep writes over the zero triple's y block, so a whole solve
-    # holds one iterate of (n + 1) node vectors, one projection's working set
-    # and a few node vectors; two iterates alive together would add n + 1
-    # node vectors, and a z block d (n + 1). On B (linear_mean) the offsets
-    # move, so the scalar sweeps' zeta pass and the y write-back run
+    # A's first sweep keeps node records and its two end nodes, and no later
+    # sweep moves a node, so the solve holds no y block: one projection's
+    # working set and at most 12 node vectors (6.26 here), where a block
+    # would add n + 1. On B (linear_mean) the offsets move, so the scalar
+    # sweeps' zeta pass replays one block of (n + 1) node vectors, which the
+    # y write-back and the closing pass read; a second block alive with it
+    # would add n + 1 more, and a z block d (n + 1)
     n, N = 32, 20000
     node = N * 8
     grid = make_grid(1.0, n)
@@ -389,17 +391,17 @@ def test_picard_solve_holds_one_iterate():
         assert len(hist.distances) >= 2
         if name == "B_meanfield_linear":   # the first sweep and the zeta pass
             assert len(calls) == 2 * n
-        iterate = (n + 1) * node
+        iterate = (n + 1) * node if name == "B_meanfield_linear" else 0
         extra = (peak - iterate - projection) / node
-        assert extra <= 12, f"{name}: {extra:.1f} node vectors beyond one iterate and one projection"
+        assert extra <= 12, f"{name}: {extra:.1f} node vectors beyond its block and one projection"
 
 
 def test_post_pass_holds_no_z_list(tmp_path):
-    # `summarize` and `write_results_csv` share one sup pass over y and read
-    # z off the answer's record, with no projection: their peak is 3.02 node
-    # vectors (the running sup, one |y_j| and `write_results_csv`'s
-    # deviations), where a list of z would hold n of them and a refit of z_j
-    # at each step, as the post pass made before, read 9.05
+    # `summarize` and `write_results_csv` read y's and z's records only, with
+    # no pass over y and no projection: their peak is 2.01 node vectors, the
+    # square of the recorded sup and its antithetic pair means for S2. A sup
+    # pass over y with `write_results_csv`'s deviations read 3.02, and a list
+    # of z would hold n node vectors
     n, N = 32, 20000
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "A_sine_constraint", "grid": {"n": n},
@@ -412,7 +414,7 @@ def test_post_pass_holds_no_z_list(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] / (N * 8)
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25, f"{peak:.2f} node vectors"
+    assert peak <= 2.25, f"{peak:.2f} node vectors"
 
 
 def _meanfield_d3():
@@ -496,25 +498,63 @@ def test_z_record_matches_a_refit(name, kind, refit_moments):
         assert abs(h2_first - ref["h2"]) > 1e-4 * ref["h2"]
 
 
-def _kept_copy(sol: ReflectedSolution) -> ReflectedSolution:
-    return ReflectedSolution(lo=sol.lo, hi=sol.hi, y=[y.copy() for y in sol.y],
+@pytest.mark.parametrize("name, kind", POST_PASS_CASES)
+def test_records_equal_a_direct_pass(name, kind):
+    # every per-node record (mean_Y, std_Y, the constraint's mean and
+    # standard error) and the sup that S2 and S_inf come from, as the sweeps
+    # and the closing pass left them, against one direct pass over the
+    # materialized answer, byte for byte: the first sweep's records where no
+    # node moves (A, stitched A), the closing pass's where scalar sweeps
+    # moved nodes (B, C, the d = 3 config, the binding resistance config,
+    # stitched B) or a driver reads particles (linear_y, D)
+    result = _post_pass_run(name, kind)
+    sol, backend = result.solution, result.backend
+    y = sol.values(backend)
+    mean = np.array([backend.mean(sol.lo + j, v) for j, v in enumerate(y)])
+    std = np.array([math.sqrt(max(backend.mean(sol.lo + j, (v - m) ** 2), 0.0))
+                    for j, (v, m) in enumerate(zip(y, mean))])
+    fresh = constraint_diagnostics(result.cfg.scenario.loss, result.grid, backend, y, sol.k,
+                                   sol.lo)
+    s2_sq, sup = backend.sup_sq_mean(enumerate(y, sol.lo))
+    direct = {"mean_y": mean, "std_y": std, "constraint": fresh["constraint"],
+              "constraint_se": fresh["constraint_se"]}
+    for key, values in direct.items():
+        assert sol.stats[key].tobytes() == values.tobytes(), key
+    assert sol.sup.tobytes() == sup.tobytes()
+    norms = result.post_pass["norms"]
+    assert (norms["s2"], norms["s_inf"]) == (float(np.sqrt(s2_sq)), float(np.max(sup)))
+    assert sol.diagnostics.keys() == fresh.keys()
+    assert all(np.array_equal(sol.diagnostics[key], value) for key, value in fresh.items())
+
+
+def _kept_copy(sol: ReflectedSolution, backend) -> ReflectedSolution:
+    # a zero triple with no block is copied as one with a zero block
+    y = zero_solution(backend, sol.lo, sol.hi).y if sol.y is None else sol.values(backend)
+    return ReflectedSolution(lo=sol.lo, hi=sol.hi, y=[v.copy() for v in y],
                              k=sol.k.copy(), tail=sol.tail.copy(),
-                             step_offsets=sol.step_offsets.copy(), z_record=sol.z_record)
+                             step_offsets=sol.step_offsets.copy(), z_record=sol.z_record,
+                             stats={"mean_y": sol.stats["mean_y"].copy()})
 
 
 def _two_pass_sweep(scenario, grid, backend, prev, terminal_values=None):
     """The sweep as three passes over two iterates: deflate, build_k on the
     deflated values, then iterate_distance; `prev` is left as it was. The z
     record, whose means E[z_j] a quadratic driver reads next, comes from a
-    projection of each deflated value, and a quadratic iterate's ball record
-    from passes over the new iterate: `sup_norm`, `bmo_proxy` and sup|k|."""
+    projection of each deflated value, E[y_j], which the next sweep reads,
+    from a pass over the new iterate, and a quadratic iterate's ball record
+    from passes over it too: `sup_norm`, `bmo_proxy` and sup|k|."""
+    if prev.y is None:   # a zero triple with no block reads as the zero block
+        prev = _kept_copy(prev, backend)
     lo, hi = prev.lo, prev.hi
     ybar, _ = solve_deflated(scenario, grid, backend, prev, terminal_values)
     k, rho = build_k(scenario.loss, grid, backend, ybar, lo)
     tail = k[-1] - k
     z_record = [backend.condexp_and_z(lo + j, ybar[j + 1], fit=0)[0][0] for j in range(hi - lo)]
-    new = ReflectedSolution(lo=lo, hi=hi, y=[yb + t for yb, t in zip(ybar, tail)], k=k,
-                            tail=tail, step_offsets=tail[1:], z_record=z_record, shifts=rho)
+    y = [yb + t for yb, t in zip(ybar, tail)]
+    stats = {**no_stats(hi - lo), "mean_y": np.array([backend.mean(lo + j, v)
+                                                      for j, v in enumerate(y)])}
+    new = ReflectedSolution(lo=lo, hi=hi, y=y, k=k, tail=tail, step_offsets=tail[1:],
+                            z_record=z_record, shifts=rho, stats=stats)
     if scenario.mode != LIPSCHITZ:
         new.ball = {"s_inf": sup_norm(new.y),
                     "bmo": bmo_proxy(new.y, new.step_offsets, grid, backend, lo),
@@ -571,12 +611,14 @@ def test_sweep_matches_two_pass_reference(name, kind, monkeypatch, regression_ba
     fused = picard.solve_interval
 
     def compared(scenario, grid, backend, prev, terminal_values=None):
-        ref, ref_dist = _two_pass_sweep(scenario, grid, backend, _kept_copy(prev),
+        ref, ref_dist = _two_pass_sweep(scenario, grid, backend, _kept_copy(prev, backend),
                                         terminal_values)
         new, dist = fused(scenario, grid, backend, prev, terminal_values)
         assert np.array_equal(new.k, ref.k)
         y_scale = max(float(np.max(np.abs(y))) for y in ref.y)
-        assert max(float(np.max(np.abs(a - b))) for a, b in zip(new.y, ref.y)) <= 1e-15
+        assert max(float(np.max(np.abs(a - b)))
+                   for a, b in zip(new.values(backend), ref.y)) <= 1e-15
+        assert np.max(np.abs(new.stats["mean_y"] - ref.stats["mean_y"])) <= 1e-15
         # the tail s_j - s_m and the reference's k_m - k_j round apart by up
         # to one ulp of Y, which a distance near the stopping floor can see
         assert abs(dist - ref_dist) <= 1e-12 * ref_dist + np.spacing(y_scale)
@@ -624,7 +666,7 @@ def _particle_free_spec(driver, resistance, loss):
 
 def _refit_z(sol, backend) -> list:
     """z_j of a solution, the z-fit of y_(j+1) less step j's offset."""
-    return [backend.condexp_and_z(sol.lo + j, sol.y[j + 1] - c)[1]
+    return [backend.condexp_and_z(sol.lo + j, sol.node(j + 1, backend) - c)[1]
             for j, c in enumerate(sol.step_offsets)]
 
 
@@ -634,8 +676,9 @@ def _assert_same_solve(got, ref, backend):
     assert hist.stop_reason == ref_hist.stop_reason
     assert np.max(np.abs(np.subtract(hist.distances, ref_hist.distances))) <= 1e-12
     assert np.max(np.abs(sol.k - ref_sol.k)) <= 1e-12
-    assert np.max(np.abs(sol.mean_y_path(backend) - ref_sol.mean_y_path(backend))) <= 1e-12
-    for new, old in ((sol.y, ref_sol.y), (_refit_z(sol, backend), _refit_z(ref_sol, backend))):
+    assert np.max(np.abs(sol.stats["mean_y"] - ref_sol.stats["mean_y"])) <= 1e-12
+    for new, old in ((sol.values(backend), ref_sol.values(backend)),
+                     (_refit_z(sol, backend), _refit_z(ref_sol, backend))):
         scale = max(float(np.max(np.abs(v))) for v in old)
         assert max(float(np.max(np.abs(a - b))) for a, b in zip(new, old)) <= 1e-12 * scale
 
@@ -698,17 +741,16 @@ def _record_case(name, kind, regression_backend):
         # deflated mean below 0 at nodes 4-7 and lifts it back above at
         # nodes 0-3, which bind nowhere (shift 0) and still carry a tail
         prev = zero_solution(backend, 0, grid.n)
-        for y, value in zip(prev.y, [4.0, 4.0, 4.0, 4.0, 4.0, -2.0, -2.0, -2.0, 0.0]):
+        prev.stats["mean_y"] = np.array([4.0, 4.0, 4.0, 4.0, 4.0, -2.0, -2.0, -2.0, 0.0])
+        for y, value in zip(prev.y, prev.stats["mean_y"]):
             y[...] = value
         sol, _ = solve_interval(spec, grid, backend, prev)
         assert np.all((sol.shifts[:4] == 0.0) & (sol.tail[:4] > 0.0))
         assert np.all(sol.shifts[4:8] > 0.0)
-        # their searches formed no np.cos: the sweep leaves them to the fill
-        # pass over the written y, which `picard_solve` runs
-        assert sol.diagnostics == {}
-        assert list(np.isnan(sol._recorded["constraint"])) == [True] * 4 + [False] * 5
-        sol.diagnostics = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k,
-                                                 **sol._recorded)
+        # their searches formed no np.cos: the sweep evaluates them from y_j,
+        # and `picard_solve`'s closing pass reads every node off the record
+        assert sol.diagnostics == {} and not np.any(np.isnan(sol.stats["constraint"]))
+        complete_record(spec.loss, grid, backend, sol)
     elif name.endswith("-stitched"):
         constants = stitch_constants(spec)
         sol, _ = solve_global(spec, grid, backend,
@@ -733,7 +775,7 @@ def test_carried_record_matches_a_fresh_pass(name, kind, regression_backend):
     # ybar_j (tail 0.0); within 1e-15 where the sine family's addition formula
     # forms l(t, ybar_j + tail_j) from sin and cos of ybar_j
     sol, spec, grid, backend = _record_case(name, kind, regression_backend)
-    fresh = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k, sol.lo)
+    fresh = constraint_diagnostics(spec.loss, grid, backend, sol.values(backend), sol.k, sol.lo)
     assert sol.diagnostics.keys() == fresh.keys()
     exact = sol.tail == 0.0 if spec.loss.kind == "sine_perturbed" else np.full(len(sol.y), True)
     for key in ("constraint", "constraint_se"):
@@ -745,12 +787,13 @@ def test_carried_record_matches_a_fresh_pass(name, kind, regression_backend):
 
 
 def test_sweep_drops_the_search_arrays_before_dy():
-    # a particle-free sweep records l(t_j, y_j) in the np.sin and np.cos
-    # arrays of node j's search and drops them before it forms dy_j, so its
-    # peak beyond one projection's working set is the search's own two node
-    # vectors beside ybar_j, dybar_j and the sweep's running sup: 4.05 node
-    # vectors here. Holding them until y_j is written reads 5.06, and an x = 0
-    # evaluation that forms y + beta sin y from three arrays reads 5.04. The
+    # a particle-free first sweep, from a zero triple with no block, records
+    # l(t_j, y_j) in the np.sin and np.cos arrays of node j's search and drops
+    # them before it forms y_j (which is dy_j), and forms y_j's deviations for
+    # std(y_j) in dy_j once the sup pass has read it. Beside node m's values,
+    # which the answer keeps, its peak beyond one projection's working set is
+    # the search's own two node vectors beside ybar_j and the sweep's running
+    # sup: 4.12 node vectors here. Deviations in a fresh array read 5.12. The
     # laws the scalar sweeps keep hold their atoms and moments only
     n, N = 16, 20000
     node = N * 8
@@ -759,15 +802,16 @@ def test_sweep_drops_the_search_arrays_before_dy():
     ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
     projection = _projection_bytes(ensemble, n // 2)
     backend = RegressionBackend(ensemble)
-    prev = zero_solution(backend, 0, n)
+    prev = zero_solution(backend, 0, n, block=False)
     terminal = spec.terminal.evaluate(backend.state(n))
     tracemalloc.start()
     try:
         first, _ = solve_interval(spec, grid, backend, prev, terminal)
-        extra = (tracemalloc.get_traced_memory()[1] - projection) / node
+        extra = (tracemalloc.get_traced_memory()[1] - projection) / node - 1
     finally:
         tracemalloc.stop()
     assert np.all(first.shifts > 0.0)          # every node searched past x = 0
+    assert all(type(y) is tuple for y in first.y[1:-1])   # only the end nodes kept
     assert extra <= 4.5, f"{extra:.2f} node vectors beyond one projection"
 
     later = ScalarSweeps(spec, grid, backend, first)

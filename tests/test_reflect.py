@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -30,14 +31,15 @@ def scenario(driver, loss=None, terminal=None, T=1.0):
                         loss=loss or linear_shift_loss())
 
 
-def first_prev(grid, backend, lo=0, hi=None):
+def first_prev(grid, backend, lo=0, hi=None, block=True):
     """The previous iterate of the first sweep: the zero triple."""
-    return zero_solution(backend, lo, grid.n if hi is None else hi)
+    return zero_solution(backend, lo, grid.n if hi is None else hi, block)
 
 
-def first_sweep(spec, grid, backend, lo=0, hi=None):
-    """The first sweep's iterate, written over a zero triple."""
-    sol, _ = solve_interval(spec, grid, backend, first_prev(grid, backend, lo, hi))
+def first_sweep(spec, grid, backend, lo=0, hi=None, block=True):
+    """The first sweep's iterate, written over a zero triple, or with no
+    block its records and end nodes."""
+    sol, _ = solve_interval(spec, grid, backend, first_prev(grid, backend, lo, hi, block))
     return sol
 
 
@@ -93,6 +95,7 @@ def test_deflated_frozen_mean_tracks_ode():
     prev = first_prev(grid, backend)
     for j, row in enumerate(prev.y):
         row[...] = math.exp(a * (T - grid.nodes[j]))
+    prev.stats["mean_y"] = np.exp(a * (T - grid.nodes))   # the mean a sweep records
     ybar, _ = solve_deflated(spec, grid, backend, prev)
     for i in range(n + 1):
         expected = backend.state(i)[:, 0] + math.exp(a * (T - grid.nodes[i]))
@@ -264,7 +267,8 @@ def _with_z_record(grid, backend, y, **fields):
     its step offset, as a sweep would write it."""
     offsets = fields["step_offsets"]
     return ReflectedSolution(0, grid.n, y=y, **fields, z_record=[
-        backend.condexp_and_z(j, y[j + 1] - offsets[j], fit=0)[0][0] for j in range(grid.n)])
+        backend.condexp_and_z(j, y[j + 1] - offsets[j], fit=0)[0][0] for j in range(grid.n)],
+        sup=backend.sup_sq_mean(enumerate(y))[1])
 
 
 def test_empirical_norms_examples():
@@ -294,19 +298,22 @@ def test_empirical_norms_examples():
 
 @pytest.mark.parametrize("kind", ["lattice", "regression"])
 def test_s_inf_is_the_largest_sup_of_the_s2_pass(kind, regression_backend):
-    # the largest per-particle (per-path) sup is the largest |y| at any node,
-    # bitwise: every lattice node lies on some path
+    # the largest per-particle (per-path) sup, which the first sweep takes in
+    # its distance pass, is the largest |y| at any node, bitwise: every
+    # lattice node lies on some path
     grid, backend = lattice(1.0, 8) if kind == "lattice" else regression_backend(
         1.0, 8, N=2000, seed=5)
-    sol = first_sweep(get("A_sine_constraint").spec, grid, backend)
+    sol = first_sweep(get("A_sine_constraint").spec, grid, backend, block=False)
     s_inf = empirical_norms(sol, grid, backend, LIPSCHITZ)["norms"]["s_inf"]
-    assert s_inf == max(max(float(np.max(y)), -float(np.min(y))) for y in sol.y)
+    y = sol.values(backend)
+    assert s_inf == max(max(float(np.max(v)), -float(np.min(v))) for v in y)
+    assert np.array_equal(sol.sup, backend.sup_sq_mean(enumerate(y))[1])
 
 
 def test_norms_scenario_a_reflection_sup():
     grid, backend = lattice(1.0, 8)
     spec = get("A_sine_constraint").spec
-    sol = first_sweep(spec, grid, backend)
+    sol = first_sweep(spec, grid, backend, block=False)
     norms = empirical_norms(sol, grid, backend, LIPSCHITZ)["norms"]
     assert norms["k_sup"] == pytest.approx(0.3, abs=1e-10)
 
@@ -354,3 +361,21 @@ def test_lattice_sweep_row_j_holds_the_window_nodes():
         assert [len(row) for row in rows] == [lo + j + 1 for j in range(hi - lo + 1)], name
         assert all(row.base is rows[0].base for row in rows), name
     assert all(z.shape == (lo + j + 1, 1) for j, z in enumerate(sweep[1]))
+
+
+@pytest.mark.parametrize("d, degree", [(1, 0), (1, 1), (1, 3), (3, 3)])
+def test_first_sweep_nodes_replay_bit_for_bit(d, degree, regression_backend):
+    # a first sweep from a zero triple with no block keeps each interior
+    # node as its fit's record, the node step's constant and its tail; formed
+    # again, the nodes are the values a sweep over a zero block writes, byte
+    # for byte, node 0 (the particle mean at step 0) included, and so are
+    # their records
+    spec = dataclasses.replace(get("A_sine_constraint").spec, brownian_dim=d)
+    grid, backend = regression_backend(spec.horizon, 8, N=4000, seed=7, degree=degree, d=d)
+    free = first_sweep(spec, grid, backend, block=False)
+    block = first_sweep(spec, grid, backend)
+    assert free.k[-1] > 0.0 and all(type(y) is tuple for y in free.y[1:-1])
+    for a, b in zip(free.values(backend), block.y, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for key, values in free.stats.items():
+        assert values.tobytes() == block.stats[key].tobytes(), key

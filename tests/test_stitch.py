@@ -91,7 +91,7 @@ def test_single_interval_plan_equals_local_solve():
     stitched, _ = solve_global(spec, grid, backend, breaks, constants, tol=1e-12)
     local, _ = picard_solve(spec, grid, backend, tol=1e-12)
     assert np.array_equal(stitched.k, local.k)
-    for a, b in zip(stitched.y, local.y):
+    for a, b in zip(stitched.values(backend), local.values(backend), strict=True):
         assert np.array_equal(a, b)
     assert breaks == [0, 8]     # no seam
 
@@ -111,7 +111,7 @@ def test_lattice_two_interval_reflection_unique():
     assert len(seams) == 1
     assert abs(seams[0] - s1.diagnostics["constraint"][4]) <= 1e-10
     # so is Y at the seam node, the terminal value of the left interval
-    assert np.max(np.abs(s2.y[4] - s1.y[4])) <= 1e-10
+    assert np.max(np.abs(s2.node(4, backend) - s1.node(4, backend))) <= 1e-10
 
 
 def test_global_reflection_contract():
@@ -176,7 +176,12 @@ def test_stitched_y_is_each_pieces_y(monkeypatch):
     # every node of every piece, both sides of each seam included
     for piece in pieces:
         for idx in range(piece.hi - piece.lo + 1):
-            assert np.array_equal(sol.y[piece.lo + idx], piece.y[idx])
+            assert np.array_equal(sol.node(piece.lo + idx, backend), piece.node(idx, backend))
+    # and of every piece's record, with one sup over the pieces' sups
+    for key, values in sol.stats.items():
+        assert np.array_equal(values, np.concatenate([p.stats[key][:-1] for p in pieces[::-1]]
+                                                     + [pieces[0].stats[key][-1:]])), key
+    assert np.array_equal(sol.sup, np.maximum.reduce([p.sup for p in pieces]))
     # the later intervals' reflection is already inside each piece's y, so the
     # pasted tail is each piece's own, not one recomputed from the global k
     assert not np.array_equal(sol.tail, sol.k[-1] - sol.k)
@@ -196,9 +201,10 @@ def test_stitched_refit_z_matches_the_stored_z(intervals, regression_backend):
     sol, _ = solve_global(spec, grid, backend, breaks, constants)
     stored = []
     for lo, hi in zip(breaks, breaks[1:]):
-        _, z = solve_deflated(spec, grid, backend, zero_solution(backend, lo, hi), sol.y[hi])
+        _, z = solve_deflated(spec, grid, backend, zero_solution(backend, lo, hi),
+                              sol.node(hi, backend))
         stored += z[:-1]
-    refit = [backend.condexp_and_z(i, sol.y[i + 1] - c)[1]
+    refit = [backend.condexp_and_z(i, sol.node(i + 1, backend) - c)[1]
              for i, c in enumerate(sol.step_offsets)]
     assert len(refit) == len(stored) == grid.n
     scale = max(float(np.max(np.abs(z))) for z in stored)
@@ -223,23 +229,23 @@ def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
     constants = stitch_constants(spec)
     sol, _ = solve_global(spec, grid, backend,
                           plan_intervals(spec, grid, constants, intervals=3), constants)
-    fresh = constraint_diagnostics(spec.loss, grid, backend, sol.y, sol.k)
+    fresh = constraint_diagnostics(spec.loss, grid, backend, sol.values(backend), sol.k)
     assert sol.diagnostics.keys() == fresh.keys()
     for key, value in fresh.items():
         assert np.array_equal(sol.diagnostics[key], value), key
 
 
 def test_one_constraint_pass_per_solve(monkeypatch):
-    # a particle-free solve records the constraint in its first sweep at the
-    # nodes whose shift search formed np.sin and np.cos arrays; one pass over
-    # each window's answer evaluates every other node once, so the linear
-    # family (A) evaluates the loss twice per node, at x = 0 in the sweep and
-    # in the pass. A driver that reads particles makes the same one pass per
-    # window, which evaluates every node, and its sweeps evaluate the loss
-    # once per node, at x = 0
+    # a particle-free solve records the constraint in its first sweep, from
+    # the np.sin and np.cos arrays of a node's shift search where it formed
+    # them and from y_j elsewhere, so the linear family (A) evaluates the
+    # loss twice per node, at x = 0 and for the record; the closing pass of
+    # each window reads no node of it. A driver that reads particles makes
+    # one closing pass per window, which evaluates every node, and its
+    # sweeps evaluate the loss once per node, at x = 0
     from mrbsde import cli, picard, reflect
 
-    original = reflect.constraint_diagnostics
+    original = reflect.complete_record
     calls, evaluations = [], []
 
     def count(*args, **kwargs):
@@ -247,8 +253,8 @@ def test_one_constraint_pass_per_solve(monkeypatch):
         return original(*args, **kwargs)
 
     for module in (reflect, picard, stitch, cli):
-        if getattr(module, "constraint_diagnostics", None) is original:
-            monkeypatch.setattr(module, "constraint_diagnostics", count)
+        if getattr(module, "complete_record", None) is original:
+            monkeypatch.setattr(module, "complete_record", count)
     evaluate = LossSpec.evaluate
     monkeypatch.setattr(LossSpec, "evaluate",
                         lambda *args, **kw: (evaluations.append(1), evaluate(*args, **kw))[1])
@@ -277,4 +283,4 @@ def test_one_constraint_pass_per_solve(monkeypatch):
                 assert len(evaluations) == np.sum((sweeps + 1) * nodes)
             if len(breaks) == 2:
                 assert sol.diagnostics["constraint"].shape == (grid.n + 1,)
-                assert calls[0][4] is sol.k    # the pass ran on the returned iterate
+                assert calls[0][3] is sol      # the pass ran on the returned iterate
