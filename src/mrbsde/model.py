@@ -181,7 +181,12 @@ class DriverSpec:
             return 0.0
         if self.kind == "quadratic_z":
             a, gamma, _, b = self.params
-            return max(abs(a), abs(gamma) / 2.0, abs(b))
+            # halving is exact but for a subnormal gamma, where it rounds; round
+            # it up there, so lam stays a bound and a nonzero gamma keeps lam > 0
+            half = abs(gamma) / 2.0
+            if 2.0 * half < abs(gamma):
+                half = math.nextafter(half, math.inf)
+            return max(abs(a), half, abs(b))
         return max(abs(p) for p in self.params)
 
     @property
