@@ -14,9 +14,11 @@ QUADRATIC = "quadratic"
 
 # kind -> the number of its params
 LOSS_KINDS = {"linear_shift": 3, "sine_perturbed": 1}
-DRIVER_KINDS = {"zero": 0, "constant": 1, "linear_y": 1, "linear_mean": 1,
-                "mean_resist": 2, "quadratic_z": 4}
-PARTICLE_FREE_KINDS = ("zero", "constant", "linear_mean", "mean_resist")
+# Lipschitz kind -> the terms of f its params multiply, in order: f is affine
+# in y, E[y] ("ybar") and the resistance g, with a constant ("1")
+AFFINE_TERMS = {"zero": (), "constant": ("1",), "linear_y": ("y",),
+                "linear_mean": ("ybar",), "mean_resist": ("ybar", "g")}
+DRIVER_KINDS = {**{kind: len(terms) for kind, terms in AFFINE_TERMS.items()}, "quadratic_z": 4}
 RESISTANCE_KINDS = ("zero", "evaluation", "running_sup", "scaled_integral")
 TERMINAL_KINDS = {"brownian": 0, "brownian_shift": 1, "scaled_tanh": 1}
 
@@ -151,9 +153,9 @@ class DriverSpec:
     |f(t,0,0,0,0,0)|. Quadratic mode needs `lam > 0` and `zero_bound`:
     the ball radius, the contraction horizon and the horizon-uniform bound are
     built from them. It also needs `z_cap >= 0` and `zero_bound >= 0`, so that
-    f(t,0,0,0,0,0) = 0 lies within the bound. The kinds `zero`, `constant`,
-    `linear_mean` and `mean_resist` are `particle_free`: one scalar formula
-    gives their f, which `evaluate` broadcasts.
+    f(t,0,0,0,0,0) = 0 lies within the bound. A Lipschitz kind's f is affine,
+    y_slope * y + scalar(t, ybar, g), in the `coefficients` its params give,
+    and `lam` is its largest absolute slope.
     """
 
     kind: str
@@ -177,8 +179,6 @@ class DriverSpec:
 
     @property
     def lam(self) -> float:
-        if self.kind in ("zero", "constant"):
-            return 0.0
         if self.kind == "quadratic_z":
             a, gamma, _, b = self.params
             # halving is exact but for a subnormal gamma, where it rounds; round
@@ -187,35 +187,32 @@ class DriverSpec:
             if 2.0 * half < abs(gamma):
                 half = math.nextafter(half, math.inf)
             return max(abs(a), half, abs(b))
-        return max(abs(p) for p in self.params)
+        c = self.coefficients
+        return max(abs(c["y"]), abs(c["ybar"]), abs(c["g"]))
 
     @property
-    def particle_free(self) -> bool:
-        """f reads the solution only through its law, as `scalar(t, ybar, g)`."""
-        return self.kind in PARTICLE_FREE_KINDS
+    def coefficients(self) -> dict:
+        """A Lipschitz kind's coefficients of y, ybar, g and 1 in f, 0.0 if absent."""
+        return {"y": 0.0, "ybar": 0.0, "g": 0.0, "1": 0.0,
+                **dict(zip(AFFINE_TERMS[self.kind], self.params))}
 
     def scalar(self, t: float, ybar: float, g: float) -> float:
-        """f of a particle-free kind at the mean ybar and the resistance g."""
-        if self.kind == "mean_resist":
-            return self.params[0] * ybar + self.params[1] * g
-        if self.kind == "linear_mean":
-            return self.params[0] * ybar
-        return self.params[0] if self.params else 0.0   # constant, zero
+        """The y-free part of a Lipschitz kind's f at the mean ybar and resistance g."""
+        c = self.coefficients
+        return c["ybar"] * ybar + c["g"] * g + c["1"]
 
     @property
     def y_slope(self) -> float:
         """The coefficient of y in f. Every family is affine in y, so
         f(t, y1, ...) - f(t, y0, ...) = y_slope * (y1 - y0); the implicit node
         step of the deflated solve is solved in closed form on this."""
-        return self.params[0] if self.kind in ("linear_y", "quadratic_z") else 0.0
+        return self.params[0] if self.mode == QUADRATIC else self.coefficients["y"]
 
     def evaluate(self, t: float, y, ybar: float, z, zbar, g: float):
         """Vectorized over the particle axis: y (m,), z (m, d); returns (m,)."""
         y = np.asarray(y, dtype=float)
-        if self.kind in PARTICLE_FREE_KINDS:
-            return np.full(y.shape[0], self.scalar(t, ybar, g))
-        if self.kind == "linear_y":
-            return self.params[0] * y
+        if self.mode == LIPSCHITZ:
+            return self.y_slope * y + self.scalar(t, ybar, g)
         # quadratic_z: a*y + (gamma/2)*min(|z|^2, cap) + b*|zbar|
         a, gamma, cap, b = self.params
         z = np.asarray(z, dtype=float)

@@ -260,7 +260,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
     Each sweep is one backward pass written over the previous iterate, so a
-    solve holds at most one iterate's y block: a particle-free driver's first
+    solve holds at most one iterate's y block: a Lipschitz driver's first
     sweep keeps node records, and its later sweeps run on per-node scalars
     (`ScalarSweeps`), which write a block only if they move a node. A stall
     returns the last iterate with `stop_reason="stalled"`, so `converged` is
@@ -290,7 +290,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
 
-    prev = zero_solution(backend, lo, hi, block=not scenario.driver.particle_free)
+    prev = zero_solution(backend, lo, hi, block=mode == QUADRATIC)
     solution = later = None
     for sweep in range(1, max_iter + 1):
         if later is None:
@@ -316,7 +316,7 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 and min(d[-STALL_WINDOW:]) > (1.0 - STALL_REL) * min(d[:-STALL_WINDOW])):
             history.stop_reason = "stalled"
             break
-        if later is None and scenario.driver.particle_free:
+        if later is None and mode == LIPSCHITZ:
             later = ScalarSweeps(scenario, grid, backend, solution)
         prev = solution
     if not history.stop_reason:

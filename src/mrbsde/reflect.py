@@ -47,7 +47,7 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     """Backward Euler for the deflated (unconstrained) equation on `prev`'s
     window, one node at a time: yields (j, ybar_j, terms, node) for j = m, ...,
     0, terms None at the terminal node, node (fit record, constant added) at a
-    particle-free Lipschitz step. Step j projects ybar_(j+1) and, in the
+    Lipschitz step with no y term. Step j projects ybar_(j+1) and, in the
     same projection, dz_j, the z of ybar_(j+1) less the value `prev`'s step j
     projected, which is read before node j+1 is yielded, so the caller may
     then write over it: terms is (E|dz_j|^2, dz_j's record). Quadratic mode
@@ -93,7 +93,7 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
             r[0] += sq_norms(dz_i) * dt
             r[1] += sq_norms(z_i) * dt
             terms = (rec[0], float(np.max(r[0])), float(np.max(r[1])))
-        if drv.particle_free:
+        if implicit and not drv.y_slope:
             f = drv.scalar(grid.nodes[i], float(mean_y[j]), float(resistance[j]))
         else:
             # zbar is read by quadratic_z only, the one quadratic-mode driver
@@ -102,7 +102,7 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
             f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
                              float(resistance[j]))
         shift = (f / denom) * dt
-        return base + shift, r, terms, (record, shift) if implicit and drv.particle_free else None
+        return base + shift, r, terms, None if np.ndim(shift) else (record, shift)
 
     ybar, terms, node = np.asarray(terminal_values, dtype=float), None, None
     r = None if implicit else np.zeros((2, backend.count(hi)))   # [r^dz; r^z]
@@ -296,7 +296,7 @@ class ReflectedSolution:
     coefficients over an orthonormal basis of step j (√prob-weighted slopes
     on the lattice), whose sum of squares is E|z_j|^2; a quadratic driver
     reads E[z_j] next. y_j is kept, or as (fit record, constant, tail_j) at an
-    interior node of a particle-free driver's first sweep, which keeps no
+    interior node of a Lipschitz first sweep with no y term, which keeps no
     block (`linear_y`'s y_j is no fit plus a constant, and a quadratic driver
     reads y per particle). `stats` holds E[y_j] ("mean_y"), std(y_j),
     "constraint" and "constraint_se", NaN where not recorded, and `sup` the
@@ -356,22 +356,22 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     known there. It then adds node j's distance terms against `prev`'s node
     j, and only then writes node j over `prev`'s block, so `prev` must not
     be read afterwards. The reflection is k = s_0 - s. `picard_solve` runs
-    this sweep for the first sweep of a particle-free driver, and for every
-    sweep of the others.
+    this sweep for every sweep of a quadratic driver, and for a Lipschitz
+    window's first sweep only, so a Lipschitz sweep runs from the zero triple.
 
     Returns the new iterate, which carries its shifts, its z record (in
     Lipschitz mode `prev`'s plus dz's, since z_j = prev's z_j + dz_j; in
-    quadratic mode z_j's own), E[y_j] and, for a particle-free driver, each
-    node's whole record (l(t_j, y_j) off the search's np.sin and np.cos
-    arrays where it formed them); from a `prev` with no block, whose y is
-    0.0, it keeps y only as in `ReflectedSolution` and its sup of |dy| as
-    `sup`. It also returns its distance from `prev`: in Lipschitz mode the
-    root-sum-square of (sample S2, sample H2, sup-k), with a per-particle
-    running sup of |dy| and the per-node H2 means, read off the projections,
-    summed at the end; in quadratic mode the sum of (sample S-inf, BMO
-    proxy, sup-k), and the new iterate carries its ball record: max |y_j| as
-    node j is written, the BMO proxy of its z and sup|k|, both BMO
-    recursions run in the steps' projections.
+    quadratic mode z_j's own), E[y_j] and, in Lipschitz mode, each node's
+    whole record (l(t_j, y_j) off the search's np.sin and np.cos arrays where
+    it formed them); from a `prev` with no block, whose y is 0.0, it keeps y
+    only as in `ReflectedSolution` and its sup of |dy| as `sup`. It also
+    returns its distance from `prev`: in Lipschitz mode the root-sum-square
+    of (sample S2, sample H2, sup-k), with a per-particle running sup of |dy|
+    and the per-node H2 means, read off the projections, summed at the end;
+    in quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), and the
+    new iterate carries its ball record: max |y_j| as node j is written, the
+    BMO proxy of its z and sup|k|, both BMO recursions run in the steps'
+    projections.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
@@ -380,7 +380,6 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     lipschitz = scenario.mode == LIPSCHITZ
     rho, s, tail = np.empty((3, m + 1))
     stats, y = no_stats(m), [None] * (m + 1) if prev.y is None else prev.y
-    recording = scenario.driver.particle_free   # no later general sweep writes over its y
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
     # variation of dz from node j on (quadratic), and of z for the ball record
     z_terms, bmo_terms, y_sup, z_record = [0.0] * m, [0.0] * m, [0.0] * (m + 1), [None] * m
@@ -390,11 +389,11 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                                                       terminal_values):
             i, t = lo + j, grid.nodes[lo + j]
             law = backend.law(i, ybar_j)
-            rho[j] = loss_operator(scenario.loss, t, law.hold() if recording else law)
+            rho[j] = loss_operator(scenario.loss, t, law.hold() if lipschitz else law)
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
             tail[j] = s[j] - s[m]
             # l(t_i, y_j) from the search's arrays, which die before dy
-            vals = release_loss(scenario.loss, t, law, tail[j]) if recording else None
+            vals = release_loss(scenario.loss, t, law, tail[j]) if lipschitz else None
             if vals is not None:
                 stats["constraint"][j], stats["constraint_se"][j] = backend.mean_se(i, vals)
             vals = None
@@ -414,7 +413,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             if not lipschitz:
                 y_sup[j] = float(np.max(np.abs(y_j)))
             yield i, dy
-            if recording:   # past the sup pass, dy is spare unless it is y_j, kept
+            if lipschitz:   # past the sup pass, dy is spare unless it is y_j, kept
                 _record_node(stats, j, backend, i, y_j, scenario.loss, t,
                              None if y[j] is dy else dy)
             y_j = dy = None   # freed before the next projection
@@ -436,25 +435,28 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
 
 class ScalarSweeps:
-    """Every sweep after the first of a particle-free driver, on per-node
-    scalars. A projection maps constants to themselves, so a later sweep's
-    deflated value is the first one's plus the offset delta_j =
-    sum_(l>=j) (f_l - f1_l) dt, and its z the first one's plus delta_(j+1)
-    zeta_j, with zeta_j the z-fit of the constant 1 (0 on the lattice), whose
-    record and E|zeta_j|^2 one pass reads off projection coefficients,
-    fitting no row; run at the first search of a node's law, it also replays
-    `first`, the first sweep's iterate, into a block, which holds its y until
-    `write_back` adds the last sweep's offsets to it; y_(j+1) - tail_(j+1) is
-    then ybar1_(j+1) + delta_(j+1), and the z record, linear in it, becomes
-    first's plus delta_(j+1) times zeta_j's."""
+    """Every sweep after the first of a Lipschitz driver, on per-node scalars.
+    f = s y + F is affine in y and a projection maps constants to themselves,
+    so a later sweep's deflated value is the first one's plus the offset
+    delta_j = (delta_(j+1) + (s tail_j + F_j - F1_j) dt) / (1 - s dt), tail
+    the last iterate's and F1 the first sweep's F, and its z the first one's
+    plus delta_(j+1) zeta_j, with zeta_j the z-fit of the constant 1 (0 on
+    the lattice), whose record and E|zeta_j|^2 one pass reads off projection
+    coefficients, fitting no row; run at the first search of a node's law,
+    it also replays `first`, the first sweep's iterate, into a block, which
+    holds its y until `write_back` adds the last sweep's offsets to it;
+    y_(j+1) - tail_(j+1) is then ybar1_(j+1) + delta_(j+1), and the z record,
+    linear in it, becomes first's plus delta_(j+1) times zeta_j's."""
 
     def __init__(self, scenario: ScenarioSpec, grid: TimeGrid, backend,
                  first: ReflectedSolution):
         self.scenario, self.grid, self.backend, self.first = scenario, grid, backend, first
         self.window = window_grid(grid, first.lo, first.hi)
         self.times = grid.nodes[first.lo:first.hi + 1]
-        # the first sweep read the zero triple, whose mean and resistance are 0
+        # the first sweep read the zero triple, whose tail, mean and resistance are 0
         self.f1 = [scenario.driver.scalar(t, 0.0, 0.0) for t in self.times]
+        self.slope = scenario.driver.y_slope
+        self.denom = 1.0 - self.slope * grid.dt   # 1.0 at slope 0, where / is exact
         self.last, self.delta = first, np.zeros(len(self.times))
         self.laws, self.zeta, self.zeta_sq = [None] * len(self.times), None, None
 
@@ -467,8 +469,9 @@ class ScalarSweeps:
         delta, rho, s = np.zeros(m + 1), np.empty(m + 1), np.empty(m + 1)
         for j in range(m, -1, -1):
             if j < m:
-                f = self.scenario.driver.scalar(self.times[j], float(mean_y[j]), float(g[j]))
-                delta[j] = delta[j + 1] + (f - self.f1[j]) * dt
+                f = self.slope * last.tail[j] + self.scenario.driver.scalar(
+                    self.times[j], float(mean_y[j]), float(g[j]))
+                delta[j] = (delta[j + 1] + (f - self.f1[j]) * dt) / self.denom
             if delta[j] != 0.0 and self.laws[j] is None:
                 self.laws[j] = self.backend.law(first.lo + j, self._block()[j])
             # ybar1_j + delta_j is the block row y1_j plus delta_j - tail1_j

@@ -106,6 +106,12 @@ BINDING_LINEAR_Y = {
     "T": 0.5, "terminal": {"kind": "brownian"},
     "driver": {"kind": "linear_y", "params": {"a": 0.8}},
     "loss": {"kind": "linear_shift", "params": {"c0": 0.2, "amp": -0.2, "omega": math.pi}}}
+# a quadratic driver, whose sweeps all run per particle: at a zero tolerance
+# on the lattice its distances settle at a few ulps of the solution and repeat
+ROUNDING_PLATEAU = {
+    **BINDING_LINEAR_Y, "terminal": {"kind": "scaled_tanh", "params": {"scale": 1.0}},
+    "driver": {"kind": "quadratic_z", "params": {
+        "a": 0.8, "gamma": 0.4, "z_cap": 4.0, "b": 0.0, "zero_bound": 0.0}}}
 
 
 def inline(terminal_c=1.0, loss_params=None):
@@ -317,7 +323,7 @@ CASES = [
     # -- exit 1: a check fails ---------------------------------------------------
     # a zero tolerance on the lattice stalls at the rounding level
     configured("test_failed_check_exits_1", "verify", {
-        "scenario": BINDING_LINEAR_Y, "grid": {"n": 8}, "backend": LATTICE,
+        "scenario": ROUNDING_PLATEAU, "grid": {"n": 8}, "backend": LATTICE,
         "picard": {"tol": 0}}, 1, out=False, quiet=False, id="verify-rounding-plateau"),
     configured("test_failed_check_exits_1", "verify", {"scenario": {
         "T": 1.0, "terminal": {"kind": "brownian"}, "driver": {"kind": "zero"},

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cli_cases import A_LATTICE, BINDING_LINEAR_Y, LATTICE, case, check, inline, make_tests
+from cli_cases import (A_LATTICE, BINDING_LINEAR_Y, LATTICE, ROUNDING_PLATEAU, case, check, inline,
+                       make_tests)
 from mrbsde import cli, paths, picard, scenarios
 from mrbsde.cli import ConfigError, main, parse_config
 from mrbsde.paths import make_grid
@@ -262,7 +263,7 @@ def test_binding_solve_converges_below_1e_14(tmp_path, capsys, setup):
 def test_rounding_level_plateau_stalls_and_fails_verify(tmp_path, capsys):
     # a zero tolerance on the lattice: the distances settle at a few ulps of
     # the solution and repeat, which the stall rule stops
-    cfg = write_config(tmp_path, {"scenario": BINDING_LINEAR_Y, "grid": {"n": 8},
+    cfg = write_config(tmp_path, {"scenario": ROUNDING_PLATEAU, "grid": {"n": 8},
                                   "backend": {"kind": "lattice"}, "picard": {"tol": 0.0}})
     history = _solve_history(tmp_path, cfg)
     assert history["stop_reason"] == "stalled" and len(history["distances"]) <= 25

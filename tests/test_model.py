@@ -89,6 +89,10 @@ def test_quadratic_mode_requires_bounds():
 AFFINE_PROBE_PARAMS = {"zero": (), "constant": (0.7,), "linear_y": (-0.6,),
                        "linear_mean": (0.5,), "mean_resist": (0.4, -0.9),
                        "quadratic_z": (0.3, 0.2, 5.0, 0.1)}
+# the y-free part of each Lipschitz family's f at those params
+Y_FREE = {"zero": lambda ybar, g: 0.0, "constant": lambda ybar, g: 0.7,
+          "linear_y": lambda ybar, g: 0.0, "linear_mean": lambda ybar, g: 0.5 * ybar,
+          "mean_resist": lambda ybar, g: 0.4 * ybar - 0.9 * g}
 
 
 @pytest.mark.parametrize("kind", DRIVER_KINDS)
@@ -106,6 +110,11 @@ def test_every_driver_is_affine_in_y(kind):
         gap = (drv.evaluate(t, y1, ybar, z, zbar, g)
                - drv.evaluate(t, y0, ybar, z, zbar, g))
         assert np.max(np.abs(gap - drv.y_slope * (y1 - y0))) <= 1e-12
+        if kind in Y_FREE:
+            # f = y_slope y + scalar(t, ybar, g): the scalar sweeps read both parts
+            assert np.array_equal(drv.evaluate(t, y0, ybar, z, zbar, g),
+                                  drv.y_slope * y0 + drv.scalar(t, ybar, g))
+            assert drv.scalar(t, ybar, g) == Y_FREE[kind](ybar, g)
 
 
 def test_scenario_spec_guards():

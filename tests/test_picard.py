@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, DriverSpec, ResistanceSpec,
+from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, ResistanceSpec,
                           ScenarioSpec, brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, mean_resist_driver, sine_perturbed_loss,
@@ -595,7 +595,7 @@ SWEEP_SPECS = {"A": lambda: get("A_sine_constraint").spec, "resistance": _bindin
 def test_sweep_matches_two_pass_reference(name, kind, monkeypatch, regression_backend):
     # every `solve_interval` sweep of a solve, run also as the two-pass
     # reference on a kept copy of the previous iterate: the first sweep of a
-    # particle-free driver (A, resistance), every sweep of the others
+    # Lipschitz driver (A, resistance, linear_y), every sweep of a quadratic one
     spec = SWEEP_SPECS[name]()
     n = 8
 
@@ -638,7 +638,7 @@ def test_sweep_matches_two_pass_reference(name, kind, monkeypatch, regression_ba
     monkeypatch.setattr(picard, "solve_interval", compared)
     _, hist = picard_solve(spec, grid, backend, tol=tol)
     assert len(hist.distances) >= 2
-    assert sweeps == (hist.distances[:1] if spec.driver.particle_free else hist.distances)
+    assert sweeps == (hist.distances[:1] if spec.mode == LIPSCHITZ else hist.distances)
 
     # a whole solve of the two-pass reference stops where the sweep does
     grid, backend, tol = setup()
@@ -648,19 +648,20 @@ def test_sweep_matches_two_pass_reference(name, kind, monkeypatch, regression_ba
     assert ref_hist.stop_reason == hist.stop_reason
 
 
-PARTICLE_FREE = {"zero": zero_driver(), "constant": constant_driver(-0.5),
-                 "linear_mean": linear_mean_driver(0.7),
-                 "mean_resist": mean_resist_driver(0.5, -1.0)}
+LIPSCHITZ_DRIVERS = {"zero": zero_driver(), "constant": constant_driver(-0.5),
+                     "linear_mean": linear_mean_driver(0.7),
+                     "mean_resist": mean_resist_driver(0.5, -1.0),
+                     "linear_y_0.8": linear_y_driver(0.8), "linear_y_-0.6": linear_y_driver(-0.6)}
 # the terminal E[xi] = -0.1 violates both losses' constraints, so both
 # searches run on positive shifts
 LOSSES = {"linear": linear_shift_loss(c0=0.2, amp=-0.2, omega=math.pi),
           "sine": sine_perturbed_loss(0.5)}
 
 
-def _particle_free_spec(driver, resistance, loss):
-    return ScenarioSpec(name="pf", horizon=0.5, brownian_dim=1,
+def _lipschitz_spec(driver, resistance, loss):
+    return ScenarioSpec(name="lip", horizon=0.5, brownian_dim=1,
                         terminal=brownian_shift_terminal(-0.1),
-                        driver=PARTICLE_FREE[driver],
+                        driver=LIPSCHITZ_DRIVERS[driver],
                         resistance=ResistanceSpec(resistance), loss=LOSSES[loss])
 
 
@@ -670,53 +671,75 @@ def _refit_z(sol, backend) -> list:
             for j, c in enumerate(sol.step_offsets)]
 
 
-def _assert_same_solve(got, ref, backend):
-    (sol, hist), (ref_sol, ref_hist) = got, ref
-    assert len(hist.distances) == len(ref_hist.distances)
-    assert hist.stop_reason == ref_hist.stop_reason
-    assert np.max(np.abs(np.subtract(hist.distances, ref_hist.distances))) <= 1e-12
-    assert np.max(np.abs(sol.k - ref_sol.k)) <= 1e-12
-    assert np.max(np.abs(sol.stats["mean_y"] - ref_sol.stats["mean_y"])) <= 1e-12
-    for new, old in ((sol.values(backend), ref_sol.values(backend)),
-                     (_refit_z(sol, backend), _refit_z(ref_sol, backend))):
-        scale = max(float(np.max(np.abs(v))) for v in old)
-        assert max(float(np.max(np.abs(a - b))) for a, b in zip(new, old)) <= 1e-12 * scale
+def _general_solve(spec, grid, backend, lo=0, hi=None, terminal_values=None):
+    """The reference of a solve whose later sweeps run on scalars: every
+    sweep through `solve_interval`, from the last one's block, until the
+    backend's tolerance; returns the answer and its distances."""
+    prev, distances = zero_solution(backend, lo, grid.n if hi is None else hi), []
+    while not distances or distances[-1] > backend.picard_tol:
+        assert len(distances) < 50
+        prev, dist = solve_interval(spec, grid, backend, prev, terminal_values)
+        distances.append(dist)
+    return prev, distances
+
+
+def _window(sol, backend, lo, hi) -> dict:
+    """k from node lo on, E[y], the node values and the refit z of `sol` on
+    nodes lo..hi."""
+    a, b = lo - sol.lo, hi - sol.lo
+    return {"k": sol.k[a:b + 1] - sol.k[a], "mean_y": sol.stats["mean_y"][a:b + 1],
+            "y": sol.values(backend)[a:b + 1], "z": _refit_z(sol, backend)[a:b]}
+
+
+def _assert_same_solve(got, ref, backend, lo, hi):
+    (sol, hist), (ref_sol, ref_distances) = got, ref
+    assert len(hist.distances) == len(ref_distances)
+    assert hist.stop_reason == "tolerance"
+    assert np.max(np.abs(np.subtract(hist.distances, ref_distances))) <= 1e-12
+    new, old = _window(sol, backend, lo, hi), _window(ref_sol, backend, lo, hi)
+    assert np.max(np.abs(new["k"] - old["k"])) <= 1e-12
+    assert np.max(np.abs(new["mean_y"] - old["mean_y"])) <= 1e-12
+    for key in ("y", "z"):
+        scale = max(float(np.max(np.abs(v))) for v in old[key])
+        assert max(float(np.max(np.abs(a - b)))
+                   for a, b in zip(new[key], old[key])) <= 1e-12 * scale, key
 
 
 @pytest.mark.parametrize("kind", ["lattice", "regression"])
-@pytest.mark.parametrize("driver", PARTICLE_FREE)
-def test_scalar_sweeps_match_the_general_sweep(kind, driver, monkeypatch, regression_backend):
+@pytest.mark.parametrize("driver", LIPSCHITZ_DRIVERS)
+def test_scalar_sweeps_match_the_general_sweep(kind, driver, regression_backend):
     # every resistance and loss: the solve against one that runs every sweep
-    # through `solve_interval`, reached by reading no driver as particle-free
+    # through `solve_interval`
     if kind == "lattice":
         grid, backend = lattice(0.5, 8)
     else:
         grid, backend = regression_backend(0.5, 16, N=2000, seed=7, degree=2)
     for resistance in RESISTANCE_KINDS:
         for loss in LOSSES:
-            spec = _particle_free_spec(driver, resistance, loss)
+            spec = _lipschitz_spec(driver, resistance, loss)
             got = picard_solve(spec, grid, backend)
-            with monkeypatch.context() as m:
-                m.setattr(DriverSpec, "particle_free", False)
-                ref = picard_solve(spec, grid, backend)
-            _assert_same_solve(got, ref, backend)
-            if (driver, resistance) == ("mean_resist", "evaluation"):
+            _assert_same_solve(got, _general_solve(spec, grid, backend), backend, 0, grid.n)
+            if (driver, resistance) == ("mean_resist", "evaluation") or (
+                    spec.driver.y_slope and loss == "linear"):
                 # K binds and feeds back, so the offsets move
                 assert got[0].k[-1] > 0.0 and got[1].distances[1] > 0.0
 
 
 @pytest.mark.parametrize("loss", LOSSES)
-def test_stitched_scalar_sweeps_match_the_general_sweep(loss, monkeypatch,
-                                                         regression_backend):
+def test_stitched_scalar_sweeps_match_the_general_sweep(loss, regression_backend):
+    # each window against the general solve of it from the reference's own seam
     grid, backend = regression_backend(0.5, 16, N=2000, seed=7, degree=2)
-    spec = _particle_free_spec("linear_mean", "zero", loss)
-    constants = stitch_constants(spec)
-    breaks = plan_intervals(spec, grid, constants, intervals=2)
-    got_sol, got = solve_global(spec, grid, backend, breaks, constants)
-    monkeypatch.setattr(DriverSpec, "particle_free", False)
-    ref_sol, ref = solve_global(spec, grid, backend, breaks, constants)
-    for hist, ref_hist in zip(got, ref):
-        _assert_same_solve((got_sol, hist), (ref_sol, ref_hist), backend)
+    for driver in ("linear_mean", "linear_y_0.8", "linear_y_-0.6"):
+        spec = _lipschitz_spec(driver, "zero", loss)
+        constants = stitch_constants(spec)
+        breaks = plan_intervals(spec, grid, constants, intervals=2)
+        got_sol, got = solve_global(spec, grid, backend, breaks, constants)
+        terminal = None
+        for j in range(len(got) - 1, -1, -1):
+            lo, hi = breaks[j], breaks[j + 1]
+            ref = _general_solve(spec, grid, backend, lo, hi, terminal)
+            _assert_same_solve((got_sol, got[j]), ref, backend, lo, hi)
+            terminal = ref[0].y[0]
 
 
 def _record_case(name, kind, regression_backend):
@@ -726,9 +749,9 @@ def _record_case(name, kind, regression_backend):
                             terminal=brownian_shift_terminal(0.05), driver=linear_mean_driver(1.0),
                             resistance=ResistanceSpec("zero"), loss=sine_perturbed_loss(0.5))
     elif name == "sine-binding":     # K > 0: the reflection absorbs the later sweeps' offsets
-        spec = _particle_free_spec("linear_mean", "zero", "sine")
+        spec = _lipschitz_spec("linear_mean", "zero", "sine")
     elif name == "sine-moving":      # K = 0: the later sweeps move y_0, ..., y_7 by up to 0.03
-        spec = dataclasses.replace(_particle_free_spec("linear_mean", "zero", "sine"),
+        spec = dataclasses.replace(_lipschitz_spec("linear_mean", "zero", "sine"),
                                    driver=linear_mean_driver(-0.7))
     else:
         spec = get(name.split("-")[0]).spec
@@ -797,7 +820,7 @@ def test_sweep_drops_the_search_arrays_before_dy():
     # laws the scalar sweeps keep hold their atoms and moments only
     n, N = 16, 20000
     node = N * 8
-    spec = _particle_free_spec("linear_mean", "zero", "sine")
+    spec = _lipschitz_spec("linear_mean", "zero", "sine")
     grid = make_grid(spec.horizon, n)
     ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
     projection = _projection_bytes(ensemble, n // 2)
@@ -834,15 +857,18 @@ def _count_projections(backend) -> list:
     return calls
 
 
-@pytest.mark.parametrize("name", ["B_meanfield_linear", "linear_y", "D_quadratic",
-                                  "D_quadratic-lattice"])
+SWEEPS = {"B_meanfield_linear": 6, "linear_y": 5, "linear_y-lattice": 9}
+
+
+@pytest.mark.parametrize("name", ["B_meanfield_linear", "linear_y", "linear_y-lattice",
+                                  "D_quadratic", "D_quadratic-lattice"])
 def test_projections_per_window(name, regression_backend):
-    # a particle-free solve projects in its first sweep and in one pass for
+    # a Lipschitz solve projects in its first sweep and in one pass for
     # E|zeta|^2, at most 2m whatever its sweep count (the write-back adds to
-    # y only); a driver that reads particles projects m times in every sweep,
-    # in quadratic mode too, whose BMO recursions on dz and on z (the ball
-    # record's) are rows of the step projections
-    spec = _binding_linear_y() if name == "linear_y" else get(name.split("-")[0]).spec
+    # y only); a quadratic solve projects m times in every sweep, whose BMO
+    # recursions on dz and on z (the ball record's) are rows of the step
+    # projections
+    spec = _binding_linear_y() if name.startswith("linear_y") else get(name.split("-")[0]).spec
     if name.endswith("-lattice"):
         m = 8
         grid, backend = lattice(spec.horizon, m)
@@ -851,8 +877,8 @@ def test_projections_per_window(name, regression_backend):
         grid, backend = regression_backend(spec.horizon, m, N=4000, seed=7)
     calls = _count_projections(backend)
     _, hist = picard_solve(spec, grid, backend)
-    if spec.driver.particle_free:
-        assert len(hist.distances) == 6 and m < len(calls) <= 2 * m
+    if spec.mode == LIPSCHITZ:
+        assert len(hist.distances) == SWEEPS[name] and m < len(calls) <= 2 * m
     else:
         assert len(hist.distances) >= 2 and len(calls) == m * len(hist.distances)
 

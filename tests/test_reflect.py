@@ -46,10 +46,10 @@ def first_sweep(spec, grid, backend, lo=0, hi=None, block=True):
 def deflate_with_generator(spec, grid, backend, prev):
     """The deflated process of one sweep and the generator values it
     realized: at each step, the step's one driver evaluation (of the scalar
-    formula for a particle-free driver), divided in Lipschitz mode by
-    1 - y_slope * dt (the implicit node step solved in closed form)."""
+    formula for a Lipschitz driver with no y term), divided in Lipschitz mode
+    by 1 - y_slope * dt (the implicit node step solved in closed form)."""
     evals = {}
-    name = "scalar" if spec.driver.particle_free else "evaluate"
+    name = "scalar" if spec.mode == LIPSCHITZ and not spec.driver.y_slope else "evaluate"
     evaluate = getattr(DriverSpec, name)
 
     def spy(self, t, *args):

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from mrbsde import stitch
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (LossSpec, ResistanceSpec, ScenarioSpec, brownian_terminal,
+from mrbsde.model import (LIPSCHITZ, LossSpec, ResistanceSpec, ScenarioSpec, brownian_terminal,
                           linear_shift_loss, linear_y_driver, quadratic_z_driver,
                           scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
@@ -236,28 +237,35 @@ def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
 
 
 def test_one_constraint_pass_per_solve(monkeypatch):
-    # a particle-free solve records the constraint in its first sweep, from
-    # the np.sin and np.cos arrays of a node's shift search where it formed
-    # them and from y_j elsewhere, so the linear family (A) evaluates the
-    # loss twice per node, at x = 0 and for the record; the closing pass of
-    # each window reads no node of it. A driver that reads particles makes
-    # one closing pass per window, which evaluates every node, and its
-    # sweeps evaluate the loss once per node, at x = 0
+    # a Lipschitz solve records the constraint in its first sweep, from the
+    # np.sin and np.cos arrays of a node's shift search where it formed them
+    # and from y_j elsewhere, so the linear family evaluates the loss twice
+    # per node, at x = 0 and for the record; the closing pass of each window
+    # records again only the nodes the later sweeps moved, none of A's
+    # (their searches evaluate the loss where x + offset is 0.0, a pass over
+    # the atoms as at x = 0). A quadratic solve makes one closing pass per
+    # window, which evaluates every node, and its sweeps evaluate the loss
+    # once per node, at x = 0
     from mrbsde import cli, picard, reflect
 
     original = reflect.complete_record
-    calls, evaluations = [], []
+    calls, moved, evaluations = [], [], []
 
     def count(*args, **kwargs):
         calls.append(args)
+        moved.append(int(np.sum(np.isnan(args[3].stats["std_y"]))))
         return original(*args, **kwargs)
 
     for module in (reflect, picard, stitch, cli):
         if getattr(module, "complete_record", None) is original:
             monkeypatch.setattr(module, "complete_record", count)
     evaluate = LossSpec.evaluate
-    monkeypatch.setattr(LossSpec, "evaluate",
-                        lambda *args, **kw: (evaluations.append(1), evaluate(*args, **kw))[1])
+
+    def spy(*args, **kw):
+        evaluations.append(sys._getframe(1).f_code.co_name)
+        return evaluate(*args, **kw)
+
+    monkeypatch.setattr(LossSpec, "evaluate", spy)
     linear_y = ScenarioSpec(name="ylin", horizon=0.5, brownian_dim=1,
                             terminal=brownian_terminal(), driver=linear_y_driver(0.8),
                             resistance=ResistanceSpec("zero"),
@@ -267,6 +275,7 @@ def test_one_constraint_pass_per_solve(monkeypatch):
         constants = stitch_constants(spec)
         for breaks in ([0, grid.n], plan_intervals(spec, grid, constants, intervals=3)):
             calls.clear()
+            moved.clear()
             evaluations.clear()
             if len(breaks) == 2:
                 sol, history = picard_solve(spec, grid, backend)
@@ -277,8 +286,13 @@ def test_one_constraint_pass_per_solve(monkeypatch):
             sweeps = np.array([len(h.distances) for h in histories])
             assert np.all(sweeps > 1)
             assert len(calls) == len(histories)
-            if spec.driver.particle_free:
-                assert len(evaluations) == 2 * nodes.sum()
+            searched = evaluations.count("expected_loss")
+            if spec.mode == LIPSCHITZ:
+                assert len(evaluations) - searched == nodes.sum() + sum(moved)
+                if spec is linear_y:    # its later sweeps move nodes
+                    assert sum(moved) > 0 and searched >= nodes.sum()
+                else:                   # A's search at x = 0 in the first sweep only
+                    assert sum(moved) == 0 and searched == nodes.sum()
             else:
                 assert len(evaluations) == np.sum((sweeps + 1) * nodes)
             if len(breaks) == 2:
