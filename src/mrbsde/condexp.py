@@ -124,7 +124,6 @@ class RegressionBackend:
         if ensemble.N <= self.basis.features_up_to(ensemble.N):
             raise ValueError("need more particles than basis features")
         self._targets = np.empty((0, ensemble.N))   # the widest (k, N) targets yet
-        self._design_step = None                    # the step `_design` holds
 
     @cached_property
     def _design(self) -> np.ndarray:
@@ -187,7 +186,6 @@ class RegressionBackend:
         if self.basis.degree:
             self.ensemble.step(i, out=x)
         self.basis.design(x.T, out=phi_fm)
-        self._design_step = i
         return phi_fm
 
     def _project(self, i: int, targets: np.ndarray, scale=1.0, rows=None):
@@ -220,10 +218,10 @@ class RegressionBackend:
         return c.T @ phi_fm, b[0] * scale / n, np.sum(a * a, axis=0) / n, a / math.sqrt(n), c
 
     def replay(self, i: int, record) -> np.ndarray:
-        """A step-i fit again, bit for bit, from its record `W a` on the kept design."""
+        """A step-i fit again, bit for bit, from its record `W a` on the refilled design."""
         if i == 0:
             return np.repeat(record.T, self.ensemble.N, axis=1)
-        return record.T @ (self._design if self._design_step == i else self._design_at(i))
+        return record.T @ self._design_at(i)
 
     def condexp(self, i: int, next_values) -> np.ndarray:
         v = np.asarray(next_values, dtype=float)

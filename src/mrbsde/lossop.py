@@ -84,17 +84,20 @@ def expected_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> floa
     """E[l(t, x + X)] for the finite-support law of X; nondecreasing in x.
 
     At x = 0 this is the weighted mean of the losses at the atoms, the exact
-    value every zero shift is decided on; the sine family takes its np.sin
-    array from `law.sin_atoms()`, which also keeps E[sin X]. At any other x it
+    value every zero shift is decided on, kept on the law as a float per
+    (loss, t); the sine family takes its np.sin array from `law.sin_atoms()`,
+    which also keeps E[sin X]. At any other x it
     is `LossSpec.shifted_mean` of the law's moments: O(1) once they are known,
     and equal to the direct mean of l(t, x + X) to within a few ulps of
     |x| + max|X| + 1.
     """
     if x != 0.0:
         return loss.shifted_mean(t, x, law)
-    if loss.kind == "linear_shift":
-        return law.mean(loss.evaluate(t, law.atoms))
-    return law.mean(loss.evaluate(t, law.atoms, law.sin_atoms()))
+    at_zero = law.__dict__.setdefault("at_zero", {})
+    if (loss, t) not in at_zero:
+        sin = None if loss.kind == "linear_shift" else law.sin_atoms()
+        at_zero[loss, t] = law.mean(loss.evaluate(t, law.atoms, sin))
+    return at_zero[loss, t]
 
 
 def release_loss(loss: LossSpec, t: float, law: EmpiricalLaw, x: float) -> np.ndarray | None:

@@ -260,13 +260,14 @@ def picard_solve(scenario: ScenarioSpec, grid: TimeGrid, backend,
     distance falls below `tol` (default `backend.picard_tol`) or stalls.
 
     Each sweep is one backward pass written over the previous iterate, so a
-    solve holds at most one iterate's y block: a Lipschitz driver's first
-    sweep keeps node records, and its later sweeps run on per-node scalars
-    (`ScalarSweeps`), which write a block only if they move a node. A stall
-    returns the last iterate with `stop_reason="stalled"`, so `converged` is
-    False; running out of `max_iter` raises `ConvergenceError`. The returned
-    iterate carries its whole record and the diagnostics: `complete_record`
-    takes the nodes no sweep recorded from the block.
+    solve holds at most one iterate's y: a Lipschitz driver's first sweep
+    keeps node records at lam = 0 and node values at lam > 0, and its later
+    sweeps run on per-node scalars (`ScalarSweeps`), which add offsets to
+    those values. A stall returns the last iterate with
+    `stop_reason="stalled"`, so `converged` is False; running out of
+    `max_iter` raises `ConvergenceError`. The returned iterate carries its
+    whole record and the diagnostics: `complete_record` records from its
+    values an answer no sweep recorded.
 
     The scenario's driver fixes the mode. `constants` (default: the scenario's)
     gives the quadratic ball radius and the contraction horizon, which is

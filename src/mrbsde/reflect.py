@@ -46,14 +46,15 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
                     prev: ReflectedSolution, terminal_values):
     """Backward Euler for the deflated (unconstrained) equation on `prev`'s
     window, one node at a time: yields (j, ybar_j, terms, node) for j = m, ...,
-    0, terms None at the terminal node, node (fit record, constant added) at a
-    Lipschitz step with no y term. Step j projects ybar_(j+1) and, in the
-    same projection, dz_j, the z of ybar_(j+1) less the value `prev`'s step j
-    projected, which is read before node j+1 is yielded, so the caller may
-    then write over it: terms is (E|dz_j|^2, dz_j's record). Quadratic mode
-    also fits z_j, the z of ybar_(j+1) that its driver reads, and the value
-    rows of two BMO recursions r_j = E_j[r_(j+1)] + |w_j|^2 dt (r_m = 0), for
-    w = dz and w = z: terms is (z_j's record, max r^dz_j, max r^z_j).
+    0, terms None at the terminal node, node (fit record, constant added) at
+    a step of a driver with lam = 0, else None. Step j projects ybar_(j+1)
+    and, in the same projection, dz_j, the z of ybar_(j+1) less the value
+    `prev`'s step j projected, which is read before node j+1 is yielded, so
+    the caller may then write over it: terms is (E|dz_j|^2, dz_j's record).
+    Quadratic mode also fits z_j, the z of ybar_(j+1) that its driver reads,
+    and the value rows of two BMO recursions r_j = E_j[r_(j+1)] + |w_j|^2 dt
+    (r_m = 0), for w = dz and w = z: terms is (z_j's record, max r^dz_j,
+    max r^z_j).
 
     The generator's frozen inputs come from the previous iterate `prev`: the
     mean of its y (and of its z in quadratic mode), the resistance of its
@@ -68,12 +69,12 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
-    drv = scenario.driver
+    drv, lam = scenario.driver, scenario.driver.lam
     dt = grid.dt
     implicit = scenario.mode == LIPSCHITZ
-    if implicit and drv.lam * dt >= 1.0:
+    if implicit and lam * dt >= 1.0:
         raise StepSizeError(
-            f"lam*dt = {drv.lam * dt:.3g} >= 1: the implicit node step is not "
+            f"lam*dt = {lam * dt:.3g} >= 1: the implicit node step is not "
             "guaranteed solvable; use a finer grid")
     # division by 1.0 is exact, so drivers without a y term step explicitly
     denom = 1.0 - drv.y_slope * dt if implicit else 1.0
@@ -102,7 +103,7 @@ def _deflated_nodes(scenario: ScenarioSpec, grid: TimeGrid, backend,
             f = drv.evaluate(grid.nodes[i], y_slot, float(mean_y[j]), z_i, zbar,
                              float(resistance[j]))
         shift = (f / denom) * dt
-        return base + shift, r, terms, None if np.ndim(shift) else (record, shift)
+        return base + shift, r, terms, None if lam else (record, shift)
 
     ybar, terms, node = np.asarray(terminal_values, dtype=float), None, None
     r = None if implicit else np.zeros((2, backend.count(hi)))   # [r^dz; r^z]
@@ -199,10 +200,9 @@ def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
 
 
 def _record_node(stats: dict, j: int, backend, i: int, y, loss: LossSpec, t, out=None):
-    """Node j's unrecorded statistics from its values y at grid node i; the
-    deviations for std(y_j) go into `out`, which may be y, if given."""
-    if np.isnan(stats["mean_y"][j]):
-        stats["mean_y"][j] = backend.mean(i, y)
+    """Node j's std(y_j) about its recorded E[y_j] and, where none is
+    recorded, its constraint, from its values y at grid node i; the
+    deviations go into `out`, which may be y, if given."""
     if np.isnan(stats["constraint"][j]):
         vals = loss.evaluate(t, y)
         stats["constraint"][j], stats["constraint_se"][j] = backend.mean_se(i, vals)
@@ -213,12 +213,14 @@ def _record_node(stats: dict, j: int, backend, i: int, y, loss: LossSpec, t, out
 
 
 def complete_record(loss: LossSpec, grid: TimeGrid, backend, sol: ReflectedSolution):
-    """Record from `sol`'s block each node with no std(y_j) and, if none is
-    kept, the per-particle sup; then attach the diagnostics."""
+    """Record from its values every node, and the per-particle sup, of an
+    answer that kept no sup (quadratic, lam > 0, `inflate_k`); then attach
+    the diagnostics."""
     stats = sol.stats
-    for j in np.flatnonzero(np.isnan(stats["std_y"])):
-        _record_node(stats, j, backend, sol.lo + j, sol.y[j], loss, grid.nodes[sol.lo + j])
     if sol.sup is None:
+        for j, y in enumerate(sol.y):
+            stats["mean_y"][j] = backend.mean(sol.lo + j, y)
+            _record_node(stats, j, backend, sol.lo + j, y, loss, grid.nodes[sol.lo + j])
         sol.sup = backend.sup_sq_mean(enumerate(sol.y, sol.lo))[1]
     sol.diagnostics = diagnostics_record(stats["constraint"], stats["constraint_se"],
                                          flatness_residual(stats["constraint"], sol.k))
@@ -296,12 +298,11 @@ class ReflectedSolution:
     coefficients over an orthonormal basis of step j (√prob-weighted slopes
     on the lattice), whose sum of squares is E|z_j|^2; a quadratic driver
     reads E[z_j] next. y_j is kept, or as (fit record, constant, tail_j) at an
-    interior node of a Lipschitz first sweep with no y term, which keeps no
-    block (`linear_y`'s y_j is no fit plus a constant, and a quadratic driver
-    reads y per particle). `stats` holds E[y_j] ("mean_y"), std(y_j),
-    "constraint" and "constraint_se", NaN where not recorded, and `sup` the
-    per-particle sup_j |y_j|. Also kept: the sweep's minimal shifts, if any,
-    in quadratic mode its ball record, and `diagnostics`, empty or complete."""
+    interior node of a first sweep at lam = 0, whose solution map is constant,
+    so that later sweeps move no node. `stats` holds E[y_j] ("mean_y"),
+    std(y_j), "constraint" and "constraint_se", NaN where not recorded, and
+    `sup` the per-particle sup_j |y_j|. Also kept: the sweep's minimal shifts,
+    if any, in quadratic mode its ball record, and `diagnostics`."""
 
     lo: int
     hi: int
@@ -361,23 +362,24 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
 
     Returns the new iterate, which carries its shifts, its z record (in
     Lipschitz mode `prev`'s plus dz's, since z_j = prev's z_j + dz_j; in
-    quadratic mode z_j's own), E[y_j] and, in Lipschitz mode, each node's
-    whole record (l(t_j, y_j) off the search's np.sin and np.cos arrays where
-    it formed them); from a `prev` with no block, whose y is 0.0, it keeps y
-    only as in `ReflectedSolution` and its sup of |dy| as `sup`. It also
-    returns its distance from `prev`: in Lipschitz mode the root-sum-square
-    of (sample S2, sample H2, sup-k), with a per-particle running sup of |dy|
-    and the per-node H2 means, read off the projections, summed at the end;
-    in quadratic mode the sum of (sample S-inf, BMO proxy, sup-k), and the
-    new iterate carries its ball record: max |y_j| as node j is written, the
-    BMO proxy of its z and sup|k|, both BMO recursions run in the steps'
-    projections.
+    quadratic mode z_j's own) and E[y_j]. From a `prev` with no block, whose
+    y is 0.0, it keeps y_j as formed at lam > 0; at lam = 0 as in
+    `ReflectedSolution`, with each node's whole record (l(t_j, y_j) off the
+    search's np.sin and np.cos arrays where it formed them) and its sup of
+    |dy| as `sup`. It also returns its distance from `prev`: in Lipschitz
+    mode the root-sum-square of (sample S2, sample H2, sup-k), with a
+    per-particle running sup of |dy| and the per-node H2 means, read off the
+    projections, summed at the end; in quadratic mode the sum of (sample
+    S-inf, BMO proxy, sup-k), and the new iterate carries its ball record:
+    max |y_j| as node j is written, the BMO proxy of its z and sup|k|, both
+    BMO recursions run in the steps' projections.
     """
     lo, hi = prev.lo, prev.hi
     m = hi - lo
     if terminal_values is None:
         terminal_values = scenario.terminal.evaluate(backend.state(hi))
     lipschitz = scenario.mode == LIPSCHITZ
+    recording = prev.y is None and not scenario.driver.lam
     rho, s, tail = np.empty((3, m + 1))
     stats, y = no_stats(m), [None] * (m + 1) if prev.y is None else prev.y
     # per step: E|dz_j|^2 (Lipschitz), or the largest remaining quadratic
@@ -389,11 +391,11 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                                                       terminal_values):
             i, t = lo + j, grid.nodes[lo + j]
             law = backend.law(i, ybar_j)
-            rho[j] = loss_operator(scenario.loss, t, law.hold() if lipschitz else law)
+            rho[j] = loss_operator(scenario.loss, t, law.hold() if recording else law)
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
             tail[j] = s[j] - s[m]
             # l(t_i, y_j) from the search's arrays, which die before dy
-            vals = release_loss(scenario.loss, t, law, tail[j]) if lipschitz else None
+            vals = release_loss(scenario.loss, t, law, tail[j]) if recording else None
             if vals is not None:
                 stats["constraint"][j], stats["constraint_se"][j] = backend.mean_se(i, vals)
             vals = None
@@ -413,7 +415,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             if not lipschitz:
                 y_sup[j] = float(np.max(np.abs(y_j)))
             yield i, dy
-            if lipschitz:   # past the sup pass, dy is spare unless it is y_j, kept
+            if recording:   # past the sup pass, dy is spare unless it is y_j, kept
                 _record_node(stats, j, backend, i, y_j, scenario.loss, t,
                              None if y[j] is dy else dy)
             y_j = dy = None   # freed before the next projection
@@ -431,7 +433,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
                 "k_sup": float(np.max(np.abs(k)))}
     return ReflectedSolution(lo=lo, hi=hi, y=y, k=k, tail=tail, step_offsets=tail[1:],
                              z_record=z_record, shifts=rho, ball=ball, stats=stats,
-                             sup=sup if prev.y is None else None), dist
+                             sup=sup if recording else None), dist
 
 
 class ScalarSweeps:
@@ -441,12 +443,13 @@ class ScalarSweeps:
     delta_j = (delta_(j+1) + (s tail_j + F_j - F1_j) dt) / (1 - s dt), tail
     the last iterate's and F1 the first sweep's F, and its z the first one's
     plus delta_(j+1) zeta_j, with zeta_j the z-fit of the constant 1 (0 on
-    the lattice), whose record and E|zeta_j|^2 one pass reads off projection
-    coefficients, fitting no row; run at the first search of a node's law,
-    it also replays `first`, the first sweep's iterate, into a block, which
-    holds its y until `write_back` adds the last sweep's offsets to it;
-    y_(j+1) - tail_(j+1) is then ybar1_(j+1) + delta_(j+1), and the z record,
-    linear in it, becomes first's plus delta_(j+1) times zeta_j's."""
+    the lattice). At lam = 0 every offset is 0.0 and no node moves. A node's
+    first search reads its law off the values that `first`, the first
+    sweep's iterate, keeps at lam > 0, and the first of them runs one pass
+    that reads zeta_j's record and E|zeta_j|^2 off projection coefficients,
+    fitting no row. `write_back` adds the last sweep's offsets to first's
+    values: y_(j+1) - tail_(j+1) is then ybar1_(j+1) + delta_(j+1), and the
+    z record, linear in it, becomes first's plus delta_(j+1) times zeta_j's."""
 
     def __init__(self, scenario: ScenarioSpec, grid: TimeGrid, backend,
                  first: ReflectedSolution):
@@ -473,8 +476,9 @@ class ScalarSweeps:
                     self.times[j], float(mean_y[j]), float(g[j]))
                 delta[j] = (delta[j + 1] + (f - self.f1[j]) * dt) / self.denom
             if delta[j] != 0.0 and self.laws[j] is None:
-                self.laws[j] = self.backend.law(first.lo + j, self._block()[j])
-            # ybar1_j + delta_j is the block row y1_j plus delta_j - tail1_j
+                self._zeta_pass()
+                self.laws[j] = self.backend.law(first.lo + j, first.y[j])
+            # ybar1_j + delta_j is the kept y1_j plus delta_j - tail1_j
             rho[j] = first.shifts[j] if delta[j] == 0.0 else loss_operator(
                 self.scenario.loss, self.times[j], self.laws[j], delta[j] - first.tail[j])
             s[j] = rho[j] if j == m else np.maximum(rho[j], s[j + 1])
@@ -482,39 +486,32 @@ class ScalarSweeps:
         new = ReflectedSolution(lo=first.lo, hi=first.hi, y=first.y, k=s[0] - s, tail=tail,
                                 step_offsets=tail[1:], shifts=rho)
         dy = (delta + new.tail) - (self.delta + last.tail)
-        moved = (delta - self.delta)[1:]   # nonzero only once `_block` ran
+        moved = (delta - self.delta)[1:]   # nonzero only once `_zeta_pass` ran
         z_term = 0.0 if self.zeta_sq is None else float(np.sum(moved * moved * self.zeta_sq))
         dk = float(np.max(np.abs(new.k - last.k)))
         self.last, self.delta = new, delta
         return math.sqrt(float(np.max(dy * dy)) + z_term * dt + dk * dk)
 
-    def _block(self) -> list:
-        """first's y as a block, made by the zeta pass on its first call."""
-        first, backend, passes = self.first, self.backend, []
+    def _zeta_pass(self):
+        """zeta's records and E|zeta_j|^2, read on the first call."""
         if self.zeta is None:
-            for j in range(len(first.y) - 1):
-                i = first.lo + j
-                passes.append(backend.condexp_and_z(i, np.ones(backend.count(i + 1)), fit=0))
-                first.y[j] = first.node(j, backend)
-            self.zeta, sq = zip(*passes)
+            backend = self.backend
+            self.zeta, sq = zip(*(backend.condexp_and_z(i, np.ones(backend.count(i + 1)), fit=0)
+                                  for i in range(self.first.lo, self.first.hi)))
             self.zeta_sq = np.array([q[0] for q in sq])
-        return first.y
 
     def write_back(self) -> ReflectedSolution:
-        """The last sweep's iterate, its y written into the block and its z
-        record formed. A node whose shift is 0.0 is skipped, not changed, and
-        keeps the first sweep's record: y_j = ybar_j + tail_j and tail_j =
-        s_j - s_m is never -0.0, so y + 0.0 is y. A moved node's record and
-        the sup are dropped, for `complete_record`; only a sweep that ran
-        `_block` moves one. A step whose delta_(j+1) is 0.0 keeps its z record."""
+        """The last sweep's iterate: its offsets added to first's values, its
+        z record formed, and first's records, which at lam > 0 leave the rest
+        to `complete_record`. A node whose shift is 0.0 is skipped, not
+        changed: y_j = ybar_j + tail_j and tail_j = s_j - s_m is never -0.0,
+        so y + 0.0 is y. A step whose delta_(j+1) is 0.0 keeps its z record."""
         first, delta, last = self.first, self.delta, self.last
         last.stats, last.sup = first.stats, first.sup
         for j, y in enumerate(first.y):
             shift = (delta[j] + last.tail[j]) - first.tail[j]
             if shift != 0.0:
                 y += shift
-                last.stats["mean_y"][j] = last.stats["std_y"][j] = np.nan
-                last.stats["constraint"][j], last.sup = np.nan, None
         last.z_record = [rec if dj == 0.0 else rec + dj * self.zeta[j][0]
                          for j, (rec, dj) in enumerate(zip(first.z_record, delta[1:]))]
         return last

@@ -244,6 +244,9 @@ _REFUSALS = [
     ("resistance-unknown-key", {**A_LATTICE, "scenario": {**inline(), "resistance": {
         "kind": "zero", "bogus": 1}}},
      "cli: bad scenario: resistance: unknown keys ['bogus']"),
+    ("resistance-unknown-kind", {**A_LATTICE, "scenario": {**inline(), "resistance": {
+        "kind": "bogus"}}},
+     "cli: bad scenario: unknown resistance kind 'bogus'"),
     ("inline-without-T", {**A_LATTICE, "scenario": {
         k: v for k, v in inline().items() if k != "T"}},
      "cli: bad scenario: scenario config missing key 'T'"),

@@ -222,6 +222,15 @@ def test_spec_refuses_a_params_count_other_than_its_kinds(build, message):
         build()
 
 
+@pytest.mark.parametrize("spec", [DriverSpec, LossSpec, TerminalSpec])
+def test_spec_refuses_an_unknown_kind(spec):
+    # the config builders refuse an unknown kind first; a spec built directly
+    # refuses it too
+    owner = spec.__name__.removesuffix("Spec").lower()
+    with pytest.raises(ValueError, match=f"unknown {owner} kind 'bogus'"):
+        spec(kind="bogus")
+
+
 # Property tests of the standing assumptions. Every constant is a formula of
 # a spec's kind and params, so each assumption is checked here over every
 # kind it applies to and params across their valid ranges. Each side of an

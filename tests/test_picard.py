@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mrbsde.condexp import LatticeBackend, RegressionBackend
-from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, ResistanceSpec,
+from mrbsde.model import (LIPSCHITZ, RESISTANCE_KINDS, LossSpec, ResistanceSpec,
                           ScenarioSpec, brownian_shift_terminal, brownian_terminal,
                           constant_driver, linear_mean_driver, linear_shift_loss,
                           linear_y_driver, mean_resist_driver, sine_perturbed_loss,
@@ -742,11 +743,65 @@ def test_stitched_scalar_sweeps_match_the_general_sweep(loss, regression_backend
             terminal = ref[0].y[0]
 
 
+# every Lipschitz kind, at params giving lam = 0 and, where a kind has a
+# slope, lam > 0
+STORAGE_DRIVERS = [zero_driver(), constant_driver(-0.5), linear_y_driver(0.0),
+                   linear_y_driver(0.8), linear_mean_driver(0.0), linear_mean_driver(0.7),
+                   mean_resist_driver(0.0, 0.0), mean_resist_driver(0.5, -1.0)]
+
+
+@pytest.mark.parametrize("kind", ["lattice", "regression"])
+def test_lam_decides_how_a_first_sweep_keeps_y(kind, regression_backend, monkeypatch):
+    # at lam = 0 the solution map is constant: the first sweep keeps each
+    # interior node as its record and records it as it forms it, and the
+    # scalar sweeps move no node, so they build no law and run no zeta pass;
+    # at lam > 0 the first sweep keeps every node's values, and the closing
+    # pass records each node once
+    if kind == "lattice":
+        grid, backend = lattice(0.5, 8)
+    else:
+        grid, backend = regression_backend(0.5, 16, N=2000, seed=7, degree=2)
+    windows, closing = [], []
+    write_back = ScalarSweeps.write_back
+    monkeypatch.setattr(ScalarSweeps, "write_back",
+                        lambda self: (windows.append(self), write_back(self))[1])
+    evaluate = LossSpec.evaluate
+
+    def spy(*args, **kw):
+        closing.append(sys._getframe(2).f_code.co_name == "complete_record")
+        return evaluate(*args, **kw)
+
+    monkeypatch.setattr(LossSpec, "evaluate", spy)
+    cases = [(driver, False) for driver in STORAGE_DRIVERS] + [(constant_driver(-0.5), True)]
+    for driver, stitched in cases:
+        spec = ScenarioSpec(name="lam", horizon=0.5, brownian_dim=1,
+                            terminal=brownian_shift_terminal(-0.1), driver=driver,
+                            resistance=ResistanceSpec("zero" if stitched else "evaluation"),
+                            loss=LOSSES["linear"])
+        windows.clear()
+        closing.clear()
+        if stitched:
+            constants = stitch_constants(spec)
+            breaks = plan_intervals(spec, grid, constants, intervals=2)
+            sol, _ = solve_global(spec, grid, backend, breaks, constants)
+        else:
+            breaks = [0, grid.n]
+            sol, _ = picard_solve(spec, grid, backend)
+        assert len(windows) == len(breaks) - 1, driver.kind
+        for window in windows:
+            interior = [type(y) is tuple for y in window.first.y[1:-1]]
+            assert interior == [not driver.lam] * len(interior), driver
+            if not driver.lam:
+                assert window.laws == [None] * len(window.laws) and window.zeta is None
+        assert sum(closing) == (0 if not driver.lam else grid.n + 1), driver
+        assert not np.any(np.isnan(sol.stats["std_y"])) and sol.sup is not None
+
+
 def _record_case(name, kind, regression_backend):
     """(answer, spec, grid, backend) of one carried-record case, n = 8."""
     if name == "sine-direct":
         spec = ScenarioSpec(name="dip", horizon=0.5, brownian_dim=1,
-                            terminal=brownian_shift_terminal(0.05), driver=linear_mean_driver(1.0),
+                            terminal=brownian_terminal(), driver=constant_driver(0.5),
                             resistance=ResistanceSpec("zero"), loss=sine_perturbed_loss(0.5))
     elif name == "sine-binding":     # K > 0: the reflection absorbs the later sweeps' offsets
         spec = _lipschitz_spec("linear_mean", "zero", "sine")
@@ -760,16 +815,19 @@ def _record_case(name, kind, regression_backend):
     else:
         grid, backend = regression_backend(spec.horizon, 8, N=2000, seed=7, degree=2)
     if name == "sine-direct":
-        # linear_mean reads the previous iterate's mean: one that dips the
-        # deflated mean below 0 at nodes 4-7 and lifts it back above at
-        # nodes 0-3, which bind nowhere (shift 0) and still carry a tail
-        prev = zero_solution(backend, 0, grid.n)
-        prev.stats["mean_y"] = np.array([4.0, 4.0, 4.0, 4.0, 4.0, -2.0, -2.0, -2.0, 0.0])
-        for y, value in zip(prev.y, prev.stats["mean_y"]):
-            y[...] = value
-        sol, _ = solve_interval(spec, grid, backend, prev)
-        assert np.all((sol.shifts[:4] == 0.0) & (sol.tail[:4] > 0.0))
-        assert np.all(sol.shifts[4:8] > 0.0)
+        # a first sweep at lam = 0, which records each node as it forms it,
+        # on terminal values -0.1 + pi/2 less 2 pi on a quarter of the atoms:
+        # every sin is cos(-0.1), so node m meets its constraint, while the
+        # earlier laws read E[sin] near sin of their mean, -0.1 + 0.5 (T - t),
+        # so nodes 5-7 bind and nodes 0-4 bind nowhere (shift 0) and still
+        # carry a tail
+        atoms = np.arange(backend.count(grid.n))
+        laps = np.isin(atoms, (1, 3)) if kind == "lattice" else atoms % 4 == 0
+        terminal = -0.1 + math.pi / 2 - 2 * math.pi * laps
+        sol, _ = solve_interval(spec, grid, backend, zero_solution(backend, 0, grid.n, False),
+                                terminal)
+        assert np.all((sol.shifts[:5] == 0.0) & (sol.tail[:5] > 0.0))
+        assert np.all(sol.shifts[5:8] > 0.0)
         # their searches formed no np.cos: the sweep evaluates them from y_j,
         # and `picard_solve`'s closing pass reads every node off the record
         assert sol.diagnostics == {} and not np.any(np.isnan(sol.stats["constraint"]))
@@ -780,7 +838,7 @@ def _record_case(name, kind, regression_backend):
                               plan_intervals(spec, grid, constants, intervals=3), constants)
     else:
         sol, hist = picard_solve(spec, grid, backend)
-        if name.startswith("sine-"):     # scalar sweeps ran: write_back evaluates moved nodes
+        if name.startswith("sine-"):     # scalar sweeps ran, and moved nodes or not
             assert len(hist.distances) > 2 and (sol.k[-1] > 0.0) == (name == "sine-binding")
     return sol, spec, grid, backend
 
@@ -791,12 +849,13 @@ def _record_case(name, kind, regression_backend):
                                   "A_sine_constraint-stitched", "sine-direct",
                                   "sine-binding", "sine-moving"])
 def test_carried_record_matches_a_fresh_pass(name, kind, regression_backend):
-    # the record a particle-free sweep reads off each node's shift search
-    # where it formed np.sin and np.cos arrays (the fill pass evaluates the
-    # others, and the nodes later sweeps moved, from the written y) against
-    # one loss pass over the answer: the same bits where the loss is linear or y_j is
-    # ybar_j (tail 0.0); within 1e-15 where the sine family's addition formula
-    # forms l(t, ybar_j + tail_j) from sin and cos of ybar_j
+    # the record a first sweep at lam = 0 reads off each node's shift search
+    # where it formed np.sin and np.cos arrays (it evaluates the others from
+    # y_j, and the closing pass records a lam > 0 answer from its values)
+    # against one loss pass over the answer: the same bits where the loss is
+    # linear or y_j is ybar_j (tail 0.0); within 1e-15 where the sine
+    # family's addition formula forms l(t, ybar_j + tail_j) from sin and cos
+    # of ybar_j
     sol, spec, grid, backend = _record_case(name, kind, regression_backend)
     fresh = constraint_diagnostics(spec.loss, grid, backend, sol.values(backend), sol.k, sol.lo)
     assert sol.diagnostics.keys() == fresh.keys()
@@ -810,32 +869,37 @@ def test_carried_record_matches_a_fresh_pass(name, kind, regression_backend):
 
 
 def test_sweep_drops_the_search_arrays_before_dy():
-    # a particle-free first sweep, from a zero triple with no block, records
+    # a first sweep at lam = 0, from a zero triple with no block, records
     # l(t_j, y_j) in the np.sin and np.cos arrays of node j's search and drops
     # them before it forms y_j (which is dy_j), and forms y_j's deviations for
     # std(y_j) in dy_j once the sup pass has read it. Beside node m's values,
     # which the answer keeps, its peak beyond one projection's working set is
     # the search's own two node vectors beside ybar_j and the sweep's running
-    # sup: 4.12 node vectors here. Deviations in a fresh array read 5.12. The
-    # laws the scalar sweeps keep hold their atoms and moments only
+    # sup: 4.14 node vectors here; deviations in a fresh array add one. A
+    # first sweep at lam > 0 keeps every node's values as it forms them and
+    # holds no block beside them: 18.11 node vectors here, its n nodes
+    # before node m, ybar_j and the running sup (a zero block adds n + 1).
+    # The laws the scalar sweeps read off them hold their atoms and, beside
+    # their moments, a float per exact search at x + offset = 0
     n, N = 16, 20000
     node = N * 8
-    spec = _lipschitz_spec("linear_mean", "zero", "sine")
-    grid = make_grid(spec.horizon, n)
+    grid = make_grid(0.5, n)
     ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
     projection = _projection_bytes(ensemble, n // 2)
-    backend = RegressionBackend(ensemble)
-    prev = zero_solution(backend, 0, n, block=False)
-    terminal = spec.terminal.evaluate(backend.state(n))
-    tracemalloc.start()
-    try:
-        first, _ = solve_interval(spec, grid, backend, prev, terminal)
-        extra = (tracemalloc.get_traced_memory()[1] - projection) / node - 1
-    finally:
-        tracemalloc.stop()
-    assert np.all(first.shifts > 0.0)          # every node searched past x = 0
-    assert all(type(y) is tuple for y in first.y[1:-1])   # only the end nodes kept
-    assert extra <= 4.5, f"{extra:.2f} node vectors beyond one projection"
+    for driver, bound in (("constant", 4.5), ("linear_mean", n + 2.5)):
+        spec, backend = _lipschitz_spec(driver, "zero", "sine"), RegressionBackend(ensemble)
+        prev = zero_solution(backend, 0, n, block=False)
+        terminal = spec.terminal.evaluate(backend.state(n))
+        tracemalloc.start()
+        try:
+            first, _ = solve_interval(spec, grid, backend, prev, terminal)
+            extra = (tracemalloc.get_traced_memory()[1] - projection) / node - 1
+        finally:
+            tracemalloc.stop()
+        assert np.all(first.shifts > 0.0)          # every node searched past x = 0
+        kept = [type(y) is not tuple for y in first.y]
+        assert kept == [True] * (n + 1) if spec.driver.lam else kept[1:-1] == [False] * (n - 1)
+        assert extra <= bound, f"{driver}: {extra:.2f} node vectors beyond one projection"
 
     later = ScalarSweeps(spec, grid, backend, first)
     for _ in range(3):
@@ -843,8 +907,9 @@ def test_sweep_drops_the_search_arrays_before_dy():
     kept = [law for law in later.laws if law is not None]
     assert kept and all("mean_cos" in vars(law) for law in kept)
     for law in kept:
-        arrays = [key for key, value in vars(law).items() if isinstance(value, (np.ndarray, dict))]
-        assert arrays == ["atoms"], arrays
+        arrays = [key for key, value in vars(law).items() if isinstance(value, np.ndarray)]
+        assert arrays == ["atoms"] and "held" not in vars(law), arrays
+        assert all(type(v) is float for v in vars(law).get("at_zero", {}).values())
 
 
 def _count_projections(backend) -> list:

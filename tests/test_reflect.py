@@ -13,9 +13,9 @@ from mrbsde.model import (LIPSCHITZ, QUADRATIC, DriverSpec, ResistanceSpec, Scen
                           linear_y_driver, zero_driver)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import picard_solve
-from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k, constraint_diagnostics,
-                            empirical_norms, flatness_residual, solve_deflated,
-                            solve_interval, x_process, zero_solution)
+from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k, complete_record,
+                            constraint_diagnostics, empirical_norms, flatness_residual,
+                            solve_deflated, solve_interval, x_process, zero_solution)
 from mrbsde.scenarios import get
 
 
@@ -365,11 +365,12 @@ def test_lattice_sweep_row_j_holds_the_window_nodes():
 
 @pytest.mark.parametrize("d, degree", [(1, 0), (1, 1), (1, 3), (3, 3)])
 def test_first_sweep_nodes_replay_bit_for_bit(d, degree, regression_backend):
-    # a first sweep from a zero triple with no block keeps each interior
-    # node as its fit's record, the node step's constant and its tail; formed
-    # again, the nodes are the values a sweep over a zero block writes, byte
-    # for byte, node 0 (the particle mean at step 0) included, and so are
-    # their records
+    # a first sweep at lam = 0 from a zero triple with no block keeps each
+    # interior node as its fit's record, the node step's constant and its
+    # tail; formed again, the nodes are the values a sweep over a zero block
+    # writes, byte for byte, node 0 (the particle mean at step 0) included,
+    # and the records it takes as it forms each node are the ones the
+    # closing pass takes from that block
     spec = dataclasses.replace(get("A_sine_constraint").spec, brownian_dim=d)
     grid, backend = regression_backend(spec.horizon, 8, N=4000, seed=7, degree=degree, d=d)
     free = first_sweep(spec, grid, backend, block=False)
@@ -377,5 +378,8 @@ def test_first_sweep_nodes_replay_bit_for_bit(d, degree, regression_backend):
     assert free.k[-1] > 0.0 and all(type(y) is tuple for y in free.y[1:-1])
     for a, b in zip(free.values(backend), block.y, strict=True):
         assert a.tobytes() == b.tobytes()
+    assert block.sup is None and np.all(np.isnan(block.stats["std_y"]))
+    complete_record(spec.loss, grid, backend, block)
+    assert free.sup.tobytes() == block.sup.tobytes()
     for key, values in free.stats.items():
         assert values.tobytes() == block.stats[key].tobytes(), key

@@ -237,32 +237,40 @@ def test_stitched_diagnostics_equal_a_fresh_pass(name, kind, n):
 
 
 def test_one_constraint_pass_per_solve(monkeypatch):
-    # a Lipschitz solve records the constraint in its first sweep, from the
-    # np.sin and np.cos arrays of a node's shift search where it formed them
-    # and from y_j elsewhere, so the linear family evaluates the loss twice
-    # per node, at x = 0 and for the record; the closing pass of each window
-    # records again only the nodes the later sweeps moved, none of A's
-    # (their searches evaluate the loss where x + offset is 0.0, a pass over
-    # the atoms as at x = 0). A quadratic solve makes one closing pass per
-    # window, which evaluates every node, and its sweeps evaluate the loss
-    # once per node, at x = 0
+    # a Lipschitz solve records each node's constraint once per window: a
+    # driver with lam = 0 (A) as its first sweep forms the node, where the
+    # linear family evaluates the loss beside its search's pass at x = 0, and
+    # one with lam > 0 (`linear_y`) in the closing pass. Its later sweeps
+    # search only the laws of nodes that moved, none of A's, and read each
+    # law's loss at x + offset = 0 once, its kept moments otherwise: at most
+    # one evaluation per law they build (8 for 9 laws in one window here,
+    # where a full pass at every such probe made 39). A quadratic solve
+    # makes one closing pass per window, which evaluates every node, and its
+    # sweeps evaluate the loss once per node, at x = 0
     from mrbsde import cli, picard, reflect
 
     original = reflect.complete_record
-    calls, moved, evaluations = [], [], []
+    calls, evaluations, laws = [], [], []
 
     def count(*args, **kwargs):
         calls.append(args)
-        moved.append(int(np.sum(np.isnan(args[3].stats["std_y"]))))
         return original(*args, **kwargs)
 
     for module in (reflect, picard, stitch, cli):
         if getattr(module, "complete_record", None) is original:
             monkeypatch.setattr(module, "complete_record", count)
+    write_back = reflect.ScalarSweeps.write_back
+
+    def built(self):
+        laws.append(sum(law is not None for law in self.laws))
+        return write_back(self)
+
+    monkeypatch.setattr(reflect.ScalarSweeps, "write_back", built)
     evaluate = LossSpec.evaluate
 
     def spy(*args, **kw):
-        evaluations.append(sys._getframe(1).f_code.co_name)
+        # the caller, and for a search the sweep that runs it
+        evaluations.append((sys._getframe(1).f_code.co_name, sys._getframe(3).f_code.co_name))
         return evaluate(*args, **kw)
 
     monkeypatch.setattr(LossSpec, "evaluate", spy)
@@ -275,8 +283,8 @@ def test_one_constraint_pass_per_solve(monkeypatch):
         constants = stitch_constants(spec)
         for breaks in ([0, grid.n], plan_intervals(spec, grid, constants, intervals=3)):
             calls.clear()
-            moved.clear()
             evaluations.clear()
+            laws.clear()
             if len(breaks) == 2:
                 sol, history = picard_solve(spec, grid, backend)
                 histories = [history]
@@ -286,13 +294,14 @@ def test_one_constraint_pass_per_solve(monkeypatch):
             sweeps = np.array([len(h.distances) for h in histories])
             assert np.all(sweeps > 1)
             assert len(calls) == len(histories)
-            searched = evaluations.count("expected_loss")
+            searched = [sweep for caller, sweep in evaluations if caller == "expected_loss"]
             if spec.mode == LIPSCHITZ:
-                assert len(evaluations) - searched == nodes.sum() + sum(moved)
-                if spec is linear_y:    # its later sweeps move nodes
-                    assert sum(moved) > 0 and searched >= nodes.sum()
-                else:                   # A's search at x = 0 in the first sweep only
-                    assert sum(moved) == 0 and searched == nodes.sum()
+                assert len(evaluations) - len(searched) == nodes.sum()
+                assert searched.count("node_differences") == nodes.sum()
+                assert len(searched) - nodes.sum() == searched.count("sweep") <= sum(laws)
+                assert (sum(laws) > 0) == (spec is linear_y)   # its later sweeps move nodes
+                if len(breaks) == 2 and spec is linear_y:
+                    assert (searched.count("sweep"), sum(laws)) == (8, 9)
             else:
                 assert len(evaluations) == np.sum((sweeps + 1) * nodes)
             if len(breaks) == 2:
