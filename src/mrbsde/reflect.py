@@ -188,17 +188,6 @@ def flatness_residual(constraint, k) -> tuple[float, float]:
     return float(np.dot(constraint[1:], dk)), float(np.dot(constraint[:-1], dk))
 
 
-def constraint_diagnostics(loss: LossSpec, grid: TimeGrid, backend, y_values, k,
-                           lo: int = 0) -> dict:
-    """One pass of the loss over the nodes: the mean and standard error of
-    l(t_j, y_j) at each node, their minimum and the flatness residuals."""
-    constraint, constraint_se = np.empty((2, len(y_values)))
-    for j, y in enumerate(y_values):
-        vals = loss.evaluate(grid.nodes[lo + j], y)
-        constraint[j], constraint_se[j] = backend.mean_se(lo + j, vals)
-    return diagnostics_record(constraint, constraint_se, flatness_residual(constraint, k))
-
-
 def _record_node(stats: dict, j: int, backend, i: int, y, loss: LossSpec, t, out=None):
     """Node j's std(y_j) about its recorded E[y_j] and, where none is
     recorded, its constraint, from its values y at grid node i; the
@@ -297,9 +286,10 @@ class ReflectedSolution:
     kept as its record z_record[j]: row 0 is E[z_j], the rest its
     coefficients over an orthonormal basis of step j (√prob-weighted slopes
     on the lattice), whose sum of squares is E|z_j|^2; a quadratic driver
-    reads E[z_j] next. y_j is kept, or as (fit record, constant, tail_j) at an
-    interior node of a first sweep at lam = 0, whose solution map is constant,
-    so that later sweeps move no node. `stats` holds E[y_j] ("mean_y"),
+    reads E[z_j] next. y_j is kept, or as (fit record, constant) at every
+    node with a step, all but the terminal one, of a first sweep at lam = 0,
+    whose solution map is constant, so that later sweeps move no node; `node`
+    adds tail_j. `stats` holds E[y_j] ("mean_y"),
     std(y_j), "constraint" and "constraint_se", NaN where not recorded, and
     `sup` the per-particle sup_j |y_j|. Also kept: the sweep's minimal shifts,
     if any, in quadratic mode its ball record, and `diagnostics`."""
@@ -321,8 +311,8 @@ class ReflectedSolution:
         """Node j's values, kept or formed again from the record bit for bit."""
         if type(self.y[j]) is not tuple:
             return self.y[j]
-        record, shift, tail = self.y[j]
-        return (backend.replay(self.lo + j, record)[0] + shift) + tail
+        record, shift = self.y[j]
+        return (backend.replay(self.lo + j, record)[0] + shift) + self.tail[j]
 
     def values(self, backend) -> list:
         """Every node's values, the recorded ones formed again."""
@@ -364,9 +354,10 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
     Lipschitz mode `prev`'s plus dz's, since z_j = prev's z_j + dz_j; in
     quadratic mode z_j's own) and E[y_j]. From a `prev` with no block, whose
     y is 0.0, it keeps y_j as formed at lam > 0; at lam = 0 as in
-    `ReflectedSolution`, with each node's whole record (l(t_j, y_j) off the
-    search's np.sin and np.cos arrays where it formed them) and its sup of
-    |dy| as `sup`. It also returns its distance from `prev`: in Lipschitz
+    `ReflectedSolution` (the terminal node's values, and each other node's
+    fit record and constant), with each node's whole record (l(t_j, y_j) off
+    the search's np.sin and np.cos arrays where it formed them) and its sup
+    of |dy| as `sup`. It also returns its distance from `prev`: in Lipschitz
     mode the root-sum-square of (sample S2, sample H2, sup-k), with a
     per-particle running sup of |dy| and the per-node H2 means, read off the
     projections, summed at the end; in quadratic mode the sum of (sample
@@ -402,7 +393,7 @@ def solve_interval(scenario: ScenarioSpec, grid: TimeGrid, backend,
             # one temporary: y_j is formed again straight into a block, or it is dy
             y_j = dy = ybar_j + tail[j]
             if prev.y is None:
-                y[j] = dy if node is None or j == 0 else (*node, tail[j])
+                y[j] = dy if node is None else node
             else:
                 dy -= prev.y[j]
                 y_j = np.add(ybar_j, tail[j], out=prev.y[j])

@@ -1,12 +1,12 @@
 """Global solver for resistance-free drivers: partition the horizon into
 sub-intervals within the contraction horizon, solve backward interval by
-interval with the pasted terminal value, and concatenate with reflection
-offsets that keep the global path continuous."""
+interval, each from the later one's node 0, paste each as it returns, so a
+solve holds one interval at a time, and add the reflection offsets that keep
+the global path continuous."""
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -83,10 +83,13 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
     """Solve right-to-left over the intervals between `breaks` and paste;
     returns the global solution and each interval's history, left to right.
 
-    Each interval's terminal condition is the pasted solution value at its
-    right edge (the same random variable on the shared ensemble); the
-    reflection offsets accumulate so the global path is continuous, starts
-    at zero, and stays nondecreasing. The pieces' records are pasted.
+    Each interval's terminal condition is the later interval's node 0, kept
+    or replayed from its record (the same random variable on the shared
+    ensemble). Each interval's nodes, records and per-particle sup are
+    pasted as it returns, and it is dropped before the next one solves; its
+    K, m + 1 floats, is kept, and the reflection offsets accumulate over
+    them at the end, left to right, so the global path is continuous, starts
+    at zero, and stays nondecreasing.
     """
     if scenario.resistance.kind != "zero":
         raise PlanError("global stitching requires a resistance-free generator")
@@ -94,29 +97,19 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
             b >= c for b, c in zip(breaks, breaks[1:])):
         raise PlanError("plan breakpoints must ascend from 0 to n")
 
-    pieces: list[ReflectedSolution] = []
-    histories: list[PicardHistory] = []
-    terminal = None
-    for j in range(len(breaks) - 2, -1, -1):
-        lo, hi = breaks[j], breaks[j + 1]
-        sol, hist = picard_solve(scenario, grid, backend, tol=tol,
-                                 max_iter=max_iter, lo=lo, hi=hi,
-                                 terminal_values=terminal, constants=constants)
-        pieces.append(sol)
-        histories.append(hist)
-        terminal = sol.y[0]
-    pieces.reverse()
-    histories.reverse()
-
     n = grid.n
-    y = [None] * (n + 1)
-    z_record = [rec for piece in pieces for rec in piece.z_record]
+    y, z_record = [None] * (n + 1), [None] * n
     tail, offsets, k = np.zeros(n + 1), np.zeros(n), np.zeros(n + 1)
     stats = no_stats(n)
-    offset = 0.0
-    for j, piece in enumerate(pieces):
+    histories: list[PicardHistory] = []
+    ks, sup, terminal = [], None, None
+    for j in range(len(breaks) - 2, -1, -1):
         lo, hi = breaks[j], breaks[j + 1]
-        own = hi + 1 - lo if j == len(pieces) - 1 else hi - lo
+        piece, hist = picard_solve(scenario, grid, backend, tol=tol,
+                                   max_iter=max_iter, lo=lo, hi=hi,
+                                   terminal_values=terminal, constants=constants)
+        histories.append(hist)
+        own = hi + 1 - lo if hi == n else hi - lo
         # the piece's own values, records and tail: its y already holds the
         # later reflection, and its record is of these same node values
         y[lo:lo + own] = piece.y[:own]
@@ -126,13 +119,22 @@ def solve_global(scenario: ScenarioSpec, grid: TimeGrid, backend, breaks: list[i
         # the piece's own step offsets: its last step projected the seam
         # value itself, at offset 0, whatever the global tail there
         offsets[lo:hi] = piece.step_offsets
-        k[lo:hi + 1] = piece.k + offset
-        offset += piece.k[-1]
+        z_record[lo:hi] = piece.z_record
+        ks.append(piece.k)
+        sup = piece.sup if sup is None else np.maximum(sup, piece.sup, out=sup)
+        terminal = piece.node(0, backend)
+        piece = None   # released before the next window solves
+    histories.reverse()
+
+    offset = 0.0
+    for lo, hi, piece_k in zip(breaks, breaks[1:], reversed(ks)):
+        k[lo:hi + 1] = piece_k + offset
+        offset += piece_k[-1]
 
     constraint = stats["constraint"]
     solution = ReflectedSolution(
         lo=0, hi=n, y=y, k=k, tail=tail, step_offsets=offsets, z_record=z_record,
-        stats=stats, sup=reduce(np.maximum, (piece.sup for piece in pieces)),
+        stats=stats, sup=sup,
         diagnostics=diagnostics_record(constraint, stats["constraint_se"],
                                        flatness_residual(constraint, k)))
     return solution, histories

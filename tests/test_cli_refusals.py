@@ -25,11 +25,14 @@ EXEMPT = {
     ("cli.py", "execute", "cli: "):
         "wraps constants_report's ValueError; the overflowing-constants rows assert it",
     ("stitch.py", "plan_intervals", "constants report lacks the applicable horizon"):
-        "library-only: the constants a CLI run builds always hold its mode's horizon",
+        "library-only: the constants a CLI run builds always hold its mode's horizon; "
+        "test_stitch::test_plan_refuses_constants_without_the_horizon asserts it",
     ("stitch.py", "solve_global", "global stitching requires a resistance-free generator"):
-        "library-only: plan_intervals refuses the same config first",
+        "library-only: plan_intervals refuses the same config first; "
+        "test_stitch::test_solve_global_refuses_resistance asserts it",
     ("stitch.py", "solve_global", "plan breakpoints must ascend from 0 to n"):
-        "library-only: the CLI passes plan_intervals's breakpoints",
+        "library-only: the CLI passes plan_intervals's breakpoints; "
+        "test_stitch::test_solve_global_rejects_bad_plan asserts it",
 }
 
 

@@ -96,6 +96,13 @@ def test_regression_constant_samples():
     assert np.allclose(fit, 4.2, atol=1e-10)
 
 
+def test_regression_backend_refuses_no_more_particles_than_features():
+    # parse_config refuses first on every CLI path: 4 particles, 4 cubic features
+    ens = sample_ensemble(make_grid(1.0, 4), 4, 1, seed=0)
+    with pytest.raises(ValueError, match="need more particles than basis features"):
+        RegressionBackend(ens, degree=3)
+
+
 def test_regression_martingale_fit():
     grid = make_grid(1.0, 4)
     ens = sample_ensemble(grid, 50_000, 1, seed=3)

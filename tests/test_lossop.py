@@ -80,6 +80,11 @@ def test_law_validation():
         EmpiricalLaw(np.array([0.0, 1.0]), np.array([0.9, 0.2]))
 
 
+def test_law_refuses_weights_of_another_shape():
+    with pytest.raises(ValueError, match="weights must match atoms"):
+        EmpiricalLaw(np.array([0.0, 1.0]), np.array([0.25, 0.25, 0.5]))
+
+
 def test_hl_probe_identical_and_shifted():
     rng = np.random.default_rng(1)
     atoms = rng.normal(-2.0, 0.5, 500)      # constraint active on both laws

@@ -188,6 +188,21 @@ def test_driver_mode_and_lam_follow_kind_and_params(spec, expected):
     assert (spec.mode, spec.lam) == expected
 
 
+@pytest.mark.parametrize("gamma,lam,rounded", [
+    (5e-324, 5e-324, True), (-5e-324, 5e-324, True), (2.5e-323, 1.5e-323, True),
+    (1e-323, 5e-324, False), (1.5e-323, 1e-323, False), (0.1, 0.05, False),
+], ids=["smallest", "smallest-negative", "five-smallest", "two-smallest",
+        "three-smallest", "normal"])
+def test_quadratic_lam_rounds_a_subnormal_half_gamma_up(gamma, lam, rounded):
+    # |gamma| / 2 is exact but where gamma is an odd multiple of the smallest
+    # subnormal: there it rounds to even, down for 1 and 5 multiples (to 0
+    # and 2), up for 3 (to 2). lam rounds a half that fell below up to the
+    # next float, so 2 lam >= |gamma| and a nonzero gamma keeps lam > 0
+    drv = quadratic_z_driver(a=0, gamma=gamma, z_cap=1, b=0, zero_bound=1)
+    assert (2.0 * (abs(gamma) / 2.0) < abs(gamma)) == rounded
+    assert drv.lam == lam and 2.0 * drv.lam >= abs(gamma)
+
+
 @pytest.mark.parametrize("loss,expected", [
     (linear_shift_loss(c0=2, amp=-1, omega=3), (1.0, 1.0, 3.0, 3.0)),
     (linear_shift_loss(c0=-0.2, amp=0.3), (1.0, 1.0, 0.5, 1.0)),

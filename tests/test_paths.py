@@ -40,6 +40,12 @@ def test_make_grid_rejects_bad_inputs():
         make_grid(5e-324, 2)            # the step T / n rounds to 0
 
 
+def test_time_grid_built_directly_refuses_an_empty_grid():
+    # make_grid refuses first on every CLI path; a library caller can reach it
+    with pytest.raises(ValueError, match=r"need T > 0 and n >= 1"):
+        paths.TimeGrid(T=0.0, n=4, nodes=np.zeros(5), dt=0.0)
+
+
 def test_ensemble_deterministic():
     g = make_grid(1.0, 8)
     a = sample_ensemble(g, 1000, 2, seed=123)
@@ -61,6 +67,11 @@ def test_ensemble_rejects_tiny():
     with pytest.raises(ValueError):
         sample_ensemble(g, 0, 1, seed=0)
     assert antithetic(sample_ensemble(g, 1, 1, seed=0)).N == 2
+
+
+def test_ensemble_refuses_no_brownian_dimension():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        sample_ensemble(make_grid(1.0, 4), 10, 0, seed=0)
 
 
 def test_terminal_moments_large_ensemble():

@@ -24,10 +24,11 @@ from mrbsde.picard import (STALL_WINDOW, ConvergenceError, PicardHistory,
                            quadratic_stability_horizon, scenario_constants,
                            uniform_y_bound)
 from mrbsde.reflect import (ReflectedSolution, ScalarSweeps, bmo_proxy, build_k,
-                            complete_record, constraint_diagnostics, no_stats, solve_deflated,
-                            solve_interval, sup_norm, zero_solution)
+                            complete_record, no_stats, solve_deflated, solve_interval,
+                            sup_norm, zero_solution)
 from mrbsde.scenarios import get
 from mrbsde.stitch import plan_intervals, solve_global, stitch_constants
+from two_pass import constraint_diagnostics
 
 
 def lattice(T, n):
@@ -367,7 +368,7 @@ def test_iterate_distance_streams_within_eight_node_vectors():
 
 
 def test_picard_solve_holds_one_iterate():
-    # A's first sweep keeps node records and its two end nodes, and no later
+    # A's first sweep keeps node records and its terminal node, and no later
     # sweep moves a node, so the solve holds no y block: one projection's
     # working set and at most 12 node vectors (6.26 here), where a block
     # would add n + 1. On B (linear_mean) the offsets move, so the scalar
@@ -752,8 +753,9 @@ STORAGE_DRIVERS = [zero_driver(), constant_driver(-0.5), linear_y_driver(0.0),
 
 @pytest.mark.parametrize("kind", ["lattice", "regression"])
 def test_lam_decides_how_a_first_sweep_keeps_y(kind, regression_backend, monkeypatch):
-    # at lam = 0 the solution map is constant: the first sweep keeps each
-    # interior node as its record and records it as it forms it, and the
+    # at lam = 0 the solution map is constant: the first sweep keeps every
+    # node with a step, node 0 included, as its record (the terminal node
+    # keeps its values) and records each node as it forms it, and the
     # scalar sweeps move no node, so they build no law and run no zeta pass;
     # at lam > 0 the first sweep keeps every node's values, and the closing
     # pass records each node once
@@ -789,8 +791,9 @@ def test_lam_decides_how_a_first_sweep_keeps_y(kind, regression_backend, monkeyp
             sol, _ = picard_solve(spec, grid, backend)
         assert len(windows) == len(breaks) - 1, driver.kind
         for window in windows:
-            interior = [type(y) is tuple for y in window.first.y[1:-1]]
-            assert interior == [not driver.lam] * len(interior), driver
+            stepped = [type(y) is tuple for y in window.first.y[:-1]]
+            assert stepped == [not driver.lam] * len(stepped), driver
+            assert type(window.first.y[-1]) is not tuple, driver
             if not driver.lam:
                 assert window.laws == [None] * len(window.laws) and window.zeta is None
         assert sum(closing) == (0 if not driver.lam else grid.n + 1), driver

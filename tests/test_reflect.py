@@ -14,9 +14,10 @@ from mrbsde.model import (LIPSCHITZ, QUADRATIC, DriverSpec, ResistanceSpec, Scen
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
 from mrbsde.picard import picard_solve
 from mrbsde.reflect import (ReflectedSolution, StepSizeError, build_k, complete_record,
-                            constraint_diagnostics, empirical_norms, flatness_residual,
-                            solve_deflated, solve_interval, x_process, zero_solution)
+                            empirical_norms, flatness_residual, solve_deflated,
+                            solve_interval, x_process, zero_solution)
 from mrbsde.scenarios import get
+from two_pass import constraint_diagnostics
 
 
 def lattice(T, n):
@@ -38,7 +39,7 @@ def first_prev(grid, backend, lo=0, hi=None, block=True):
 
 def first_sweep(spec, grid, backend, lo=0, hi=None, block=True):
     """The first sweep's iterate, written over a zero triple, or with no
-    block its records and end nodes."""
+    block its records and terminal node."""
     sol, _ = solve_interval(spec, grid, backend, first_prev(grid, backend, lo, hi, block))
     return sol
 
@@ -365,21 +366,23 @@ def test_lattice_sweep_row_j_holds_the_window_nodes():
 
 @pytest.mark.parametrize("d, degree", [(1, 0), (1, 1), (1, 3), (3, 3)])
 def test_first_sweep_nodes_replay_bit_for_bit(d, degree, regression_backend):
-    # a first sweep at lam = 0 from a zero triple with no block keeps each
-    # interior node as its fit's record, the node step's constant and its
-    # tail; formed again, the nodes are the values a sweep over a zero block
-    # writes, byte for byte, node 0 (the particle mean at step 0) included,
-    # and the records it takes as it forms each node are the ones the
-    # closing pass takes from that block
+    # a first sweep at lam = 0 from a zero triple with no block keeps every
+    # node with a step as its fit's record and the node step's constant, and
+    # reads its tail off the answer; formed again, the nodes are the values a
+    # sweep over a zero block writes, byte for byte, node 0 included: on the
+    # whole grid the particle mean at step 0, on a window at lo > 0 a fit
+    # on the design refilled at a seam step. The records it takes as it
+    # forms each node are the ones the closing pass takes from that block
     spec = dataclasses.replace(get("A_sine_constraint").spec, brownian_dim=d)
     grid, backend = regression_backend(spec.horizon, 8, N=4000, seed=7, degree=degree, d=d)
-    free = first_sweep(spec, grid, backend, block=False)
-    block = first_sweep(spec, grid, backend)
-    assert free.k[-1] > 0.0 and all(type(y) is tuple for y in free.y[1:-1])
-    for a, b in zip(free.values(backend), block.y, strict=True):
-        assert a.tobytes() == b.tobytes()
-    assert block.sup is None and np.all(np.isnan(block.stats["std_y"]))
-    complete_record(spec.loss, grid, backend, block)
-    assert free.sup.tobytes() == block.sup.tobytes()
-    for key, values in free.stats.items():
-        assert values.tobytes() == block.stats[key].tobytes(), key
+    for lo in (0, 3):
+        free = first_sweep(spec, grid, backend, lo, block=False)
+        block = first_sweep(spec, grid, backend, lo)
+        assert free.k[-1] > 0.0 and all(type(y) is tuple for y in free.y[:-1])
+        for a, b in zip(free.values(backend), block.y, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert block.sup is None and np.all(np.isnan(block.stats["std_y"]))
+        complete_record(spec.loss, grid, backend, block)
+        assert free.sup.tobytes() == block.sup.tobytes()
+        for key, values in free.stats.items():
+            assert values.tobytes() == block.stats[key].tobytes(), key

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from mrbsde.model import (LIPSCHITZ, LossSpec, ResistanceSpec, ScenarioSpec, bro
                           linear_shift_loss, linear_y_driver, quadratic_z_driver,
                           scaled_tanh_terminal)
 from mrbsde.paths import antithetic, make_grid, sample_ensemble
-from mrbsde.picard import ConstantsReport, constants_report, picard_solve
-from mrbsde.reflect import constraint_diagnostics, solve_deflated, sup_norm, zero_solution
+from mrbsde.picard import ConstantsReport, constants_report, picard_solve, scenario_constants
+from mrbsde.reflect import solve_deflated, sup_norm, zero_solution
 from mrbsde.scenarios import get
 from mrbsde.stitch import PlanError, plan_intervals, solve_global, stitch_constants
+from two_pass import constraint_diagnostics
 
 
 def lattice(T, n):
@@ -62,6 +64,16 @@ def test_plan_refuses_resistance():
     grid = make_grid(spec.horizon, 8)
     with pytest.raises(PlanError, match="resistance-free"):
         plan_intervals(spec, grid, fake_constants(1.0))
+
+
+def test_plan_refuses_constants_without_the_horizon():
+    # a report with no uniform bound holds no quadratic horizon; the CLI
+    # builds the mode's horizon on every path, so only a library call gets here
+    spec = get("D_quadratic").spec
+    base = scenario_constants(spec)
+    constants = constants_report(base.hl_const, None, base.lam)
+    with pytest.raises(PlanError, match="constants report lacks the applicable horizon"):
+        plan_intervals(spec, make_grid(spec.horizon, 8), constants)
 
 
 def test_plan_refuses_subgrid_horizon():
@@ -132,8 +144,16 @@ def test_global_reflection_contract():
 def test_solve_global_rejects_bad_plan():
     spec = get("A_sine_constraint").spec
     grid, backend = lattice(1.0, 8)
-    with pytest.raises(PlanError):
+    with pytest.raises(PlanError, match="plan breakpoints must ascend from 0 to n"):
         solve_global(spec, grid, backend, [0, 3, 2, 8], fake_constants(2.0))
+
+
+def test_solve_global_refuses_resistance():
+    # plan_intervals refuses the same scenario first on every CLI path
+    spec = get("C_resistance_lipschitz").spec
+    grid, backend = lattice(spec.horizon, 4)
+    with pytest.raises(PlanError, match="global stitching requires a resistance-free generator"):
+        solve_global(spec, grid, backend, [0, 2, 4], fake_constants(1.0))
 
 
 def bounded_zero_scenario():
@@ -160,11 +180,12 @@ def test_stitched_quadratic_martingale_stays_bounded():
 
 
 def test_stitched_y_is_each_pieces_y(monkeypatch):
-    pieces = []
+    pieces, sups = [], []
 
     def keep(*args, **kwargs):
         sol, history = picard_solve(*args, **kwargs)
         pieces.append(sol)
+        sups.append(sol.sup.copy())   # the running sup is written over the first
         return sol, history
 
     monkeypatch.setattr(stitch, "picard_solve", keep)
@@ -182,10 +203,34 @@ def test_stitched_y_is_each_pieces_y(monkeypatch):
     for key, values in sol.stats.items():
         assert np.array_equal(values, np.concatenate([p.stats[key][:-1] for p in pieces[::-1]]
                                                      + [pieces[0].stats[key][-1:]])), key
-    assert np.array_equal(sol.sup, np.maximum.reduce([p.sup for p in pieces]))
+    assert np.array_equal(sol.sup, np.maximum.reduce(sups))
     # the later intervals' reflection is already inside each piece's y, so the
     # pasted tail is each piece's own, not one recomputed from the global k
     assert not np.array_equal(sol.tail, sol.k[-1] - sol.k)
+
+
+def test_stitched_peak_does_not_grow_with_the_window_count():
+    # a lam = 0 window keeps N values at its terminal node only, and each
+    # window is pasted as it returns and then dropped: the traced peak is one
+    # window's solve, the running sup and the seam values, 17.24 node vectors
+    # here at 2, 4 and 8 windows (holding every window to paste at the end
+    # read 17.26, 23.26 and 35.31)
+    n, N = 32, 20000
+    grid = make_grid(1.0, n)
+    ensemble = antithetic(sample_ensemble(grid, N // 2, 1, seed=11))
+    spec = get("A_sine_constraint").spec
+    constants = stitch_constants(spec)
+    peaks = []
+    for intervals in (2, 4, 8):
+        backend = RegressionBackend(ensemble)
+        breaks = plan_intervals(spec, grid, constants, intervals=intervals)
+        tracemalloc.start()
+        try:
+            solve_global(spec, grid, backend, breaks, constants)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (N * 8))
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) <= 0.1, [f"{p:.2f}" for p in peaks]
 
 
 @pytest.mark.parametrize("intervals", [2, 4])
